@@ -9,14 +9,32 @@ probe evaluations at Chebyshev-Gauss nodes plus one Vandermonde solve recover
 the exact index as a size-weighted sum of the interpolated coefficients.
 
 Forward accounting is part of the contract: inclusion-exclusion spends
-2^k (n - k + 1) evaluations per subset, signed toggle n - k + 1. The
-all-singletons case reuses shared prefix/suffix (or rooted) environments so
-the same probe values cost far fewer arithmetic passes; the counter still
-reports one forward per evaluated input configuration.
+2^k (n - k + 1) evaluations per subset, signed toggle n - k + 1, and the
+counter reports one forward per evaluated input configuration whichever
+arithmetic computes it. With m = n - k + 1 and bond dimension chi:
+
+* k = 1, all features, on a ``TensorNetworkModel``: shared selector-scaled
+  prefix/suffix (train) or rooted (tree) environments, O(n m chi^2).
+* k >= 2, all subsets, signed toggle, on a ``TensorNetworkModel``: one
+  shared-environment sweep per instance (``tensor_net.toggle_probes``) that
+  stacks states by which features are toggled so far and closes each subset
+  at its k-th toggle -- about C(n, k) m chi^2 on a train (O(n^2 m chi^2) at
+  k = 2) instead of the flat path's C(n, k) m n chi^2, with no
+  ``forward_batch`` call.
+* Everything else -- inclusion-exclusion at k >= 2, explicit subset lists,
+  ``probe_value`` and models that are not tensor networks (``CpTeacher``):
+  flat ``forward_batch`` rows contracted from scratch, chunked by whole
+  subsets to ``FLAT_ROW_BUDGET`` rows per call, so peak memory does not grow
+  with C(n, k).
+
+``forwards_used`` is the count the probe helper added to the counter, not a
+difference of the shared counter, so concurrent requests on one model do
+not leak into each other's counts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -37,6 +55,8 @@ MODES = (INCLUSION_EXCLUSION, SIGNED_TOGGLE)
 
 ILL_CONDITIONED_RESIDUAL = 1e-6
 CONDITIONING_WARN_NODES = 30
+# rows per forward_batch call on the flat probe path; whole subsets per call
+FLAT_ROW_BUDGET = 2**13
 
 
 def chebyshev_nodes(m: int) -> np.ndarray:
@@ -127,6 +147,13 @@ class ProbePlan:
         return coeffs, resid
 
 
+@functools.lru_cache(maxsize=None)
+def default_plan(m: int) -> ProbePlan:
+    """The Chebyshev-node ProbePlan for m nodes, built once per process and
+    shared read-only by every ``explain`` / ``explain_batch`` without ``plan=``."""
+    return ProbePlan(m)
+
+
 @dataclass(frozen=True)
 class AttributionSet:
     """Attribution values of one order for one instance.
@@ -208,7 +235,7 @@ def probe_value(model, lifts: LiftSpec, x, subset, t: float, mode=INCLUSION_EXCL
     s = _normalize_subsets(n, len(tuple(subset)), [subset])[0]
     mode = mode if mode in MODES else _resolve_mode(len(s), mode)
     lifted = lifts.lift_instance(x)
-    qmat = _probe_matrix(model, lifted, [s], np.array([float(t)]), mode)
+    qmat, _ = _probe_matrix(model, lifted, [s], np.array([float(t)]), mode)
     return float(qmat[0, 0])
 
 
@@ -227,11 +254,12 @@ def _sandwich(left, mid, right) -> np.ndarray:
     return np.einsum("br,br->b", left @ mid, right)
 
 
-def _probe_matrix_k1_shared(model, lifted, nodes, mode) -> np.ndarray:
+def _probe_matrix_k1_shared(model, lifted, nodes, mode):
     """All-features order-1 probes via shared environments.
 
-    Returns (m, n) probe values; the arithmetic shares selector-scaled
-    prefix/suffix (train) or rooted (tree) environments across features.
+    Returns ((m, n) probe values, the forwards added to the counter); the
+    arithmetic shares selector-scaled prefix/suffix (train) or rooted (tree)
+    environments across features.
     """
     topo = model.topology
     cores = model.cores
@@ -257,7 +285,7 @@ def _probe_matrix_k1_shared(model, lifted, nodes, mode) -> np.ndarray:
         down = tensor_net.tree_down_messages(topo, cores, up)
         L = topo.leaf_count
         for j in range(n):
-            core = cores[tensor_net._tree_core_index(L, L + j)]
+            core = cores[L + j - 1]
             env = down[L + j]
             if mode == SIGNED_TOGGLE:
                 qmat[:, j] = env @ (signed_toggle(lifted[j]) @ core)
@@ -265,17 +293,32 @@ def _probe_matrix_k1_shared(model, lifted, nodes, mode) -> np.ndarray:
                 won = lifted[j] @ core
                 woff = core[-1, :]
                 qmat[:, j] = env @ (won - woff)
-    per_subset = nodes.shape[0] * (2 if mode == INCLUSION_EXCLUSION else 1)
-    model.counter.add(per_subset * n)
-    return qmat
+    forwards = nodes.shape[0] * (2 if mode == INCLUSION_EXCLUSION else 1) * n
+    model.counter.add(forwards)
+    return qmat, forwards
 
 
-def _probe_matrix(model, lifted, subsets, nodes, mode) -> np.ndarray:
-    """Probe values for every (node, subset) pair via one flat batched forward.
+def _probe_matrix_shared(model, lifted, nodes, k: int):
+    """All k-subset signed-toggle probes from one shared-environment sweep.
 
-    Returns an (m, num_subsets) matrix.
+    Returns ((m, C(n, k)) probe values in lexicographic subset order, the
+    forwards added to the counter: one per evaluated configuration).
     """
-    n = model.n
+    scaled = _scaled_inputs(lifted, nodes)
+    toggled = [signed_toggle(v) for v in lifted]
+    qmat = tensor_net.toggle_probes(model.topology, model.cores, scaled, toggled, nodes, k)
+    forwards = nodes.shape[0] * math.comb(model.n, k)
+    model.counter.add(forwards)
+    return qmat, forwards
+
+
+def _probe_matrix(model, lifted, subsets, nodes, mode):
+    """Probe values for every (node, subset) pair via flat batched forwards,
+    chunked by whole subsets to at most ``FLAT_ROW_BUDGET`` rows per call
+    (one subset per call when a single subset needs more).
+
+    Returns (an (m, num_subsets) matrix, the forwards added to the counter).
+    """
     k = len(subsets[0])
     m = nodes.shape[0]
     if mode == INCLUSION_EXCLUSION:
@@ -286,22 +329,28 @@ def _probe_matrix(model, lifted, subsets, nodes, mode) -> np.ndarray:
     else:
         patterns = 1
         signs = np.array([1.0])
-    scaled = _scaled_inputs(lifted, nodes)
-    legs = [np.tile(np.repeat(scaled[r], patterns, axis=0), (len(subsets), 1)) for r in range(n)]
-    for s_idx, subset in enumerate(subsets):
-        base = s_idx * m * patterns
-        for pos, feat in enumerate(subset):
-            r = feat - 1
-            if mode == SIGNED_TOGGLE:
-                legs[r][base : base + m * patterns] = signed_toggle(lifted[r])
-            else:
-                on = lifted[r]
-                off = off_state(on.shape[0])
-                for p in range(patterns):
-                    vec = on if (p >> pos) & 1 else off
-                    legs[r][base + p : base + m * patterns : patterns] = vec
-    values = model.forward_batch(legs).reshape(len(subsets), m, patterns)
-    return (values @ signs).T
+    rows = m * patterns
+    repeated = [np.repeat(u, patterns, axis=0) for u in _scaled_inputs(lifted, nodes)]
+    step = max(1, FLAT_ROW_BUDGET // rows)
+    blocks = []
+    for c0 in range(0, len(subsets), step):
+        chunk = subsets[c0 : c0 + step]
+        legs = [np.tile(u, (len(chunk), 1)) for u in repeated]
+        for s_idx, subset in enumerate(chunk):
+            base = s_idx * rows
+            for pos, feat in enumerate(subset):
+                r = feat - 1
+                if mode == SIGNED_TOGGLE:
+                    legs[r][base : base + rows] = signed_toggle(lifted[r])
+                else:
+                    on = lifted[r]
+                    off = off_state(on.shape[0])
+                    for p in range(patterns):
+                        vec = on if (p >> pos) & 1 else off
+                        legs[r][base + p : base + rows : patterns] = vec
+        values = model.forward_batch(legs).reshape(len(chunk), m, patterns)
+        blocks.append(values @ signs)
+    return np.concatenate(blocks).T, rows * len(subsets)
 
 
 def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None, plan: ProbePlan | None = None) -> AttributionSet:
@@ -330,24 +379,22 @@ def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None, plan: P
     mode = _resolve_mode(k, mode)
     m = n - k + 1
     if plan is None:
-        plan = ProbePlan(m)
+        plan = default_plan(m)
     elif plan.m != m:
         raise ValueError(f"plan has {plan.m} nodes, order k={k} needs {m}")
     lifted = lifts.lift_instance(x)
 
-    before = model.counter.count
-    use_shared = (
+    shared = (
         isinstance(subsets, str)
-        and subsets == "all"
-        and k == 1
         and n >= 2
         and isinstance(model, tensor_net.TensorNetworkModel)
     )
-    if use_shared:
-        qmat = _probe_matrix_k1_shared(model, lifted, plan.nodes, mode)
+    if shared and k == 1:
+        qmat, forwards = _probe_matrix_k1_shared(model, lifted, plan.nodes, mode)
+    elif shared and mode == SIGNED_TOGGLE:
+        qmat, forwards = _probe_matrix_shared(model, lifted, plan.nodes, k)
     else:
-        qmat = _probe_matrix(model, lifted, subset_list, plan.nodes, mode)
-    forwards = model.counter.count - before
+        qmat, forwards = _probe_matrix(model, lifted, subset_list, plan.nodes, mode)
 
     coeffs, residuals = plan.solve(qmat)
     marginals = degree_to_size_transform(m) @ coeffs
@@ -375,16 +422,15 @@ def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None, plan: P
 
 
 def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets="all") -> list:
-    """Run ``explain`` over many instances with one shared ProbePlan.
+    """Run ``explain`` over many instances (sharing the cached default plan).
 
     Per-instance failures do not abort the batch: the failing instance's slot
     holds the raised exception instead of an AttributionSet.
     """
-    plan = ProbePlan(model.n - k + 1)
 
     def one(x):
         try:
-            return explain(model, lifts, x, k, subsets=subsets, mode=mode, plan=plan)
+            return explain(model, lifts, x, k, subsets=subsets, mode=mode)
         except Exception as exc:  # noqa: BLE001 - batch isolation is the contract
             return exc
 

@@ -31,7 +31,6 @@ from .tensor_net import (
     TnTopology,
     _contract_batch,
     _subtree_leaf_range,
-    _tree_core_index,
     capped_uniform_bonds,
 )
 
@@ -447,20 +446,20 @@ def _tree_sweep(topo, cores, legs, y, stats) -> None:
 
     up = [None] * (2 * L)
     for j in range(L):
-        up[L + j] = leg(j) @ cores[_tree_core_index(L, L + j)]
+        up[L + j] = leg(j) @ cores[L + j - 1]
     for v in range(L - 1, 1, -1):
-        up[v] = apply_up(cores[_tree_core_index(L, v)], up[2 * v], up[2 * v + 1])
+        up[v] = apply_up(cores[v - 1], up[2 * v], up[2 * v + 1])
 
     def refresh_up(v):
         if v >= L:
-            up[v] = leg(v - L) @ cores[_tree_core_index(L, v)]
+            up[v] = leg(v - L) @ cores[v - 1]
         else:
-            up[v] = apply_up(cores[_tree_core_index(L, v)], up[2 * v], up[2 * v + 1])
+            up[v] = apply_up(cores[v - 1], up[2 * v], up[2 * v + 1])
 
     def visit(v, down_v):
         if _is_pure_dummy(topo, v):
             return
-        idx = _tree_core_index(L, v)
+        idx = v - 1
         if v >= L:
             j = v - L
             d, b = cores[idx].shape
@@ -513,9 +512,8 @@ def eval_quality(student, teacher, lifts: LiftSpec, instances, orders=(1, 2, 3),
     for k in orders:
         student_vals = []
         teacher_vals = []
-        plan = attribute.ProbePlan(lifts.n - k + 1)
         for x in instances:
-            aset = attribute.explain(student, lifts, x, k, plan=plan)
+            aset = attribute.explain(student, lifts, x, k)
             student_vals.append(aset.values)
             table = oracle.enumerate_game(teacher, lifts, x)
             teacher_vals.append(oracle.exact_sii(table, k).values)

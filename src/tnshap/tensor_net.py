@@ -15,6 +15,7 @@ contraction of one input configuration.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -63,7 +64,8 @@ class TnTopology:
 
     Tree nodes use heap indexing: the root is node 1, node ``v`` has
     children ``2v`` and ``2v + 1``, leaf slot ``j`` is node
-    ``leaf_count + j``. Slots ``>= n`` are dummy pads with physical
+    ``leaf_count + j``, and node ``v``'s core is ``cores[v - 1]`` in
+    serialization order. Slots ``>= n`` are dummy pads with physical
     dimension 1.
     """
 
@@ -97,7 +99,7 @@ class TnTopology:
         """Number of leaf slots (power of two for trees, n for trains)."""
         if self.kind == TT:
             return self.n
-        return 1 if self.n == 1 else 2 ** math.ceil(math.log2(self.n))
+        return _tree_leaf_count(self.n)
 
     def leaf_phys_dim(self, slot: int) -> int:
         return self.phys_dims[slot] if slot < self.n else 1
@@ -155,7 +157,7 @@ def capped_uniform_bonds(kind: str, phys_dims, chi: int) -> tuple:
         )
     if kind != BTREE:
         raise ValueError(f"unknown topology kind {kind!r}")
-    L = 1 if n == 1 else 2 ** math.ceil(math.log2(n))
+    L = _tree_leaf_count(n)
     if L == 1:
         return ()
     full = [phys_dims[j] if j < n else 1 for j in range(L)]
@@ -166,6 +168,10 @@ def capped_uniform_bonds(kind: str, phys_dims, chi: int) -> tuple:
         outside = capped_prod(full[:lo] + full[hi:])
         bonds.append(min(chi, inside, outside))
     return tuple(bonds)
+
+
+def _tree_leaf_count(n: int) -> int:
+    return 1 if n == 1 else 2 ** math.ceil(math.log2(n))
 
 
 def _subtree_leaf_range(v: int, leaf_count: int):
@@ -280,10 +286,6 @@ def _tt_contract(cores, batch) -> np.ndarray:
     return state[:, 0]
 
 
-def _dummy_input(rows: int) -> np.ndarray:
-    return np.ones((rows, 1))
-
-
 def tree_up_messages(topology: TnTopology, cores, batch) -> list:
     """Leaf-to-root messages. Entry ``v`` is the (B, bond) message node ``v``
     sends to its parent; unset entries are None. The root (node 1) sends none.
@@ -292,13 +294,13 @@ def tree_up_messages(topology: TnTopology, cores, batch) -> list:
     rows = batch[0].shape[0]
     msgs = [None] * (2 * L)
     for j in range(L):
-        x = batch[j] if j < topology.n else _dummy_input(rows)
+        x = batch[j] if j < topology.n else np.ones((rows, 1))
         if L == 1:
             msgs[1] = x @ cores[0].reshape(-1, 1)
             return msgs
-        msgs[L + j] = x @ cores[_tree_core_index(L, L + j)]
+        msgs[L + j] = x @ cores[L + j - 1]
     for v in range(L - 1, 1, -1):
-        core = cores[_tree_core_index(L, v)]
+        core = cores[v - 1]
         msgs[v] = _apply_internal_up(core, msgs[2 * v], msgs[2 * v + 1])
     return msgs
 
@@ -315,7 +317,7 @@ def tree_down_messages(topology: TnTopology, cores, msgs) -> list:
     down[2] = msgs[3] @ root.T
     down[3] = msgs[2] @ root
     for v in range(2, L):
-        core = cores[_tree_core_index(L, v)]
+        core = cores[v - 1]
         p, q, r = core.shape
         tmp = (msgs[2 * v + 1] @ core.transpose(1, 0, 2).reshape(q, p * r)).reshape(-1, p, r)
         down[2 * v] = np.einsum("bpr,br->bp", tmp, down[v])
@@ -336,11 +338,6 @@ def _apply_internal_up(core, ml, mr) -> np.ndarray:
     p, q, r = core.shape
     tmp = (ml @ core.reshape(p, q * r)).reshape(-1, q, r)
     return np.einsum("bqr,bq->br", tmp, mr)
-
-
-def _tree_core_index(leaf_count: int, v: int) -> int:
-    """Position of node ``v`` in the BFS core serialization order."""
-    return v - 1
 
 
 def tt_left_states(cores, batch) -> list:
@@ -376,6 +373,191 @@ def tt_right_states(cores, batch) -> list:
     return states
 
 
+
+# -- shared-environment order-k probes ----------------------------------------
+#
+# A selector-scaled leg at node t carries ``bias + t * toggled`` (the bias
+# channel is the last one and equals 1), so its core splits as
+# ``C_bias + t * C_data``; a signed-toggled leg carries ``toggled`` and
+# contributes ``C_data`` alone, independent of t. The sweeps below stack, per
+# number o of legs toggled so far, the selector-scaled states of every such
+# choice, and close a subset as soon as its k-th leg is toggled. A state is
+# kept only while enough legs remain to complete it, which bounds the stored
+# rows by n * C(n, k) even at k close to n.
+
+
+def toggle_probes(topology: TnTopology, cores, scaled, toggled, nodes, k: int) -> np.ndarray:
+    """Signed-toggle probes of every k-subset of the real legs.
+
+    ``scaled[i]`` is leg i's (m, d_i) selector-scaled input, row l at
+    ``nodes[l]``; ``toggled[i]`` is the (d_i,) signed toggle of the same
+    lifted vector. Entry (l, s) of the returned (m, C(n, k)) matrix is the
+    contraction with the legs of the s-th subset (lexicographic order)
+    toggled and every other leg scaled at ``nodes[l]`` -- the same value a
+    from-scratch ``forward_batch`` row gives, for about C(n, k) * m * chi^2
+    arithmetic on a train (a from-scratch row costs n * chi^2 each) and one
+    up-pass on a tree.
+    """
+    if not 1 <= k <= topology.n:
+        raise ValueError(f"order k={k} must satisfy 1 <= k <= n={topology.n}")
+    if topology.kind == TT:
+        closed = tt_toggle_sweep(cores, scaled, toggled, nodes, k)
+    else:
+        closed = tree_toggle_sweep(topology, cores, scaled, toggled, nodes, k)
+    return closed[_toggle_order(topology.kind, topology.n, k)].T
+
+
+def tt_toggle_sweep(cores, scaled, toggled, nodes, k: int) -> np.ndarray:
+    """One left-to-right pass closing every k-subset of a tensor train.
+
+    Order-o prefix states are stacked as (C(i, o), m, bond) arrays; order 0
+    is ``tt_left_states`` and a subset closes against ``tt_right_states`` at
+    its last leg. Returns (C(n, k), m) rows in the order ``_tt_labels``
+    enumerates.
+    """
+    n = len(cores)
+    m = nodes.shape[0]
+    t = nodes[None, :, None]
+    left = tt_left_states(cores, scaled)
+    right = tt_right_states(cores, scaled)
+    stacks = [None] * k
+    closed = []
+    for i, core in enumerate(cores):
+        rest = n - 1 - i
+        stacks[0] = left[i][None] if k <= n - i else None
+        l, _, r = core.shape
+        bias = core[:, -1, :]
+        data = np.einsum("ldr,d->lr", core, toggled[i])
+        parts = [[] for _ in range(k)]
+        for o, state in enumerate(stacks):
+            if state is None:
+                continue
+            rows = state.shape[0]
+            flat = state.reshape(rows * m, l)
+            on = (flat @ data).reshape(rows, m, r)
+            if o + 1 == k:
+                closed.append(np.einsum("amr,mr->am", on, right[i + 1]))
+            elif k - o - 1 <= rest:
+                parts[o + 1].append(on)
+            if o > 0 and k - o <= rest:
+                parts[o].append((flat @ bias).reshape(rows, m, r) + t * on)
+        stacks[1:] = [_stack(p) for p in parts[1:]]
+    return _stack(closed)
+
+
+def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, nodes, k: int) -> np.ndarray:
+    """One up-pass closing every k-subset of a binary tree at the root.
+
+    Node v carries, per order o, a (C(real leaves under v, o), m, bond)
+    message; order 0 is ``tree_up_messages``. Children combine over the
+    splits i + j = o; dummy pad leaves carry order 0 only. Returns
+    (C(n, k), m) rows in the order ``_tree_labels`` enumerates.
+    """
+    L = topology.leaf_count
+    n = topology.n
+    m = nodes.shape[0]
+    up = tree_up_messages(topology, cores, scaled)
+    msgs = [None] * (2 * L)
+    for v in range(2 * L - 1, 0, -1):
+        lo, hi = _tree_orders(n, L, v, k)
+        msg = {0: up[v][None]} if lo == 0 else {}
+        if v >= L:
+            if hi == 1:
+                on = toggled[v - L] @ cores[v - 1]
+                msg[1] = np.broadcast_to(on, (1, m, on.shape[0]))
+        else:
+            core = cores[v - 1] if v > 1 else cores[0][:, :, None]
+            lchild, rchild = msgs[2 * v], msgs[2 * v + 1]
+            for o in range(max(lo, 1), hi + 1):
+                msg[o] = _stack([_toggle_merge(core, lchild[i], rchild[o - i])
+                                 for i in sorted(lchild) if o - i in rchild])
+            msgs[2 * v] = msgs[2 * v + 1] = None
+        msgs[v] = msg
+    return msgs[1][k][:, :, 0]
+
+
+def _toggle_merge(core, left, right) -> np.ndarray:
+    """Contract stacked child messages (a, m, p) and (b, m, q) through a
+    (p, q, r) core into (a * b, m, r), left rows major. The smaller stack
+    goes through the core GEMM, so the 4-D intermediate stays small."""
+    a, m, p = left.shape
+    b, _, q = right.shape
+    r = core.shape[2]
+    if a <= b:
+        tmp = (left.reshape(a * m, p) @ core.reshape(p, q * r)).reshape(a, m, q, r)
+        tmp = tmp.transpose(1, 0, 3, 2).reshape(m, a * r, q)
+        out = (tmp @ right.transpose(1, 2, 0)).reshape(m, a, r, b).transpose(1, 3, 0, 2)
+    else:
+        tmp = right.reshape(b * m, q) @ core.transpose(1, 0, 2).reshape(q, p * r)
+        tmp = tmp.reshape(b, m, p, r).transpose(1, 2, 0, 3).reshape(m, p, b * r)
+        out = (left.transpose(1, 0, 2) @ tmp).reshape(m, a, b, r).transpose(1, 2, 0, 3)
+    return out.reshape(a * b, m, r)
+
+
+def _stack(blocks):
+    if not blocks:
+        return None
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _tree_orders(n: int, leaf_count: int, v: int, k: int):
+    """Orders node v's message keeps: at most its real leaf count and k, at
+    least what the real leaves outside its subtree cannot supply."""
+    lo, hi = _subtree_leaf_range(v, leaf_count)
+    inside = max(0, min(hi, n) - lo)
+    return max(0, k - (n - inside)), min(k, inside)
+
+
+def _tt_labels(n: int, k: int) -> list:
+    """0-based subsets in the row order of ``tt_toggle_sweep``."""
+    stacks = [None] * k
+    closed = []
+    for i in range(n):
+        rest = n - 1 - i
+        stacks[0] = [()] if k <= n - i else None
+        parts = [[] for _ in range(k)]
+        for o, state in enumerate(stacks):
+            if state is None:
+                continue
+            on = [s + (i,) for s in state]
+            if o + 1 == k:
+                closed.extend(on)
+            elif k - o - 1 <= rest:
+                parts[o + 1].extend(on)
+            if o > 0 and k - o <= rest:
+                parts[o].extend(state)
+        stacks[1:] = [p or None for p in parts[1:]]
+    return closed
+
+
+def _tree_labels(n: int, k: int) -> list:
+    """0-based subsets in the row order of ``tree_toggle_sweep``."""
+    L = _tree_leaf_count(n)
+    labels = [None] * (2 * L)
+    for v in range(2 * L - 1, 0, -1):
+        lo, hi = _tree_orders(n, L, v, k)
+        lab = {0: [()]} if lo == 0 else {}
+        if v >= L:
+            if hi == 1:
+                lab[1] = [(v - L,)]
+        else:
+            lchild, rchild = labels[2 * v], labels[2 * v + 1]
+            for o in range(max(lo, 1), hi + 1):
+                lab[o] = [a + b for i in sorted(lchild) if o - i in rchild
+                          for a in lchild[i] for b in rchild[o - i]]
+        labels[v] = lab
+    return labels[1][k]
+
+
+@functools.lru_cache(maxsize=None)
+def _toggle_order(kind: str, n: int, k: int) -> np.ndarray:
+    """Permutation taking a sweep's row order to lexicographic subset order."""
+    labels = _tt_labels(n, k) if kind == TT else _tree_labels(n, k)
+    perm = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
+    perm.setflags(write=False)
+    return perm
+
+
 def materialize_full(model: TensorNetworkModel, limit: int = DEFAULT_MATERIALIZE_LIMIT) -> np.ndarray:
     """Expand the model into its dense coefficient tensor over the real legs.
 
@@ -405,13 +587,13 @@ def _tree_materialize(topo: TnTopology, cores, v: int) -> np.ndarray:
         return np.asarray(cores[0]).reshape(-1)
     if v >= L:
         slot = v - L
-        core = cores[_tree_core_index(L, v)]
+        core = cores[v - 1]
         if slot >= topo.n:
             return core.reshape(1, -1)
         return core
     ml = _tree_materialize(topo, cores, 2 * v)
     mr = _tree_materialize(topo, cores, 2 * v + 1)
-    core = cores[_tree_core_index(L, v)]
+    core = cores[v - 1]
     if v == 1:
         return (ml @ core @ mr.T).reshape(-1)
     p, q, r = core.shape

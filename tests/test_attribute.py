@@ -1,6 +1,7 @@
 """Probe-interpolation engine: nodes, weights, probes, explain."""
 
 import io
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from tnshap import (
     TensorNetworkModel,
     TnTopology,
     chebyshev_nodes,
+    enumerate_game,
+    exact_sii,
     explain,
     explain_batch,
     gen_cp_teacher,
@@ -30,6 +33,7 @@ from tnshap import (
     sii_weights,
     write_attribution_csv,
 )
+from tnshap import attribute
 from tnshap.attribute import ProbePlan, degree_to_size_transform
 
 
@@ -460,3 +464,127 @@ class TestCsv:
             ["1", "1", "1"], ["1", "1", "2"], ["1", "1", "3"],
             ["1", "2", "1;2"], ["1", "2", "1;3"], ["1", "2", "2;3"],
         ]
+
+
+def _random_model(kind, n, bond, seed, lifts=None):
+    """A random TT (CP teacher as a train) or btree model over n features."""
+    if kind == "tt":
+        teacher, lifts = gen_cp_teacher(n, bond, seed, lifts)
+        return teacher.to_tensor_train(), lifts
+    return gen_tree_teacher(n, bond, seed, lifts)
+
+
+class TestSharedProbes:
+    """All-subsets signed-toggle requests at k >= 2 take the shared sweep."""
+
+    @pytest.mark.parametrize("kind,n,k", [
+        ("tt", 4, 2), ("tt", 7, 3), ("tt", 11, 2), ("tt", 12, 3), ("tt", 60, 2),
+        ("btree", 4, 2), ("btree", 5, 2), ("btree", 5, 3), ("btree", 7, 2),
+        ("btree", 7, 3), ("btree", 11, 2), ("btree", 11, 3), ("btree", 16, 3),
+    ])
+    def test_probe_matrix_matches_flat_path(self, rng, kind, n, k):
+        model, lifts = _random_model(kind, n, 4, seed=n + k)
+        lifted = lifts.lift_instance(rng.uniform(-1, 1, n))
+        nodes = chebyshev_nodes(n - k + 1)
+        shared, _ = attribute._probe_matrix_shared(model, lifted, nodes, k)
+        subsets = list(itertools.combinations(range(1, n + 1), k))
+        flat, _ = attribute._probe_matrix(model, lifted, subsets, nodes, SIGNED_TOGGLE)
+        assert shared.shape == flat.shape == (n - k + 1, len(subsets))
+        scale = np.max(np.abs(flat))
+        assert np.max(np.abs(shared - flat)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    @pytest.mark.parametrize("n,k", [(2, 2), (5, 4), (5, 5), (6, 3), (9, 2), (12, 2), (12, 3)])
+    def test_values_match_enumeration(self, rng, kind, n, k):
+        """Covers k = n (one node), k = n - 1 and n = 2."""
+        model, lifts = _random_model(kind, n, 4, seed=3 * n + k)
+        x = rng.uniform(-1, 1, n)
+        expected = exact_sii(enumerate_game(model, lifts, x), k).values
+        got = explain(model, lifts, x, k).values
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-7 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    def test_lexicographic_counts_and_no_flat_batch(self, rng, kind):
+        n, k = 9, 3
+        model, lifts = _random_model(kind, n, 4, seed=2)
+        calls = []
+        original = model.forward_batch
+        model.forward_batch = lambda legs: calls.append(legs) or original(legs)
+        before = model.forward_count
+        aset = explain(model, lifts, rng.uniform(-1, 1, n), k)
+        contract = math.comb(n, k) * (n - k + 1)
+        assert aset.subsets == tuple(itertools.combinations(range(1, n + 1), k))
+        assert model.forward_count - before == aset.forwards_used == contract
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    def test_repeated_calls_bitwise_identical(self, rng, kind):
+        model, lifts = _random_model(kind, 10, 5, seed=4)
+        x = rng.uniform(-1, 1, 10)
+        first = explain(model, lifts, x, 2)
+        for _ in range(3):
+            np.testing.assert_array_equal(explain(model, lifts, x, 2).values, first.values)
+
+
+class _DriftingCounter:
+    """A shared counter that other work advances between any two reads."""
+
+    def __init__(self) -> None:
+        self.added = 0
+        self.reads = 0
+
+    def add(self, k: int = 1) -> None:
+        self.added += int(k)
+
+    @property
+    def count(self) -> int:
+        self.reads += 1
+        return self.added + 1000 * self.reads
+
+
+class TestForwardAccounting:
+    @pytest.mark.parametrize("k,subsets", [(1, "all"), (2, "all"), (2, [(1, 2), (3, 5)])])
+    def test_forwards_used_ignores_concurrent_counter_traffic(self, rng, k, subsets):
+        n = 6
+        model, lifts = random_tt_model(rng, n)
+        model.counter = _DriftingCounter()
+        aset = explain(model, lifts, rng.uniform(-1, 1, n), k, subsets=subsets)
+        per_subset = 2 * n if k == 1 else n - k + 1
+        assert aset.forwards_used == model.counter.added == per_subset * len(aset.subsets)
+        if k == 1:
+            assert aset.forwards_used == 2 * n * n
+
+    @pytest.mark.parametrize("mode,per_subset", [(INCLUSION_EXCLUSION, 24), (SIGNED_TOGGLE, 6)])
+    def test_flat_path_respects_row_budget(self, rng, monkeypatch, mode, per_subset):
+        n, k = 7, 2
+        model, lifts = random_tt_model(rng, n)
+        x = rng.uniform(-1, 1, n)
+        subsets = list(itertools.combinations(range(1, n + 1), k))[::2]
+        whole = explain(model, lifts, x, k, subsets=subsets, mode=mode)
+        budget = 3 * per_subset + 1
+        monkeypatch.setattr(attribute, "FLAT_ROW_BUDGET", budget)
+        rows = []
+        original = model.forward_batch
+        model.forward_batch = lambda legs: rows.append(legs[0].shape[0]) or original(legs)
+        chunked = explain(model, lifts, x, k, subsets=subsets, mode=mode)
+        assert len(rows) > 1 and max(rows) <= budget
+        assert sum(rows) == chunked.forwards_used == per_subset * len(subsets)
+        np.testing.assert_allclose(chunked.values, whole.values, rtol=1e-14, atol=1e-14)
+
+    def test_default_plan_built_once_per_node_count(self, rng, monkeypatch):
+        built = []
+        original = ProbePlan.__init__
+
+        def counting(self, m, nodes=None):
+            built.append(m)
+            original(self, m, nodes)
+
+        monkeypatch.setattr(ProbePlan, "__init__", counting)
+        attribute.default_plan.cache_clear()
+        model, lifts = random_tt_model(rng, 5)
+        xs = rng.uniform(-1, 1, (3, 5))
+        for x in xs:
+            explain(model, lifts, x, 2)
+        explain_batch(model, lifts, xs, 2)
+        explain_batch(model, lifts, xs, 1)
+        assert built == [4, 5]

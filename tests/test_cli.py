@@ -99,6 +99,35 @@ class TestExplain:
         subsets = 6  # C(4, 2)
         assert manifest["forward_counts"]["per_instance"] == subsets * 4 * 3  # 2^k (n-k+1)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_threaded_manifest_counts_match_model_counter(self, tmp_path, teacher_path,
+                                                          monkeypatch, order):
+        from tnshap import get_worker_budget, model_io, set_worker_budget
+
+        loaded = []
+        original = model_io.load_model
+
+        def load_and_keep(path):
+            pair = original(path)
+            loaded.append(pair[0])
+            return pair
+
+        monkeypatch.setattr(model_io, "load_model", load_and_keep)
+        inst = tmp_path / "inst.csv"
+        write_instances(inst, np.random.default_rng(3).uniform(-1, 1, (24, 4)))
+        out = tmp_path / "attr.csv"
+        saved = get_worker_budget()
+        try:
+            assert run("explain", "--model", teacher_path, "--instances", inst,
+                       "--order", order, "--threads", 2, "--out", out) == 0
+        finally:
+            set_worker_budget(saved)
+        manifest = json.loads((tmp_path / "attr.csv.manifest.json").read_text())
+        (model,) = loaded
+        per_instance = 2 * 4 * 4 if order == 1 else 6 * 3
+        assert manifest["forward_counts"]["attribution"] == model.forward_count == 24 * per_instance
+        assert manifest["forward_counts"]["per_instance"] == per_instance
+
     def test_deterministic_output(self, tmp_path, teacher_path):
         inst = tmp_path / "inst.csv"
         write_instances(inst, [[0.3, 0.1, -0.2, 0.9]])
