@@ -15,6 +15,11 @@ arithmetic computes it. With m = n - k + 1 and bond dimension chi:
 
 * k = 1, all features, on a ``TensorNetworkModel``: shared selector-scaled
   prefix/suffix (train) or rooted (tree) environments, O(n m chi^2).
+  ``explain_batch`` stacks instances here: chunks of up to
+  ``STACK_ROW_BUDGET`` instance-by-node rows are lifted per feature column,
+  share one environment pass and one solve, and ``explain`` is the same
+  computation with one instance. No threads are used; batches of other
+  requests run ``explain`` on one instance after the other.
 * k >= 2, all subsets, signed toggle, on a ``TensorNetworkModel``: one
   shared-environment sweep per instance (``tensor_net.toggle_probes``) that
   stacks states by which features are toggled so far and closes each subset
@@ -38,13 +43,11 @@ import functools
 import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor_net
-from .config import get_worker_budget
 from .lift import LiftSpec, off_state, signed_toggle
 
 logger = logging.getLogger(__name__)
@@ -57,6 +60,9 @@ ILL_CONDITIONED_RESIDUAL = 1e-6
 CONDITIONING_WARN_NODES = 30
 # rows per forward_batch call on the flat probe path; whole subsets per call
 FLAT_ROW_BUDGET = 2**13
+# selector-scaled rows (instances x nodes) per environment pass of a stacked
+# k = 1 batch; bounds the batch's memory whatever the number of instances
+STACK_ROW_BUDGET = 256
 
 
 def chebyshev_nodes(m: int) -> np.ndarray:
@@ -194,6 +200,7 @@ def _normalize_subsets(n: int, k: int, subsets):
     return sorted(set(norm))
 
 
+@functools.lru_cache(maxsize=None)
 def degree_to_size_transform(m: int) -> np.ndarray:
     """Basis change from interpolated probe coefficients to size aggregates.
 
@@ -202,11 +209,13 @@ def degree_to_size_transform(m: int) -> np.ndarray:
     (what the Shapley/SII size weights expect) counts each such mass once
     per size-s complement containing those u members, i.e. C(m-1-u, s-u)
     times. Row s, column u of the returned (m, m) matrix holds that count.
+    Built once per m and shared read-only.
     """
     mat = np.zeros((m, m))
     for s in range(m):
         for u in range(s + 1):
             mat[s, u] = math.comb(m - 1 - u, s - u)
+    mat.setflags(write=False)
     return mat
 
 
@@ -240,60 +249,68 @@ def probe_value(model, lifts: LiftSpec, x, subset, t: float, mode=INCLUSION_EXCL
 
 
 def _scaled_inputs(lifted, nodes: np.ndarray) -> list:
-    """Per-leg (m, d) arrays: lifted vectors with data channels scaled per node."""
+    """Per-leg (B * m, d) arrays, instance-major: each lifted row with its
+    data channels scaled at every node. ``lifted[i]`` is feature i's (d,)
+    vector for one instance or its (B, d) rows for B stacked instances."""
+    m = nodes.shape[0]
+    rows = np.atleast_2d(lifted[0]).shape[0]
+    scale = np.tile(nodes, rows)[:, None]
     out = []
     for v in lifted:
-        u = np.tile(v, (nodes.shape[0], 1))
-        u[:, :-1] *= nodes[:, None]
+        u = np.repeat(np.atleast_2d(v), m, axis=0)
+        u[:, :-1] *= scale
         out.append(u)
     return out
 
 
 def _sandwich(left, mid, right) -> np.ndarray:
-    # (b, l) x (l, r) x (b, r) -> (b,)
-    return np.einsum("br,br->b", left @ mid, right)
+    # (..., m, l) x (..., l, r) x (..., m, r) -> (..., m)
+    return np.einsum("...r,...r->...", left @ mid, right)
 
 
 def _probe_matrix_k1_shared(model, lifted, nodes, mode):
-    """All-features order-1 probes via shared environments.
+    """All-features order-1 probes of B stacked instances via shared
+    environments.
 
-    Returns ((m, n) probe values, the forwards added to the counter); the
-    arithmetic shares selector-scaled prefix/suffix (train) or rooted (tree)
-    environments across features.
+    ``lifted[i]`` holds feature i's (B, d_i) lifted rows. One pass of
+    selector-scaled prefix/suffix (train) or rooted (tree) environments over
+    the B * m scaled rows serves every feature of every instance. Returns
+    ((B, m, n) probe values, the forwards added to the counter).
     """
     topo = model.topology
     cores = model.cores
     n = model.n
+    b = lifted[0].shape[0]
+    m = nodes.shape[0]
     scaled = _scaled_inputs(lifted, nodes)
-    qmat = np.empty((nodes.shape[0], n))
+    qmat = np.empty((b, m, n))
     if topo.kind == tensor_net.TT:
         lstates = tensor_net.tt_left_states(cores, scaled)
         rstates = tensor_net.tt_right_states(cores, scaled)
         for i in range(n):
             core = cores[i]
+            left = lstates[i].reshape(b, m, -1)
+            right = rstates[i + 1].reshape(b, m, -1)
             if mode == SIGNED_TOGGLE:
-                mid = (core * signed_toggle(lifted[i])[None, :, None]).sum(axis=1)
-                qmat[:, i] = _sandwich(lstates[i], mid, rstates[i + 1])
+                mid = (core[None] * signed_toggle(lifted[i])[:, None, :, None]).sum(axis=2)
+                qmat[:, :, i] = _sandwich(left, mid, right)
             else:
-                mon = (core * lifted[i][None, :, None]).sum(axis=1)
+                mon = (core[None] * lifted[i][:, None, :, None]).sum(axis=2)
                 moff = core[:, -1, :]
-                qmat[:, i] = _sandwich(lstates[i], mon, rstates[i + 1]) - _sandwich(
-                    lstates[i], moff, rstates[i + 1]
-                )
+                qmat[:, :, i] = _sandwich(left, mon, right) - _sandwich(left, moff, right)
     else:
         up = tensor_net.tree_up_messages(topo, cores, scaled)
         down = tensor_net.tree_down_messages(topo, cores, up)
         L = topo.leaf_count
         for j in range(n):
             core = cores[L + j - 1]
-            env = down[L + j]
+            env = down[L + j].reshape(b, m, -1)
             if mode == SIGNED_TOGGLE:
-                qmat[:, j] = env @ (signed_toggle(lifted[j]) @ core)
+                w = signed_toggle(lifted[j]) @ core
             else:
-                won = lifted[j] @ core
-                woff = core[-1, :]
-                qmat[:, j] = env @ (won - woff)
-    forwards = nodes.shape[0] * (2 if mode == INCLUSION_EXCLUSION else 1) * n
+                w = lifted[j] @ core - core[-1, :]
+            qmat[:, :, j] = (env @ w[:, :, None])[:, :, 0]
+    forwards = b * m * (2 if mode == INCLUSION_EXCLUSION else 1) * n
     model.counter.add(forwards)
     return qmat, forwards
 
@@ -353,23 +370,11 @@ def _probe_matrix(model, lifted, subsets, nodes, mode):
     return np.concatenate(blocks).T, rows * len(subsets)
 
 
-def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None, plan: ProbePlan | None = None) -> AttributionSet:
-    """Compute order-k attribution values for one instance.
+def _request(model, lifts: LiftSpec, k: int, subsets, mode, plan):
+    """Validate an order-k request shared by every instance of a batch.
 
-    Parameters
-    ----------
-    model : TensorNetworkModel (or any object with the same forward protocol)
-    lifts : LiftSpec matching the model's physical dimensions
-    x : raw instance of length n
-    k : interaction order (k = 1 gives Shapley values)
-    subsets : "all" for every k-subset, or an explicit list of 1-based tuples
-    mode : "inclusion-exclusion", "signed-toggle", or None/"auto"
-        (inclusion-exclusion for k = 1, signed toggle otherwise)
-    plan : optional pre-built ProbePlan with n - k + 1 nodes
-
-    Each subset's probe polynomial is interpolated on the plan's nodes and
-    combined with the order-k size weights. Subsets whose solve residual
-    exceeds the ill-conditioning threshold are flagged but still reported.
+    Returns (normalized subsets, resolved mode, plan, whether the shared
+    environment paths apply).
     """
     _check_model_lifts(model, lifts)
     n = model.n
@@ -382,64 +387,117 @@ def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None, plan: P
         plan = default_plan(m)
     elif plan.m != m:
         raise ValueError(f"plan has {plan.m} nodes, order k={k} needs {m}")
-    lifted = lifts.lift_instance(x)
-
     shared = (
         isinstance(subsets, str)
         and n >= 2
         and isinstance(model, tensor_net.TensorNetworkModel)
     )
-    if shared and k == 1:
-        qmat, forwards = _probe_matrix_k1_shared(model, lifted, plan.nodes, mode)
-    elif shared and mode == SIGNED_TOGGLE:
-        qmat, forwards = _probe_matrix_shared(model, lifted, plan.nodes, k)
-    else:
-        qmat, forwards = _probe_matrix(model, lifted, subset_list, plan.nodes, mode)
+    return subset_list, mode, plan, shared
 
-    coeffs, residuals = plan.solve(qmat)
+
+def _attribution_sets(qmat, plan: ProbePlan, k: int, subset_list, forwards: int) -> list:
+    """Interpolate the (B, m, S) probes of B instances with one solve over
+    all B * S columns; one AttributionSet per instance, each charged an equal
+    share of ``forwards``."""
+    b, m, _ = qmat.shape
+    coeffs, residuals = plan.solve(qmat.transpose(1, 0, 2).reshape(m, -1))
     marginals = degree_to_size_transform(m) @ coeffs
+    n = m + k - 1
     weights = shapley_weights(n) if k == 1 else sii_weights(n, k)
-    values = weights @ marginals
-    residuals = np.atleast_1d(residuals)
-    flagged = frozenset(
-        s for s, r in zip(subset_list, residuals) if r > ILL_CONDITIONED_RESIDUAL
-    )
-    if flagged:
-        logger.warning(
-            "%d of %d subsets flagged ill-conditioned (max residual %.3e)",
-            len(flagged),
-            len(subset_list),
-            float(np.max(residuals)),
+    values = (weights @ marginals).reshape(b, -1)
+    subsets = tuple(subset_list)
+    out = []
+    for vals, resid in zip(values, residuals.reshape(b, -1)):
+        flagged = frozenset(subsets[i] for i in np.flatnonzero(resid > ILL_CONDITIONED_RESIDUAL))
+        if flagged:
+            logger.warning(
+                "%d of %d subsets flagged ill-conditioned (max residual %.3e)",
+                len(flagged),
+                len(subsets),
+                float(np.max(resid)),
+            )
+        out.append(AttributionSet(
+            order=k,
+            subsets=subsets,
+            values=vals,
+            forwards_used=forwards // b,
+            max_solve_residual=float(np.max(resid)),
+            flagged=flagged,
+        ))
+    return out
+
+
+def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None, plan: ProbePlan | None = None) -> AttributionSet:
+    """Compute order-k attribution values for one instance.
+
+    Parameters
+    ----------
+    model : TensorNetworkModel (or any object with the same forward protocol)
+    lifts : LiftSpec matching the model's physical dimensions
+    x : raw instance of length n, all values finite
+    k : interaction order (k = 1 gives Shapley values)
+    subsets : "all" for every k-subset, or an explicit list of 1-based tuples
+    mode : "inclusion-exclusion", "signed-toggle", or None/"auto"
+        (inclusion-exclusion for k = 1, signed toggle otherwise)
+    plan : optional pre-built ProbePlan with n - k + 1 nodes
+
+    Each subset's probe polynomial is interpolated on the plan's nodes and
+    combined with the order-k size weights. Subsets whose solve residual
+    exceeds the ill-conditioning threshold are flagged but still reported.
+    """
+    subset_list, mode, plan, shared = _request(model, lifts, k, subsets, mode, plan)
+    lifted = lifts.lift_instance(x)
+    if shared and k == 1:
+        qmat, forwards = _probe_matrix_k1_shared(
+            model, [v[None] for v in lifted], plan.nodes, mode
         )
-    return AttributionSet(
-        order=k,
-        subsets=tuple(subset_list),
-        values=np.atleast_1d(values),
-        forwards_used=forwards,
-        max_solve_residual=float(np.max(residuals)),
-        flagged=flagged,
-    )
+    else:
+        if shared and mode == SIGNED_TOGGLE:
+            qmat, forwards = _probe_matrix_shared(model, lifted, plan.nodes, k)
+        else:
+            qmat, forwards = _probe_matrix(model, lifted, subset_list, plan.nodes, mode)
+        qmat = qmat[None]
+    return _attribution_sets(qmat, plan, k, subset_list, forwards)[0]
 
 
 def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets="all") -> list:
-    """Run ``explain`` over many instances (sharing the cached default plan).
+    """``explain`` over many instances, in order, without threads.
+
+    Order-1 requests for all features of a ``TensorNetworkModel`` stack
+    instances: each chunk of up to ``STACK_ROW_BUDGET // n`` instances is
+    lifted one feature column at a time, shares one environment pass and one
+    solve, and gives the values ``explain`` gives per instance. Other
+    requests (k >= 2, explicit subset lists, models that are not tensor
+    networks) run ``explain`` on one instance after the other.
 
     Per-instance failures do not abort the batch: the failing instance's slot
-    holds the raised exception instead of an AttributionSet.
+    holds the raised exception instead of an AttributionSet. Instances are
+    checked before they are stacked, so a bad row fills only its own slot.
     """
-
-    def one(x):
-        try:
-            return explain(model, lifts, x, k, subsets=subsets, mode=mode)
-        except Exception as exc:  # noqa: BLE001 - batch isolation is the contract
-            return exc
-
     instances = list(instances)
-    budget = get_worker_budget()
-    if budget > 1 and len(instances) > 1:
-        with ThreadPoolExecutor(max_workers=budget) as pool:
-            return list(pool.map(one, instances))
-    return [one(x) for x in instances]
+    try:
+        subset_list, mode, plan, shared = _request(model, lifts, k, subsets, mode, None)
+    except (TypeError, ValueError) as exc:
+        return [exc] * len(instances)
+    stacked = shared and k == 1
+    results = [None] * len(instances)
+    rows = []
+    for idx, x in enumerate(instances):
+        try:
+            if stacked:
+                rows.append((idx, lifts.check_instance(x)))
+            else:
+                results[idx] = explain(model, lifts, x, k, subsets=subsets, mode=mode)
+        except Exception as exc:  # noqa: BLE001 - batch isolation is the contract
+            results[idx] = exc
+    step = max(1, STACK_ROW_BUDGET // plan.m)
+    for c0 in range(0, len(rows), step):
+        chunk = rows[c0 : c0 + step]
+        lifted = lifts.lift_rows(np.stack([x for _, x in chunk]))
+        qmat, forwards = _probe_matrix_k1_shared(model, lifted, plan.nodes, mode)
+        for (idx, _), aset in zip(chunk, _attribution_sets(qmat, plan, k, subset_list, forwards)):
+            results[idx] = aset
+    return results
 
 
 CSV_HEADER = "instance_id,order,subset,value,flag"

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -72,9 +73,16 @@ def _read_instances_csv(path, n: int) -> np.ndarray:
                     f"{path} line {lineno}: expected {n} values, got {len(row)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise InputError(f"{path} line {lineno}: {exc}") from exc
+            bad = [i for i, v in enumerate(values, start=1) if not math.isfinite(v)]
+            if bad:
+                raise InputError(
+                    f"{path} line {lineno}: non-finite value {row[bad[0] - 1].strip()!r} "
+                    f"in column f{bad[0]}"
+                )
+            rows.append(values)
     if not rows:
         raise InputError(f"{path}: no instance rows")
     return np.asarray(rows, dtype=np.float64)
@@ -103,7 +111,7 @@ def _json_dump(path, obj) -> None:
 
 
 def _write_manifest(path, command, args_ns, config, seed, inputs, outputs,
-                    forward_counts, phases) -> None:
+                    forward_counts, phases, numerical_health=None) -> None:
     manifest = {
         "version": MANIFEST_VERSION,
         "command": command,
@@ -116,6 +124,8 @@ def _write_manifest(path, command, args_ns, config, seed, inputs, outputs,
         "forward_counts": forward_counts,
         "phase_wall_times_s": phases,
     }
+    if numerical_health is not None:
+        manifest["numerical_health"] = numerical_health
     _json_dump(path, manifest)
 
 
@@ -261,6 +271,8 @@ def cmd_explain(args) -> int:
     for idx, res in enumerate(results):
         if isinstance(res, Exception):
             raise InputError(f"instance {idx}: {res}")
+        logger.debug("instance %d: %d forwards, max solve residual %.3e, %d flagged",
+                     idx, res.forwards_used, res.max_solve_residual, len(res.flagged))
     attribution_time = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -274,6 +286,10 @@ def cmd_explain(args) -> int:
         forward_counts={"attribution": total_forwards,
                         "per_instance": results[0].forwards_used},
         phases={"load": load_time, "attribution": attribution_time, "emit": emit_time},
+        numerical_health={
+            "max_solve_residual": max(res.max_solve_residual for res in results),
+            "flagged_subsets": sum(len(res.flagged) for res in results),
+        },
     )
     return 0
 
@@ -489,7 +505,8 @@ def cmd_rank_sweep(args) -> int:
 def _add_common(parser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker budget (default: available cores)")
+                        help="worker budget, must be >= 1; kept for compatibility, "
+                             "attribution runs without threads and ignores it")
     parser.add_argument("--out", default=None, help="primary output path")
     parser.add_argument("--config", default=None,
                         help="JSON config file; explicit flags override it")

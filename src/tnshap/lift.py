@@ -108,12 +108,32 @@ class LiftSpec:
         """Lift feature i's raw value (i is 0-based here)."""
         return self.maps[i].apply(x)
 
-    def lift_instance(self, x) -> list:
-        """Lift a full raw instance into one vector per feature."""
+    def check_instance(self, x) -> np.ndarray:
+        """The raw instance as a float64 (n,) array.
+
+        Raises ValueError for a wrong length or a non-finite value: a NaN or
+        infinite feature would otherwise turn every attribution into NaN.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"expected instance of length {self.n}, got shape {x.shape}")
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:
+            raise ValueError(
+                f"non-finite value {x[bad[0]]} for feature {bad[0] + 1} "
+                f"({bad.size} non-finite in all)"
+            )
+        return x
+
+    def lift_instance(self, x) -> list:
+        """Lift a full raw instance into one vector per feature."""
+        x = self.check_instance(x)
         return [m.apply(v) for m, v in zip(self.maps, x)]
+
+    def lift_rows(self, xs: np.ndarray) -> list:
+        """Lift stacked instances column by column: one (B, d_i) array per
+        feature for a (B, n) array of rows that passed ``check_instance``."""
+        return [m.apply_batch(xs[:, i]) for i, m in enumerate(self.maps)]
 
     def to_json_list(self) -> list:
         return [m.to_json_dict() for m in self.maps]

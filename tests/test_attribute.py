@@ -384,6 +384,120 @@ class TestBatch:
             np.testing.assert_array_equal(a.values, b.values)
 
 
+class TestStackedBatch:
+    """Order-1 batches on tensor networks stack instances into shared
+    environment passes of at most ``STACK_ROW_BUDGET`` rows."""
+
+    @staticmethod
+    def _assert_matches_explain(model, lifts, xs, results, mode=None):
+        for x, got in zip(xs, results):
+            want = explain(model, lifts, x, 1, mode=mode)
+            scale = np.max(np.abs(want.values))
+            assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
+            assert got.subsets == want.subsets
+            assert got.forwards_used == want.forwards_used
+
+    @pytest.mark.parametrize("mode", [INCLUSION_EXCLUSION, SIGNED_TOGGLE])
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    @pytest.mark.parametrize("n", [2, 5, 7, 30])
+    def test_stacked_matches_per_instance_explain(self, rng, kind, n, mode):
+        """btree n in {5, 7, 30} has pad leaves; n = 30 spans two chunks."""
+        model, lifts = _random_model(kind, n, 4, seed=n)
+        xs = rng.uniform(-1, 1, (12, n))
+        results = explain_batch(model, lifts, xs, 1, mode=mode)
+        self._assert_matches_explain(model, lifts, xs, results, mode)
+
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    def test_stacked_probes_match_flat_path(self, rng, kind):
+        n = 6
+        model, lifts = _random_model(kind, n, 3, seed=1)
+        xs = rng.uniform(-1, 1, (3, n))
+        nodes = chebyshev_nodes(n)
+        stacked, _ = attribute._probe_matrix_k1_shared(model, lifts.lift_rows(xs), nodes,
+                                                       INCLUSION_EXCLUSION)
+        subsets = [(j,) for j in range(1, n + 1)]
+        for b, x in enumerate(xs):
+            flat, _ = attribute._probe_matrix(model, lifts.lift_instance(x), subsets, nodes,
+                                              INCLUSION_EXCLUSION)
+            np.testing.assert_allclose(stacked[b], flat, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    def test_bad_rows_fill_only_their_slots(self, rng, monkeypatch, kind):
+        n = 5
+        model, lifts = _random_model(kind, n, 3, seed=2)
+        monkeypatch.setattr(attribute, "STACK_ROW_BUDGET", 4 * n)  # 4 instances per chunk
+        xs = list(rng.uniform(-1, 1, (7, n)))
+        nan_row = xs[2].copy()
+        nan_row[3] = np.nan
+        xs[1] = np.zeros(n - 1)
+        xs[2] = nan_row
+        results = explain_batch(model, lifts, xs, 1)
+        assert isinstance(results[1], ValueError) and "length" in str(results[1])
+        assert isinstance(results[2], ValueError) and "non-finite" in str(results[2])
+        good = [i for i in range(7) if i not in (1, 2)]
+        self._assert_matches_explain(model, lifts, [xs[i] for i in good],
+                                     [results[i] for i in good])
+
+    def test_non_finite_rows_rejected_on_serial_path(self, rng):
+        model, lifts = random_tt_model(rng, 4)
+        xs = rng.uniform(-1, 1, (3, 4))
+        xs[1, 0] = np.inf
+        results = explain_batch(model, lifts, xs, 2)
+        assert isinstance(results[1], ValueError)
+        np.testing.assert_array_equal(results[2].values, explain(model, lifts, xs[2], 2).values)
+
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    def test_chunk_boundaries(self, rng, monkeypatch, kind):
+        n = 6
+        model, lifts = _random_model(kind, n, 3, seed=3)
+        xs = rng.uniform(-1, 1, (7, n))
+        whole = explain_batch(model, lifts, xs, 1)
+        env = "tt_left_states" if kind == "tt" else "tree_up_messages"
+        rows = []
+        original = getattr(attribute.tensor_net, env)
+
+        def spy(*args):
+            rows.append(args[-1][0].shape[0])
+            return original(*args)
+
+        monkeypatch.setattr(attribute.tensor_net, env, spy)
+        monkeypatch.setattr(attribute, "STACK_ROW_BUDGET", 3 * n - 1)  # 2 instances per chunk
+        chunked = explain_batch(model, lifts, xs, 1)
+        assert rows == [2 * n, 2 * n, 2 * n, n]
+        for a, b in zip(chunked, whole):
+            np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-15)
+        monkeypatch.setattr(attribute, "STACK_ROW_BUDGET", 1)  # below one instance
+        rows.clear()
+        explain_batch(model, lifts, xs[:2], 1)
+        assert rows == [n, n]
+
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    def test_counts_without_forward_batch(self, rng, kind):
+        n, b = 8, 10
+        model, lifts = _random_model(kind, n, 3, seed=4)
+        calls = []
+        original = model.forward_batch
+        model.forward_batch = lambda legs: calls.append(legs) or original(legs)
+        before = model.forward_count
+        results = explain_batch(model, lifts, rng.uniform(-1, 1, (b, n)), 1)
+        used = model.forward_count - before
+        assert used == sum(r.forwards_used for r in results) == b * 2 * n * n
+        assert calls == []
+
+    def test_no_thread_pool(self, rng, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("explain_batch constructed a thread pool")
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", refuse)
+        model, lifts = random_tt_model(rng, 5)
+        xs = rng.uniform(-1, 1, (6, 5))
+        for k in (1, 2):
+            assert all(not isinstance(r, Exception) for r in explain_batch(model, lifts, xs, k))
+        assert not hasattr(attribute, "ThreadPoolExecutor")
+
+
 class TestConditioning:
     def test_near_degenerate_nodes_flagged(self, rng):
         """Nodes packed 1e-8 apart push the post-refinement residual past

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import additive_model
-from tnshap import explain, load_model, save_model
+from tnshap import explain, explain_batch, load_model, save_model
 from tnshap.cli import main
 
 
@@ -137,6 +137,61 @@ class TestExplain:
             assert run("explain", "--model", teacher_path, "--instances", inst,
                        "--order", 1, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_multi_chunk_output_byte_identical(self, tmp_path, teacher_path, monkeypatch):
+        from tnshap import attribute
+
+        monkeypatch.setattr(attribute, "STACK_ROW_BUDGET", 9)  # 2 instances per chunk
+        inst = tmp_path / "inst.csv"
+        write_instances(inst, np.random.default_rng(5).uniform(-1, 1, (7, 4)))
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        for out in (a, b):
+            assert run("explain", "--model", teacher_path, "--instances", inst,
+                       "--order", 1, "--out", out) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert len(a.read_text().splitlines()) == 1 + 7 * 4
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_rejected(self, tmp_path, teacher_path, capsys, order, bad):
+        inst = tmp_path / "inst.csv"
+        inst.write_text(f"f1,f2,f3,f4\n0.0,0.0,0.0,0.0\n0.1,0.2,{bad},0.3\n")
+        out = tmp_path / "x.csv"
+        assert run("explain", "--model", teacher_path, "--instances", inst,
+                   "--order", order, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "f3" in err and str(inst) in err
+        assert not out.exists()
+
+    def test_manifest_numerical_health_and_debug_summaries(self, tmp_path, teacher_path,
+                                                             monkeypatch, capsys):
+        from tnshap.cli import _setup_logging
+
+        monkeypatch.setenv("TNSHAP_LOG", "debug")
+        inst = tmp_path / "inst.csv"
+        rows = np.random.default_rng(4).uniform(-1, 1, (3, 4))
+        write_instances(inst, rows)
+        out = tmp_path / "attr.csv"
+        try:
+            assert run("explain", "--model", teacher_path, "--instances", inst,
+                       "--order", 1, "--out", out) == 0
+        finally:
+            monkeypatch.delenv("TNSHAP_LOG")
+            _setup_logging()
+        model, lifts = load_model(teacher_path)
+        expected = explain_batch(model, lifts, rows, 1)
+        health = json.loads((tmp_path / "attr.csv.manifest.json").read_text())["numerical_health"]
+        assert health == {
+            "max_solve_residual": max(a.max_solve_residual for a in expected),
+            "flagged_subsets": 0,
+        }
+        summaries = [line for line in capsys.readouterr().err.splitlines()
+                     if "forwards, max solve residual" in line]
+        assert len(summaries) == 3
+        for idx, (line, aset) in enumerate(zip(summaries, expected)):
+            assert f"instance {idx}: {aset.forwards_used} forwards" in line
+            assert line.endswith(", 0 flagged")
 
     def test_order_out_of_range(self, tmp_path, teacher_path):
         inst = tmp_path / "inst.csv"

@@ -41,6 +41,21 @@ class TestLifts:
         with pytest.raises(ValueError):
             FeatureMap("spline")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_lift_instance_rejects_non_finite(self, bad):
+        spec = LiftSpec.binary(3)
+        with pytest.raises(ValueError, match="feature 2"):
+            spec.lift_instance([0.5, bad, 0.1])
+
+    def test_lift_rows_match_lift_instance(self, rng):
+        spec = LiftSpec([FeatureMap("binary"), FeatureMap("poly", k=2), FeatureMap("fourier", k=2)])
+        xs = rng.uniform(-1, 1, (4, 3))
+        cols = spec.lift_rows(xs)
+        assert [c.shape for c in cols] == [(4, 2), (4, 3), (4, 5)]
+        for b, x in enumerate(xs):
+            for col, v in zip(cols, spec.lift_instance(x)):
+                np.testing.assert_array_equal(col[b], v)
+
     def test_spec_roundtrip(self):
         spec = LiftSpec(
             [FeatureMap("binary"), FeatureMap("poly", k=2), FeatureMap("fourier", k=1, omega=2.0)]
