@@ -104,6 +104,21 @@ def _parse_int_list(text: str, what: str) -> list:
         raise InputError(f"bad {what} list {text!r}: {exc}") from exc
 
 
+def _parse_center(text, n: int) -> np.ndarray:
+    """``--center``: n comma-separated finite numbers; the origin when unset."""
+    if text is None:
+        return np.zeros(n)
+    try:
+        center = np.asarray([float(v) for v in str(text).split(",")])
+    except ValueError as exc:
+        raise InputError(f"bad --center {text!r}: {exc}") from exc
+    if center.shape != (n,):
+        raise InputError(f"--center needs {n} values, got {center.shape[0]}")
+    if not np.all(np.isfinite(center)):
+        raise InputError(f"--center {text!r} has a non-finite value")
+    return center
+
+
 def _json_dump(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=1)
@@ -203,15 +218,7 @@ def cmd_fit(args) -> int:
     if args.out is None:
         raise InputError("fit requires --out")
     teacher, lifts = _load_model(args.teacher)
-    if args.center is None:
-        center = np.zeros(teacher.n)
-    else:
-        try:
-            center = np.asarray([float(v) for v in str(args.center).split(",")])
-        except ValueError as exc:
-            raise InputError(f"bad --center: {exc}") from exc
-        if center.shape != (teacher.n,):
-            raise InputError(f"--center needs {teacher.n} values")
+    center = _parse_center(args.center, teacher.n)
     try:
         fit_config = fit.FitConfig(
             topology=args.topology, bond_dim=int(args.bond_dim),
@@ -228,6 +235,7 @@ def cmd_fit(args) -> int:
     before = teacher.forward_count
     training = fit.build_training_set(teacher, lifts, center, fit_config)
     teacher_calls = teacher.forward_count - before
+    build_time = time.perf_counter() - t1
     student, report = fit.fit_student(training, fit_config, lifts)
     fit_time = time.perf_counter() - t1
 
@@ -242,7 +250,9 @@ def cmd_fit(args) -> int:
         {**config, "fit_config": fit_config.to_json_dict()}, args.seed,
         inputs=[args.teacher], outputs=[args.out, report_path],
         forward_counts={"teacher_calls": teacher_calls},
-        phases={"load": load_time, "fit": fit_time, "emit": emit_time},
+        phases={"load": load_time, "fit": fit_time, "build": build_time,
+                "als": fit_time - build_time, "emit": emit_time},
+        numerical_health=report.numerical_health(),
     )
     logger.info("fit: train R^2 %.6f in %d sweeps", report.train_r2, report.sweeps_used)
     return 0
@@ -452,12 +462,7 @@ def cmd_rank_sweep(args) -> int:
     seeds = _parse_int_list(str(args.seeds), "seeds")
     if not ranks or not seeds:
         raise InputError("rank-sweep needs at least one rank and one seed")
-    if args.center is None:
-        center = np.zeros(teacher.n)
-    else:
-        center = np.asarray([float(v) for v in str(args.center).split(",")])
-        if center.shape != (teacher.n,):
-            raise InputError(f"--center needs {teacher.n} values")
+    center = _parse_center(args.center, teacher.n)
     orders = tuple(range(1, int(args.max_order) + 1))
     base_config = fit.FitConfig(
         topology=args.topology, bond_dim=max(ranks), neighborhood=int(args.neighborhood),

@@ -8,6 +8,17 @@ magnitude on the [-1, 1]^n cube.
 Students are fit by deterministic ALS sweeps: each core is re-solved as an
 exact linear least-squares problem against its contracted environment, with
 environments kept fresh along the sweep so the training MSE never increases.
+A core's design is the row-wise Khatri-Rao product of its environment
+factors (a tree node's two child up messages and its down message, a leaf's
+leg and down message, a train core's left state, leg and right state). Each
+factor is orthonormalized by a thin QR, the problem on the orthonormalized
+design is solved by Cholesky normal equations, and the solution is mapped
+back by the small R^-1 along each core mode. A solve that cannot be
+certified (numerically singular R, failed Cholesky, or a Gram condition
+bound above ``GRAM_COND_LIMIT``) falls back to SVD ``lstsq`` on the raw
+design. The report counts both paths (``fast_solves``, ``lstsq_fallbacks``)
+and the largest Gram condition bound seen; the CLI puts them in the fit
+manifest, not in the v1 report JSON.
 The training set mixes a Gaussian neighborhood around a center point with
 the structured on/off selector configurations used by the order-1 probes,
 evaluated exactly on the (multilinear) teacher.
@@ -15,6 +26,8 @@ evaluated exactly on the (multilinear) teacher.
 
 from __future__ import annotations
 
+import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -29,13 +42,26 @@ from .tensor_net import (
     ForwardCounter,
     TensorNetworkModel,
     TnTopology,
+    _apply_internal_up,
     _contract_batch,
+    _down_to_left,
+    _down_to_right,
     _subtree_leaf_range,
+    _tt_step,
     capped_uniform_bonds,
+    tree_up_messages,
+    tt_right_states,
 )
+
+logger = logging.getLogger("tnshap.fit")
 
 NORMALIZATION_SAMPLES = 1024
 TIKHONOV_SCALE = 1e-10
+# A core solve on orthonormalized environments is taken when every R factor
+# has reciprocal condition above R_RCOND and the Gram's condition bound is
+# at most GRAM_COND_LIMIT; otherwise it falls back to lstsq.
+R_RCOND = 1e-8
+GRAM_COND_LIMIT = 1e10
 CONFIG_VERSION = 1
 REPORT_VERSION = 1
 
@@ -259,23 +285,16 @@ def build_training_set(teacher, lifts: LiftSpec, center, config: FitConfig,
     raw = center[None, :] + rng.standard_normal((config.neighborhood, n)) * sigma[None, :]
     neighborhood_legs = [m.apply_batch(raw[:, i]) for i, m in enumerate(lifts.maps)]
 
+    # rows run over (i, t, on/off): leg i on or off, every other leg scaled at t
     lifted_center = lifts.lift_instance(center)
+    scaled = attribute._scaled_inputs(lifted_center, nodes)
     structured_rows = 2 * n * m_nodes
-    structured_legs = [
-        np.empty((structured_rows, d)) for d in lifts.dims
-    ]
-    row = 0
-    for i in range(n):
-        for t in nodes:
-            for state in (lifted_center[i], off_state(lifts.dims[i])):
-                for r in range(n):
-                    if r == i:
-                        structured_legs[r][row] = state
-                    else:
-                        vec = lifted_center[r].copy()
-                        vec[:-1] *= t
-                        structured_legs[r][row] = vec
-                row += 1
+    structured_legs = []
+    for r, (on, d) in enumerate(zip(lifted_center, lifts.dims)):
+        block = np.repeat(scaled[r][None, :, None, :], n, axis=0).repeat(2, axis=2)
+        block[r, :, 0] = on
+        block[r, :, 1] = off_state(d)
+        structured_legs.append(block.reshape(structured_rows, d))
 
     legs = [
         np.concatenate([nb, st], axis=0)
@@ -319,6 +338,19 @@ class FitReport:
     rank_deficient_solves: int = 0
     tikhonov_fallbacks: int = 0
     orders: dict = field(default_factory=dict)
+    # solve-path tallies; the manifest carries them, the v1 report does not
+    fast_solves: int = 0
+    lstsq_fallbacks: int = 0
+    max_gram_cond: float = 0.0
+
+    def numerical_health(self) -> dict:
+        return {
+            "fast_solves": self.fast_solves,
+            "lstsq_fallbacks": self.lstsq_fallbacks,
+            "rank_deficient_solves": self.rank_deficient_solves,
+            "tikhonov_fallbacks": self.tikhonov_fallbacks,
+            "max_gram_cond": self.max_gram_cond,
+        }
 
     def to_json_dict(self) -> dict:
         return {
@@ -336,11 +368,18 @@ class FitReport:
 
 
 class _SolveStats:
+    """Per-fit tallies of how the core solves went."""
+
     def __init__(self) -> None:
+        self.fast = 0
+        self.fallbacks = 0
         self.rank_deficient = 0
         self.tikhonov = 0
+        self.max_gram_cond = 0.0
 
     def solve(self, design: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The fallback: SVD least squares on the raw design, with a
+        Tikhonov-regularized normal-equation solve if it is not finite."""
         sol, _res, rank, _sv = np.linalg.lstsq(design, y, rcond=None)
         if rank < design.shape[1]:
             self.rank_deficient += 1
@@ -350,6 +389,82 @@ class _SolveStats:
             sol = np.linalg.solve(gram + lam * np.eye(gram.shape[0]), design.T @ y)
             self.tikhonov += 1
         return sol
+
+
+def _khatri_rao(factors) -> np.ndarray:
+    """Row-wise Khatri-Rao product of (rows, b_i) factors, first factor's
+    index slowest."""
+    rows = factors[0].shape[0]
+    out = factors[0]
+    for f in factors[1:]:
+        out = (out[:, :, None] * f[:, None, :]).reshape(rows, -1)
+    return out
+
+
+def _tril_inv(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by recursive halving, so the
+    work is in matrix products (numpy has no triangular solve)."""
+    n = low.shape[0]
+    if n <= 32:
+        return np.linalg.inv(low)
+    h = n // 2
+    top = _tril_inv(low[:h, :h])
+    bottom = _tril_inv(low[h:, h:])
+    out = np.zeros_like(low)
+    out[:h, :h] = top
+    out[h:, h:] = bottom
+    out[h:, :h] = -(bottom @ low[h:, :h]) @ top
+    return out
+
+
+def _solve_core(stats: _SolveStats, factors, y: np.ndarray, shape) -> np.ndarray:
+    """Least-squares core whose design is ``_khatri_rao(factors)``.
+
+    Each (rows, b_i) environment factor is thin-QR'd, F_i = Q_i R_i. Since
+    KR(Q_1 R_1, ..., Q_k R_k) = KR(Q_1, ..., Q_k) (R_1 x ... x R_k), the
+    minimizer is the solution z of the well-conditioned problem on the
+    orthonormalized design, mapped back by R_i^-1 along each core mode; z
+    comes from Cholesky normal equations. When that cannot be certified (a
+    numerically singular R_i, a failed Cholesky, or a Gram condition bound
+    above ``GRAM_COND_LIMIT``) the core falls back to ``_SolveStats.solve``
+    on the raw design.
+    """
+    sol = _certified_solve(stats, factors, y)
+    if sol is None:
+        stats.fallbacks += 1
+        sol = stats.solve(_khatri_rao(factors), y)
+    else:
+        stats.fast += 1
+    return sol.reshape(shape)
+
+
+def _certified_solve(stats: _SolveStats, factors, y: np.ndarray):
+    widths = [f.shape[1] for f in factors]
+    if math.prod(widths) > y.shape[0]:
+        return None
+    try:
+        qs, r_invs = [], []
+        for f in factors:
+            q, r = np.linalg.qr(f)
+            sv = np.linalg.svd(r, compute_uv=False)
+            if not sv[-1] > R_RCOND * sv[0]:
+                return None
+            qs.append(q)
+            r_invs.append(np.linalg.inv(r))
+        design = _khatri_rao(qs)
+        gram = design.T @ design
+        chol_inv = _tril_inv(np.linalg.cholesky(gram))
+    except np.linalg.LinAlgError:
+        return None
+    # ||G||_F ||L^-1||_F^2 bounds the 2-norm condition number of G = L L^T
+    cond = float(np.linalg.norm(gram) * np.sum(chol_inv * chol_inv))
+    stats.max_gram_cond = max(stats.max_gram_cond, cond)
+    if not cond <= GRAM_COND_LIMIT:
+        return None
+    coef = (chol_inv.T @ (chol_inv @ (design.T @ y))).reshape(widths)
+    for axis, r_inv in enumerate(r_invs):
+        coef = np.moveaxis(np.tensordot(r_inv, coef, axes=(1, axis)), 0, axis)
+    return coef
 
 
 def _train_r2(mse: float, var: float) -> float:
@@ -379,17 +494,16 @@ def fit_student(training: TrainingSet, config: FitConfig, lifts: LiftSpec):
         if _is_pure_dummy(topo, node):
             cores.append(np.ones(shape))
         else:
-            size = 1
-            for s in shape:
-                size *= s
-            cores.append(rng.standard_normal(shape) / np.sqrt(size))
+            cores.append(rng.standard_normal(shape) / np.sqrt(math.prod(shape)))
 
     y = training.targets
     var = float(np.var(y))
     stats = _SolveStats()
     report = FitReport()
     prev_r2 = float("-inf")
-    for _sweep in range(config.max_sweeps):
+    for sweep in range(config.max_sweeps):
+        sweep_start = time.perf_counter()
+        fallbacks = stats.fallbacks
         if topo.kind == TT:
             _tt_sweep(topo, cores, training.legs, y, stats)
         else:
@@ -400,6 +514,9 @@ def fit_student(training: TrainingSet, config: FitConfig, lifts: LiftSpec):
         report.sweep_train_mse.append(mse)
         report.sweep_train_r2.append(r2)
         report.sweeps_used += 1
+        logger.debug("sweep %d: train MSE %.6e, R^2 %.9f, %d lstsq fallbacks, %.3f s",
+                     sweep + 1, mse, r2, stats.fallbacks - fallbacks,
+                     time.perf_counter() - sweep_start)
         if r2 - prev_r2 < config.tol:
             break
         prev_r2 = r2
@@ -408,85 +525,46 @@ def fit_student(training: TrainingSet, config: FitConfig, lifts: LiftSpec):
     report.train_r2 = report.sweep_train_r2[-1]
     report.rank_deficient_solves = stats.rank_deficient
     report.tikhonov_fallbacks = stats.tikhonov
+    report.fast_solves = stats.fast
+    report.lstsq_fallbacks = stats.fallbacks
+    report.max_gram_cond = stats.max_gram_cond
     report.wall_time_s = time.perf_counter() - start
     return TensorNetworkModel(topo, cores), report
 
 
 def _tt_sweep(topo, cores, legs, y, stats) -> None:
-    from .tensor_net import tt_right_states
-
-    n = topo.n
-    rows = y.shape[0]
     right = tt_right_states(cores, legs)
-    left = np.ones((rows, 1))
-    for j in range(n):
-        l, d, r = cores[j].shape
-        ld = (left[:, :, None] * legs[j][:, None, :]).reshape(rows, l * d)
-        design = (ld[:, :, None] * right[j + 1][:, None, :]).reshape(rows, l * d * r)
-        cores[j] = stats.solve(design, y).reshape(l, d, r)
-        tmp = (left @ cores[j].reshape(l, d * r)).reshape(rows, d, r)
-        left = np.einsum("bdr,bd->br", tmp, legs[j])
+    left = np.ones((y.shape[0], 1))
+    for j in range(topo.n):
+        cores[j] = _solve_core(stats, [left, legs[j], right[j + 1]], y, cores[j].shape)
+        left = _tt_step(left, cores[j], legs[j])
 
 
 def _tree_sweep(topo, cores, legs, y, stats) -> None:
     L = topo.leaf_count
-    rows = y.shape[0]
     if L == 1:
-        design = legs[0]
-        cores[0] = stats.solve(design, y).reshape(topo.core_shapes()[0])
+        cores[0] = _solve_core(stats, [legs[0]], y, cores[0].shape)
         return
-
-    def leg(j):
-        return legs[j] if j < topo.n else np.ones((rows, 1))
-
-    def apply_up(core, ml, mr):
-        p, q, r = core.shape
-        tmp = (ml @ core.reshape(p, q * r)).reshape(rows, q, r)
-        return np.einsum("bqr,bq->br", tmp, mr)
-
-    up = [None] * (2 * L)
-    for j in range(L):
-        up[L + j] = leg(j) @ cores[L + j - 1]
-    for v in range(L - 1, 1, -1):
-        up[v] = apply_up(cores[v - 1], up[2 * v], up[2 * v + 1])
-
-    def refresh_up(v):
-        if v >= L:
-            up[v] = leg(v - L) @ cores[v - 1]
-        else:
-            up[v] = apply_up(cores[v - 1], up[2 * v], up[2 * v + 1])
+    up = tree_up_messages(topo, cores, legs)
 
     def visit(v, down_v):
+        # re-solve every core under v, then refresh v's up message
         if _is_pure_dummy(topo, v):
             return
         idx = v - 1
         if v >= L:
-            j = v - L
-            d, b = cores[idx].shape
-            design = (legs[j][:, :, None] * down_v[:, None, :]).reshape(rows, d * b)
-            cores[idx] = stats.solve(design, y).reshape(d, b)
-            refresh_up(v)
+            leg = legs[v - L]
+            cores[idx] = _solve_core(stats, [leg, down_v], y, cores[idx].shape)
+            up[v] = leg @ cores[idx]
             return
-        p, q, r = cores[idx].shape
-        pq = (up[2 * v][:, :, None] * up[2 * v + 1][:, None, :]).reshape(rows, p * q)
-        design = (pq[:, :, None] * down_v[:, None, :]).reshape(rows, p * q * r)
-        cores[idx] = stats.solve(design, y).reshape(p, q, r)
-        core = cores[idx]
-        tmp = (up[2 * v + 1] @ core.transpose(1, 0, 2).reshape(q, p * r)).reshape(rows, p, r)
-        visit(2 * v, np.einsum("bpr,br->bp", tmp, down_v))
-        refresh_up(2 * v)
-        tmp = (up[2 * v] @ core.reshape(p, q * r)).reshape(rows, q, r)
-        visit(2 * v + 1, np.einsum("bqr,br->bq", tmp, down_v))
-        refresh_up(2 * v + 1)
-        refresh_up(v)
+        cores[idx] = _solve_core(stats, [up[2 * v], up[2 * v + 1], down_v], y, cores[idx].shape)
+        visit(2 * v, _down_to_left(cores[idx], up[2 * v + 1], down_v))
+        visit(2 * v + 1, _down_to_right(cores[idx], up[2 * v], down_v))
+        up[v] = _apply_internal_up(cores[idx], up[2 * v], up[2 * v + 1])
 
-    root = cores[0]
-    design = (up[2][:, :, None] * up[3][:, None, :]).reshape(rows, -1)
-    cores[0] = stats.solve(design, y).reshape(root.shape)
+    cores[0] = _solve_core(stats, [up[2], up[3]], y, cores[0].shape)
     visit(2, up[3] @ cores[0].T)
-    refresh_up(2)
     visit(3, up[2] @ cores[0])
-    refresh_up(3)
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -277,12 +277,7 @@ def _contract_batch(topology: TnTopology, cores, batch) -> np.ndarray:
 def _tt_contract(cores, batch) -> np.ndarray:
     state = None
     for core, x in zip(cores, batch):
-        left, d, right = core.shape
-        if state is None:
-            state = x @ core[0]
-        else:
-            tmp = (state @ core.reshape(left, d * right)).reshape(-1, d, right)
-            state = np.einsum("bdr,bd->br", tmp, x)
+        state = x @ core[0] if state is None else _tt_step(state, core, x)
     return state[:, 0]
 
 
@@ -318,12 +313,24 @@ def tree_down_messages(topology: TnTopology, cores, msgs) -> list:
     down[3] = msgs[2] @ root
     for v in range(2, L):
         core = cores[v - 1]
-        p, q, r = core.shape
-        tmp = (msgs[2 * v + 1] @ core.transpose(1, 0, 2).reshape(q, p * r)).reshape(-1, p, r)
-        down[2 * v] = np.einsum("bpr,br->bp", tmp, down[v])
-        tmp = (msgs[2 * v] @ core.reshape(p, q * r)).reshape(-1, q, r)
-        down[2 * v + 1] = np.einsum("bqr,br->bq", tmp, down[v])
+        down[2 * v] = _down_to_left(core, msgs[2 * v + 1], down[v])
+        down[2 * v + 1] = _down_to_right(core, msgs[2 * v], down[v])
     return down
+
+
+def _down_to_left(core, mr, down_v) -> np.ndarray:
+    """Down message to the left child of an internal (p, q, r) core, given
+    the right child's up message and the node's own down message."""
+    p, q, r = core.shape
+    tmp = (mr @ core.transpose(1, 0, 2).reshape(q, p * r)).reshape(-1, p, r)
+    return np.einsum("bpr,br->bp", tmp, down_v)
+
+
+def _down_to_right(core, ml, down_v) -> np.ndarray:
+    """Down message to the right child, dual to ``_down_to_left``."""
+    p, q, r = core.shape
+    tmp = (ml @ core.reshape(p, q * r)).reshape(-1, q, r)
+    return np.einsum("bqr,br->bq", tmp, down_v)
 
 
 def _tree_root_value(topology: TnTopology, cores, msgs) -> np.ndarray:
@@ -348,11 +355,17 @@ def tt_left_states(cores, batch) -> list:
     states = [np.ones((rows, 1))]
     state = states[0]
     for core, x in zip(cores, batch):
-        left, d, right = core.shape
-        tmp = (state @ core.reshape(left, d * right)).reshape(-1, d, right)
-        state = np.einsum("bdr,bd->br", tmp, x)
+        state = _tt_step(state, core, x)
         states.append(state)
     return states
+
+
+def _tt_step(state, core, x) -> np.ndarray:
+    """Absorb one (left, d, right) core with input rows ``x`` into a
+    (B, left) prefix state."""
+    left, d, right = core.shape
+    tmp = (state @ core.reshape(left, d * right)).reshape(-1, d, right)
+    return np.einsum("bdr,bd->br", tmp, x)
 
 
 def tt_right_states(cores, batch) -> list:

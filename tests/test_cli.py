@@ -305,6 +305,55 @@ class TestBench:
         assert "ascending" in capsys.readouterr().err
 
 
+class TestFit:
+    def test_manifest_numerical_health_phases_and_sweep_log(self, tmp_path, teacher_path,
+                                                            monkeypatch, capsys):
+        from tnshap.cli import _setup_logging
+
+        monkeypatch.setenv("TNSHAP_LOG", "debug")
+        out = tmp_path / "student.json"
+        try:
+            assert run("fit", "--teacher", teacher_path, "--bond-dim", 2,
+                       "--neighborhood", 64, "--max-sweeps", 3, "--tol", "-1",
+                       "--out", out) == 0
+        finally:
+            monkeypatch.delenv("TNSHAP_LOG")
+            _setup_logging()
+        manifest = json.loads((tmp_path / "student.json.manifest.json").read_text())
+        health = manifest["numerical_health"]
+        assert set(health) == {"fast_solves", "lstsq_fallbacks", "rank_deficient_solves",
+                               "tikhonov_fallbacks", "max_gram_cond"}
+        # n=4 btree: 7 cores, 3 sweeps
+        assert health["fast_solves"] + health["lstsq_fallbacks"] == 21
+        assert health["max_gram_cond"] >= 1.0
+        phases = manifest["phase_wall_times_s"]
+        assert {"load", "fit", "build", "als", "emit"} <= set(phases)
+        assert phases["build"] + phases["als"] == pytest.approx(phases["fit"])
+        report = json.loads((tmp_path / "student.json.report.json").read_text())
+        assert "fast_solves" not in report and report["version"] == 1
+        lines = [line for line in capsys.readouterr().err.splitlines() if "train MSE" in line]
+        assert len(lines) == 3
+        for k, (line, mse) in enumerate(zip(lines, report["sweep_train_mse"]), start=1):
+            assert line.startswith(f"DEBUG tnshap.fit: sweep {k}: train MSE {mse:.6e}, R^2 ")
+            assert "lstsq fallbacks" in line and line.endswith(" s")
+
+    @pytest.mark.parametrize("command,center", [
+        ("fit", "nan,0,0,0"),
+        ("fit", "0,inf,0,0"),
+        ("fit", "a,b,c,d"),
+        ("fit", "0,0,0"),
+        ("rank-sweep", "a,b,c,d"),
+        ("rank-sweep", "nan,0,0,0"),
+        ("rank-sweep", "0,0,0,0,0"),
+    ])
+    def test_bad_center_is_input_error(self, tmp_path, teacher_path, capsys, command, center):
+        out = tmp_path / "out.json"
+        assert run(command, "--teacher", teacher_path, "--center", center,
+                   "--max-sweeps", 2, "--neighborhood", 16, "--out", out) == 2
+        assert "--center" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRankSweep:
     def test_single_cell_runs(self, tmp_path, teacher_path):
         out = tmp_path / "sweep.json"

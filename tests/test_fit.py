@@ -16,7 +16,81 @@ from tnshap import (
     gen_tree_teacher,
     materialize_full,
 )
-from tnshap.fit import rank_sweep
+from tnshap import fit as fit_mod
+from tnshap.attribute import chebyshev_nodes
+from tnshap.fit import _khatri_rao, _solve_core, _SolveStats, rank_sweep
+from tnshap.lift import BINARY, FOURIER, POLY, FeatureMap, off_state
+from tnshap.tensor_net import (
+    TnTopology,
+    _subtree_leaf_range,
+    capped_uniform_bonds,
+    tree_down_messages,
+    tree_up_messages,
+    tt_left_states,
+    tt_right_states,
+)
+
+
+def _structured_loop_reference(lifts, center, nodes):
+    """The structured block built row by row: for every feature i, node t
+    and state (on, off), leg i holds the state and every other leg the
+    lifted center with its data channels scaled by t."""
+    n = lifts.n
+    lifted = lifts.lift_instance(center)
+    legs = [np.empty((2 * n * len(nodes), d)) for d in lifts.dims]
+    row = 0
+    for i in range(n):
+        for t in nodes:
+            for state in (lifted[i], off_state(lifts.dims[i])):
+                for r in range(n):
+                    if r == i:
+                        legs[r][row] = state
+                    else:
+                        vec = lifted[r].copy()
+                        vec[:-1] *= t
+                        legs[r][row] = vec
+                row += 1
+    return legs
+
+
+def _reference_sweep(topo, cores, legs, y):
+    """One ALS sweep in the library's visit order (a train left to right; a
+    tree's root, then its non-pad nodes depth first, left child first) with
+    every environment contracted from scratch and every core solved by
+    lstsq on the raw design."""
+    def solve(factors, shape):
+        return np.linalg.lstsq(_khatri_rao(factors), y, rcond=None)[0].reshape(shape)
+
+    if topo.kind == "tt":
+        for j in range(topo.n):
+            left = tt_left_states(cores, legs)[j]
+            right = tt_right_states(cores, legs)[j + 1]
+            cores[j] = solve([left, legs[j], right], cores[j].shape)
+        return
+    L = topo.leaf_count
+
+    def preorder(v):
+        if _subtree_leaf_range(v, L)[0] >= topo.n:
+            return []
+        return [v] if v >= L else [v] + preorder(2 * v) + preorder(2 * v + 1)
+
+    for v in [1] + preorder(2) + preorder(3):
+        up = tree_up_messages(topo, cores, legs)
+        down = tree_down_messages(topo, cores, up)
+        if v == 1:
+            factors = [up[2], up[3]]
+        elif v >= L:
+            factors = [legs[v - L], down[v]]
+        else:
+            factors = [up[2 * v], up[2 * v + 1], down[v]]
+        cores[v - 1] = solve(factors, cores[v - 1].shape)
+
+
+def _conditioned(rng, rows, width, cond):
+    """A (rows, width) matrix with singular values spread over [1/cond, 1]."""
+    u, _ = np.linalg.qr(rng.standard_normal((rows, width)))
+    v, _ = np.linalg.qr(rng.standard_normal((width, width)))
+    return (u * np.logspace(0, -np.log10(cond), width)) @ v.T
 
 
 class TestCpTeacher:
@@ -113,6 +187,24 @@ class TestTrainingSet:
             legs = [training.legs[i][row] for i in range(3)]
             assert teacher.forward(legs) == pytest.approx(training.targets[row])
 
+    @pytest.mark.parametrize("maps,probe_nodes", [
+        ([FeatureMap(BINARY)] * 6, None),
+        ([FeatureMap(BINARY)], None),
+        ([FeatureMap(POLY, k=3), FeatureMap(BINARY), FeatureMap(FOURIER, k=2)], 5),
+    ])
+    def test_structured_block_bitwise_matches_loop(self, rng, maps, probe_nodes):
+        lifts = LiftSpec(maps)
+        n = lifts.n
+        teacher = CpTeacher([rng.standard_normal((3, d)) for d in lifts.dims], np.ones(3))
+        config = FitConfig(neighborhood=7, probe_nodes=probe_nodes, seed=4)
+        center = rng.uniform(-1, 1, n)
+        training = build_training_set(teacher, lifts, center, config)
+        ref = _structured_loop_reference(lifts, center, chebyshev_nodes(probe_nodes or n))
+        for leg, want in zip(training.legs, ref):
+            assert leg[7:].tobytes() == want.tobytes()
+        legs = [np.concatenate([leg[:7], want]) for leg, want in zip(training.legs, ref)]
+        assert training.targets.tobytes() == teacher.forward_batch(legs).tobytes()
+
     def test_seed_determinism(self):
         teacher, lifts = gen_tree_teacher(4, 2, seed=0)
         a = build_training_set(teacher, lifts, np.zeros(4), FitConfig(neighborhood=20, seed=5))
@@ -195,6 +287,105 @@ class TestFitStudent:
         assert r1.sweep_train_mse == r2.sweep_train_mse
         for c1, c2 in zip(s1.cores, s2.cores):
             np.testing.assert_array_equal(c1, c2)
+
+
+class TestSolveCore:
+    @pytest.mark.parametrize("widths", [(4, 3, 5), (8, 8), (2,), (1, 2, 8)])
+    def test_fast_solve_matches_lstsq(self, rng, widths):
+        """Factors with condition numbers around 1e3 each: the orthonormalized
+        Cholesky solve gives lstsq's fitted values to 1e-8 relative."""
+        rows = 600
+        factors = [_conditioned(rng, rows, w, 1e3) for w in widths]
+        y = rng.standard_normal(rows)
+        stats = _SolveStats()
+        coef = _solve_core(stats, factors, y, widths)
+        design = _khatri_rao(factors)
+        ref = np.linalg.lstsq(design, y, rcond=None)[0]
+        fitted = design @ ref
+        got = design @ coef.ravel()
+        assert np.linalg.norm(got - fitted) <= 1e-8 * np.linalg.norm(fitted)
+        assert (stats.fast, stats.fallbacks, stats.rank_deficient) == (1, 0, 0)
+        assert 1.0 <= stats.max_gram_cond <= fit_mod.GRAM_COND_LIMIT
+
+    @pytest.mark.parametrize("degenerate", ["duplicate", "zero"])
+    def test_singular_factor_falls_back_to_min_norm_lstsq(self, rng, degenerate):
+        rows = 200
+        factors = [rng.standard_normal((rows, 3)), rng.standard_normal((rows, 4))]
+        bad = factors[1]
+        if degenerate == "duplicate":
+            bad[:, 2] = bad[:, 0]
+        else:
+            bad[:, 1] = 0.0
+        y = rng.standard_normal(rows)
+        stats = _SolveStats()
+        coef = _solve_core(stats, factors, y, (3, 4))
+        ref = np.linalg.lstsq(_khatri_rao(factors), y, rcond=None)[0]
+        np.testing.assert_array_equal(coef, ref.reshape(3, 4))
+        assert (stats.fast, stats.fallbacks, stats.rank_deficient) == (0, 1, 1)
+
+    def test_underdetermined_core_falls_back(self, rng):
+        factors = [rng.standard_normal((10, 4)), rng.standard_normal((10, 4))]
+        y = rng.standard_normal(10)
+        stats = _SolveStats()
+        coef = _solve_core(stats, factors, y, (4, 4))
+        ref = np.linalg.lstsq(_khatri_rao(factors), y, rcond=None)[0]
+        np.testing.assert_array_equal(coef, ref.reshape(4, 4))
+        assert (stats.fast, stats.fallbacks) == (0, 1)
+
+    @pytest.mark.parametrize("topology,n", [("tt", 6), ("btree", 8), ("btree", 5)])
+    def test_sweep_matches_from_scratch_reference(self, rng, topology, n):
+        """Every core is solved against environments that reflect all the
+        cores updated before it in the sweep."""
+        teacher, lifts = gen_tree_teacher(n, 4, seed=n)
+        config = FitConfig(topology=topology, neighborhood=300, sigma_frac=1.0, seed=1)
+        training = build_training_set(teacher, lifts, np.zeros(n), config)
+        topo = TnTopology(topology, n, lifts.dims, capped_uniform_bonds(topology, lifts.dims, 3))
+        cores = [rng.standard_normal(shape) for shape in topo.core_shapes()]
+        L = topo.leaf_count
+        for slot in range(n, L if topology == "btree" else 0):
+            cores[L - 1 + slot] = np.ones((1, 1))
+        want = [c.copy() for c in cores]
+        sweep = fit_mod._tt_sweep if topology == "tt" else fit_mod._tree_sweep
+        stats = _SolveStats()
+        for _ in range(2):
+            sweep(topo, cores, training.legs, training.targets, stats)
+            _reference_sweep(topo, want, training.legs, training.targets)
+        assert stats.fallbacks == 0
+        for got, ref in zip(cores, want):
+            np.testing.assert_allclose(got, ref, rtol=1e-7, atol=1e-9 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("topology,make", [
+        ("tt", lambda: gen_cp_teacher(8, 6, seed=8)),
+        ("btree", lambda: gen_tree_teacher(8, 6, seed=5)),
+        ("btree", lambda: gen_tree_teacher(5, 4, seed=6)),  # pads to 8 leaves
+    ])
+    def test_thirty_sweeps_monotone_without_fallbacks(self, topology, make):
+        teacher, lifts = make()
+        config = FitConfig(topology=topology, bond_dim=3, neighborhood=256, sigma_frac=1.0,
+                           max_sweeps=30, tol=-np.inf, seed=2)
+        training = build_training_set(teacher, lifts, np.zeros(teacher.n), config)
+        _student, report = fit_student(training, config, lifts)
+        mse = report.sweep_train_mse
+        assert report.sweeps_used == 30
+        for earlier, later in zip(mse, mse[1:]):
+            assert later <= earlier + 1e-12
+        assert report.lstsq_fallbacks == 0
+        assert report.fast_solves > 0
+
+    def test_tt_student_matches_all_fallback_fit(self, monkeypatch):
+        """An underfitting TT student on a CP teacher ends within 1e-7
+        relative of the same fit with every core solved by lstsq."""
+        teacher, lifts = gen_cp_teacher(6, 5, seed=3)
+        config = FitConfig(topology="tt", bond_dim=2, neighborhood=300, sigma_frac=1.0,
+                           max_sweeps=10, tol=-np.inf, seed=1)
+        training = build_training_set(teacher, lifts, np.zeros(6), config)
+        _s, fast = fit_student(training, config, lifts)
+        monkeypatch.setattr(fit_mod, "GRAM_COND_LIMIT", 0.0)
+        _s, slow = fit_student(training, config, lifts)
+        assert fast.lstsq_fallbacks == 0 and slow.fast_solves == 0
+        assert slow.lstsq_fallbacks == fast.fast_solves
+        assert fast.train_mse > 1e-3
+        assert fast.train_mse == pytest.approx(slow.train_mse, rel=1e-7)
 
 
 class TestEvalQuality:
