@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from tnshap import ProbePlan, explain, gen_tree_teacher
+from tnshap import explain, gen_tree_teacher
 
 dims = (10, 20, 30, 40, 50)
 rank = 16
@@ -24,12 +24,11 @@ medians = []
 for n in dims:
     model, lifts = gen_tree_teacher(n, rank, seed=n)
     x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
-    plan = ProbePlan(n)
-    explain(model, lifts, x, 1, plan=plan)  # warmup
+    explain(model, lifts, x, 1)  # warmup
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        aset = explain(model, lifts, x, 1, plan=plan)
+        aset = explain(model, lifts, x, 1)
         times.append(time.perf_counter() - t0)
     med = float(np.median(times)) * 1e3
     medians.append(med)

@@ -2,21 +2,21 @@
 
 The library factors a multilinear model into a tensor train or balanced
 binary tree, probes it with diagonal selector scalings at Chebyshev-Gauss
-nodes, and recovers exact order-k interaction indices from one small
-Vandermonde solve per feature subset -- linearly many forward contractions
-instead of the 2^n coalition sweep, which is also provided as the
-enumeration oracle for verification.
+nodes, and recovers exact order-k interaction indices as one Fejer
+quadrature (a cached weight vector) of each feature subset's probe values --
+linearly many forward contractions instead of the 2^n coalition sweep, which
+is also provided as the enumeration oracle for verification.
 """
 
 from .attribute import (
     INCLUSION_EXCLUSION,
     SIGNED_TOGGLE,
     AttributionSet,
-    ProbePlan,
     chebyshev_nodes,
     explain,
     explain_batch,
     probe_value,
+    quadrature_weights,
     read_attribution_csv,
     shapley_weights,
     sii_weights,
@@ -73,7 +73,6 @@ __all__ = [
     "INCLUSION_EXCLUSION",
     "LiftSpec",
     "POLY",
-    "ProbePlan",
     "SIGNED_TOGGLE",
     "TT",
     "TensorNetworkModel",
@@ -102,6 +101,7 @@ __all__ = [
     "model_to_json_dict",
     "off_state",
     "probe_value",
+    "quadrature_weights",
     "rank_sweep",
     "read_attribution_csv",
     "save_model",

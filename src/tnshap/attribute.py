@@ -1,12 +1,18 @@
-"""Probe-interpolation attribution: Shapley values and order-k interactions.
+"""Probe-quadrature attribution: Shapley values and order-k interactions.
 
 For a target feature set S of size k, the probe Q_S(t) toggles the features
 in S (inclusion-exclusion over on/off, or the equivalent single signed-toggle
 contraction) while every other leg is scaled by the diagonal selector S(t).
-Multilinearity makes Q_S a polynomial in t of degree at most n - k whose
-coefficients aggregate the discrete derivatives by coalition size, so n - k + 1
-probe evaluations at Chebyshev-Gauss nodes plus one Vandermonde solve recover
-the exact index as a size-weighted sum of the interpolated coefficients.
+A scaled leg is t * on + (1 - t) * off, so with m = n - k + 1
+
+    Q_S(t) = sum over T outside S of t^|T| (1 - t)^(m - 1 - |T|) Delta_S(T),
+
+a polynomial of degree at most m - 1. The Shapley / interaction size weights
+are the Beta integrals int_0^1 t^s (1 - t)^(m - 1 - s) dt, so every index is
+exactly int_0^1 Q_S(t) dt (the multilinear-extension identity). On the m
+Chebyshev-Gauss nodes that integral is Fejer's first rule: each index is the
+dot product of its m probe values with one cached weight vector
+(``quadrature_weights``), with no solve and no conditioning limit on m.
 
 Forward accounting is part of the contract: inclusion-exclusion spends
 2^k (n - k + 1) evaluations per subset, signed toggle n - k + 1, and the
@@ -17,8 +23,8 @@ arithmetic computes it. With m = n - k + 1 and bond dimension chi:
   prefix/suffix (train) or rooted (tree) environments, O(n m chi^2).
   ``explain_batch`` stacks instances here: chunks of up to
   ``STACK_ROW_BUDGET`` instance-by-node rows are lifted per feature column,
-  share one environment pass and one solve, and ``explain`` is the same
-  computation with one instance. No threads are used; batches of other
+  share one environment pass and one weight product, and ``explain`` is the
+  same computation with one instance. No threads are used; batches of other
   requests run ``explain`` on one instance after the other.
 * k >= 2, all subsets, signed toggle, on a ``TensorNetworkModel``: one
   shared-environment sweep per instance (``tensor_net.toggle_probes``) that
@@ -41,23 +47,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor_net
 from .lift import LiftSpec, off_state, signed_toggle
 
-logger = logging.getLogger(__name__)
-
 INCLUSION_EXCLUSION = "inclusion-exclusion"
 SIGNED_TOGGLE = "signed-toggle"
 MODES = (INCLUSION_EXCLUSION, SIGNED_TOGGLE)
 
-ILL_CONDITIONED_RESIDUAL = 1e-6
-CONDITIONING_WARN_NODES = 30
 # rows per forward_batch call on the flat probe path; whole subsets per call
 FLAT_ROW_BUDGET = 2**13
 # selector-scaled rows (instances x nodes) per environment pass of a stacked
@@ -75,6 +76,28 @@ def chebyshev_nodes(m: int) -> np.ndarray:
         raise ValueError("need at least one node")
     ell = np.arange(m)
     return 0.5 * (1.0 + np.cos((2 * ell + 1) * np.pi / (2 * m)))
+
+
+@functools.lru_cache(maxsize=None)
+def quadrature_weights(m: int) -> np.ndarray:
+    """Fejer's first-rule weights on ``chebyshev_nodes(m)``, mapped to (0, 1).
+
+    w_j = (1/m) (1 - 2 sum_{l=1}^{floor(m/2)} cos(2 l theta_j) / (4 l^2 - 1))
+    with theta_j = (2j + 1) pi / (2m). The weights are positive, sum to 1 and
+    integrate every polynomial of degree below m exactly, so ``w @ q`` is
+    int_0^1 Q(t) dt for probe values q = Q(chebyshev_nodes(m)). Built once
+    per m and shared read-only.
+    """
+    if m < 1:
+        raise ValueError("need at least one node")
+    ell = np.arange(1, m // 2 + 1)
+    # 2 l theta_j = l (2j + 1) pi / m, reduced modulo 2 pi in integers so the
+    # cosine sees an argument below 2 pi
+    turns = np.outer(2 * np.arange(m) + 1, ell) % (2 * m)
+    terms = np.cos(turns * (np.pi / m)) / (4 * ell**2 - 1)
+    weights = (1.0 - 2.0 * terms.sum(axis=1)) / m
+    weights.setflags(write=False)
+    return weights
 
 
 def shapley_weights(n: int) -> np.ndarray:
@@ -100,81 +123,18 @@ def sii_weights(n: int, k: int) -> np.ndarray:
     return np.array([fact(s) * fact(n - k - s) / fact(n - k + 1) for s in range(n - k + 1)])
 
 
-class ProbePlan:
-    """Interpolation nodes with a cached factorization of their Vandermonde
-    system, reusable across subsets and instances that share m = n - k + 1.
-    """
-
-    def __init__(self, m: int, nodes=None) -> None:
-        if nodes is None:
-            nodes = chebyshev_nodes(m)
-        nodes = np.asarray(nodes, dtype=np.float64)
-        if nodes.shape != (m,):
-            raise ValueError(f"expected {m} nodes, got shape {nodes.shape}")
-        gaps = np.abs(np.subtract.outer(nodes, nodes))
-        if m > 1 and np.min(gaps[~np.eye(m, dtype=bool)]) <= 1e-12:
-            raise ValueError("interpolation nodes must be pairwise distinct")
-        self.m = m
-        self.nodes = nodes
-        self.vandermonde = np.vander(nodes, m, increasing=True)
-        self._q, self._r = np.linalg.qr(self.vandermonde)
-        self.condition = float(np.linalg.cond(self.vandermonde))
-        if m > CONDITIONING_WARN_NODES:
-            logger.warning(
-                "monomial Vandermonde with %d nodes (condition ~%.2e): "
-                "interpolation accuracy degrades; computing anyway",
-                m,
-                self.condition,
-            )
-
-    def solve(self, rhs: np.ndarray):
-        """Solve V c = rhs columnwise with one step of iterative refinement.
-
-        Returns (coefficients, per-column max-abs residuals).
-        """
-        rhs = np.asarray(rhs, dtype=np.float64)
-        squeeze = rhs.ndim == 1
-        q = rhs.reshape(self.m, -1)
-        if self.m == 1:
-            coeffs = q.copy()
-            resid = np.zeros(q.shape[1])
-        else:
-            try:
-                coeffs = np.linalg.solve(self._r, self._q.T @ q)
-                residual = q - self.vandermonde @ coeffs
-                coeffs += np.linalg.solve(self._r, self._q.T @ residual)
-            except np.linalg.LinAlgError:
-                # exactly singular R (degenerate nodes): fall back to the
-                # minimum-norm solution so a value is still returned
-                coeffs = np.linalg.lstsq(self.vandermonde, q, rcond=None)[0]
-            resid = np.max(np.abs(q - self.vandermonde @ coeffs), axis=0)
-        if squeeze:
-            return coeffs[:, 0], float(resid[0])
-        return coeffs, resid
-
-
-@functools.lru_cache(maxsize=None)
-def default_plan(m: int) -> ProbePlan:
-    """The Chebyshev-node ProbePlan for m nodes, built once per process and
-    shared read-only by every ``explain`` / ``explain_batch`` without ``plan=``."""
-    return ProbePlan(m)
-
-
 @dataclass(frozen=True)
 class AttributionSet:
     """Attribution values of one order for one instance.
 
     ``subsets`` are sorted 1-based feature tuples in lexicographic order,
-    aligned with ``values``. ``flagged`` lists subsets whose Vandermonde
-    solve residual stayed above the ill-conditioning threshold.
+    aligned with ``values``.
     """
 
     order: int
     subsets: tuple
     values: np.ndarray
     forwards_used: int
-    max_solve_residual: float
-    flagged: frozenset = field(default_factory=frozenset)
 
     def entries(self):
         return list(zip(self.subsets, self.values.tolist()))
@@ -198,25 +158,6 @@ def _normalize_subsets(n: int, k: int, subsets):
             raise ValueError(f"subset {s} has feature indices outside 1..{n}")
         norm.append(t)
     return sorted(set(norm))
-
-
-@functools.lru_cache(maxsize=None)
-def degree_to_size_transform(m: int) -> np.ndarray:
-    """Basis change from interpolated probe coefficients to size aggregates.
-
-    The probe polynomial's t^u coefficient sums the monomial masses whose
-    complement part has exactly u members; the size-s marginal aggregate
-    (what the Shapley/SII size weights expect) counts each such mass once
-    per size-s complement containing those u members, i.e. C(m-1-u, s-u)
-    times. Row s, column u of the returned (m, m) matrix holds that count.
-    Built once per m and shared read-only.
-    """
-    mat = np.zeros((m, m))
-    for s in range(m):
-        for u in range(s + 1):
-            mat[s, u] = math.comb(m - 1 - u, s - u)
-    mat.setflags(write=False)
-    return mat
 
 
 def _resolve_mode(k: int, mode) -> str:
@@ -370,11 +311,11 @@ def _probe_matrix(model, lifted, subsets, nodes, mode):
     return np.concatenate(blocks).T, rows * len(subsets)
 
 
-def _request(model, lifts: LiftSpec, k: int, subsets, mode, plan):
+def _request(model, lifts: LiftSpec, k: int, subsets, mode):
     """Validate an order-k request shared by every instance of a batch.
 
-    Returns (normalized subsets, resolved mode, plan, whether the shared
-    environment paths apply).
+    Returns (normalized subsets, resolved mode, the m = n - k + 1 Chebyshev
+    nodes, whether the shared environment paths apply).
     """
     _check_model_lifts(model, lifts)
     n = model.n
@@ -382,52 +323,28 @@ def _request(model, lifts: LiftSpec, k: int, subsets, mode, plan):
         raise ValueError(f"order k={k} must satisfy 1 <= k <= n={n}")
     subset_list = _normalize_subsets(n, k, subsets)
     mode = _resolve_mode(k, mode)
-    m = n - k + 1
-    if plan is None:
-        plan = default_plan(m)
-    elif plan.m != m:
-        raise ValueError(f"plan has {plan.m} nodes, order k={k} needs {m}")
     shared = (
         isinstance(subsets, str)
         and n >= 2
         and isinstance(model, tensor_net.TensorNetworkModel)
     )
-    return subset_list, mode, plan, shared
+    return subset_list, mode, chebyshev_nodes(n - k + 1), shared
 
 
-def _attribution_sets(qmat, plan: ProbePlan, k: int, subset_list, forwards: int) -> list:
-    """Interpolate the (B, m, S) probes of B instances with one solve over
-    all B * S columns; one AttributionSet per instance, each charged an equal
-    share of ``forwards``."""
+def _attribution_sets(qmat, k: int, subset_list, forwards: int) -> list:
+    """Integrate the (B, m, S) probes of B instances over (0, 1) with one
+    Fejer weight product; one AttributionSet per instance, each charged an
+    equal share of ``forwards``."""
     b, m, _ = qmat.shape
-    coeffs, residuals = plan.solve(qmat.transpose(1, 0, 2).reshape(m, -1))
-    marginals = degree_to_size_transform(m) @ coeffs
-    n = m + k - 1
-    weights = shapley_weights(n) if k == 1 else sii_weights(n, k)
-    values = (weights @ marginals).reshape(b, -1)
+    values = quadrature_weights(m) @ qmat
     subsets = tuple(subset_list)
-    out = []
-    for vals, resid in zip(values, residuals.reshape(b, -1)):
-        flagged = frozenset(subsets[i] for i in np.flatnonzero(resid > ILL_CONDITIONED_RESIDUAL))
-        if flagged:
-            logger.warning(
-                "%d of %d subsets flagged ill-conditioned (max residual %.3e)",
-                len(flagged),
-                len(subsets),
-                float(np.max(resid)),
-            )
-        out.append(AttributionSet(
-            order=k,
-            subsets=subsets,
-            values=vals,
-            forwards_used=forwards // b,
-            max_solve_residual=float(np.max(resid)),
-            flagged=flagged,
-        ))
-    return out
+    return [
+        AttributionSet(order=k, subsets=subsets, values=vals, forwards_used=forwards // b)
+        for vals in values
+    ]
 
 
-def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None, plan: ProbePlan | None = None) -> AttributionSet:
+def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None) -> AttributionSet:
     """Compute order-k attribution values for one instance.
 
     Parameters
@@ -439,25 +356,21 @@ def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None, plan: P
     subsets : "all" for every k-subset, or an explicit list of 1-based tuples
     mode : "inclusion-exclusion", "signed-toggle", or None/"auto"
         (inclusion-exclusion for k = 1, signed toggle otherwise)
-    plan : optional pre-built ProbePlan with n - k + 1 nodes
 
-    Each subset's probe polynomial is interpolated on the plan's nodes and
-    combined with the order-k size weights. Subsets whose solve residual
-    exceeds the ill-conditioning threshold are flagged but still reported.
+    Each subset's probe is evaluated at the n - k + 1 Chebyshev-Gauss nodes
+    and its index is the Fejer-weighted sum of those values.
     """
-    subset_list, mode, plan, shared = _request(model, lifts, k, subsets, mode, plan)
+    subset_list, mode, nodes, shared = _request(model, lifts, k, subsets, mode)
     lifted = lifts.lift_instance(x)
     if shared and k == 1:
-        qmat, forwards = _probe_matrix_k1_shared(
-            model, [v[None] for v in lifted], plan.nodes, mode
-        )
+        qmat, forwards = _probe_matrix_k1_shared(model, [v[None] for v in lifted], nodes, mode)
     else:
         if shared and mode == SIGNED_TOGGLE:
-            qmat, forwards = _probe_matrix_shared(model, lifted, plan.nodes, k)
+            qmat, forwards = _probe_matrix_shared(model, lifted, nodes, k)
         else:
-            qmat, forwards = _probe_matrix(model, lifted, subset_list, plan.nodes, mode)
+            qmat, forwards = _probe_matrix(model, lifted, subset_list, nodes, mode)
         qmat = qmat[None]
-    return _attribution_sets(qmat, plan, k, subset_list, forwards)[0]
+    return _attribution_sets(qmat, k, subset_list, forwards)[0]
 
 
 def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets="all") -> list:
@@ -466,8 +379,8 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     Order-1 requests for all features of a ``TensorNetworkModel`` stack
     instances: each chunk of up to ``STACK_ROW_BUDGET // n`` instances is
     lifted one feature column at a time, shares one environment pass and one
-    solve, and gives the values ``explain`` gives per instance. Other
-    requests (k >= 2, explicit subset lists, models that are not tensor
+    weight product, and gives the values ``explain`` gives per instance.
+    Other requests (k >= 2, explicit subset lists, models that are not tensor
     networks) run ``explain`` on one instance after the other.
 
     Per-instance failures do not abort the batch: the failing instance's slot
@@ -476,7 +389,7 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     """
     instances = list(instances)
     try:
-        subset_list, mode, plan, shared = _request(model, lifts, k, subsets, mode, None)
+        subset_list, mode, nodes, shared = _request(model, lifts, k, subsets, mode)
     except (TypeError, ValueError) as exc:
         return [exc] * len(instances)
     stacked = shared and k == 1
@@ -490,12 +403,12 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
                 results[idx] = explain(model, lifts, x, k, subsets=subsets, mode=mode)
         except Exception as exc:  # noqa: BLE001 - batch isolation is the contract
             results[idx] = exc
-    step = max(1, STACK_ROW_BUDGET // plan.m)
+    step = max(1, STACK_ROW_BUDGET // nodes.shape[0])
     for c0 in range(0, len(rows), step):
         chunk = rows[c0 : c0 + step]
         lifted = lifts.lift_rows(np.stack([x for _, x in chunk]))
-        qmat, forwards = _probe_matrix_k1_shared(model, lifted, plan.nodes, mode)
-        for (idx, _), aset in zip(chunk, _attribution_sets(qmat, plan, k, subset_list, forwards)):
+        qmat, forwards = _probe_matrix_k1_shared(model, lifted, nodes, mode)
+        for (idx, _), aset in zip(chunk, _attribution_sets(qmat, k, subset_list, forwards)):
             results[idx] = aset
     return results
 
@@ -508,14 +421,14 @@ def write_attribution_csv(fh, per_instance) -> None:
 
     ``per_instance`` is a list over instances of AttributionSet lists. Rows
     are ordered by instance, then order, then (already lexicographic) subset;
-    subsets are semicolon-joined 1-based indices.
+    subsets are semicolon-joined 1-based indices. ``flag`` is kept for format
+    stability and written empty.
     """
     rows = []
     for iid, sets in enumerate(per_instance):
         for aset in sorted(sets, key=lambda a: a.order):
             for subset, value in aset.entries():
-                flag = "ill_conditioned" if subset in aset.flagged else ""
-                rows.append((iid, aset.order, subset, value, flag))
+                rows.append((iid, aset.order, subset, value, ""))
     write_attribution_rows(fh, rows)
 
 

@@ -258,6 +258,10 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _nonfinite(values) -> int:
+    return int(np.count_nonzero(~np.isfinite(values)))
+
+
 def cmd_explain(args) -> int:
     t0 = time.perf_counter()
     defaults = {"model": None, "instances": None, "order": 1, "mode": "auto", "seed": 0}
@@ -281,8 +285,8 @@ def cmd_explain(args) -> int:
     for idx, res in enumerate(results):
         if isinstance(res, Exception):
             raise InputError(f"instance {idx}: {res}")
-        logger.debug("instance %d: %d forwards, max solve residual %.3e, %d flagged",
-                     idx, res.forwards_used, res.max_solve_residual, len(res.flagged))
+        logger.debug("instance %d: %d forwards, %d non-finite values",
+                     idx, res.forwards_used, _nonfinite(res.values))
     attribution_time = time.perf_counter() - t1
 
     t2 = time.perf_counter()
@@ -297,8 +301,7 @@ def cmd_explain(args) -> int:
                         "per_instance": results[0].forwards_used},
         phases={"load": load_time, "attribution": attribution_time, "emit": emit_time},
         numerical_health={
-            "max_solve_residual": max(res.max_solve_residual for res in results),
-            "flagged_subsets": sum(len(res.flagged) for res in results),
+            "nonfinite_values": sum(_nonfinite(res.values) for res in results),
         },
     )
     return 0
@@ -380,13 +383,12 @@ def cmd_bench(args) -> int:
     for n in dims:
         teacher, lifts = fit.gen_tree_teacher(n, int(args.rank), seed=int(args.seed) + n)
         x = np.random.default_rng(int(args.seed) + n + 1).uniform(-1.0, 1.0, n)
-        plan = attribute.ProbePlan(n)
-        attribute.explain(teacher, lifts, x, 1, plan=plan)  # warmup
+        attribute.explain(teacher, lifts, x, 1)  # warmup
         times = []
         forwards = 0
         for _ in range(repeats):
             start = time.perf_counter()
-            aset = attribute.explain(teacher, lifts, x, 1, plan=plan)
+            aset = attribute.explain(teacher, lifts, x, 1)
             times.append(time.perf_counter() - start)
             forwards = aset.forwards_used
         times_ms = [t * 1e3 for t in times]

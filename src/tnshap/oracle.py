@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import itertools
 import logging
-import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attribute import AttributionSet, ILL_CONDITIONED_RESIDUAL, ProbePlan, chebyshev_nodes
+from .attribute import AttributionSet, chebyshev_nodes, shapley_weights, sii_weights
 from .lift import LiftSpec, off_state
 
 logger = logging.getLogger(__name__)
 
 MAX_TABLE_FEATURES = 20
+# max-abs residual of the diagonal probe's Vandermonde solve above which a
+# warning is logged (the coefficients are still returned)
+DIAGONAL_RESIDUAL_WARN = 1e-6
 _DUMP_MAGIC = b"TNSHCTB1"
 
 
@@ -74,8 +76,7 @@ def exact_shapley(table: CoalitionTable) -> np.ndarray:
     """Shapley values by the defining size-weighted sum over all coalitions."""
     n = table.n
     v = table.values
-    fact = math.factorial
-    weights = np.array([fact(s) * fact(n - s - 1) / fact(n) for s in range(n)])
+    weights = shapley_weights(n)
     pc = _popcounts(n)
     masks = np.arange(1 << n)
     phi = np.empty(n)
@@ -94,10 +95,7 @@ def exact_sii(table: CoalitionTable, k: int) -> AttributionSet:
     if not 1 <= k <= n:
         raise ValueError(f"order k={k} must satisfy 1 <= k <= n={n}")
     v = table.values
-    fact = math.factorial
-    weights = np.array(
-        [fact(s) * fact(n - k - s) / fact(n - k + 1) for s in range(n - k + 1)]
-    )
+    weights = sii_weights(n, k)
     pc = _popcounts(n)
     masks = np.arange(1 << n)
     subsets = list(itertools.combinations(range(1, n + 1), k))
@@ -121,7 +119,6 @@ def exact_sii(table: CoalitionTable, k: int) -> AttributionSet:
         subsets=tuple(subsets),
         values=values,
         forwards_used=table.forwards_used,
-        max_solve_residual=0.0,
     )
 
 
@@ -167,14 +164,16 @@ def diagonal_coefficient_probe(model, lifts: LiftSpec, x, nodes=None) -> np.ndar
 
     Scaling every leg by the same selector value t makes the output a
     degree-n polynomial whose t^s coefficient sums all size-s monomials, so
-    n + 1 evaluations and one Vandermonde solve recover the sums directly.
+    n + 1 evaluations and one Vandermonde solve (with one step of iterative
+    refinement) recover the sums directly.
     """
     n = model.n
     m = n + 1
     if nodes is None:
         nodes = chebyshev_nodes(m)
     nodes = np.asarray(nodes, dtype=np.float64)
-    plan = ProbePlan(m, nodes)
+    if nodes.shape != (m,):
+        raise ValueError(f"expected {m} nodes, got shape {nodes.shape}")
     lifted = lifts.lift_instance(x)
     legs = []
     for v in lifted:
@@ -182,8 +181,11 @@ def diagonal_coefficient_probe(model, lifts: LiftSpec, x, nodes=None) -> np.ndar
         u[:, :-1] *= nodes[:, None]
         legs.append(u)
     p_values = model.forward_batch(legs)
-    coeffs, residual = plan.solve(p_values)
-    if residual > ILL_CONDITIONED_RESIDUAL:
+    vander = np.vander(nodes, m, increasing=True)
+    coeffs = np.linalg.solve(vander, p_values)
+    coeffs += np.linalg.solve(vander, p_values - vander @ coeffs)
+    residual = float(np.max(np.abs(p_values - vander @ coeffs)))
+    if residual > DIAGONAL_RESIDUAL_WARN:
         logger.warning(
             "diagonal probe solve residual %.3e above threshold; values kept",
             residual,

@@ -29,12 +29,13 @@ from tnshap import (
     gen_cp_teacher,
     gen_tree_teacher,
     probe_value,
+    quadrature_weights,
     shapley_weights,
     sii_weights,
     write_attribution_csv,
 )
 from tnshap import attribute
-from tnshap.attribute import ProbePlan, degree_to_size_transform
+from tnshap.lift import off_state, signed_toggle
 
 
 class TestChebyshevNodes:
@@ -89,18 +90,31 @@ class TestWeights:
             sii_weights(3, 4)
 
 
-class TestDegreeToSizeTransform:
-    def test_m2_by_hand(self):
-        # size-s marginal aggregates count each degree-u mass C(m-1-u, s-u)
-        # times; for m = 2 that is [[1, 0], [1, 1]]
-        np.testing.assert_allclose(degree_to_size_transform(2), [[1, 0], [1, 1]])
+class TestQuadratureWeights:
+    def test_positive_unit_sum_and_exact_on_monomials(self):
+        for m in range(1, 121):
+            w = quadrature_weights(m)
+            t = chebyshev_nodes(m)
+            assert w.shape == (m,) and np.all(w > 0)
+            assert abs(w.sum() - 1.0) <= 1e-14
+            for j in range(m):
+                exact = 1.0 / (j + 1)
+                assert abs(w @ t**j - exact) <= 1e-14 * exact, (m, j)
 
-    def test_rows_recover_marginal_counts(self):
-        mat = degree_to_size_transform(4)
-        for s in range(4):
-            for u in range(4):
-                expected = math.comb(3 - u, s - u) if u <= s else 0
-                assert mat[s, u] == expected
+    def test_single_node_weight_is_one(self):
+        assert quadrature_weights(1).tolist() == [1.0]
+
+    def test_two_nodes_by_hand(self):
+        # Fejer's first rule at m = 2 is the midpoint-symmetric pair 1/2, 1/2
+        np.testing.assert_allclose(quadrature_weights(2), [0.5, 0.5], rtol=1e-15)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            quadrature_weights(5)[0] = 1.0
+
+    def test_rejects_zero_nodes(self):
+        with pytest.raises(ValueError):
+            quadrature_weights(0)
 
 
 class TestProbeValue:
@@ -248,10 +262,9 @@ class TestModesAndCounts:
         assert aset.subsets == ((1, 3), (2, 4))
 
     def test_degenerate_full_order(self, rng):
-        """k = n skips the solve; the single probe value is the answer."""
+        """k = n has one node of weight 1; the single probe value is the answer."""
         model, lifts = product_model()
         aset = explain(model, lifts, [1.0, 1.0], 2)
-        assert aset.max_solve_residual == 0.0
         np.testing.assert_allclose(aset.values, [1.0])
 
 
@@ -498,36 +511,6 @@ class TestStackedBatch:
         assert not hasattr(attribute, "ThreadPoolExecutor")
 
 
-class TestConditioning:
-    def test_near_degenerate_nodes_flagged(self, rng):
-        """Nodes packed 1e-8 apart push the post-refinement residual past
-        the flag threshold; values are still returned."""
-        model, lifts = random_tt_model(rng, 5, bond=3, scale=3.0)
-        nodes = 0.5 + np.arange(5) * 1e-8
-        plan = ProbePlan(5, nodes=nodes)
-        aset = explain(model, lifts, rng.uniform(-1, 1, 5), 1, plan=plan)
-        assert aset.flagged, "expected ill-conditioned subsets to be flagged"
-        assert aset.max_solve_residual > 1e-6
-        assert np.all(np.isfinite(aset.values))
-
-    def test_duplicate_nodes_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            ProbePlan(3, nodes=np.array([0.2, 0.2, 0.8]))
-
-    def test_many_node_plans_warn_but_compute(self, caplog):
-        import logging
-
-        with caplog.at_level(logging.WARNING, logger="tnshap.attribute"):
-            plan = ProbePlan(31)
-        assert any("Vandermonde" in r.message for r in caplog.records)
-        assert plan.nodes.shape == (31,)
-
-    def test_plan_order_mismatch_rejected(self, rng):
-        model, lifts = random_tt_model(rng, 4)
-        with pytest.raises(ValueError, match="nodes"):
-            explain(model, lifts, [0.0] * 4, 2, plan=ProbePlan(4))
-
-
 class TestCsv:
     def test_golden_rows(self):
         model, lifts = product_model()
@@ -685,20 +668,62 @@ class TestForwardAccounting:
         assert sum(rows) == chunked.forwards_used == per_subset * len(subsets)
         np.testing.assert_allclose(chunked.values, whole.values, rtol=1e-14, atol=1e-14)
 
-    def test_default_plan_built_once_per_node_count(self, rng, monkeypatch):
-        built = []
-        original = ProbePlan.__init__
-
-        def counting(self, m, nodes=None):
-            built.append(m)
-            original(self, m, nodes)
-
-        monkeypatch.setattr(ProbePlan, "__init__", counting)
-        attribute.default_plan.cache_clear()
+    def test_quadrature_weights_built_once_per_node_count(self, rng):
+        attribute.quadrature_weights.cache_clear()
         model, lifts = random_tt_model(rng, 5)
         xs = rng.uniform(-1, 1, (3, 5))
         for x in xs:
             explain(model, lifts, x, 2)
         explain_batch(model, lifts, xs, 2)
         explain_batch(model, lifts, xs, 1)
-        assert built == [4, 5]
+        info = attribute.quadrature_weights.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+
+def _gauss_legendre_reference(model, lifts, x, k, subsets):
+    """int_0^1 Q_S(t) dt per subset by Gauss-Legendre quadrature of the
+    signed-toggle probe, built from ``forward_batch`` alone (no nodes,
+    weights or probe helpers of ``attribute``)."""
+    q = (model.n - k) // 2 + 1
+    g, w = np.polynomial.legendre.leggauss(q)
+    t, w = 0.5 * (g + 1.0), 0.5 * w
+    lifted = lifts.lift_instance(x)
+    out = []
+    for subset in subsets:
+        legs = []
+        for i, v in enumerate(lifted):
+            if i + 1 in subset:
+                legs.append(np.tile(signed_toggle(v), (q, 1)))
+            else:
+                u = np.tile(v, (q, 1))
+                u[:, :-1] *= t[:, None]
+                legs.append(u)
+        out.append(model.forward_batch(legs) @ w)
+    return np.array(out)
+
+
+class TestBeyondEnumeration:
+    """Sizes no enumeration reaches, n - k + 1 = 49 nodes included: checked
+    against an independent quadrature rule and the efficiency axiom."""
+
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    @pytest.mark.parametrize("n,k", [(49, 1), (50, 1), (100, 1), (49, 2), (50, 2), (100, 2)])
+    def test_matches_gauss_legendre(self, rng, kind, n, k):
+        model, lifts = _random_model(kind, n, 3, seed=n + 7 * k)
+        x = rng.uniform(-1, 1, n)
+        aset = explain(model, lifts, x, k)
+        picks = np.sort(rng.choice(len(aset.subsets), size=min(40, len(aset.subsets)), replace=False))
+        subsets = [aset.subsets[i] for i in picks]
+        expected = _gauss_legendre_reference(model, lifts, x, k, subsets)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(aset.values[picks] - expected)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    @pytest.mark.parametrize("n", [49, 50, 100])
+    def test_efficiency(self, rng, kind, n):
+        model, lifts = _random_model(kind, n, 3, seed=n)
+        x = rng.uniform(-1, 1, n)
+        phi = explain(model, lifts, x, 1).values
+        on = model.forward(lifts.lift_instance(x))
+        off = model.forward([off_state(d) for d in lifts.dims])
+        assert abs(phi.sum() - (on - off)) <= 1e-10 * max(abs(on - off), np.max(np.abs(phi)))

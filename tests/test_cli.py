@@ -182,16 +182,13 @@ class TestExplain:
         model, lifts = load_model(teacher_path)
         expected = explain_batch(model, lifts, rows, 1)
         health = json.loads((tmp_path / "attr.csv.manifest.json").read_text())["numerical_health"]
-        assert health == {
-            "max_solve_residual": max(a.max_solve_residual for a in expected),
-            "flagged_subsets": 0,
-        }
+        assert health == {"nonfinite_values": 0}
+        assert all(np.all(np.isfinite(a.values)) for a in expected)
         summaries = [line for line in capsys.readouterr().err.splitlines()
-                     if "forwards, max solve residual" in line]
+                     if "non-finite values" in line]
         assert len(summaries) == 3
         for idx, (line, aset) in enumerate(zip(summaries, expected)):
-            assert f"instance {idx}: {aset.forwards_used} forwards" in line
-            assert line.endswith(", 0 flagged")
+            assert line.endswith(f"instance {idx}: {aset.forwards_used} forwards, 0 non-finite values")
 
     def test_order_out_of_range(self, tmp_path, teacher_path):
         inst = tmp_path / "inst.csv"
