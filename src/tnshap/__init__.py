@@ -22,7 +22,6 @@ from .attribute import (
     sii_weights,
     write_attribution_csv,
 )
-from .config import get_worker_budget, set_worker_budget
 from .fit import (
     CpTeacher,
     FitConfig,
@@ -92,7 +91,6 @@ __all__ = [
     "fit_student",
     "gen_cp_teacher",
     "gen_tree_teacher",
-    "get_worker_budget",
     "load_model",
     "load_table",
     "materialize_full",
@@ -106,7 +104,6 @@ __all__ = [
     "read_attribution_csv",
     "save_model",
     "selector_apply",
-    "set_worker_budget",
     "shapley_weights",
     "signed_toggle",
     "sii_weights",

@@ -19,24 +19,24 @@ Forward accounting is part of the contract: inclusion-exclusion spends
 counter reports one forward per evaluated input configuration whichever
 arithmetic computes it. With m = n - k + 1 and bond dimension chi:
 
-* k = 1, all features, on a ``TensorNetworkModel``: shared selector-scaled
-  prefix/suffix (train) or rooted (tree) environments, O(n m chi^2).
-  ``explain_batch`` stacks instances here: chunks of up to
-  ``STACK_ROW_BUDGET`` instance-by-node rows are lifted per feature column,
-  share one environment pass and one weight product, and ``explain`` is the
-  same computation with one instance. No threads are used; batches of other
-  requests run ``explain`` on one instance after the other.
-* k >= 2, all subsets, signed toggle, on a ``TensorNetworkModel``: one
-  shared-environment sweep per instance (``tensor_net.toggle_probes``) that
-  stacks states by which features are toggled so far and closes each subset
-  at its k-th toggle -- about C(n, k) m chi^2 on a train (O(n^2 m chi^2) at
-  k = 2) instead of the flat path's C(n, k) m n chi^2, with no
-  ``forward_batch`` call.
-* Everything else -- inclusion-exclusion at k >= 2, explicit subset lists,
-  ``probe_value`` and models that are not tensor networks (``CpTeacher``):
-  flat ``forward_batch`` rows contracted from scratch, chunked by whole
-  subsets to ``FLAT_ROW_BUDGET`` rows per call, so peak memory does not grow
-  with C(n, k).
+* All subsets (any k, either mode) on a ``TensorNetworkModel``: one
+  shared-environment engine, ``tensor_net.toggle_probes``, over B stacked
+  instances. Inclusion-exclusion and signed toggle share its arithmetic,
+  since ``on - off_state == signed_toggle(on)``; only their counted
+  contracts differ. A train takes one prefix sweep that stacks states by
+  which features are toggled so far and closes each subset at its k-th
+  toggle (the prefix/suffix sandwich at k = 1); a tree takes one up-pass,
+  or at k = 1 closes each leaf against its down message. That is about
+  C(n, k) m chi^2 per instance on a train instead of the flat path's
+  C(n, k) m n chi^2, with no ``forward_batch`` call. ``explain`` runs it on
+  one instance; ``explain_batch`` on chunks of instances under
+  ``STACK_ROW_BUDGET``. No threads are used.
+* Explicit subset lists, ``probe_value`` and models that are not tensor
+  networks (``CpTeacher``): flat ``forward_batch`` rows contracted from
+  scratch -- all 2^k on/off configurations for inclusion-exclusion --
+  chunked by whole subsets to ``FLAT_ROW_BUDGET`` rows per call, so peak
+  memory does not grow with C(n, k). This is also the reference the engine
+  is tested against.
 
 ``forwards_used`` is the count the probe helper added to the counter, not a
 difference of the shared counter, so concurrent requests on one model do
@@ -61,8 +61,9 @@ MODES = (INCLUSION_EXCLUSION, SIGNED_TOGGLE)
 
 # rows per forward_batch call on the flat probe path; whole subsets per call
 FLAT_ROW_BUDGET = 2**13
-# selector-scaled rows (instances x nodes) per environment pass of a stacked
-# k = 1 batch; bounds the batch's memory whatever the number of instances
+# open states (instances x nodes x order-(k-1) toggle choices) per sweep of a
+# stacked batch: at k = 1 the selector-scaled rows of one environment pass.
+# Bounds the batch's memory whatever the number of instances
 STACK_ROW_BUDGET = 256
 
 
@@ -157,6 +158,8 @@ def _normalize_subsets(n: int, k: int, subsets):
         if t[0] < 1 or t[-1] > n:
             raise ValueError(f"subset {s} has feature indices outside 1..{n}")
         norm.append(t)
+    if not norm:
+        raise ValueError("need at least one subset")
     return sorted(set(norm))
 
 
@@ -204,68 +207,21 @@ def _scaled_inputs(lifted, nodes: np.ndarray) -> list:
     return out
 
 
-def _sandwich(left, mid, right) -> np.ndarray:
-    # (..., m, l) x (..., l, r) x (..., m, r) -> (..., m)
-    return np.einsum("...r,...r->...", left @ mid, right)
+def _probe_matrix_shared(model, lifted, nodes, k: int, mode):
+    """All k-subset probes of B stacked instances from one shared-environment
+    sweep (``tensor_net.toggle_probes``).
 
-
-def _probe_matrix_k1_shared(model, lifted, nodes, mode):
-    """All-features order-1 probes of B stacked instances via shared
-    environments.
-
-    ``lifted[i]`` holds feature i's (B, d_i) lifted rows. One pass of
-    selector-scaled prefix/suffix (train) or rooted (tree) environments over
-    the B * m scaled rows serves every feature of every instance. Returns
-    ((B, m, n) probe values, the forwards added to the counter).
-    """
-    topo = model.topology
-    cores = model.cores
-    n = model.n
-    b = lifted[0].shape[0]
-    m = nodes.shape[0]
-    scaled = _scaled_inputs(lifted, nodes)
-    qmat = np.empty((b, m, n))
-    if topo.kind == tensor_net.TT:
-        lstates = tensor_net.tt_left_states(cores, scaled)
-        rstates = tensor_net.tt_right_states(cores, scaled)
-        for i in range(n):
-            core = cores[i]
-            left = lstates[i].reshape(b, m, -1)
-            right = rstates[i + 1].reshape(b, m, -1)
-            if mode == SIGNED_TOGGLE:
-                mid = (core[None] * signed_toggle(lifted[i])[:, None, :, None]).sum(axis=2)
-                qmat[:, :, i] = _sandwich(left, mid, right)
-            else:
-                mon = (core[None] * lifted[i][:, None, :, None]).sum(axis=2)
-                moff = core[:, -1, :]
-                qmat[:, :, i] = _sandwich(left, mon, right) - _sandwich(left, moff, right)
-    else:
-        up = tensor_net.tree_up_messages(topo, cores, scaled)
-        down = tensor_net.tree_down_messages(topo, cores, up)
-        L = topo.leaf_count
-        for j in range(n):
-            core = cores[L + j - 1]
-            env = down[L + j].reshape(b, m, -1)
-            if mode == SIGNED_TOGGLE:
-                w = signed_toggle(lifted[j]) @ core
-            else:
-                w = lifted[j] @ core - core[-1, :]
-            qmat[:, :, j] = (env @ w[:, :, None])[:, :, 0]
-    forwards = b * m * (2 if mode == INCLUSION_EXCLUSION else 1) * n
-    model.counter.add(forwards)
-    return qmat, forwards
-
-
-def _probe_matrix_shared(model, lifted, nodes, k: int):
-    """All k-subset signed-toggle probes from one shared-environment sweep.
-
-    Returns ((m, C(n, k)) probe values in lexicographic subset order, the
-    forwards added to the counter: one per evaluated configuration).
+    ``lifted[i]`` holds feature i's (B, d_i) lifted rows. Both modes take the
+    signed-toggle arithmetic (``on - off_state == signed_toggle(on)``) and
+    differ only in the counted contract. Returns ((B, m, C(n, k)) probe
+    values in lexicographic subset order, the forwards added to the counter:
+    one per evaluated configuration).
     """
     scaled = _scaled_inputs(lifted, nodes)
     toggled = [signed_toggle(v) for v in lifted]
     qmat = tensor_net.toggle_probes(model.topology, model.cores, scaled, toggled, nodes, k)
-    forwards = nodes.shape[0] * math.comb(model.n, k)
+    patterns = 1 << k if mode == INCLUSION_EXCLUSION else 1
+    forwards = lifted[0].shape[0] * nodes.shape[0] * math.comb(model.n, k) * patterns
     model.counter.add(forwards)
     return qmat, forwards
 
@@ -315,7 +271,7 @@ def _request(model, lifts: LiftSpec, k: int, subsets, mode):
     """Validate an order-k request shared by every instance of a batch.
 
     Returns (normalized subsets, resolved mode, the m = n - k + 1 Chebyshev
-    nodes, whether the shared environment paths apply).
+    nodes, whether the shared-environment engine applies).
     """
     _check_model_lifts(model, lifts)
     n = model.n
@@ -362,13 +318,10 @@ def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None) -> Attr
     """
     subset_list, mode, nodes, shared = _request(model, lifts, k, subsets, mode)
     lifted = lifts.lift_instance(x)
-    if shared and k == 1:
-        qmat, forwards = _probe_matrix_k1_shared(model, [v[None] for v in lifted], nodes, mode)
+    if shared:
+        qmat, forwards = _probe_matrix_shared(model, [v[None] for v in lifted], nodes, k, mode)
     else:
-        if shared and mode == SIGNED_TOGGLE:
-            qmat, forwards = _probe_matrix_shared(model, lifted, nodes, k)
-        else:
-            qmat, forwards = _probe_matrix(model, lifted, subset_list, nodes, mode)
+        qmat, forwards = _probe_matrix(model, lifted, subset_list, nodes, mode)
         qmat = qmat[None]
     return _attribution_sets(qmat, k, subset_list, forwards)[0]
 
@@ -376,12 +329,13 @@ def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None) -> Attr
 def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets="all") -> list:
     """``explain`` over many instances, in order, without threads.
 
-    Order-1 requests for all features of a ``TensorNetworkModel`` stack
-    instances: each chunk of up to ``STACK_ROW_BUDGET // n`` instances is
-    lifted one feature column at a time, shares one environment pass and one
-    weight product, and gives the values ``explain`` gives per instance.
-    Other requests (k >= 2, explicit subset lists, models that are not tensor
-    networks) run ``explain`` on one instance after the other.
+    All-subsets requests on a ``TensorNetworkModel`` stack instances, at
+    every order and in either mode: each chunk of up to
+    ``STACK_ROW_BUDGET // (m * C(n, k - 1))`` instances (m = n - k + 1) is
+    lifted one feature column at a time, shares one ``toggle_probes`` sweep
+    and one weight product, and gives the values ``explain`` gives per
+    instance. Explicit subset lists and models that are not tensor networks
+    run ``explain`` on one instance after the other.
 
     Per-instance failures do not abort the batch: the failing instance's slot
     holds the raised exception instead of an AttributionSet. Instances are
@@ -392,22 +346,21 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
         subset_list, mode, nodes, shared = _request(model, lifts, k, subsets, mode)
     except (TypeError, ValueError) as exc:
         return [exc] * len(instances)
-    stacked = shared and k == 1
     results = [None] * len(instances)
     rows = []
     for idx, x in enumerate(instances):
         try:
-            if stacked:
+            if shared:
                 rows.append((idx, lifts.check_instance(x)))
             else:
                 results[idx] = explain(model, lifts, x, k, subsets=subsets, mode=mode)
         except Exception as exc:  # noqa: BLE001 - batch isolation is the contract
             results[idx] = exc
-    step = max(1, STACK_ROW_BUDGET // nodes.shape[0])
+    step = max(1, STACK_ROW_BUDGET // (nodes.shape[0] * math.comb(model.n, k - 1)))
     for c0 in range(0, len(rows), step):
         chunk = rows[c0 : c0 + step]
         lifted = lifts.lift_rows(np.stack([x for _, x in chunk]))
-        qmat, forwards = _probe_matrix_k1_shared(model, lifted, nodes, mode)
+        qmat, forwards = _probe_matrix_shared(model, lifted, nodes, k, mode)
         for (idx, _), aset in zip(chunk, _attribution_sets(qmat, k, subset_list, forwards)):
             results[idx] = aset
     return results

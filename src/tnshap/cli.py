@@ -22,13 +22,18 @@ import time
 import numpy as np
 
 from . import __version__, attribute, fit, model_io, oracle
-from .config import set_worker_budget
 from .tensor_net import cut_rank
 
 logger = logging.getLogger("tnshap.cli")
 
 VERIFY_TOLERANCE = 1e-7
 MANIFEST_VERSION = 1
+# A bench repeat times ceil(BENCH_CALL_FEATURES / n) back-to-back explain calls
+# and reports their mean. Order-1 time grows about linearly in n, so every
+# repeat lasts about as long (20-30 ms on a 2.0 GHz Xeon core), well above
+# timer and host noise; fixing the count by n rather than by a timing probe
+# keeps the bench JSON reproducible apart from its times.
+BENCH_CALL_FEATURES = 256
 
 
 class InputError(Exception):
@@ -379,23 +384,29 @@ def cmd_bench(args) -> int:
     setup_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    rows = []
+    cases = []
     for n in dims:
         teacher, lifts = fit.gen_tree_teacher(n, int(args.rank), seed=int(args.seed) + n)
         x = np.random.default_rng(int(args.seed) + n + 1).uniform(-1.0, 1.0, n)
-        attribute.explain(teacher, lifts, x, 1)  # warmup
-        times = []
-        forwards = 0
-        for _ in range(repeats):
+        aset = attribute.explain(teacher, lifts, x, 1)  # warmup
+        cases.append((n, teacher, lifts, x, aset.forwards_used, -(-BENCH_CALL_FEATURES // n)))
+    # repeats go round-robin over the dims, so a slow spell of the host falls
+    # on every dim's samples instead of shifting one dim's median
+    times = {n: [] for n in dims}
+    for _ in range(repeats):
+        for n, teacher, lifts, x, _forwards, calls in cases:
             start = time.perf_counter()
-            aset = attribute.explain(teacher, lifts, x, 1)
-            times.append(time.perf_counter() - start)
-            forwards = aset.forwards_used
-        times_ms = [t * 1e3 for t in times]
+            for _ in range(calls):
+                attribute.explain(teacher, lifts, x, 1)
+            times[n].append((time.perf_counter() - start) / calls * 1e3)
+    rows = []
+    for n, teacher, _lifts, _x, forwards, calls in cases:
+        times_ms = times[n]
         rows.append({
             "n": n,
             "cut_rank": cut_rank(teacher.topology),
             "forwards_per_instance": forwards,
+            "calls_per_repeat": calls,
             "mean_ms": float(np.mean(times_ms)),
             "std_ms": float(np.std(times_ms)),
             "median_ms": float(np.median(times_ms)),
@@ -511,9 +522,6 @@ def cmd_rank_sweep(args) -> int:
 
 def _add_common(parser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker budget, must be >= 1; kept for compatibility, "
-                             "attribution runs without threads and ignores it")
     parser.add_argument("--out", default=None, help="primary output path")
     parser.add_argument("--config", default=None,
                         help="JSON config file; explicit flags override it")
@@ -596,12 +604,6 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        try:
-            set_worker_budget(args.threads)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     if args.seed is None:
         args.seed = 0
     try:

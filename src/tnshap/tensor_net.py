@@ -396,64 +396,69 @@ def tt_right_states(cores, batch) -> list:
 # number o of legs toggled so far, the selector-scaled states of every such
 # choice, and close a subset as soon as its k-th leg is toggled. A state is
 # kept only while enough legs remain to complete it, which bounds the stored
-# rows by n * C(n, k) even at k close to n.
+# rows by n * C(n, k) even at k close to n. Stacked states are
+# (B, choices, m, bond) arrays: B instances, each with its own toggles.
 
 
 def toggle_probes(topology: TnTopology, cores, scaled, toggled, nodes, k: int) -> np.ndarray:
-    """Signed-toggle probes of every k-subset of the real legs.
+    """Signed-toggle probes of every k-subset of the real legs, B instances.
 
-    ``scaled[i]`` is leg i's (m, d_i) selector-scaled input, row l at
-    ``nodes[l]``; ``toggled[i]`` is the (d_i,) signed toggle of the same
-    lifted vector. Entry (l, s) of the returned (m, C(n, k)) matrix is the
-    contraction with the legs of the s-th subset (lexicographic order)
-    toggled and every other leg scaled at ``nodes[l]`` -- the same value a
-    from-scratch ``forward_batch`` row gives, for about C(n, k) * m * chi^2
-    arithmetic on a train (a from-scratch row costs n * chi^2 each) and one
-    up-pass on a tree.
+    ``scaled[i]`` is leg i's (B * m, d_i) selector-scaled input, instance
+    major, row b * m + l at ``nodes[l]``; ``toggled[i]`` is the (B, d_i)
+    signed toggle of the same lifted rows. Entry (b, l, s) of the returned
+    (B, m, C(n, k)) array is instance b's contraction with the legs of the
+    s-th subset (lexicographic order) toggled and every other leg scaled at
+    ``nodes[l]`` -- the same value a from-scratch ``forward_batch`` row
+    gives. A train takes one prefix sweep (the prefix/suffix sandwich at
+    k = 1), about C(n, k) * m * chi^2 per instance; a tree takes one up-pass
+    at k >= 2 and closes its leaves against the down messages at k = 1.
     """
     if not 1 <= k <= topology.n:
         raise ValueError(f"order k={k} must satisfy 1 <= k <= n={topology.n}")
     if topology.kind == TT:
         closed = tt_toggle_sweep(cores, scaled, toggled, nodes, k)
+    elif k == 1:
+        return tree_leaf_probes(topology, cores, scaled, toggled)
     else:
         closed = tree_toggle_sweep(topology, cores, scaled, toggled, nodes, k)
-    return closed[_toggle_order(topology.kind, topology.n, k)].T
+    return closed[:, _toggle_order(topology.kind, topology.n, k)].transpose(0, 2, 1)
 
 
 def tt_toggle_sweep(cores, scaled, toggled, nodes, k: int) -> np.ndarray:
     """One left-to-right pass closing every k-subset of a tensor train.
 
-    Order-o prefix states are stacked as (C(i, o), m, bond) arrays; order 0
-    is ``tt_left_states`` and a subset closes against ``tt_right_states`` at
-    its last leg. Returns (C(n, k), m) rows in the order ``_tt_labels``
+    Order-o prefix states are stacked as (B, C(i, o), m, bond) arrays; order
+    0 is ``tt_left_states`` and a subset closes against ``tt_right_states``
+    at its last leg. Each instance's toggled core is one batched GEMM.
+    Returns (B, C(n, k), m) values in the row order ``_tt_labels``
     enumerates.
     """
     n = len(cores)
+    b = toggled[0].shape[0]
     m = nodes.shape[0]
-    t = nodes[None, :, None]
+    t = nodes[:, None]
     left = tt_left_states(cores, scaled)
     right = tt_right_states(cores, scaled)
     stacks = [None] * k
     closed = []
     for i, core in enumerate(cores):
         rest = n - 1 - i
-        stacks[0] = left[i][None] if k <= n - i else None
-        l, _, r = core.shape
+        l, d, r = core.shape
+        stacks[0] = left[i].reshape(b, 1, m, l) if k <= n - i else None
         bias = core[:, -1, :]
-        data = np.einsum("ldr,d->lr", core, toggled[i])
+        data = (toggled[i] @ core.transpose(1, 0, 2).reshape(d, l * r)).reshape(b, l, r)
         parts = [[] for _ in range(k)]
         for o, state in enumerate(stacks):
             if state is None:
                 continue
-            rows = state.shape[0]
-            flat = state.reshape(rows * m, l)
-            on = (flat @ data).reshape(rows, m, r)
+            rows = state.shape[1]
+            on = (state.reshape(b, rows * m, l) @ data).reshape(b, rows, m, r)
             if o + 1 == k:
-                closed.append(np.einsum("amr,mr->am", on, right[i + 1]))
+                closed.append(np.einsum("bamr,bmr->bam", on, right[i + 1].reshape(b, m, r)))
             elif k - o - 1 <= rest:
                 parts[o + 1].append(on)
             if o > 0 and k - o <= rest:
-                parts[o].append((flat @ bias).reshape(rows, m, r) + t * on)
+                parts[o].append((state.reshape(-1, l) @ bias).reshape(b, rows, m, r) + t * on)
         stacks[1:] = [_stack(p) for p in parts[1:]]
     return _stack(closed)
 
@@ -461,23 +466,25 @@ def tt_toggle_sweep(cores, scaled, toggled, nodes, k: int) -> np.ndarray:
 def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, nodes, k: int) -> np.ndarray:
     """One up-pass closing every k-subset of a binary tree at the root.
 
-    Node v carries, per order o, a (C(real leaves under v, o), m, bond)
-    message; order 0 is ``tree_up_messages``. Children combine over the
-    splits i + j = o; dummy pad leaves carry order 0 only. Returns
-    (C(n, k), m) rows in the order ``_tree_labels`` enumerates.
+    Node v carries, per order o, a (B, C(real leaves under v, o), m, bond)
+    message; order 0 is ``tree_up_messages`` and a leaf's toggled message is
+    repeated over the m nodes. Children combine over the splits i + j = o;
+    dummy pad leaves carry order 0 only. Returns (B, C(n, k), m) values in
+    the row order ``_tree_labels`` enumerates.
     """
     L = topology.leaf_count
     n = topology.n
+    b = toggled[0].shape[0]
     m = nodes.shape[0]
     up = tree_up_messages(topology, cores, scaled)
     msgs = [None] * (2 * L)
     for v in range(2 * L - 1, 0, -1):
         lo, hi = _tree_orders(n, L, v, k)
-        msg = {0: up[v][None]} if lo == 0 else {}
+        msg = {0: up[v].reshape(b, 1, m, -1)} if lo == 0 else {}
         if v >= L:
             if hi == 1:
                 on = toggled[v - L] @ cores[v - 1]
-                msg[1] = np.broadcast_to(on, (1, m, on.shape[0]))
+                msg[1] = np.broadcast_to(on[:, None, None, :], (b, 1, m, on.shape[1]))
         else:
             core = cores[v - 1] if v > 1 else cores[0][:, :, None]
             lchild, rchild = msgs[2 * v], msgs[2 * v + 1]
@@ -486,31 +493,44 @@ def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, nodes, k: in
                                  for i in sorted(lchild) if o - i in rchild])
             msgs[2 * v] = msgs[2 * v + 1] = None
         msgs[v] = msg
-    return msgs[1][k][:, :, 0]
+    return msgs[1][k][..., 0]
+
+
+def tree_leaf_probes(topology: TnTopology, cores, scaled, toggled) -> np.ndarray:
+    """Order-1 probes of a binary tree: each real leaf's toggled message
+    closed against its down message. Returns (B, m, n) values."""
+    L = topology.leaf_count
+    b = toggled[0].shape[0]
+    down = tree_down_messages(topology, cores, tree_up_messages(topology, cores, scaled))
+    out = np.empty((b, scaled[0].shape[0] // b, topology.n))
+    for j, tog in enumerate(toggled):
+        env = down[L + j].reshape(b, out.shape[1], -1)
+        out[:, :, j] = (env @ (tog @ cores[L + j - 1])[:, :, None])[:, :, 0]
+    return out
 
 
 def _toggle_merge(core, left, right) -> np.ndarray:
-    """Contract stacked child messages (a, m, p) and (b, m, q) through a
-    (p, q, r) core into (a * b, m, r), left rows major. The smaller stack
-    goes through the core GEMM, so the 4-D intermediate stays small."""
-    a, m, p = left.shape
-    b, _, q = right.shape
+    """Contract stacked child messages (B, a, m, p) and (B, c, m, q) through
+    a (p, q, r) core into (B, a * c, m, r), left rows major. The smaller
+    stack goes through the core GEMM, so the 5-D intermediate stays small."""
+    nb, a, m, p = left.shape
+    c, q = right.shape[1], right.shape[3]
     r = core.shape[2]
-    if a <= b:
-        tmp = (left.reshape(a * m, p) @ core.reshape(p, q * r)).reshape(a, m, q, r)
-        tmp = tmp.transpose(1, 0, 3, 2).reshape(m, a * r, q)
-        out = (tmp @ right.transpose(1, 2, 0)).reshape(m, a, r, b).transpose(1, 3, 0, 2)
+    if a <= c:
+        tmp = (left.reshape(nb * a * m, p) @ core.reshape(p, q * r)).reshape(nb, a, m, q, r)
+        tmp = tmp.transpose(0, 2, 1, 4, 3).reshape(nb, m, a * r, q)
+        out = (tmp @ right.transpose(0, 2, 3, 1)).reshape(nb, m, a, r, c).transpose(0, 2, 4, 1, 3)
     else:
-        tmp = right.reshape(b * m, q) @ core.transpose(1, 0, 2).reshape(q, p * r)
-        tmp = tmp.reshape(b, m, p, r).transpose(1, 2, 0, 3).reshape(m, p, b * r)
-        out = (left.transpose(1, 0, 2) @ tmp).reshape(m, a, b, r).transpose(1, 2, 0, 3)
-    return out.reshape(a * b, m, r)
+        tmp = right.reshape(nb * c * m, q) @ core.transpose(1, 0, 2).reshape(q, p * r)
+        tmp = tmp.reshape(nb, c, m, p, r).transpose(0, 2, 3, 1, 4).reshape(nb, m, p, c * r)
+        out = (left.transpose(0, 2, 1, 3) @ tmp).reshape(nb, m, a, c, r).transpose(0, 2, 3, 1, 4)
+    return out.reshape(nb, a * c, m, r)
 
 
 def _stack(blocks):
     if not blocks:
         return None
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
 def _tree_orders(n: int, leaf_count: int, v: int, k: int):

@@ -380,31 +380,25 @@ class TestBatch:
         assert isinstance(results[1], Exception)
         np.testing.assert_allclose(results[0].values, results[2].values)
 
-    def test_worker_budget_does_not_change_results(self, rng):
-        from tnshap import get_worker_budget, set_worker_budget
-
-        model, lifts = random_tt_model(rng, 5)
-        xs = rng.uniform(-1, 1, (8, 5))
-        saved = get_worker_budget()
-        try:
-            set_worker_budget(1)
-            serial = explain_batch(model, lifts, xs, 2)
-            set_worker_budget(4)
-            threaded = explain_batch(model, lifts, xs, 2)
-        finally:
-            set_worker_budget(saved)
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.values, b.values)
+    def test_empty_subset_list_rejected(self, rng):
+        model, lifts = random_tt_model(rng, 4)
+        xs = rng.uniform(-1, 1, (3, 4))
+        with pytest.raises(ValueError, match="at least one subset"):
+            explain(model, lifts, xs[0], 2, subsets=[])
+        results = explain_batch(model, lifts, xs, 2, subsets=[])
+        assert len(results) == 3
+        assert all(isinstance(r, ValueError) and "at least one subset" in str(r)
+                   for r in results)
 
 
 class TestStackedBatch:
-    """Order-1 batches on tensor networks stack instances into shared
-    environment passes of at most ``STACK_ROW_BUDGET`` rows."""
+    """All-subsets batches on tensor networks stack instances into shared
+    sweeps of at most ``STACK_ROW_BUDGET`` open states."""
 
     @staticmethod
-    def _assert_matches_explain(model, lifts, xs, results, mode=None):
+    def _assert_matches_explain(model, lifts, xs, results, mode=None, k=1):
         for x, got in zip(xs, results):
-            want = explain(model, lifts, x, 1, mode=mode)
+            want = explain(model, lifts, x, k, mode=mode)
             scale = np.max(np.abs(want.values))
             assert np.max(np.abs(got.values - want.values)) <= 1e-12 * scale
             assert got.subsets == want.subsets
@@ -426,8 +420,8 @@ class TestStackedBatch:
         model, lifts = _random_model(kind, n, 3, seed=1)
         xs = rng.uniform(-1, 1, (3, n))
         nodes = chebyshev_nodes(n)
-        stacked, _ = attribute._probe_matrix_k1_shared(model, lifts.lift_rows(xs), nodes,
-                                                       INCLUSION_EXCLUSION)
+        stacked, _ = attribute._probe_matrix_shared(model, lifts.lift_rows(xs), nodes, 1,
+                                                    INCLUSION_EXCLUSION)
         subsets = [(j,) for j in range(1, n + 1)]
         for b, x in enumerate(xs):
             flat, _ = attribute._probe_matrix(model, lifts.lift_instance(x), subsets, nodes,
@@ -451,13 +445,31 @@ class TestStackedBatch:
         self._assert_matches_explain(model, lifts, [xs[i] for i in good],
                                      [results[i] for i in good])
 
-    def test_non_finite_rows_rejected_on_serial_path(self, rng):
-        model, lifts = random_tt_model(rng, 4)
-        xs = rng.uniform(-1, 1, (3, 4))
-        xs[1, 0] = np.inf
-        results = explain_batch(model, lifts, xs, 2)
-        assert isinstance(results[1], ValueError)
-        np.testing.assert_array_equal(results[2].values, explain(model, lifts, xs[2], 2).values)
+    def test_non_finite_rows_rejected_on_serial_path(self, rng, monkeypatch):
+        """k = 2 batches stack too: with chunks of 3 instances, an inf and a
+        NaN row fill only their own slots and every other slot matches
+        per-instance ``explain``, on both topologies (the name predates k = 2
+        stacking)."""
+        n, k = 5, 2
+        m = n - k + 1
+        monkeypatch.setattr(attribute, "STACK_ROW_BUDGET", 3 * m * n)  # 3 instances per chunk
+        sweeps = []
+        original = attribute.tensor_net.toggle_probes
+        monkeypatch.setattr(attribute.tensor_net, "toggle_probes",
+                            lambda *a: sweeps.append(a[3][0].shape[0]) or original(*a))
+        for kind in ("tt", "btree"):
+            model, lifts = _random_model(kind, n, 3, seed=5)
+            xs = rng.uniform(-1, 1, (7, n))
+            xs[1, 0] = np.inf
+            xs[4, 2] = np.nan
+            sweeps.clear()
+            results = explain_batch(model, lifts, xs, k)
+            assert sweeps == [3, 2]
+            assert isinstance(results[1], ValueError) and "non-finite" in str(results[1])
+            assert isinstance(results[4], ValueError) and "non-finite" in str(results[4])
+            good = [0, 2, 3, 5, 6]
+            self._assert_matches_explain(model, lifts, xs[good], [results[i] for i in good],
+                                         k=k)
 
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     def test_chunk_boundaries(self, rng, monkeypatch, kind):
@@ -572,7 +584,8 @@ def _random_model(kind, n, bond, seed, lifts=None):
 
 
 class TestSharedProbes:
-    """All-subsets signed-toggle requests at k >= 2 take the shared sweep."""
+    """All-subsets requests on tensor networks take the shared sweep, in
+    either mode and at every order."""
 
     @pytest.mark.parametrize("kind,n,k", [
         ("tt", 4, 2), ("tt", 7, 3), ("tt", 11, 2), ("tt", 12, 3), ("tt", 60, 2),
@@ -583,12 +596,42 @@ class TestSharedProbes:
         model, lifts = _random_model(kind, n, 4, seed=n + k)
         lifted = lifts.lift_instance(rng.uniform(-1, 1, n))
         nodes = chebyshev_nodes(n - k + 1)
-        shared, _ = attribute._probe_matrix_shared(model, lifted, nodes, k)
+        shared, _ = attribute._probe_matrix_shared(model, [v[None] for v in lifted], nodes, k,
+                                                   SIGNED_TOGGLE)
+        shared = shared[0]
         subsets = list(itertools.combinations(range(1, n + 1), k))
         flat, _ = attribute._probe_matrix(model, lifted, subsets, nodes, SIGNED_TOGGLE)
         assert shared.shape == flat.shape == (n - k + 1, len(subsets))
         scale = np.max(np.abs(flat))
         assert np.max(np.abs(shared - flat)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("n", [5, 7, 11])
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_inclusion_exclusion_matches_flat_configurations(self, rng, k, kind, n, b):
+        """The engine in inclusion-exclusion mode (signed-toggle arithmetic)
+        against the flat path, which evaluates all 2^k on/off configurations
+        of every subset; btree n in {5, 7, 11} has pad leaves. The engine is
+        charged the flat path's count and never calls ``forward_batch``."""
+        model, lifts = _random_model(kind, n, 4, seed=7 * n + k)
+        xs = rng.uniform(-1, 1, (b, n))
+        nodes = chebyshev_nodes(n - k + 1)
+        calls = []
+        original = model.forward_batch
+        model.forward_batch = lambda legs: calls.append(legs) or original(legs)
+        before = model.forward_count
+        shared, forwards = attribute._probe_matrix_shared(model, lifts.lift_rows(xs), nodes, k,
+                                                          INCLUSION_EXCLUSION)
+        contract = 2**k * (n - k + 1) * math.comb(n, k) * b
+        assert model.forward_count - before == forwards == contract
+        assert calls == []
+        subsets = list(itertools.combinations(range(1, n + 1), k))
+        for row, x in zip(shared, xs):
+            flat, _ = attribute._probe_matrix(model, lifts.lift_instance(x), subsets, nodes,
+                                              INCLUSION_EXCLUSION)
+            assert row.shape == flat.shape == (n - k + 1, len(subsets))
+            assert np.max(np.abs(row - flat)) <= 1e-12 * np.max(np.abs(flat))
 
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     @pytest.mark.parametrize("n,k", [(2, 2), (5, 4), (5, 5), (6, 3), (9, 2), (12, 2), (12, 3)])

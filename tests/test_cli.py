@@ -102,7 +102,10 @@ class TestExplain:
     @pytest.mark.parametrize("order", [1, 2])
     def test_threaded_manifest_counts_match_model_counter(self, tmp_path, teacher_path,
                                                           monkeypatch, order):
-        from tnshap import get_worker_budget, model_io, set_worker_budget
+        """Manifest counts equal the model counter over a 24-row batch, which
+        stacks instances at k = 1 and k = 2 (the name predates the removal
+        of the no-op ``--threads`` flag)."""
+        from tnshap import model_io
 
         loaded = []
         original = model_io.load_model
@@ -116,12 +119,8 @@ class TestExplain:
         inst = tmp_path / "inst.csv"
         write_instances(inst, np.random.default_rng(3).uniform(-1, 1, (24, 4)))
         out = tmp_path / "attr.csv"
-        saved = get_worker_budget()
-        try:
-            assert run("explain", "--model", teacher_path, "--instances", inst,
-                       "--order", order, "--threads", 2, "--out", out) == 0
-        finally:
-            set_worker_budget(saved)
+        assert run("explain", "--model", teacher_path, "--instances", inst,
+                   "--order", order, "--out", out) == 0
         manifest = json.loads((tmp_path / "attr.csv.manifest.json").read_text())
         (model,) = loaded
         per_instance = 2 * 4 * 4 if order == 1 else 6 * 3
@@ -294,6 +293,7 @@ class TestBench:
         rows = payload["rows"]
         assert [r["forwards_per_instance"] for r in rows] == [200, 800]
         assert [r["cut_rank"] for r in rows] == [16, 16]
+        assert [r["calls_per_repeat"] for r in rows] == [26, 13]  # ceil(256 / n)
         assert all(len(r["times_ms"]) == 3 for r in rows)
         assert all(r["std_ms"] >= 0 for r in rows)
 
