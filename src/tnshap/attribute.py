@@ -153,6 +153,8 @@ def _normalize_subsets(n: int, k: int, subsets):
     norm = []
     for s in subsets:
         t = tuple(sorted(int(i) for i in s))
+        if not t:
+            raise ValueError("empty subset: need at least one feature")
         if len(t) != k or len(set(t)) != k:
             raise ValueError(f"subset {s} is not a {k}-element set")
         if t[0] < 1 or t[-1] > n:

@@ -8,6 +8,10 @@ magnitude on the [-1, 1]^n cube.
 Students are fit by deterministic ALS sweeps: each core is re-solved as an
 exact linear least-squares problem against its contracted environment, with
 environments kept fresh along the sweep so the training MSE never increases.
+A tree student's up messages are built in one pass per fit and every sweep
+keeps them current; a train's suffix states are built once per sweep. Each
+sweep returns the student's outputs on the training rows from its own final
+state, so the per-sweep MSE needs no further contraction.
 A core's design is the row-wise Khatri-Rao product of its environment
 factors (a tree node's two child up messages and its down message, a leaf's
 leg and down message, a train core's left state, leg and right state). Each
@@ -42,12 +46,10 @@ from .tensor_net import (
     ForwardCounter,
     TensorNetworkModel,
     TnTopology,
-    _apply_internal_up,
     _contract_batch,
-    _down_to_left,
-    _down_to_right,
+    _open_leg1,
+    _open_leg2,
     _subtree_leaf_range,
-    _tt_step,
     capped_uniform_bonds,
     tree_up_messages,
     tt_right_states,
@@ -501,14 +503,15 @@ def fit_student(training: TrainingSet, config: FitConfig, lifts: LiftSpec):
     stats = _SolveStats()
     report = FitReport()
     prev_r2 = float("-inf")
+    # a tree's up messages are built once and kept current by every sweep
+    up = None if topo.kind == TT else tree_up_messages(topo, cores, training.legs)
     for sweep in range(config.max_sweeps):
         sweep_start = time.perf_counter()
         fallbacks = stats.fallbacks
         if topo.kind == TT:
-            _tt_sweep(topo, cores, training.legs, y, stats)
+            pred = _tt_sweep(topo, cores, training.legs, y, stats)
         else:
-            _tree_sweep(topo, cores, training.legs, y, stats)
-        pred = _contract_batch(topo, cores, training.legs)
+            pred = _tree_sweep(topo, cores, training.legs, y, stats, up)
         mse = float(np.mean((pred - y) ** 2))
         r2 = _train_r2(mse, var)
         report.sweep_train_mse.append(mse)
@@ -532,20 +535,26 @@ def fit_student(training: TrainingSet, config: FitConfig, lifts: LiftSpec):
     return TensorNetworkModel(topo, cores), report
 
 
-def _tt_sweep(topo, cores, legs, y, stats) -> None:
+def _tt_sweep(topo, cores, legs, y, stats) -> np.ndarray:
+    """Re-solve every core left to right; returns the swept train's outputs
+    on the training rows (its final prefix state)."""
     right = tt_right_states(cores, legs)
     left = np.ones((y.shape[0], 1))
     for j in range(topo.n):
         cores[j] = _solve_core(stats, [left, legs[j], right[j + 1]], y, cores[j].shape)
-        left = _tt_step(left, cores[j], legs[j])
+        left = _open_leg2(cores[j], left, legs[j])
+    return left[:, 0]
 
 
-def _tree_sweep(topo, cores, legs, y, stats) -> None:
+def _tree_sweep(topo, cores, legs, y, stats, up) -> np.ndarray:
+    """Re-solve the root, then every non-pad node depth first. ``up`` holds
+    the tree's up messages on entry and is kept current; returns the swept
+    tree's outputs on the training rows."""
     L = topo.leaf_count
     if L == 1:
         cores[0] = _solve_core(stats, [legs[0]], y, cores[0].shape)
-        return
-    up = tree_up_messages(topo, cores, legs)
+        up[1] = legs[0] @ cores[0].reshape(-1, 1)
+        return up[1][:, 0]
 
     def visit(v, down_v):
         # re-solve every core under v, then refresh v's up message
@@ -557,14 +566,16 @@ def _tree_sweep(topo, cores, legs, y, stats) -> None:
             cores[idx] = _solve_core(stats, [leg, down_v], y, cores[idx].shape)
             up[v] = leg @ cores[idx]
             return
-        cores[idx] = _solve_core(stats, [up[2 * v], up[2 * v + 1], down_v], y, cores[idx].shape)
-        visit(2 * v, _down_to_left(cores[idx], up[2 * v + 1], down_v))
-        visit(2 * v + 1, _down_to_right(cores[idx], up[2 * v], down_v))
-        up[v] = _apply_internal_up(cores[idx], up[2 * v], up[2 * v + 1])
+        core = _solve_core(stats, [up[2 * v], up[2 * v + 1], down_v], y, cores[idx].shape)
+        cores[idx] = core
+        visit(2 * v, _open_leg1(core.transpose(1, 0, 2), up[2 * v + 1], down_v))
+        visit(2 * v + 1, _open_leg1(core, up[2 * v], down_v))
+        up[v] = _open_leg2(core, up[2 * v], up[2 * v + 1])
 
     cores[0] = _solve_core(stats, [up[2], up[3]], y, cores[0].shape)
     visit(2, up[3] @ cores[0].T)
     visit(3, up[2] @ cores[0])
+    return _open_leg2(cores[0][:, :, None], up[2], up[3])[:, 0]
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -584,17 +595,17 @@ def eval_quality(student, teacher, lifts: LiftSpec, instances, orders=(1, 2, 3),
     For each order k, stacks the student's probe-interpolated values and the
     teacher's enumeration-oracle values over all subsets and instances, then
     reports R^2 (flagged undefined on zero-variance truth), cosine, and MSE.
+    Each instance's 2^n teacher table is enumerated once for all orders.
     """
     instances = np.asarray(instances, dtype=np.float64)
     report = base_report if base_report is not None else FitReport()
-    for k in orders:
-        student_vals = []
-        teacher_vals = []
-        for x in instances:
-            aset = attribute.explain(student, lifts, x, k)
-            student_vals.append(aset.values)
-            table = oracle.enumerate_game(teacher, lifts, x)
+    values = {int(k): ([], []) for k in orders}
+    for x in instances:
+        table = oracle.enumerate_game(teacher, lifts, x)
+        for k, (student_vals, teacher_vals) in values.items():
+            student_vals.append(attribute.explain(student, lifts, x, k).values)
             teacher_vals.append(oracle.exact_sii(table, k).values)
+    for k, (student_vals, teacher_vals) in values.items():
         a = np.concatenate(student_vals)
         b = np.concatenate(teacher_vals)
         mse = float(np.mean((a - b) ** 2))
@@ -605,7 +616,7 @@ def eval_quality(student, teacher, lifts: LiftSpec, instances, orders=(1, 2, 3),
             quality = OrderQuality(
                 r2=1.0 - mse / var, r2_defined=True, cosine=_cosine(a, b), mse=mse
             )
-        report.orders[int(k)] = quality
+        report.orders[k] = quality
     return report
 
 

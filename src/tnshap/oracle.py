@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribute import AttributionSet, chebyshev_nodes, shapley_weights, sii_weights
+from .attribute import (
+    AttributionSet,
+    _scaled_inputs,
+    chebyshev_nodes,
+    shapley_weights,
+    sii_weights,
+)
 from .lift import LiftSpec, off_state
 
 logger = logging.getLogger(__name__)
@@ -165,22 +171,19 @@ def diagonal_coefficient_probe(model, lifts: LiftSpec, x, nodes=None) -> np.ndar
     Scaling every leg by the same selector value t makes the output a
     degree-n polynomial whose t^s coefficient sums all size-s monomials, so
     n + 1 evaluations and one Vandermonde solve (with one step of iterative
-    refinement) recover the sums directly.
+    refinement) recover the sums directly. The identity holds at any real t;
+    the default nodes are the n + 1 Chebyshev-Gauss nodes on [-1, 1], where
+    the monomial Vandermonde matrix is far better conditioned than on (0, 1)
+    (about 2e4 against 8e8 at n = 12).
     """
     n = model.n
     m = n + 1
     if nodes is None:
-        nodes = chebyshev_nodes(m)
+        nodes = 2.0 * chebyshev_nodes(m) - 1.0
     nodes = np.asarray(nodes, dtype=np.float64)
     if nodes.shape != (m,):
         raise ValueError(f"expected {m} nodes, got shape {nodes.shape}")
-    lifted = lifts.lift_instance(x)
-    legs = []
-    for v in lifted:
-        u = np.tile(v, (m, 1))
-        u[:, :-1] *= nodes[:, None]
-        legs.append(u)
-    p_values = model.forward_batch(legs)
+    p_values = model.forward_batch(_scaled_inputs(lifts.lift_instance(x), nodes))
     vander = np.vander(nodes, m, increasing=True)
     coeffs = np.linalg.solve(vander, p_values)
     coeffs += np.linalg.solve(vander, p_values - vander @ coeffs)

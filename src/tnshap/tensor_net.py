@@ -11,6 +11,9 @@ bumps a thread-safe forward counter: the scalar ``forward`` adds 1 per call,
 ``forward_batch`` adds one per row. Batched evaluation is the complexity
 contract's unit of accounting, not an approximation -- each row is a full
 contraction of one input configuration.
+
+Forward passes, environments and the ALS updates of ``tnshap.fit`` go
+through the two row-wise helpers of the "row-wise contractions" section.
 """
 
 from __future__ import annotations
@@ -271,13 +274,42 @@ def _contract_batch(topology: TnTopology, cores, batch) -> np.ndarray:
     if topology.kind == TT:
         return _tt_contract(cores, batch)
     msgs = tree_up_messages(topology, cores, batch)
-    return _tree_root_value(topology, cores, msgs)
+    if topology.leaf_count == 1:
+        return msgs[1][:, 0]
+    return _open_leg2(cores[0][:, :, None], msgs[2], msgs[3])[:, 0]
+
+
+# -- row-wise contractions ----------------------------------------------------
+#
+# A row-wise step contracts a (p, q, r) core with two row-aligned (B, .)
+# inputs; each helper is named for the leg it leaves open. ``_open_leg2``
+# serves TT prefix steps, tree up messages and, on ``root[:, :, None]``, the
+# tree's output. ``_open_leg1`` serves right-child down messages and, on
+# ``core.transpose(1, 0, 2)``, left-child down messages and TT suffix steps.
+# One helper for both would need a core transpose and a strided reduction on
+# one of the passes, which measured slower.
+
+
+def _open_leg2(core, a, b) -> np.ndarray:
+    """Contract legs 0 and 1 of a (p, q, r) core with (B, p) rows ``a`` and
+    (B, q) rows ``b``; returns (B, r)."""
+    p, q, r = core.shape
+    tmp = (a @ core.reshape(p, q * r)).reshape(-1, q, r)
+    return np.einsum("bqr,bq->br", tmp, b)
+
+
+def _open_leg1(core, a, c) -> np.ndarray:
+    """Contract legs 0 and 2 of a (p, q, r) core with (B, p) rows ``a`` and
+    (B, r) rows ``c``; returns (B, q)."""
+    p, q, r = core.shape
+    tmp = (a @ core.reshape(p, q * r)).reshape(-1, q, r)
+    return np.einsum("bqr,br->bq", tmp, c)
 
 
 def _tt_contract(cores, batch) -> np.ndarray:
     state = None
     for core, x in zip(cores, batch):
-        state = x @ core[0] if state is None else _tt_step(state, core, x)
+        state = x @ core[0] if state is None else _open_leg2(core, state, x)
     return state[:, 0]
 
 
@@ -295,8 +327,7 @@ def tree_up_messages(topology: TnTopology, cores, batch) -> list:
             return msgs
         msgs[L + j] = x @ cores[L + j - 1]
     for v in range(L - 1, 1, -1):
-        core = cores[v - 1]
-        msgs[v] = _apply_internal_up(core, msgs[2 * v], msgs[2 * v + 1])
+        msgs[v] = _open_leg2(cores[v - 1], msgs[2 * v], msgs[2 * v + 1])
     return msgs
 
 
@@ -313,38 +344,9 @@ def tree_down_messages(topology: TnTopology, cores, msgs) -> list:
     down[3] = msgs[2] @ root
     for v in range(2, L):
         core = cores[v - 1]
-        down[2 * v] = _down_to_left(core, msgs[2 * v + 1], down[v])
-        down[2 * v + 1] = _down_to_right(core, msgs[2 * v], down[v])
+        down[2 * v] = _open_leg1(core.transpose(1, 0, 2), msgs[2 * v + 1], down[v])
+        down[2 * v + 1] = _open_leg1(core, msgs[2 * v], down[v])
     return down
-
-
-def _down_to_left(core, mr, down_v) -> np.ndarray:
-    """Down message to the left child of an internal (p, q, r) core, given
-    the right child's up message and the node's own down message."""
-    p, q, r = core.shape
-    tmp = (mr @ core.transpose(1, 0, 2).reshape(q, p * r)).reshape(-1, p, r)
-    return np.einsum("bpr,br->bp", tmp, down_v)
-
-
-def _down_to_right(core, ml, down_v) -> np.ndarray:
-    """Down message to the right child, dual to ``_down_to_left``."""
-    p, q, r = core.shape
-    tmp = (ml @ core.reshape(p, q * r)).reshape(-1, q, r)
-    return np.einsum("bqr,br->bq", tmp, down_v)
-
-
-def _tree_root_value(topology: TnTopology, cores, msgs) -> np.ndarray:
-    L = topology.leaf_count
-    if L == 1:
-        return msgs[1][:, 0]
-    root = cores[0]
-    return np.einsum("bq,bq->b", msgs[2] @ root, msgs[3])
-
-
-def _apply_internal_up(core, ml, mr) -> np.ndarray:
-    p, q, r = core.shape
-    tmp = (ml @ core.reshape(p, q * r)).reshape(-1, q, r)
-    return np.einsum("bqr,bq->br", tmp, mr)
 
 
 def tt_left_states(cores, batch) -> list:
@@ -353,19 +355,9 @@ def tt_left_states(cores, batch) -> list:
     """
     rows = batch[0].shape[0]
     states = [np.ones((rows, 1))]
-    state = states[0]
     for core, x in zip(cores, batch):
-        state = _tt_step(state, core, x)
-        states.append(state)
+        states.append(_open_leg2(core, states[-1], x))
     return states
-
-
-def _tt_step(state, core, x) -> np.ndarray:
-    """Absorb one (left, d, right) core with input rows ``x`` into a
-    (B, left) prefix state."""
-    left, d, right = core.shape
-    tmp = (state @ core.reshape(left, d * right)).reshape(-1, d, right)
-    return np.einsum("bdr,bd->br", tmp, x)
 
 
 def tt_right_states(cores, batch) -> list:
@@ -373,18 +365,11 @@ def tt_right_states(cores, batch) -> list:
     i+1..n absorbed; entry n is the all-ones (B, 1) boundary.
     """
     n = len(cores)
-    rows = batch[0].shape[0]
     states = [None] * (n + 1)
-    states[n] = np.ones((rows, 1))
-    state = states[n]
+    states[n] = np.ones((batch[0].shape[0], 1))
     for i in range(n - 1, -1, -1):
-        core = cores[i]
-        left, d, right = core.shape
-        tmp = (batch[i] @ core.transpose(1, 0, 2).reshape(d, left * right)).reshape(-1, left, right)
-        state = np.einsum("blr,br->bl", tmp, state)
-        states[i] = state
+        states[i] = _open_leg1(cores[i].transpose(1, 0, 2), batch[i], states[i + 1])
     return states
-
 
 
 # -- shared-environment order-k probes ----------------------------------------
@@ -614,21 +599,15 @@ def materialize_full(model: TensorNetworkModel, limit: int = DEFAULT_MATERIALIZE
 
 
 def _tree_materialize(topo: TnTopology, cores, v: int) -> np.ndarray:
-    """Dense (prod real dims under v, bond) matrix for node ``v``'s subtree."""
+    """Dense (prod real dims under v, bond) matrix for node ``v``'s subtree;
+    the root's bond is 1. Children merge as one-row stacks."""
     L = topo.leaf_count
     if L == 1:
         return np.asarray(cores[0]).reshape(-1)
     if v >= L:
-        slot = v - L
-        core = cores[v - 1]
-        if slot >= topo.n:
-            return core.reshape(1, -1)
-        return core
+        return cores[v - 1]
     ml = _tree_materialize(topo, cores, 2 * v)
     mr = _tree_materialize(topo, cores, 2 * v + 1)
-    core = cores[v - 1]
-    if v == 1:
-        return (ml @ core @ mr.T).reshape(-1)
-    p, q, r = core.shape
-    tmp = (ml @ core.reshape(p, q * r)).reshape(-1, q, r)
-    return np.einsum("aqr,bq->abr", tmp, mr).reshape(-1, r)
+    core = cores[v - 1] if v > 1 else cores[0][:, :, None]
+    merged = _toggle_merge(core, ml[None, :, None, :], mr[None, :, None, :])
+    return merged.reshape(ml.shape[0] * mr.shape[0], -1)

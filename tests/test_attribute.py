@@ -154,6 +154,13 @@ class TestProbeValue:
         with pytest.raises(ValueError):
             probe_value(model, lifts, [0, 0, 0], (4,), 0.5)
 
+    def test_empty_subset_rejected(self):
+        model, lifts = gen_tree_teacher(4, 2, seed=1)
+        with pytest.raises(ValueError, match="empty subset"):
+            probe_value(model, lifts, [0.1, 0.2, 0.3, 0.4], (), 0.5)
+        with pytest.raises(ValueError, match="empty subset"):
+            explain(model, lifts, [0.1, 0.2, 0.3, 0.4], 1, subsets=[()])
+
 
 class TestExplainExactness:
     def test_product_game_shapley(self):

@@ -345,10 +345,14 @@ class TestSolveCore:
         for slot in range(n, L if topology == "btree" else 0):
             cores[L - 1 + slot] = np.ones((1, 1))
         want = [c.copy() for c in cores]
-        sweep = fit_mod._tt_sweep if topology == "tt" else fit_mod._tree_sweep
         stats = _SolveStats()
+        # one up-message list goes through both tree sweeps, as in fit_student
+        up = tree_up_messages(topo, cores, training.legs) if topology == "btree" else None
         for _ in range(2):
-            sweep(topo, cores, training.legs, training.targets, stats)
+            if topology == "tt":
+                fit_mod._tt_sweep(topo, cores, training.legs, training.targets, stats)
+            else:
+                fit_mod._tree_sweep(topo, cores, training.legs, training.targets, stats, up)
             _reference_sweep(topo, want, training.legs, training.targets)
         assert stats.fallbacks == 0
         for got, ref in zip(cores, want):
@@ -371,6 +375,22 @@ class TestSolveCore:
             assert later <= earlier + 1e-12
         assert report.lstsq_fallbacks == 0
         assert report.fast_solves > 0
+
+    @pytest.mark.parametrize("topology,n,kind", [
+        ("tt", 6, BINARY), ("tt", 5, POLY), ("btree", 5, BINARY), ("btree", 1, BINARY),
+    ])
+    def test_reported_mse_is_the_students_mse(self, topology, n, kind):
+        """The MSE taken from the sweep's own state is the fitted student's
+        MSE on the training set."""
+        lifts = LiftSpec([FeatureMap(kind, 2) for _ in range(n)])
+        teacher, lifts = gen_tree_teacher(n, 3, seed=n, lifts=lifts)
+        config = FitConfig(topology=topology, bond_dim=2, neighborhood=100, sigma_frac=1.0,
+                           max_sweeps=3, tol=-np.inf, seed=4)
+        training = build_training_set(teacher, lifts, np.zeros(n), config)
+        student, report = fit_student(training, config, lifts)
+        pred = student.forward_batch(training.legs)
+        mse = float(np.mean((pred - training.targets) ** 2))
+        assert report.train_mse == pytest.approx(mse, rel=1e-12)
 
     def test_tt_student_matches_all_fallback_fit(self, monkeypatch):
         """An underfitting TT student on a CP teacher ends within 1e-7
@@ -409,6 +429,14 @@ class TestEvalQuality:
                               orders=(1,))
         assert report.orders[1].cosine == pytest.approx(1.0, abs=1e-10)
         assert report.orders[1].mse > 1e-6
+
+    def test_teacher_table_enumerated_once_per_instance(self, rng):
+        teacher, lifts = gen_tree_teacher(5, 3, seed=2)
+        student, _ = gen_tree_teacher(5, 2, seed=3)
+        instances = rng.uniform(-1, 1, (3, 5))
+        before = teacher.forward_count
+        eval_quality(student, teacher, lifts, instances, orders=(1, 2, 3))
+        assert teacher.forward_count - before == 3 * 2**5
 
     def test_zero_variance_truth_flagged(self, rng):
         factors = [np.array([[0.0, 1.0]])] * 3

@@ -20,12 +20,14 @@ from tnshap import (
     enumerate_game,
     exact_shapley,
     exact_sii,
+    gen_cp_teacher,
     gen_tree_teacher,
     load_table,
     mobius_coefficients,
     size_grouped_sums,
     zeta_reconstruct,
 )
+from tnshap.lift import off_state
 
 
 def naive_mobius(values):
@@ -184,6 +186,36 @@ class TestDiagonalProbe:
             probed = diagonal_coefficient_probe(model, lifts, x)
             grouped = size_grouped_sums(mobius_coefficients(enumerate_game(model, lifts, x)))
             np.testing.assert_allclose(probed, grouped, atol=1e-8)
+
+
+def _grouped_mobius_chunked(model, lifts, x, chunk=1 << 14):
+    """Grouped Moebius sums of the 2^n coalition table, built in row chunks
+    with the same on/off legs as ``enumerate_game`` so n = 20 stays small."""
+    lifted = lifts.lift_instance(x)
+    values = np.empty(1 << model.n)
+    for start in range(0, values.shape[0], chunk):
+        masks = np.arange(start, min(start + chunk, values.shape[0]))
+        legs = [np.where(((masks >> r) & 1)[:, None] == 1, v, off_state(v.shape[0]))
+                for r, v in enumerate(lifted)]
+        values[masks] = model.forward_batch(legs)
+    return size_grouped_sums(mobius_coefficients(CoalitionTable(n=model.n, values=values)))
+
+
+class TestDiagonalProbeConditioning:
+    @pytest.mark.parametrize("n", [16, 20])
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    def test_matches_mobius_at_table_limit(self, kind, n):
+        """At the oracle's largest sizes the probe's sums agree with grouped
+        Moebius coefficients to 1e-9 of the largest sum."""
+        if kind == "tt":
+            teacher, lifts = gen_cp_teacher(n, 3, seed=n)
+            model = teacher.to_tensor_train()
+        else:
+            model, lifts = gen_tree_teacher(n, 3, seed=n)
+        x = np.random.default_rng(n).uniform(-1, 1, n)
+        grouped = _grouped_mobius_chunked(model, lifts, x)
+        probed = diagonal_coefficient_probe(model, lifts, x)
+        assert np.max(np.abs(probed - grouped)) <= 1e-9 * np.max(np.abs(grouped))
 
 
 class TestTableDump:

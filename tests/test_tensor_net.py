@@ -18,6 +18,12 @@ from tnshap import (
     materialize_full,
     save_model,
 )
+from tnshap.tensor_net import (
+    tree_down_messages,
+    tree_up_messages,
+    tt_left_states,
+    tt_right_states,
+)
 
 
 class TestForward:
@@ -91,6 +97,32 @@ class TestForward:
         expected = float(teacher.cores[0] @ legs[0])
         assert teacher.forward(legs) == pytest.approx(expected)
         np.testing.assert_allclose(materialize_full(teacher), teacher.cores[0])
+
+
+class TestEnvironmentCuts:
+    """Closing an environment pass at any cut gives the forward pass: every
+    oriented use of the row-wise contraction helpers is checked against
+    ``forward_batch``, which the tests above check against the dense tensor."""
+
+    def test_tt_prefix_times_suffix_at_every_cut(self, rng):
+        model, _ = random_tt_model(rng, 7, bond=4)
+        legs = [rng.standard_normal((33, d)) for d in model.phys_dims]
+        want = model.forward_batch(legs)
+        left = tt_left_states(model.cores, legs)
+        right = tt_right_states(model.cores, legs)
+        for i in range(model.n + 1):
+            got = np.sum(left[i] * right[i], axis=1)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_tree_up_times_down_at_every_node(self, rng):
+        model, _ = gen_tree_teacher(6, 3, seed=4)  # 8 leaf slots, 2 pads
+        legs = [rng.standard_normal((33, d)) for d in model.phys_dims]
+        want = model.forward_batch(legs)
+        up = tree_up_messages(model.topology, model.cores, legs)
+        down = tree_down_messages(model.topology, model.cores, up)
+        for v in range(2, 2 * model.topology.leaf_count):
+            got = np.sum(up[v] * down[v], axis=1)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestCutRank:
