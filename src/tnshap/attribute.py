@@ -17,28 +17,32 @@ dot product of its m probe values with one cached weight vector
 Forward accounting is part of the contract: inclusion-exclusion spends
 2^k (n - k + 1) evaluations per subset, signed toggle n - k + 1, and the
 counter reports one forward per evaluated input configuration whichever
-arithmetic computes it. With m = n - k + 1 and bond dimension chi:
+arithmetic computes it. Both value helpers below return node-weighted sums
+-- the index itself at the m = n - k + 1 nodes, the raw probe at a single
+node, whose weight is 1 -- and never an (m, subsets) probe matrix:
 
-* All subsets (any k, either mode) on a ``TensorNetworkModel``: one
-  shared-environment engine, ``tensor_net.toggle_probes``, over B stacked
-  instances. Inclusion-exclusion and signed toggle share its arithmetic,
-  since ``on - off_state == signed_toggle(on)``; only their counted
-  contracts differ. A train takes one prefix sweep that stacks states by
-  which features are toggled so far and closes each subset at its k-th
-  toggle (the prefix/suffix sandwich at k = 1); a tree takes one up-pass,
-  or at k = 1 closes each leaf against its down message. That is about
-  C(n, k) m chi^2 per instance on a train instead of the flat path's
-  C(n, k) m n chi^2, with no ``forward_batch`` call. ``explain`` runs it on
-  one instance; ``explain_batch`` on chunks of instances under
-  ``STACK_ROW_BUDGET``. No threads are used.
-* Explicit subset lists, ``probe_value`` and models that are not tensor
-  networks (``CpTeacher``): flat ``forward_batch`` rows contracted from
-  scratch -- all 2^k on/off configurations for inclusion-exclusion --
-  chunked by whole subsets to ``FLAT_ROW_BUDGET`` rows per call, so peak
-  memory does not grow with C(n, k). This is also the reference the engine
-  is tested against.
+* ``_shared_values``: all subsets (any k, either mode) on a
+  ``TensorNetworkModel``, from one shared-environment engine,
+  ``tensor_net.toggle_probes``, over B stacked instances. Inclusion-exclusion
+  and signed toggle share its arithmetic, since
+  ``on - off_state == signed_toggle(on)``; only their counted contracts
+  differ. A train takes one suffix sweep that stacks states by which
+  features are toggled so far and closes each subset at its first toggled
+  leg against the weighted prefix, emitting lexicographic order as it goes;
+  a tree takes one up-pass, or at k = 1 closes each leaf against its
+  weighted down message. That is about C(n, k) m chi^2 per instance on a
+  train (bond dimension chi) instead of the flat path's C(n, k) m n chi^2,
+  with no ``forward_batch`` call.
+* ``_flat_values``: explicit subset lists, ``probe_value`` and models that
+  are not tensor networks (``CpTeacher``), as flat ``forward_batch`` rows
+  contracted from scratch -- all 2^k on/off configurations for
+  inclusion-exclusion -- chunked by whole subsets to ``FLAT_ROW_BUDGET``
+  rows per call, so peak memory does not grow with C(n, k). This is also
+  the reference the engine is tested against.
 
-``forwards_used`` is the count the probe helper added to the counter, not a
+``explain`` is ``explain_batch`` on one row, which stacks all-subsets
+requests into chunks under ``STACK_ROW_BUDGET``; no threads are used.
+``forwards_used`` is the count the value helper added to the counter, not a
 difference of the shared counter, so concurrent requests on one model do
 not leak into each other's counts.
 """
@@ -149,7 +153,7 @@ def _normalize_subsets(n: int, k: int, subsets):
     if isinstance(subsets, str):
         if subsets != "all":
             raise ValueError(f"unknown subset request {subsets!r}")
-        return list(itertools.combinations(range(1, n + 1), k))
+        return tuple(itertools.combinations(range(1, n + 1), k))
     norm = []
     for s in subsets:
         t = tuple(sorted(int(i) for i in s))
@@ -162,7 +166,7 @@ def _normalize_subsets(n: int, k: int, subsets):
         norm.append(t)
     if not norm:
         raise ValueError("need at least one subset")
-    return sorted(set(norm))
+    return tuple(sorted(set(norm)))
 
 
 def _resolve_mode(k: int, mode) -> str:
@@ -186,12 +190,10 @@ def _check_model_lifts(model, lifts: LiftSpec) -> None:
 def probe_value(model, lifts: LiftSpec, x, subset, t: float, mode=INCLUSION_EXCLUSION) -> float:
     """Evaluate the probe Q_S(t; x) for one subset at one selector value."""
     _check_model_lifts(model, lifts)
-    n = model.n
-    s = _normalize_subsets(n, len(tuple(subset)), [subset])[0]
-    mode = mode if mode in MODES else _resolve_mode(len(s), mode)
-    lifted = lifts.lift_instance(x)
-    qmat, _ = _probe_matrix(model, lifted, [s], np.array([float(t)]), mode)
-    return float(qmat[0, 0])
+    s = _normalize_subsets(model.n, len(tuple(subset)), [subset])[0]
+    mode = _resolve_mode(len(s), mode)
+    values, _ = _flat_values(model, lifts.lift_instance(x), [s], np.array([float(t)]), mode)
+    return float(values[0])
 
 
 def _scaled_inputs(lifted, nodes: np.ndarray) -> list:
@@ -209,42 +211,40 @@ def _scaled_inputs(lifted, nodes: np.ndarray) -> list:
     return out
 
 
-def _probe_matrix_shared(model, lifted, nodes, k: int, mode):
-    """All k-subset probes of B stacked instances from one shared-environment
-    sweep (``tensor_net.toggle_probes``).
+def _shared_values(model, lifted, nodes, k: int, mode):
+    """Every k-subset's probes, weighted by ``quadrature_weights(len(nodes))``,
+    for B stacked instances from one ``tensor_net.toggle_probes`` sweep.
 
     ``lifted[i]`` holds feature i's (B, d_i) lifted rows. Both modes take the
-    signed-toggle arithmetic (``on - off_state == signed_toggle(on)``) and
-    differ only in the counted contract. Returns ((B, m, C(n, k)) probe
-    values in lexicographic subset order, the forwards added to the counter:
-    one per evaluated configuration).
+    signed-toggle arithmetic and differ only in the counted contract. Returns
+    ((B, C(n, k)) values in lexicographic subset order, the forwards added to
+    the counter: one per evaluated configuration).
     """
     scaled = _scaled_inputs(lifted, nodes)
     toggled = [signed_toggle(v) for v in lifted]
-    qmat = tensor_net.toggle_probes(model.topology, model.cores, scaled, toggled, nodes, k)
+    weights = quadrature_weights(nodes.shape[0])
+    values = tensor_net.toggle_probes(model.topology, model.cores, scaled, toggled, nodes,
+                                      weights, k)
     patterns = 1 << k if mode == INCLUSION_EXCLUSION else 1
     forwards = lifted[0].shape[0] * nodes.shape[0] * math.comb(model.n, k) * patterns
     model.counter.add(forwards)
-    return qmat, forwards
+    return values, forwards
 
 
-def _probe_matrix(model, lifted, subsets, nodes, mode):
-    """Probe values for every (node, subset) pair via flat batched forwards,
-    chunked by whole subsets to at most ``FLAT_ROW_BUDGET`` rows per call
-    (one subset per call when a single subset needs more).
+def _flat_values(model, lifted, subsets, nodes, mode):
+    """One instance's subset probes, weighted like ``_shared_values``, via
+    flat batched forwards, chunked by whole subsets to at most
+    ``FLAT_ROW_BUDGET`` rows per call (one subset per call when a single
+    subset needs more).
 
-    Returns (an (m, num_subsets) matrix, the forwards added to the counter).
+    Returns ((num_subsets,) values, the forwards added to the counter).
     """
     k = len(subsets[0])
     m = nodes.shape[0]
-    if mode == INCLUSION_EXCLUSION:
-        patterns = 1 << k
-        signs = np.array(
-            [(-1.0) ** (k - bin(p).count("1")) for p in range(patterns)]
-        )
-    else:
-        patterns = 1
-        signs = np.array([1.0])
+    patterns = 1 << k if mode == INCLUSION_EXCLUSION else 1
+    # pattern p switches on the legs of its set bits; its sign counts the off legs
+    signs = np.array([(-1.0) ** bin(patterns - 1 - p).count("1") for p in range(patterns)])
+    weights = quadrature_weights(m)
     rows = m * patterns
     repeated = [np.repeat(u, patterns, axis=0) for u in _scaled_inputs(lifted, nodes)]
     step = max(1, FLAT_ROW_BUDGET // rows)
@@ -265,8 +265,8 @@ def _probe_matrix(model, lifted, subsets, nodes, mode):
                         vec = on if (p >> pos) & 1 else off
                         legs[r][base + p : base + rows : patterns] = vec
         values = model.forward_batch(legs).reshape(len(chunk), m, patterns)
-        blocks.append(values @ signs)
-    return np.concatenate(blocks).T, rows * len(subsets)
+        blocks.append((values @ signs) @ weights)
+    return np.concatenate(blocks), rows * len(subsets)
 
 
 def _request(model, lifts: LiftSpec, k: int, subsets, mode):
@@ -289,19 +289,6 @@ def _request(model, lifts: LiftSpec, k: int, subsets, mode):
     return subset_list, mode, chebyshev_nodes(n - k + 1), shared
 
 
-def _attribution_sets(qmat, k: int, subset_list, forwards: int) -> list:
-    """Integrate the (B, m, S) probes of B instances over (0, 1) with one
-    Fejer weight product; one AttributionSet per instance, each charged an
-    equal share of ``forwards``."""
-    b, m, _ = qmat.shape
-    values = quadrature_weights(m) @ qmat
-    subsets = tuple(subset_list)
-    return [
-        AttributionSet(order=k, subsets=subsets, values=vals, forwards_used=forwards // b)
-        for vals in values
-    ]
-
-
 def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None) -> AttributionSet:
     """Compute order-k attribution values for one instance.
 
@@ -316,28 +303,26 @@ def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None) -> Attr
         (inclusion-exclusion for k = 1, signed toggle otherwise)
 
     Each subset's probe is evaluated at the n - k + 1 Chebyshev-Gauss nodes
-    and its index is the Fejer-weighted sum of those values.
+    and its index is the Fejer-weighted sum of those values. This is
+    ``explain_batch`` on one row; the exception it leaves in the row's slot
+    is raised.
     """
-    subset_list, mode, nodes, shared = _request(model, lifts, k, subsets, mode)
-    lifted = lifts.lift_instance(x)
-    if shared:
-        qmat, forwards = _probe_matrix_shared(model, [v[None] for v in lifted], nodes, k, mode)
-    else:
-        qmat, forwards = _probe_matrix(model, lifted, subset_list, nodes, mode)
-        qmat = qmat[None]
-    return _attribution_sets(qmat, k, subset_list, forwards)[0]
+    result = explain_batch(model, lifts, [x], k, mode=mode, subsets=subsets)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets="all") -> list:
-    """``explain`` over many instances, in order, without threads.
+    """Order-k attribution values of many instances, in order, without
+    threads.
 
     All-subsets requests on a ``TensorNetworkModel`` stack instances, at
     every order and in either mode: each chunk of up to
     ``STACK_ROW_BUDGET // (m * C(n, k - 1))`` instances (m = n - k + 1) is
-    lifted one feature column at a time, shares one ``toggle_probes`` sweep
-    and one weight product, and gives the values ``explain`` gives per
-    instance. Explicit subset lists and models that are not tensor networks
-    run ``explain`` on one instance after the other.
+    lifted one feature column at a time and shares one ``toggle_probes``
+    sweep. Explicit subset lists and models that are not tensor networks
+    take the flat path one instance after the other.
 
     Per-instance failures do not abort the batch: the failing instance's slot
     holds the raised exception instead of an AttributionSet. Instances are
@@ -355,16 +340,18 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
             if shared:
                 rows.append((idx, lifts.check_instance(x)))
             else:
-                results[idx] = explain(model, lifts, x, k, subsets=subsets, mode=mode)
+                values, forwards = _flat_values(model, lifts.lift_instance(x), subset_list,
+                                                nodes, mode)
+                results[idx] = AttributionSet(k, subset_list, values, forwards)
         except Exception as exc:  # noqa: BLE001 - batch isolation is the contract
             results[idx] = exc
     step = max(1, STACK_ROW_BUDGET // (nodes.shape[0] * math.comb(model.n, k - 1)))
     for c0 in range(0, len(rows), step):
         chunk = rows[c0 : c0 + step]
         lifted = lifts.lift_rows(np.stack([x for _, x in chunk]))
-        qmat, forwards = _probe_matrix_shared(model, lifted, nodes, k, mode)
-        for (idx, _), aset in zip(chunk, _attribution_sets(qmat, k, subset_list, forwards)):
-            results[idx] = aset
+        values, forwards = _shared_values(model, lifted, nodes, k, mode)
+        for (idx, _), vals in zip(chunk, values):
+            results[idx] = AttributionSet(k, subset_list, vals, forwards // len(chunk))
     return results
 
 

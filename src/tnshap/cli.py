@@ -34,6 +34,12 @@ MANIFEST_VERSION = 1
 # timer and host noise; fixing the count by n rather than by a timing probe
 # keeps the bench JSON reproducible apart from its times.
 BENCH_CALL_FEATURES = 256
+# smallest accepted value of each integer flag, from the command line or a
+# config file; the commands check upper bounds that depend on the model
+MIN_FLAG_VALUE = {
+    "n": 1, "rank": 1, "seed": 0, "bond_dim": 1, "neighborhood": 0, "probe_nodes": 1,
+    "max_sweeps": 1, "order": 1, "max_order": 1, "repeats": 1, "eval_points": 1,
+}
 
 
 class InputError(Exception):
@@ -102,11 +108,15 @@ def _load_model(path):
         raise InputError(f"malformed model {path}: {exc}") from exc
 
 
-def _parse_int_list(text: str, what: str) -> list:
+def _parse_int_list(text: str, what: str, lo: int) -> list:
+    """Comma-separated integers, each at least ``lo``."""
     try:
-        return [int(v) for v in text.split(",") if v.strip() != ""]
+        values = [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise InputError(f"bad {what} list {text!r}: {exc}") from exc
+    if any(v < lo for v in values):
+        raise InputError(f"{what} must be >= {lo}, got {values}")
+    return values
 
 
 def _parse_center(text, n: int) -> np.ndarray:
@@ -159,7 +169,9 @@ def _manifest_path(args, default_anchor) -> str:
 
 def _apply_config_file(args, parser_defaults) -> dict:
     """Overlay: config-file values fill flags the user left at their default;
-    explicit CLI flags win. Returns the resolved config dict."""
+    explicit CLI flags win. A file value passes its flag's type and choices
+    as if it were typed on the command line, and every resolved value its
+    ``MIN_FLAG_VALUE`` bound. Returns the resolved config dict."""
     file_values = {}
     if getattr(args, "config", None):
         try:
@@ -171,15 +183,31 @@ def _apply_config_file(args, parser_defaults) -> dict:
             raise InputError(f"malformed config {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise InputError(f"config {args.config} must hold a JSON object")
+    flags = {action.dest: action for action in args.parser._actions}
     resolved = {}
     for dest, default in parser_defaults.items():
         current = getattr(args, dest)
-        if current is None and dest in file_values:
-            setattr(args, dest, file_values[dest])
+        if current is None and file_values.get(dest) is not None:
+            setattr(args, dest, _config_value(args.config, flags[dest], file_values[dest]))
         elif current is None:
             setattr(args, dest, default)
-        resolved[dest] = getattr(args, dest)
+        value = resolved[dest] = getattr(args, dest)
+        lo = MIN_FLAG_VALUE.get(dest)
+        if lo is not None and value is not None and value < lo:
+            raise InputError(f"{flags[dest].option_strings[0]} must be >= {lo}, got {value}")
     return resolved
+
+
+def _config_value(path, action, value):
+    """A config-file value converted and checked like its command-line flag."""
+    try:
+        if action.type is not None:
+            value = action.type(str(value))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"config {path}: bad {action.dest} {value!r}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise InputError(f"config {path}: {action.dest} {value!r} not in {action.choices}")
+    return value
 
 
 def cmd_gen(args) -> int:
@@ -188,15 +216,11 @@ def cmd_gen(args) -> int:
     config = _apply_config_file(args, defaults)
     if args.out is None:
         raise InputError("gen requires --out")
-    if args.rank < 1:
-        raise InputError(f"rank must be >= 1, got {args.rank}")
     if args.kind == "cp":
         teacher, lifts = fit.gen_cp_teacher(args.n, args.rank, args.seed)
         model = teacher.to_tensor_train()
-    elif args.kind == "tree":
-        model, lifts = fit.gen_tree_teacher(args.n, args.rank, args.seed)
     else:
-        raise InputError(f"unknown teacher kind {args.kind!r}")
+        model, lifts = fit.gen_tree_teacher(args.n, args.rank, args.seed)
     gen_time = time.perf_counter() - t0
     t1 = time.perf_counter()
     model_io.save_model(args.out, model, lifts)
@@ -208,6 +232,19 @@ def cmd_gen(args) -> int:
         phases={"generate": gen_time, "emit": emit_time},
     )
     return 0
+
+
+def _fit_config(args, bond_dim) -> fit.FitConfig:
+    """The ``FitConfig`` of the fit flags; an invalid one is an input error."""
+    try:
+        return fit.FitConfig(
+            topology=args.topology, bond_dim=int(bond_dim), neighborhood=int(args.neighborhood),
+            probe_nodes=None if args.probe_nodes is None else int(args.probe_nodes),
+            sigma_frac=float(args.sigma_frac), max_sweeps=int(args.max_sweeps),
+            tol=float(args.tol), seed=int(args.seed),
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def cmd_fit(args) -> int:
@@ -224,16 +261,7 @@ def cmd_fit(args) -> int:
         raise InputError("fit requires --out")
     teacher, lifts = _load_model(args.teacher)
     center = _parse_center(args.center, teacher.n)
-    try:
-        fit_config = fit.FitConfig(
-            topology=args.topology, bond_dim=int(args.bond_dim),
-            neighborhood=int(args.neighborhood),
-            probe_nodes=None if args.probe_nodes is None else int(args.probe_nodes),
-            sigma_frac=float(args.sigma_frac), max_sweeps=int(args.max_sweeps),
-            tol=float(args.tol), seed=int(args.seed),
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    fit_config = _fit_config(args, args.bond_dim)
     load_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -281,8 +309,6 @@ def cmd_explain(args) -> int:
     if not 1 <= k <= model.n:
         raise InputError(f"order {k} out of range 1..{model.n}")
     mode = None if args.mode == "auto" else args.mode
-    if mode is not None and mode not in attribute.MODES:
-        raise InputError(f"unknown mode {args.mode!r}")
     load_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -375,12 +401,10 @@ def cmd_bench(args) -> int:
     config = _apply_config_file(args, defaults)
     if args.out is None:
         raise InputError("bench requires --out")
-    dims = _parse_int_list(str(args.dims), "dims")
+    dims = _parse_int_list(str(args.dims), "dims", 1)
     if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
         raise InputError(f"dims must be strictly ascending, got {dims}")
     repeats = int(args.repeats)
-    if repeats < 1:
-        raise InputError("repeats must be >= 1")
     setup_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -471,18 +495,16 @@ def cmd_rank_sweep(args) -> int:
     teacher, lifts = _load_model(args.teacher)
     if teacher.n > 16:
         raise InputError(f"rank-sweep needs n <= 16 for the oracle, got n={teacher.n}")
-    ranks = _parse_int_list(str(args.ranks), "ranks")
-    seeds = _parse_int_list(str(args.seeds), "seeds")
+    ranks = _parse_int_list(str(args.ranks), "ranks", 1)
+    seeds = _parse_int_list(str(args.seeds), "seeds", 0)
     if not ranks or not seeds:
         raise InputError("rank-sweep needs at least one rank and one seed")
     center = _parse_center(args.center, teacher.n)
-    orders = tuple(range(1, int(args.max_order) + 1))
-    base_config = fit.FitConfig(
-        topology=args.topology, bond_dim=max(ranks), neighborhood=int(args.neighborhood),
-        probe_nodes=None if args.probe_nodes is None else int(args.probe_nodes),
-        sigma_frac=float(args.sigma_frac), max_sweeps=int(args.max_sweeps),
-        tol=float(args.tol), seed=int(args.seed),
-    )
+    max_order = int(args.max_order)
+    if max_order > teacher.n:
+        raise InputError(f"max order {max_order} out of range 1..{teacher.n}")
+    orders = tuple(range(1, max_order + 1))
+    base_config = _fit_config(args, max(ranks))
     eval_rng = np.random.default_rng(int(args.seed) + 1)
     eval_instances = eval_rng.uniform(-1.0, 1.0, size=(int(args.eval_points), teacher.n))
     setup_time = time.perf_counter() - t0
@@ -542,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--rank", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, parser=p)
 
     p = sub.add_parser("fit", help="fit a student network to a teacher model")
     p.add_argument("--teacher", default=None)
@@ -556,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--report", default=None, help="fit report path")
     _add_common(p)
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit, parser=p)
 
     p = sub.add_parser("explain", help="compute attributions for instances")
     p.add_argument("--model", default=None)
@@ -565,21 +587,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["auto", attribute.INCLUSION_EXCLUSION,
                                       attribute.SIGNED_TOGGLE], default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_explain)
+    p.set_defaults(func=cmd_explain, parser=p)
 
     p = sub.add_parser("verify", help="check probe attributions against enumeration")
     p.add_argument("--model", default=None)
     p.add_argument("--instances", default=None)
     p.add_argument("--max-order", dest="max_order", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("bench", help="time order-1 attribution across dimensions")
     p.add_argument("--dims", default=None, help="comma-separated ascending dims")
     p.add_argument("--rank", type=int, default=None)
     p.add_argument("--repeats", type=int, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_bench)
+    p.set_defaults(func=cmd_bench, parser=p)
 
     p = sub.add_parser("rank-sweep", help="fit students across ranks and score them")
     p.add_argument("--teacher", default=None)
@@ -595,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--topology", choices=["tt", "btree"], default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_rank_sweep)
+    p.set_defaults(func=cmd_rank_sweep, parser=p)
 
     return parser
 
@@ -604,8 +626,6 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = 0
     try:
         return args.func(args)
     except InputError as exc:

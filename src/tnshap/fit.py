@@ -219,6 +219,8 @@ class FitConfig:
             raise ValueError("bond_dim must be >= 1")
         if self.neighborhood < 0:
             raise ValueError("neighborhood sample count must be >= 0")
+        if self.probe_nodes is not None and self.probe_nodes < 1:
+            raise ValueError(f"probe_nodes must be >= 1 (or None for n), got {self.probe_nodes}")
         if self.sigma_frac <= 0:
             raise ValueError("sigma_frac must be > 0")
         if self.max_sweeps < 1:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribute import (
+    FLAT_ROW_BUDGET,
     AttributionSet,
     _scaled_inputs,
     chebyshev_nodes,
@@ -51,7 +52,9 @@ class CoalitionTable:
 
 def enumerate_game(model, lifts: LiftSpec, x) -> CoalitionTable:
     """Evaluate every coalition: on-features keep their lifted vector, the
-    rest get the all-off state. Costs exactly 2^n forwards.
+    rest get the all-off state. Costs exactly 2^n forwards, issued in
+    ``forward_batch`` calls of at most ``FLAT_ROW_BUDGET`` masks so that a
+    tree's per-node messages stay bounded.
     """
     n = model.n
     if n > MAX_TABLE_FEATURES:
@@ -60,13 +63,13 @@ def enumerate_game(model, lifts: LiftSpec, x) -> CoalitionTable:
             f"limit is n={MAX_TABLE_FEATURES}"
         )
     lifted = lifts.lift_instance(x)
+    off = [off_state(v.shape[0]) for v in lifted]
     size = 1 << n
-    masks = np.arange(size)
-    legs = []
-    for r in range(n):
-        on = (masks >> r) & 1
-        legs.append(np.where(on[:, None] == 1, lifted[r], off_state(lifted[r].shape[0])))
-    values = model.forward_batch(legs)
+    values = np.empty(size)
+    for c0 in range(0, size, FLAT_ROW_BUDGET):
+        masks = np.arange(c0, min(size, c0 + FLAT_ROW_BUDGET))
+        legs = [np.where(((masks >> r) & 1)[:, None] == 1, lifted[r], off[r]) for r in range(n)]
+        values[c0 : c0 + masks.shape[0]] = model.forward_batch(legs)
     return CoalitionTable(n=n, values=values, forwards_used=size)
 
 

@@ -231,12 +231,9 @@ class TensorNetworkModel:
     def forward(self, legs) -> float:
         """Contract the network with one input vector per feature leg.
 
-        Counts as exactly one forward evaluation.
+        Counts as exactly one forward evaluation: a one-row ``forward_batch``.
         """
-        batch = [np.asarray(x, dtype=np.float64).reshape(1, -1) for x in legs]
-        self._check_legs(batch)
-        self.counter.add(1)
-        return float(_contract_batch(self.topology, self.cores, batch)[0])
+        return float(self.forward_batch([np.asarray(x).reshape(1, -1) for x in legs])[0])
 
     def forward_batch(self, legs) -> np.ndarray:
         """Contract a batch of configurations; ``legs[i]`` has shape (B, d_i).
@@ -379,44 +376,49 @@ def tt_right_states(cores, batch) -> list:
 # ``C_bias + t * C_data``; a signed-toggled leg carries ``toggled`` and
 # contributes ``C_data`` alone, independent of t. The sweeps below stack, per
 # number o of legs toggled so far, the selector-scaled states of every such
-# choice, and close a subset as soon as its k-th leg is toggled. A state is
-# kept only while enough legs remain to complete it, which bounds the stored
-# rows by n * C(n, k) even at k close to n. Stacked states are
-# (B, choices, m, bond) arrays: B instances, each with its own toggles.
+# choice, and close a subset as soon as its last leg in sweep order is
+# toggled. A state is kept only while enough legs remain to complete it,
+# which bounds the stored rows by n * C(n, k) even at k close to n. Stacked
+# states are (B, choices, m, bond) arrays: B instances, each with its own
+# toggles. A closed subset is at once integrated over the m nodes with the
+# caller's weights, so no (m, C(n, k)) probe matrix is ever built.
 
 
-def toggle_probes(topology: TnTopology, cores, scaled, toggled, nodes, k: int) -> np.ndarray:
-    """Signed-toggle probes of every k-subset of the real legs, B instances.
+def toggle_probes(topology: TnTopology, cores, scaled, toggled, nodes, weights,
+                  k: int) -> np.ndarray:
+    """Node-weighted signed-toggle probes of every k-subset of the real legs.
 
     ``scaled[i]`` is leg i's (B * m, d_i) selector-scaled input, instance
     major, row b * m + l at ``nodes[l]``; ``toggled[i]`` is the (B, d_i)
-    signed toggle of the same lifted rows. Entry (b, l, s) of the returned
-    (B, m, C(n, k)) array is instance b's contraction with the legs of the
-    s-th subset (lexicographic order) toggled and every other leg scaled at
-    ``nodes[l]`` -- the same value a from-scratch ``forward_batch`` row
-    gives. A train takes one prefix sweep (the prefix/suffix sandwich at
-    k = 1), about C(n, k) * m * chi^2 per instance; a tree takes one up-pass
-    at k >= 2 and closes its leaves against the down messages at k = 1.
+    signed toggle of the same lifted rows. Entry (b, s) of the returned
+    (B, C(n, k)) array is the ``weights``-weighted sum over l of instance
+    b's contraction with the legs of the s-th subset (lexicographic order)
+    toggled and every other leg scaled at ``nodes[l]``: the index itself
+    under quadrature weights, the raw probe at one node of weight 1. A train
+    takes one suffix sweep, already in lexicographic order; a tree takes one
+    up-pass at k >= 2, reordered by ``_tree_order``, and closes its leaves
+    against the down messages at k = 1.
     """
     if not 1 <= k <= topology.n:
         raise ValueError(f"order k={k} must satisfy 1 <= k <= n={topology.n}")
     if topology.kind == TT:
-        closed = tt_toggle_sweep(cores, scaled, toggled, nodes, k)
-    elif k == 1:
-        return tree_leaf_probes(topology, cores, scaled, toggled)
-    else:
-        closed = tree_toggle_sweep(topology, cores, scaled, toggled, nodes, k)
-    return closed[:, _toggle_order(topology.kind, topology.n, k)].transpose(0, 2, 1)
+        return tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k)
+    if k == 1:
+        return tree_leaf_probes(topology, cores, scaled, toggled, weights)
+    values = tree_toggle_sweep(topology, cores, scaled, toggled, nodes, weights, k)
+    return values[:, _tree_order(topology.n, k)]
 
 
-def tt_toggle_sweep(cores, scaled, toggled, nodes, k: int) -> np.ndarray:
-    """One left-to-right pass closing every k-subset of a tensor train.
+def tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k: int) -> np.ndarray:
+    """One right-to-left pass closing every k-subset of a tensor train.
 
-    Order-o prefix states are stacked as (B, C(i, o), m, bond) arrays; order
-    0 is ``tt_left_states`` and a subset closes against ``tt_right_states``
-    at its last leg. Each instance's toggled core is one batched GEMM.
-    Returns (B, C(n, k), m) values in the row order ``_tt_labels``
-    enumerates.
+    Order-o suffix states are stacked as (B, C(n - 1 - i, o), m, bond)
+    arrays; order 0 is ``tt_right_states`` and a subset closes against
+    ``tt_left_states`` at its first leg, with the weights folded into that
+    prefix, one batched GEMV per closed block. Each instance's toggled core
+    is one batched GEMM. Subsets that toggle leg i go ahead of those that
+    skip it, so by induction every stack is in lexicographic order, and so
+    is the reversed list of closed blocks. Returns (B, C(n, k)) values.
     """
     n = len(cores)
     b = toggled[0].shape[0]
@@ -426,36 +428,39 @@ def tt_toggle_sweep(cores, scaled, toggled, nodes, k: int) -> np.ndarray:
     right = tt_right_states(cores, scaled)
     stacks = [None] * k
     closed = []
-    for i, core in enumerate(cores):
-        rest = n - 1 - i
+    for i in range(n - 1, -1, -1):
+        core = cores[i]
         l, d, r = core.shape
-        stacks[0] = left[i].reshape(b, 1, m, l) if k <= n - i else None
-        bias = core[:, -1, :]
-        data = (toggled[i] @ core.transpose(1, 0, 2).reshape(d, l * r)).reshape(b, l, r)
+        stacks[0] = right[i + 1].reshape(b, 1, m, r) if k <= i + 1 else None
+        bias = core[:, -1, :].T
+        data = (toggled[i] @ core.transpose(1, 2, 0).reshape(d, r * l)).reshape(b, r, l)
         parts = [[] for _ in range(k)]
         for o, state in enumerate(stacks):
             if state is None:
                 continue
             rows = state.shape[1]
-            on = (state.reshape(b, rows * m, l) @ data).reshape(b, rows, m, r)
+            on = (state.reshape(b, rows * m, r) @ data).reshape(b, rows, m, l)
             if o + 1 == k:
-                closed.append(np.einsum("bamr,bmr->bam", on, right[i + 1].reshape(b, m, r)))
-            elif k - o - 1 <= rest:
+                env = (weights[:, None] * left[i].reshape(b, m, l)).reshape(b, m * l, 1)
+                closed.append((on.reshape(b, rows, m * l) @ env)[:, :, 0])
+            elif k - o - 1 <= i:
                 parts[o + 1].append(on)
-            if o > 0 and k - o <= rest:
-                parts[o].append((state.reshape(-1, l) @ bias).reshape(b, rows, m, r) + t * on)
+            if o > 0 and k - o <= i:
+                parts[o].append((state.reshape(-1, r) @ bias).reshape(b, rows, m, l) + t * on)
         stacks[1:] = [_stack(p) for p in parts[1:]]
-    return _stack(closed)
+    return _stack(closed[::-1])
 
 
-def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, nodes, k: int) -> np.ndarray:
+def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, nodes, weights,
+                      k: int) -> np.ndarray:
     """One up-pass closing every k-subset of a binary tree at the root.
 
     Node v carries, per order o, a (B, C(real leaves under v, o), m, bond)
     message; order 0 is ``tree_up_messages`` and a leaf's toggled message is
     repeated over the m nodes. Children combine over the splits i + j = o;
-    dummy pad leaves carry order 0 only. Returns (B, C(n, k), m) values in
-    the row order ``_tree_labels`` enumerates.
+    dummy pad leaves carry order 0 only. The root's order-k message is
+    integrated with ``weights``. Returns (B, C(n, k)) values in the row
+    order ``_tree_labels`` enumerates.
     """
     L = topology.leaf_count
     n = topology.n
@@ -478,19 +483,20 @@ def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, nodes, k: in
                                  for i in sorted(lchild) if o - i in rchild])
             msgs[2 * v] = msgs[2 * v + 1] = None
         msgs[v] = msg
-    return msgs[1][k][..., 0]
+    return msgs[1][k][..., 0] @ weights
 
 
-def tree_leaf_probes(topology: TnTopology, cores, scaled, toggled) -> np.ndarray:
-    """Order-1 probes of a binary tree: each real leaf's toggled message
-    closed against its down message. Returns (B, m, n) values."""
+def tree_leaf_probes(topology: TnTopology, cores, scaled, toggled, weights) -> np.ndarray:
+    """Order-1 values of a binary tree: each real leaf's down message is
+    integrated with ``weights`` over the m nodes, then closed against the
+    leaf's toggled message. Returns (B, n) values."""
     L = topology.leaf_count
     b = toggled[0].shape[0]
     down = tree_down_messages(topology, cores, tree_up_messages(topology, cores, scaled))
-    out = np.empty((b, scaled[0].shape[0] // b, topology.n))
+    out = np.empty((b, topology.n))
     for j, tog in enumerate(toggled):
-        env = down[L + j].reshape(b, out.shape[1], -1)
-        out[:, :, j] = (env @ (tog @ cores[L + j - 1])[:, :, None])[:, :, 0]
+        env = weights @ down[L + j].reshape(b, weights.shape[0], -1)
+        out[:, j] = np.einsum("br,br->b", env, tog @ cores[L + j - 1])
     return out
 
 
@@ -526,28 +532,6 @@ def _tree_orders(n: int, leaf_count: int, v: int, k: int):
     return max(0, k - (n - inside)), min(k, inside)
 
 
-def _tt_labels(n: int, k: int) -> list:
-    """0-based subsets in the row order of ``tt_toggle_sweep``."""
-    stacks = [None] * k
-    closed = []
-    for i in range(n):
-        rest = n - 1 - i
-        stacks[0] = [()] if k <= n - i else None
-        parts = [[] for _ in range(k)]
-        for o, state in enumerate(stacks):
-            if state is None:
-                continue
-            on = [s + (i,) for s in state]
-            if o + 1 == k:
-                closed.extend(on)
-            elif k - o - 1 <= rest:
-                parts[o + 1].extend(on)
-            if o > 0 and k - o <= rest:
-                parts[o].extend(state)
-        stacks[1:] = [p or None for p in parts[1:]]
-    return closed
-
-
 def _tree_labels(n: int, k: int) -> list:
     """0-based subsets in the row order of ``tree_toggle_sweep``."""
     L = _tree_leaf_count(n)
@@ -568,9 +552,10 @@ def _tree_labels(n: int, k: int) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _toggle_order(kind: str, n: int, k: int) -> np.ndarray:
-    """Permutation taking a sweep's row order to lexicographic subset order."""
-    labels = _tt_labels(n, k) if kind == TT else _tree_labels(n, k)
+def _tree_order(n: int, k: int) -> np.ndarray:
+    """Permutation taking ``tree_toggle_sweep``'s row order to lexicographic
+    subset order."""
+    labels = _tree_labels(n, k)
     perm = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
     perm.setflags(write=False)
     return perm

@@ -398,6 +398,31 @@ class TestBatch:
                    for r in results)
 
 
+    @pytest.mark.parametrize("subsets", ["all", [(1, 2), (2, 4)]])
+    @pytest.mark.parametrize("case", ["bad-k", "wrong-length", "nan", "empty-subsets",
+                                      "unknown-mode"])
+    def test_explain_raises_what_batch_slot_holds(self, rng, case, subsets):
+        """``explain`` is a one-row ``explain_batch``: it raises the exception
+        left in the row's slot, same type and message."""
+        model, lifts = random_tt_model(rng, 4)
+        x, k, mode = rng.uniform(-1, 1, 4), 2, None
+        if case == "bad-k":
+            k = 5
+        elif case == "wrong-length":
+            x = x[:3]
+        elif case == "nan":
+            x[2] = np.nan
+        elif case == "empty-subsets":
+            subsets = []
+        else:
+            mode = "both"
+        slot = explain_batch(model, lifts, [x], k, mode=mode, subsets=subsets)[0]
+        assert isinstance(slot, ValueError)
+        with pytest.raises(type(slot)) as info:
+            explain(model, lifts, x, k, subsets=subsets, mode=mode)
+        assert str(info.value) == str(slot)
+
+
 class TestStackedBatch:
     """All-subsets batches on tensor networks stack instances into shared
     sweeps of at most ``STACK_ROW_BUDGET`` open states."""
@@ -423,17 +448,20 @@ class TestStackedBatch:
 
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     def test_stacked_probes_match_flat_path(self, rng, kind):
+        """At one node (weight 1) both value helpers give raw probes; the
+        stacked engine matches the flat path node by node."""
         n = 6
         model, lifts = _random_model(kind, n, 3, seed=1)
         xs = rng.uniform(-1, 1, (3, n))
-        nodes = chebyshev_nodes(n)
-        stacked, _ = attribute._probe_matrix_shared(model, lifts.lift_rows(xs), nodes, 1,
-                                                    INCLUSION_EXCLUSION)
         subsets = [(j,) for j in range(1, n + 1)]
-        for b, x in enumerate(xs):
-            flat, _ = attribute._probe_matrix(model, lifts.lift_instance(x), subsets, nodes,
-                                              INCLUSION_EXCLUSION)
-            np.testing.assert_allclose(stacked[b], flat, rtol=1e-12, atol=1e-14)
+        for t in chebyshev_nodes(n):
+            node = np.array([t])
+            stacked, _ = attribute._shared_values(model, lifts.lift_rows(xs), node, 1,
+                                                  INCLUSION_EXCLUSION)
+            for b, x in enumerate(xs):
+                flat, _ = attribute._flat_values(model, lifts.lift_instance(x), subsets, node,
+                                                 INCLUSION_EXCLUSION)
+                np.testing.assert_allclose(stacked[b], flat, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     def test_bad_rows_fill_only_their_slots(self, rng, monkeypatch, kind):
@@ -600,17 +628,18 @@ class TestSharedProbes:
         ("btree", 7, 3), ("btree", 11, 2), ("btree", 11, 3), ("btree", 16, 3),
     ])
     def test_probe_matrix_matches_flat_path(self, rng, kind, n, k):
+        """Per-node raw probes (one node, weight 1) of the engine against the
+        flat path, at every one of the m = n - k + 1 nodes."""
         model, lifts = _random_model(kind, n, 4, seed=n + k)
         lifted = lifts.lift_instance(rng.uniform(-1, 1, n))
-        nodes = chebyshev_nodes(n - k + 1)
-        shared, _ = attribute._probe_matrix_shared(model, [v[None] for v in lifted], nodes, k,
-                                                   SIGNED_TOGGLE)
-        shared = shared[0]
         subsets = list(itertools.combinations(range(1, n + 1), k))
-        flat, _ = attribute._probe_matrix(model, lifted, subsets, nodes, SIGNED_TOGGLE)
-        assert shared.shape == flat.shape == (n - k + 1, len(subsets))
-        scale = np.max(np.abs(flat))
-        assert np.max(np.abs(shared - flat)) <= 1e-12 * scale
+        for t in chebyshev_nodes(n - k + 1):
+            node = np.array([t])
+            shared, _ = attribute._shared_values(model, [v[None] for v in lifted], node, k,
+                                                 SIGNED_TOGGLE)
+            flat, _ = attribute._flat_values(model, lifted, subsets, node, SIGNED_TOGGLE)
+            assert shared.shape == (1, len(subsets)) and flat.shape == (len(subsets),)
+            assert np.max(np.abs(shared[0] - flat)) <= 1e-12 * np.max(np.abs(flat))
 
     @pytest.mark.parametrize("b", [1, 3])
     @pytest.mark.parametrize("n", [5, 7, 11])
@@ -628,17 +657,22 @@ class TestSharedProbes:
         original = model.forward_batch
         model.forward_batch = lambda legs: calls.append(legs) or original(legs)
         before = model.forward_count
-        shared, forwards = attribute._probe_matrix_shared(model, lifts.lift_rows(xs), nodes, k,
-                                                          INCLUSION_EXCLUSION)
+        _, forwards = attribute._shared_values(model, lifts.lift_rows(xs), nodes, k,
+                                               INCLUSION_EXCLUSION)
         contract = 2**k * (n - k + 1) * math.comb(n, k) * b
         assert model.forward_count - before == forwards == contract
         assert calls == []
+        model.forward_batch = original
         subsets = list(itertools.combinations(range(1, n + 1), k))
-        for row, x in zip(shared, xs):
-            flat, _ = attribute._probe_matrix(model, lifts.lift_instance(x), subsets, nodes,
-                                              INCLUSION_EXCLUSION)
-            assert row.shape == flat.shape == (n - k + 1, len(subsets))
-            assert np.max(np.abs(row - flat)) <= 1e-12 * np.max(np.abs(flat))
+        for t in nodes:
+            node = np.array([t])
+            shared, _ = attribute._shared_values(model, lifts.lift_rows(xs), node, k,
+                                                 INCLUSION_EXCLUSION)
+            for row, x in zip(shared, xs):
+                flat, _ = attribute._flat_values(model, lifts.lift_instance(x), subsets, node,
+                                                 INCLUSION_EXCLUSION)
+                assert row.shape == flat.shape == (len(subsets),)
+                assert np.max(np.abs(row - flat)) <= 1e-12 * np.max(np.abs(flat))
 
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     @pytest.mark.parametrize("n,k", [(2, 2), (5, 4), (5, 5), (6, 3), (9, 2), (12, 2), (12, 3)])
@@ -664,6 +698,22 @@ class TestSharedProbes:
         assert model.forward_count - before == aset.forwards_used == contract
         assert calls == []
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_train_sweep_is_lexicographic_without_permutation(self, rng, monkeypatch, k):
+        """``toggle_probes`` returns (B, C(n, k)) values; a train's suffix
+        sweep emits them in lexicographic order without ``_tree_order``."""
+        n, b = 7, 2
+        model, lifts = _random_model("tt", n, 3, seed=k)
+        xs = rng.uniform(-1, 1, (b, n))
+        monkeypatch.setattr(attribute.tensor_net, "_tree_order", None)
+        values, _ = attribute._shared_values(model, lifts.lift_rows(xs), chebyshev_nodes(n - k + 1),
+                                             k, SIGNED_TOGGLE)
+        assert values.shape == (b, math.comb(n, k))
+        for row, x in zip(values, xs):
+            expected = exact_sii(enumerate_game(model, lifts, x), k).values
+            np.testing.assert_allclose(row, expected, rtol=0,
+                                       atol=1e-10 * np.max(np.abs(expected)))
+
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     def test_repeated_calls_bitwise_identical(self, rng, kind):
         model, lifts = _random_model(kind, 10, 5, seed=4)
@@ -671,6 +721,24 @@ class TestSharedProbes:
         first = explain(model, lifts, x, 2)
         for _ in range(3):
             np.testing.assert_array_equal(explain(model, lifts, x, 2).values, first.values)
+
+
+class TestProbeMemory:
+    def test_tt_order3_tracemalloc_peak(self, rng):
+        """The sweep integrates each closed block at once and never holds the
+        (m, C(n, k)) probe matrix, 51 MB for one n = 80, k = 3 train request
+        (82,160 subsets, m = 78): the request's peak stays under 80 MB."""
+        import tracemalloc
+
+        model, lifts = _random_model("tt", 80, 8, seed=1)
+        x = rng.uniform(-1, 1, 80)
+        tracemalloc.start()
+        try:
+            explain(model, lifts, x, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20
 
 
 class _DriftingCounter:

@@ -415,3 +415,65 @@ class TestConfigFile:
         config.write_text("{not json")
         assert run("gen", "--config", config, "--out", tmp_path / "m.json") == 2
         assert "config" in capsys.readouterr().err
+
+
+class TestBadInput:
+    """Out-of-range flags and mistyped config-file values exit 2 before any
+    work, whether they come from the command line or a config file."""
+
+    @pytest.mark.parametrize("command,flags,config,needle", [
+        pytest.param("gen", ["--n", 0], None, "--n must be >= 1",
+                     id="gen-n-0"),
+        pytest.param("gen", ["--seed", -1], None, "--seed must be >= 0",
+                     id="gen-seed-neg"),
+        pytest.param("gen", [], {"n": "x"}, "bad n",
+                     id="gen-config-n-str"),
+        pytest.param("bench", ["--rank", 0], None, "--rank must be >= 1",
+                     id="bench-rank-0"),
+        pytest.param("bench", ["--dims", "0,4"], None, "dims must be >= 1",
+                     id="bench-dims-0"),
+        pytest.param("fit", ["--probe-nodes", -3], None, "--probe-nodes must be >= 1",
+                     id="fit-probe-nodes-neg"),
+        pytest.param("fit", ["--probe-nodes", 0], None, "--probe-nodes must be >= 1",
+                     id="fit-probe-nodes-0"),
+        pytest.param("fit", [], {"probe_nodes": 0}, "--probe-nodes must be >= 1",
+                     id="fit-config-probe-nodes-0"),
+        pytest.param("explain", [], {"order": "two"}, "bad order",
+                     id="explain-config-order-str"),
+        pytest.param("rank-sweep", ["--eval-points", -1], None, "--eval-points must be >= 1",
+                     id="rank-sweep-eval-points-neg"),
+        pytest.param("rank-sweep", ["--eval-points", 0], None, "--eval-points must be >= 1",
+                     id="rank-sweep-eval-points-0"),
+        pytest.param("rank-sweep", ["--max-order", 9], None, "max order 9 out of range 1..6",
+                     id="rank-sweep-max-order-9"),
+    ])
+    def test_exit_2(self, tmp_path, capsys, command, flags, config, needle):
+        model = tmp_path / "model.json"
+        assert run("gen", "--kind", "tree", "--n", 6, "--rank", 2, "--out", model) == 0
+        inst = tmp_path / "inst.csv"
+        write_instances(inst, [np.zeros(6)])
+        inputs = {
+            "gen": [], "bench": ["--dims", "4,8"], "fit": ["--teacher", model],
+            "explain": ["--model", model, "--instances", inst],
+            "rank-sweep": ["--teacher", model, "--neighborhood", 16, "--max-sweeps", 2],
+        }[command]
+        argv = [command, *inputs, *flags, "--out", tmp_path / "out"]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", tmp_path / "config.json"]
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_value_outside_choices(self, tmp_path, capsys):
+        (tmp_path / "config.json").write_text(json.dumps({"kind": "ring"}))
+        assert run("gen", "--config", tmp_path / "config.json", "--out", tmp_path / "m.json") == 2
+        assert "kind 'ring' not in ['cp', 'tree']" in capsys.readouterr().err
+
+    def test_config_seed_applies(self, tmp_path):
+        """A config-file seed is used when --seed is not given."""
+        (tmp_path / "config.json").write_text(json.dumps({"seed": 5}))
+        assert run("gen", "--config", tmp_path / "config.json", "--out", tmp_path / "a.json") == 0
+        assert run("gen", "--seed", 5, "--out", tmp_path / "b.json") == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()

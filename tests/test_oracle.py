@@ -73,6 +73,31 @@ class TestEnumeration:
         table = enumerate_game(model, lifts, rng.uniform(-1, 1, 6))
         assert model.forward_count - before == 64 == table.forwards_used
 
+    @pytest.mark.parametrize("budget", [None, 100])
+    def test_chunks_forward_batch_to_row_budget(self, monkeypatch, budget):
+        """A tree keeps every node's message per row, so the 2^n masks go in
+        calls of at most ``FLAT_ROW_BUDGET`` rows; values match one
+        unchunked call."""
+        from tnshap import oracle
+
+        if budget is not None:
+            monkeypatch.setattr(oracle, "FLAT_ROW_BUDGET", budget)
+        n = 14
+        model, lifts = gen_tree_teacher(n, 3, seed=2)
+        x = np.random.default_rng(3).uniform(-1, 1, n)
+        lifted = lifts.lift_instance(x)
+        masks = np.arange(1 << n)
+        legs = [np.where(((masks >> r) & 1)[:, None] == 1, lifted[r], off_state(2))
+                for r in range(n)]
+        reference = model.forward_batch(legs)
+        rows = []
+        original = model.forward_batch
+        model.forward_batch = lambda legs: rows.append(legs[0].shape[0]) or original(legs)
+        table = enumerate_game(model, lifts, x)
+        assert max(rows) <= oracle.FLAT_ROW_BUDGET
+        assert sum(rows) == 1 << n == table.forwards_used
+        np.testing.assert_allclose(table.values, reference, rtol=1e-13, atol=1e-15)
+
     def test_size_guard_refuses_before_work(self):
         class Big:
             n = 21
