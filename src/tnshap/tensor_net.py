@@ -405,7 +405,7 @@ def toggle_probes(topology: TnTopology, cores, scaled, toggled, nodes, weights,
         return tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k)
     if k == 1:
         return tree_leaf_probes(topology, cores, scaled, toggled, weights)
-    values = tree_toggle_sweep(topology, cores, scaled, toggled, nodes, weights, k)
+    values = tree_toggle_sweep(topology, cores, scaled, toggled, weights, k)
     return values[:, _tree_order(topology.n, k)]
 
 
@@ -451,8 +451,7 @@ def tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k: int) -> np.ndarra
     return _stack(closed[::-1])
 
 
-def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, nodes, weights,
-                      k: int) -> np.ndarray:
+def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, weights, k: int) -> np.ndarray:
     """One up-pass closing every k-subset of a binary tree at the root.
 
     Node v carries, per order o, a (B, C(real leaves under v, o), m, bond)
@@ -465,7 +464,7 @@ def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, nodes, weigh
     L = topology.leaf_count
     n = topology.n
     b = toggled[0].shape[0]
-    m = nodes.shape[0]
+    m = weights.shape[0]
     up = tree_up_messages(topology, cores, scaled)
     msgs = [None] * (2 * L)
     for v in range(2 * L - 1, 0, -1):
