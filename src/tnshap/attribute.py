@@ -26,13 +26,14 @@ node, whose weight is 1 -- and never an (m, subsets) probe matrix:
   ``tensor_net.toggle_probes``, over B stacked instances. Inclusion-exclusion
   and signed toggle share its arithmetic, since
   ``on - off_state == signed_toggle(on)``; only their counted contracts
-  differ. A train takes one suffix sweep that stacks states by which
-  features are toggled so far and closes each subset at its first toggled
-  leg against the weighted prefix, emitting lexicographic order as it goes;
-  a tree takes one up-pass, or at k = 1 closes each leaf against its
-  weighted down message. That is about C(n, k) m chi^2 per instance on a
-  train (bond dimension chi) instead of the flat path's C(n, k) m n chi^2,
-  with no ``forward_batch`` call.
+  differ. Each subset closes at the lowest node holding all of its toggled
+  legs, against that node's environment with the weights folded in: a
+  train's suffix sweep closes it at its first toggled leg against the
+  weighted prefix, emitting lexicographic order as it goes; a tree's
+  up-pass closes it against the weighted down message of the node where
+  its toggled legs meet (its leaf at k = 1). That is about C(n, k) m chi^2
+  per instance on a train (bond dimension chi) instead of the flat path's
+  C(n, k) m n chi^2, with no ``forward_batch`` call.
 * ``_flat_values``: explicit subset lists, ``probe_value`` and models that
   are not tensor networks (``CpTeacher``), as flat ``forward_batch`` rows
   contracted from scratch -- all 2^k on/off configurations for
@@ -281,11 +282,7 @@ def _request(model, lifts: LiftSpec, k: int, subsets, mode):
         raise ValueError(f"order k={k} must satisfy 1 <= k <= n={n}")
     subset_list = _normalize_subsets(n, k, subsets)
     mode = _resolve_mode(k, mode)
-    shared = (
-        isinstance(subsets, str)
-        and n >= 2
-        and isinstance(model, tensor_net.TensorNetworkModel)
-    )
+    shared = isinstance(subsets, str) and isinstance(model, tensor_net.TensorNetworkModel)
     return subset_list, mode, chebyshev_nodes(n - k + 1), shared
 
 

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -249,11 +250,7 @@ def _fit_config(args, bond_dim) -> fit.FitConfig:
 
 def cmd_fit(args) -> int:
     t0 = time.perf_counter()
-    defaults = {
-        "teacher": None, "center": None, "topology": "btree", "bond_dim": 8,
-        "neighborhood": 200, "probe_nodes": None, "sigma_frac": 0.1,
-        "max_sweeps": 30, "tol": 1e-9, "seed": 0, "report": None,
-    }
+    defaults = {"teacher": None, "center": None, **asdict(fit.FitConfig()), "report": None}
     config = _apply_config_file(args, defaults)
     if args.teacher is None:
         raise InputError("fit requires --teacher")

@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -227,28 +227,14 @@ class FitConfig:
             raise ValueError("max_sweeps must be >= 1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": CONFIG_VERSION,
-            "topology": self.topology,
-            "bond_dim": self.bond_dim,
-            "neighborhood": self.neighborhood,
-            "probe_nodes": self.probe_nodes,
-            "sigma_frac": self.sigma_frac,
-            "max_sweeps": self.max_sweeps,
-            "tol": self.tol,
-            "seed": self.seed,
-        }
+        return {"version": CONFIG_VERSION, **asdict(self)}
 
     @staticmethod
     def from_json_dict(obj: dict) -> "FitConfig":
         version = obj.get("version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ValueError(f"unsupported fit config version {version!r}")
-        known = {f: obj[f] for f in (
-            "topology", "bond_dim", "neighborhood", "probe_nodes",
-            "sigma_frac", "max_sweeps", "tol", "seed",
-        ) if f in obj}
-        return FitConfig(**known)
+        return FitConfig(**{f.name: obj[f.name] for f in fields(FitConfig) if f.name in obj})
 
 
 @dataclass
@@ -321,12 +307,7 @@ class OrderQuality:
     mse: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "r2": self.r2,
-            "r2_defined": self.r2_defined,
-            "cosine": self.cosine,
-            "mse": self.mse,
-        }
+        return asdict(self)
 
 
 @dataclass

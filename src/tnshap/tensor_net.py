@@ -329,11 +329,13 @@ def tree_up_messages(topology: TnTopology, cores, batch) -> list:
 
 
 def tree_down_messages(topology: TnTopology, cores, msgs) -> list:
-    """Root-to-leaf messages: entry ``v >= 2`` is the (B, bond) contraction of
-    everything outside node ``v``'s subtree, dual to ``tree_up_messages``.
+    """Root-to-leaf messages: entry ``v`` is the (B, bond) contraction of
+    everything outside node ``v``'s subtree, dual to ``tree_up_messages``;
+    entry 1 is the all-ones (B, 1) boundary at the root.
     """
     L = topology.leaf_count
     down = [None] * (2 * L)
+    down[1] = np.ones((msgs[-1].shape[0], 1))
     if L == 1:
         return down
     root = cores[0]
@@ -375,13 +377,14 @@ def tt_right_states(cores, batch) -> list:
 # channel is the last one and equals 1), so its core splits as
 # ``C_bias + t * C_data``; a signed-toggled leg carries ``toggled`` and
 # contributes ``C_data`` alone, independent of t. The sweeps below stack, per
-# number o of legs toggled so far, the selector-scaled states of every such
-# choice, and close a subset as soon as its last leg in sweep order is
-# toggled. A state is kept only while enough legs remain to complete it,
-# which bounds the stored rows by n * C(n, k) even at k close to n. Stacked
+# number o < k of legs toggled so far, the selector-scaled states of every
+# such choice, kept only while enough legs remain to complete them. Stacked
 # states are (B, choices, m, bond) arrays: B instances, each with its own
-# toggles. A closed subset is at once integrated over the m nodes with the
-# caller's weights, so no (m, C(n, k)) probe matrix is ever built.
+# toggles. One rule closes a subset on both topologies: at the lowest node
+# that holds all of its toggled legs, against that node's environment with
+# the caller's weights folded in over the m nodes -- ``tt_left_states`` on a
+# train, ``tree_down_messages`` on a tree (all ones at the root). No order-k
+# state and no (m, C(n, k)) probe matrix is ever built.
 
 
 def toggle_probes(topology: TnTopology, cores, scaled, toggled, nodes, weights,
@@ -394,17 +397,16 @@ def toggle_probes(topology: TnTopology, cores, scaled, toggled, nodes, weights,
     (B, C(n, k)) array is the ``weights``-weighted sum over l of instance
     b's contraction with the legs of the s-th subset (lexicographic order)
     toggled and every other leg scaled at ``nodes[l]``: the index itself
-    under quadrature weights, the raw probe at one node of weight 1. A train
-    takes one suffix sweep, already in lexicographic order; a tree takes one
-    up-pass at k >= 2, reordered by ``_tree_order``, and closes its leaves
-    against the down messages at k = 1.
+    under quadrature weights, the raw probe at one node of weight 1. Each
+    subset closes at the lowest node holding all of its toggled legs, against
+    that node's weighted environment: a train's suffix sweep closes it at its
+    first leg, already in lexicographic order; a tree's up-pass closes it at
+    a leaf (k = 1) or where its two parts meet, reordered by ``_tree_order``.
     """
     if not 1 <= k <= topology.n:
         raise ValueError(f"order k={k} must satisfy 1 <= k <= n={topology.n}")
     if topology.kind == TT:
         return tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k)
-    if k == 1:
-        return tree_leaf_probes(topology, cores, scaled, toggled, weights)
     values = tree_toggle_sweep(topology, cores, scaled, toggled, weights, k)
     return values[:, _tree_order(topology.n, k)]
 
@@ -452,51 +454,51 @@ def tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k: int) -> np.ndarra
 
 
 def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, weights, k: int) -> np.ndarray:
-    """One up-pass closing every k-subset of a binary tree at the root.
+    """One up-pass closing every k-subset of a binary tree at its lowest
+    common node.
 
-    Node v carries, per order o, a (B, C(real leaves under v, o), m, bond)
-    message; order 0 is ``tree_up_messages`` and a leaf's toggled message is
-    repeated over the m nodes. Children combine over the splits i + j = o;
-    dummy pad leaves carry order 0 only. The root's order-k message is
-    integrated with ``weights``. Returns (B, C(n, k)) values in the row
-    order ``_tree_labels`` enumerates.
+    Node v carries, per order o < k, a (B, C(real leaves under v, o), m,
+    bond) message; order 0 is ``tree_up_messages`` and a leaf's toggled
+    message is repeated over the m nodes. Children combine over the splits
+    i + j = o; dummy pad leaves carry order 0 only. A subset closes against
+    its node's ``tree_down_messages`` entry with ``weights`` folded in: at
+    k = 1 at each real leaf, ``(weights @ down) . (toggled @ leaf core)``,
+    with no internal node visited; at k >= 2 each split i + (k - i) at the
+    node where its two parts meet (``_toggle_close``). Returns (B, C(n, k))
+    values in the order ``_tree_labels`` enumerates.
     """
     L = topology.leaf_count
     n = topology.n
     b = toggled[0].shape[0]
     m = weights.shape[0]
     up = tree_up_messages(topology, cores, scaled)
+    down = tree_down_messages(topology, cores, up)
     msgs = [None] * (2 * L)
-    for v in range(2 * L - 1, 0, -1):
+    closed = []
+    for v in range(2 * L - 1, L - 1 if k == 1 else 0, -1):
+        if L <= v < L + n:
+            tog = toggled[v - L]
+            on = tog @ cores[v - 1].reshape(tog.shape[1], -1)
+            if k == 1:
+                env = weights @ down[v].reshape(b, m, -1)
+                closed.append(np.einsum("br,br->b", env, on)[:, None])
+                continue
         lo, hi = _tree_orders(n, L, v, k)
         msg = {0: up[v].reshape(b, 1, m, -1)} if lo == 0 else {}
-        if v >= L:
-            if hi == 1:
-                on = toggled[v - L] @ cores[v - 1]
-                msg[1] = np.broadcast_to(on[:, None, None, :], (b, 1, m, on.shape[1]))
-        else:
+        if L <= v < L + n:
+            msg[1] = np.broadcast_to(on[:, None, None, :], (b, 1, m, on.shape[1]))
+        elif v < L:
             core = cores[v - 1] if v > 1 else cores[0][:, :, None]
             lchild, rchild = msgs[2 * v], msgs[2 * v + 1]
+            env = weights[:, None] * down[v].reshape(b, m, -1)
+            closed += [_toggle_close(core, lchild[i], rchild[k - i], env)
+                       for i in sorted(lchild) if k - i in rchild]
             for o in range(max(lo, 1), hi + 1):
                 msg[o] = _stack([_toggle_merge(core, lchild[i], rchild[o - i])
                                  for i in sorted(lchild) if o - i in rchild])
             msgs[2 * v] = msgs[2 * v + 1] = None
         msgs[v] = msg
-    return msgs[1][k][..., 0] @ weights
-
-
-def tree_leaf_probes(topology: TnTopology, cores, scaled, toggled, weights) -> np.ndarray:
-    """Order-1 values of a binary tree: each real leaf's down message is
-    integrated with ``weights`` over the m nodes, then closed against the
-    leaf's toggled message. Returns (B, n) values."""
-    L = topology.leaf_count
-    b = toggled[0].shape[0]
-    down = tree_down_messages(topology, cores, tree_up_messages(topology, cores, scaled))
-    out = np.empty((b, topology.n))
-    for j, tog in enumerate(toggled):
-        env = weights @ down[L + j].reshape(b, weights.shape[0], -1)
-        out[:, j] = np.einsum("br,br->b", env, tog @ cores[L + j - 1])
-    return out
+    return np.concatenate(closed, axis=1)
 
 
 def _toggle_merge(core, left, right) -> np.ndarray:
@@ -517,37 +519,55 @@ def _toggle_merge(core, left, right) -> np.ndarray:
     return out.reshape(nb, a * c, m, r)
 
 
+def _toggle_close(core, left, right, env) -> np.ndarray:
+    """Close stacked child messages (B, a, m, p) and (B, c, m, q) through a
+    (p, q, r) core against the node's weighted (B, m, r) environment, summed
+    over the m nodes; returns (B, a * c), left rows major. The environment
+    goes into the core first, so no (B, a * c, m, r) block is built, and the
+    smaller stack meets it first."""
+    nb, a, m, p = left.shape
+    c, q = right.shape[1], right.shape[3]
+    if a > c:
+        out = _toggle_close(core.transpose(1, 0, 2), right, left, env)
+        return out.reshape(nb, c, a).transpose(0, 2, 1).reshape(nb, a * c)
+    g = (env.reshape(nb * m, -1) @ core.reshape(p * q, -1).T).reshape(nb, m, p, q)
+    tmp = (left.transpose(0, 2, 1, 3) @ g).transpose(0, 2, 1, 3).reshape(nb, a, m * q)
+    return (tmp @ right.reshape(nb, c, m * q).transpose(0, 2, 1)).reshape(nb, a * c)
+
+
 def _stack(blocks):
     if not blocks:
         return None
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
+@functools.lru_cache(maxsize=None)
 def _tree_orders(n: int, leaf_count: int, v: int, k: int):
-    """Orders node v's message keeps: at most its real leaf count and k, at
-    least what the real leaves outside its subtree cannot supply."""
+    """Orders below k that node v's message keeps: at most its real leaf
+    count, at least what the real leaves outside its subtree cannot supply."""
     lo, hi = _subtree_leaf_range(v, leaf_count)
     inside = max(0, min(hi, n) - lo)
-    return max(0, k - (n - inside)), min(k, inside)
+    return max(0, k - (n - inside)), min(k - 1, inside)
 
 
 def _tree_labels(n: int, k: int) -> list:
-    """0-based subsets in the row order of ``tree_toggle_sweep``."""
+    """0-based subsets in the order ``tree_toggle_sweep`` closes them."""
     L = _tree_leaf_count(n)
     labels = [None] * (2 * L)
-    for v in range(2 * L - 1, 0, -1):
+    closed = []
+    for v in range(2 * L - 1, L - 1 if k == 1 else 0, -1):
         lo, hi = _tree_orders(n, L, v, k)
         lab = {0: [()]} if lo == 0 else {}
-        if v >= L:
-            if hi == 1:
-                lab[1] = [(v - L,)]
-        else:
+        if L <= v < L + n:
+            lab[1] = [(v - L,)]
+        elif v < L:
             lchild, rchild = labels[2 * v], labels[2 * v + 1]
-            for o in range(max(lo, 1), hi + 1):
-                lab[o] = [a + b for i in sorted(lchild) if o - i in rchild
-                          for a in lchild[i] for b in rchild[o - i]]
+            for o in [*range(max(lo, 1), hi + 1), k]:
+                lab[o] = [a + c for i in sorted(lchild) if o - i in rchild
+                          for a in lchild[i] for c in rchild[o - i]]
+        closed += lab.pop(k, [])
         labels[v] = lab
-    return labels[1][k]
+    return closed
 
 
 @functools.lru_cache(maxsize=None)

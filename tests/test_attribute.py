@@ -698,6 +698,24 @@ class TestSharedProbes:
         assert model.forward_count - before == aset.forwards_used == contract
         assert calls == []
 
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    def test_single_feature_models_take_the_engine(self, rng, kind):
+        """n = 1: a one-core train and a one-leaf tree, whose only core is
+        (d,), close their one subset in the engine, not the flat path."""
+        model, lifts = _random_model(kind, 1, 3, seed=5)
+        calls = []
+        original = model.forward_batch
+        model.forward_batch = lambda legs: calls.append(legs) or original(legs)
+        x = rng.uniform(-1, 1, 1)
+        before = model.forward_count
+        aset = explain(model, lifts, x, 1)
+        assert model.forward_count - before == aset.forwards_used == 2
+        assert calls == []
+        model.forward_batch = original
+        expected = exact_sii(enumerate_game(model, lifts, x), 1).values
+        np.testing.assert_allclose(aset.values, expected, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(expected)))
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_train_sweep_is_lexicographic_without_permutation(self, rng, monkeypatch, k):
         """``toggle_probes`` returns (B, C(n, k)) values; a train's suffix
@@ -724,21 +742,31 @@ class TestSharedProbes:
 
 
 class TestProbeMemory:
+    @staticmethod
+    def _explain_peak(model, lifts, x, k) -> int:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            explain(model, lifts, x, k)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_tt_order3_tracemalloc_peak(self, rng):
         """The sweep integrates each closed block at once and never holds the
         (m, C(n, k)) probe matrix, 51 MB for one n = 80, k = 3 train request
         (82,160 subsets, m = 78): the request's peak stays under 80 MB."""
-        import tracemalloc
-
         model, lifts = _random_model("tt", 80, 8, seed=1)
-        x = rng.uniform(-1, 1, 80)
-        tracemalloc.start()
-        try:
-            explain(model, lifts, x, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 80 * 2**20
+        assert self._explain_peak(model, lifts, rng.uniform(-1, 1, 80), 3) < 80 * 2**20
+
+    def test_tree_order3_tracemalloc_peak(self, rng):
+        """A tree closes each subset where its toggled legs meet and carries
+        no order-k message to the root: one btree n = 64, k = 3 request
+        (41,664 subsets, m = 62, chi 8) peaks near 10 MB, where a (C(n, k),
+        m) root message alone would take 20 MB."""
+        model, lifts = _random_model("btree", 64, 8, seed=1)
+        assert self._explain_peak(model, lifts, rng.uniform(-1, 1, 64), 3) < 30 * 2**20
 
 
 class _DriftingCounter:

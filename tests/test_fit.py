@@ -453,8 +453,11 @@ class TestConfigAndSweep:
     def test_config_json_roundtrip(self):
         config = FitConfig(topology="tt", bond_dim=5, neighborhood=77, probe_nodes=9,
                            sigma_frac=0.25, max_sweeps=11, tol=1e-8, seed=13)
-        again = FitConfig.from_json_dict(config.to_json_dict())
-        assert again == config
+        obj = config.to_json_dict()
+        assert list(obj) == ["version", "topology", "bond_dim", "neighborhood", "probe_nodes",
+                             "sigma_frac", "max_sweeps", "tol", "seed"]
+        assert FitConfig.from_json_dict(obj) == config
+        assert FitConfig.from_json_dict({**obj, "unknown": 1}) == config
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
