@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -141,7 +141,7 @@ def _json_dump(path, obj) -> None:
         fh.write("\n")
 
 
-def _write_manifest(path, command, args_ns, config, seed, inputs, outputs,
+def _write_manifest(path, command, config, seed, inputs, outputs,
                     forward_counts, phases, numerical_health=None) -> None:
     manifest = {
         "version": MANIFEST_VERSION,
@@ -227,7 +227,7 @@ def cmd_gen(args) -> int:
     model_io.save_model(args.out, model, lifts)
     emit_time = time.perf_counter() - t1
     _write_manifest(
-        _manifest_path(args, args.out), "gen", args, config, args.seed,
+        _manifest_path(args, args.out), "gen", config, args.seed,
         inputs=[], outputs=[args.out],
         forward_counts={"generation": model.forward_count},
         phases={"generate": gen_time, "emit": emit_time},
@@ -235,17 +235,18 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _fit_config(args, bond_dim) -> fit.FitConfig:
-    """The ``FitConfig`` of the fit flags; an invalid one is an input error."""
+def _fit_config(args, **overrides) -> fit.FitConfig:
+    """The ``FitConfig`` of the resolved fit flags, with ``overrides`` for
+    fields that have no flag of their own; an invalid one is an input error
+    that names the flag."""
+    values = {f.name: getattr(args, f.name) for f in fields(fit.FitConfig)
+              if f.name not in overrides}
     try:
-        return fit.FitConfig(
-            topology=args.topology, bond_dim=int(bond_dim), neighborhood=int(args.neighborhood),
-            probe_nodes=None if args.probe_nodes is None else int(args.probe_nodes),
-            sigma_frac=float(args.sigma_frac), max_sweeps=int(args.max_sweeps),
-            tol=float(args.tol), seed=int(args.seed),
-        )
+        return fit.FitConfig(**values, **overrides)
     except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        # every FitConfig message starts with the field's name
+        name, _, rest = str(exc).partition(" ")
+        raise InputError(f"--{name.replace('_', '-')} {rest}") from exc
 
 
 def cmd_fit(args) -> int:
@@ -258,7 +259,7 @@ def cmd_fit(args) -> int:
         raise InputError("fit requires --out")
     teacher, lifts = _load_model(args.teacher)
     center = _parse_center(args.center, teacher.n)
-    fit_config = _fit_config(args, args.bond_dim)
+    fit_config = _fit_config(args)
     load_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -276,7 +277,7 @@ def cmd_fit(args) -> int:
     emit_time = time.perf_counter() - t2
     config["center"] = center.tolist()
     _write_manifest(
-        _manifest_path(args, args.out), "fit", args,
+        _manifest_path(args, args.out), "fit",
         {**config, "fit_config": fit_config.to_json_dict()}, args.seed,
         inputs=[args.teacher], outputs=[args.out, report_path],
         forward_counts={"teacher_calls": teacher_calls},
@@ -323,7 +324,7 @@ def cmd_explain(args) -> int:
     emit_time = time.perf_counter() - t2
     total_forwards = int(sum(res.forwards_used for res in results))
     _write_manifest(
-        _manifest_path(args, args.out), "explain", args, config, args.seed,
+        _manifest_path(args, args.out), "explain", config, args.seed,
         inputs=[args.model, args.instances], outputs=[args.out],
         forward_counts={"attribution": total_forwards,
                         "per_instance": results[0].forwards_used},
@@ -384,7 +385,7 @@ def cmd_verify(args) -> int:
         json.dump(report, sys.stdout, indent=1)
         sys.stdout.write("\n")
     _write_manifest(
-        _manifest_path(args, args.out), "verify", args, config, args.seed,
+        _manifest_path(args, args.out), "verify", config, args.seed,
         inputs=[args.model, args.instances], outputs=[args.out] if args.out else [],
         forward_counts={"oracle": oracle_forwards, "probes": probe_forwards},
         phases={"load": load_time, "verify": verify_time},
@@ -442,7 +443,7 @@ def cmd_bench(args) -> int:
                           "repeats": repeats, "rows": rows})
     emit_time = time.perf_counter() - t2
     _write_manifest(
-        _manifest_path(args, args.out), "bench", args, config, args.seed,
+        _manifest_path(args, args.out), "bench", config, args.seed,
         inputs=[], outputs=[args.out],
         forward_counts={"per_instance_by_dim": {str(r["n"]): r["forwards_per_instance"]
                                                 for r in rows}},
@@ -501,7 +502,7 @@ def cmd_rank_sweep(args) -> int:
     if max_order > teacher.n:
         raise InputError(f"max order {max_order} out of range 1..{teacher.n}")
     orders = tuple(range(1, max_order + 1))
-    base_config = _fit_config(args, max(ranks))
+    base_config = _fit_config(args, bond_dim=max(ranks))
     eval_rng = np.random.default_rng(int(args.seed) + 1)
     eval_instances = eval_rng.uniform(-1.0, 1.0, size=(int(args.eval_points), teacher.n))
     setup_time = time.perf_counter() - t0
@@ -517,21 +518,14 @@ def cmd_rank_sweep(args) -> int:
         "teacher": str(args.teacher),
         "ranks": ranks,
         "seeds": seeds,
-        "cells": [
-            {
-                "rank": c["rank"],
-                "seed": c["seed"],
-                "error": c["error"],
-                "report": None if c["report"] is None else c["report"].to_json_dict(),
-            }
-            for c in cells
-        ],
+        "cells": [{**c, "report": None if c["report"] is None else c["report"].to_json_dict()}
+                  for c in cells],
         "aggregate": _aggregate_sweep(cells),
     }
     _json_dump(args.out, payload)
     emit_time = time.perf_counter() - t2
     _write_manifest(
-        _manifest_path(args, args.out), "rank-sweep", args, config, args.seed,
+        _manifest_path(args, args.out), "rank-sweep", config, args.seed,
         inputs=[args.teacher], outputs=[args.out],
         forward_counts={"teacher_total": teacher.forward_count},
         phases={"setup": setup_time, "sweep": sweep_time, "emit": emit_time},
@@ -546,6 +540,17 @@ def _add_common(parser) -> None:
                         help="JSON config file; explicit flags override it")
     parser.add_argument("--manifest", default=None,
                         help="manifest path (default: <out>.manifest.json)")
+
+
+def _add_fit_flags(parser) -> None:
+    """The training flags ``fit`` and ``rank-sweep`` share."""
+    parser.add_argument("--center", default=None, help="comma-separated center point")
+    parser.add_argument("--topology", choices=["tt", "btree"], default=None)
+    parser.add_argument("--neighborhood", type=int, default=None)
+    parser.add_argument("--probe-nodes", dest="probe_nodes", type=int, default=None)
+    parser.add_argument("--sigma-frac", dest="sigma_frac", type=float, default=None)
+    parser.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
+    parser.add_argument("--tol", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,14 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a student network to a teacher model")
     p.add_argument("--teacher", default=None)
-    p.add_argument("--center", default=None, help="comma-separated center point")
-    p.add_argument("--topology", choices=["tt", "btree"], default=None)
     p.add_argument("--bond-dim", dest="bond_dim", type=int, default=None)
-    p.add_argument("--neighborhood", type=int, default=None)
-    p.add_argument("--probe-nodes", dest="probe_nodes", type=int, default=None)
-    p.add_argument("--sigma-frac", dest="sigma_frac", type=float, default=None)
-    p.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    _add_fit_flags(p)
     p.add_argument("--report", default=None, help="fit report path")
     _add_common(p)
     p.set_defaults(func=cmd_fit, parser=p)
@@ -606,13 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=None, help="comma-separated fit seeds")
     p.add_argument("--eval-points", dest="eval_points", type=int, default=None)
     p.add_argument("--max-order", dest="max_order", type=int, default=None)
-    p.add_argument("--center", default=None)
-    p.add_argument("--neighborhood", type=int, default=None)
-    p.add_argument("--probe-nodes", dest="probe_nodes", type=int, default=None)
-    p.add_argument("--sigma-frac", dest="sigma_frac", type=float, default=None)
-    p.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--topology", choices=["tt", "btree"], default=None)
+    _add_fit_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_rank_sweep, parser=p)
 

@@ -20,9 +20,11 @@ design is solved by Cholesky normal equations, and the solution is mapped
 back by the small R^-1 along each core mode. A solve that cannot be
 certified (numerically singular R, failed Cholesky, or a Gram condition
 bound above ``GRAM_COND_LIMIT``) falls back to SVD ``lstsq`` on the raw
-design. The report counts both paths (``fast_solves``, ``lstsq_fallbacks``)
-and the largest Gram condition bound seen; the CLI puts them in the fit
-manifest, not in the v1 report JSON.
+design. The solves add their tallies straight to the ``FitReport`` the fit
+returns, the only place they are kept: both paths (``fast_solves``,
+``lstsq_fallbacks``), the rank-deficient and Tikhonov fallback solves, and
+the largest Gram condition bound seen. The CLI puts all five in the fit
+manifest; the v1 report JSON has only the rank-deficient and Tikhonov counts.
 The training set mixes a Gaussian neighborhood around a center point with
 the structured on/off selector configurations used by the order-1 probes,
 evaluated exactly on the (multilinear) teacher.
@@ -140,11 +142,6 @@ class CpTeacher:
         return TensorNetworkModel(topo, cores)
 
 
-def _normalization_inputs(lifts: LiftSpec, rng) -> list:
-    raw = rng.uniform(-1.0, 1.0, size=(NORMALIZATION_SAMPLES, lifts.n))
-    return [m.apply_batch(raw[:, i]) for i, m in enumerate(lifts.maps)]
-
-
 def gen_cp_teacher(n: int, rank: int, seed: int, lifts: LiftSpec | None = None):
     """Random CP teacher with factors ~ N(0,1), output-normalized to unit
     standard deviation over uniform samples of [-1, 1]^n.
@@ -155,7 +152,7 @@ def gen_cp_teacher(n: int, rank: int, seed: int, lifts: LiftSpec | None = None):
     rng = np.random.default_rng(seed)
     factors = [rng.standard_normal((rank, d)) for d in lifts.dims]
     teacher = CpTeacher(factors, np.ones(rank))
-    legs = _normalization_inputs(lifts, rng)
+    legs = lifts.lift_rows(rng.uniform(-1.0, 1.0, size=(NORMALIZATION_SAMPLES, lifts.n)))
     std = float(np.std(teacher.forward_batch(legs)))
     if std > 1e-12:
         teacher = CpTeacher(factors, teacher.weights / std)
@@ -168,13 +165,8 @@ def gen_tree_teacher(n: int, bond_dim: int, seed: int, lifts: LiftSpec | None = 
     lifts = lifts or LiftSpec.binary(n)
     rng = np.random.default_rng(seed)
     topo = TnTopology(BTREE, n, lifts.dims, capped_uniform_bonds(BTREE, lifts.dims, bond_dim))
-    cores = []
-    for node, shape in zip(_node_ids(topo), topo.core_shapes()):
-        if _is_pure_dummy(topo, node):
-            cores.append(np.ones(shape))
-        else:
-            cores.append(rng.standard_normal(shape) / np.sqrt(shape[-1]))
-    legs = _normalization_inputs(lifts, rng)
+    cores = _init_cores(topo, rng, lambda shape: np.sqrt(shape[-1]))
+    legs = lifts.lift_rows(rng.uniform(-1.0, 1.0, size=(NORMALIZATION_SAMPLES, lifts.n)))
     out = _contract_batch(topo, cores, legs)
     std = float(np.std(out))
     if std > 1e-12:
@@ -182,11 +174,12 @@ def gen_tree_teacher(n: int, bond_dim: int, seed: int, lifts: LiftSpec | None = 
     return TensorNetworkModel(topo, cores), lifts
 
 
-def _node_ids(topo: TnTopology) -> list:
-    if topo.kind == TT:
-        return list(range(topo.n))
-    L = topo.leaf_count
-    return [1] if L == 1 else list(range(1, 2 * L))
+def _init_cores(topo: TnTopology, rng, scale) -> list:
+    """Cores drawn N(0,1) in core order and divided by ``scale(shape)``;
+    a tree node over pad leaves only is fixed to ones and takes no draw."""
+    return [np.ones(shape) if _is_pure_dummy(topo, idx + 1)
+            else rng.standard_normal(shape) / scale(shape)
+            for idx, shape in enumerate(topo.core_shapes())]
 
 
 def _is_pure_dummy(topo: TnTopology, node: int) -> bool:
@@ -201,7 +194,8 @@ def _is_pure_dummy(topo: TnTopology, node: int) -> bool:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Student fitting configuration (JSON schema version 1)."""
+    """Student fitting configuration (JSON schema version 1). Every
+    validation message starts with the name of the field at fault."""
 
     topology: str = BTREE
     bond_dim: int = 8
@@ -214,17 +208,19 @@ class FitConfig:
 
     def __post_init__(self):
         if self.topology not in (TT, BTREE):
-            raise ValueError(f"unknown student topology {self.topology!r}")
+            raise ValueError(f"topology must be {TT!r} or {BTREE!r}, got {self.topology!r}")
         if self.bond_dim < 1:
             raise ValueError("bond_dim must be >= 1")
         if self.neighborhood < 0:
-            raise ValueError("neighborhood sample count must be >= 0")
+            raise ValueError("neighborhood must be >= 0")
         if self.probe_nodes is not None and self.probe_nodes < 1:
             raise ValueError(f"probe_nodes must be >= 1 (or None for n), got {self.probe_nodes}")
-        if self.sigma_frac <= 0:
-            raise ValueError("sigma_frac must be > 0")
+        if not (math.isfinite(self.sigma_frac) and self.sigma_frac > 0):
+            raise ValueError(f"sigma_frac must be a finite number > 0, got {self.sigma_frac}")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
+        if math.isnan(self.tol):
+            raise ValueError("tol must be a number, got nan")
 
     def to_json_dict(self) -> dict:
         return {"version": CONFIG_VERSION, **asdict(self)}
@@ -273,7 +269,7 @@ def build_training_set(teacher, lifts: LiftSpec, center, config: FitConfig,
     m_nodes = config.probe_nodes or n
     nodes = chebyshev_nodes(m_nodes)
     raw = center[None, :] + rng.standard_normal((config.neighborhood, n)) * sigma[None, :]
-    neighborhood_legs = [m.apply_batch(raw[:, i]) for i, m in enumerate(lifts.maps)]
+    neighborhood_legs = lifts.lift_rows(raw)
 
     # rows run over (i, t, on/off): leg i on or off, every other leg scaled at t
     lifted_center = lifts.lift_instance(center)
@@ -306,13 +302,19 @@ class OrderQuality:
     cosine: float
     mse: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+
+# the solve tallies in manifest order, and those the v1 report JSON leaves out
+_SOLVE_TALLIES = ("fast_solves", "lstsq_fallbacks", "rank_deficient_solves",
+                  "tikhonov_fallbacks", "max_gram_cond")
+_MANIFEST_ONLY = ("fast_solves", "lstsq_fallbacks", "max_gram_cond")
 
 
 @dataclass
 class FitReport:
-    """Training and attribution-fidelity metrics (JSON schema version 1)."""
+    """Training and attribution-fidelity metrics (JSON schema version 1).
+
+    The core solves add to the solve tallies as they run.
+    """
 
     train_r2: float | None = None
     train_mse: float | None = None
@@ -323,57 +325,33 @@ class FitReport:
     rank_deficient_solves: int = 0
     tikhonov_fallbacks: int = 0
     orders: dict = field(default_factory=dict)
-    # solve-path tallies; the manifest carries them, the v1 report does not
     fast_solves: int = 0
     lstsq_fallbacks: int = 0
     max_gram_cond: float = 0.0
 
     def numerical_health(self) -> dict:
-        return {
-            "fast_solves": self.fast_solves,
-            "lstsq_fallbacks": self.lstsq_fallbacks,
-            "rank_deficient_solves": self.rank_deficient_solves,
-            "tikhonov_fallbacks": self.tikhonov_fallbacks,
-            "max_gram_cond": self.max_gram_cond,
-        }
+        return {name: getattr(self, name) for name in _SOLVE_TALLIES}
 
     def to_json_dict(self) -> dict:
-        return {
-            "version": REPORT_VERSION,
-            "train_r2": self.train_r2,
-            "train_mse": self.train_mse,
-            "sweeps_used": self.sweeps_used,
-            "wall_time_s": self.wall_time_s,
-            "sweep_train_r2": list(self.sweep_train_r2),
-            "sweep_train_mse": list(self.sweep_train_mse),
-            "rank_deficient_solves": self.rank_deficient_solves,
-            "tikhonov_fallbacks": self.tikhonov_fallbacks,
-            "orders": {str(k): q.to_json_dict() for k, q in sorted(self.orders.items())},
-        }
+        out = {"version": REPORT_VERSION, **asdict(self)}
+        for name in _MANIFEST_ONLY:
+            del out[name]
+        out["orders"] = {str(k): out["orders"][k] for k in sorted(out["orders"])}
+        return out
 
 
-class _SolveStats:
-    """Per-fit tallies of how the core solves went."""
-
-    def __init__(self) -> None:
-        self.fast = 0
-        self.fallbacks = 0
-        self.rank_deficient = 0
-        self.tikhonov = 0
-        self.max_gram_cond = 0.0
-
-    def solve(self, design: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """The fallback: SVD least squares on the raw design, with a
-        Tikhonov-regularized normal-equation solve if it is not finite."""
-        sol, _res, rank, _sv = np.linalg.lstsq(design, y, rcond=None)
-        if rank < design.shape[1]:
-            self.rank_deficient += 1
-        if not np.all(np.isfinite(sol)):
-            gram = design.T @ design
-            lam = TIKHONOV_SCALE * (np.trace(gram) / gram.shape[0] + 1.0)
-            sol = np.linalg.solve(gram + lam * np.eye(gram.shape[0]), design.T @ y)
-            self.tikhonov += 1
-        return sol
+def _lstsq_solve(report: FitReport, design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The fallback: SVD least squares on the raw design, with a
+    Tikhonov-regularized normal-equation solve if it is not finite."""
+    sol, _res, rank, _sv = np.linalg.lstsq(design, y, rcond=None)
+    if rank < design.shape[1]:
+        report.rank_deficient_solves += 1
+    if not np.all(np.isfinite(sol)):
+        gram = design.T @ design
+        lam = TIKHONOV_SCALE * (np.trace(gram) / gram.shape[0] + 1.0)
+        sol = np.linalg.solve(gram + lam * np.eye(gram.shape[0]), design.T @ y)
+        report.tikhonov_fallbacks += 1
+    return sol
 
 
 def _khatri_rao(factors) -> np.ndarray:
@@ -402,7 +380,7 @@ def _tril_inv(low: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_core(stats: _SolveStats, factors, y: np.ndarray, shape) -> np.ndarray:
+def _solve_core(report: FitReport, factors, y: np.ndarray, shape) -> np.ndarray:
     """Least-squares core whose design is ``_khatri_rao(factors)``.
 
     Each (rows, b_i) environment factor is thin-QR'd, F_i = Q_i R_i. Since
@@ -411,19 +389,19 @@ def _solve_core(stats: _SolveStats, factors, y: np.ndarray, shape) -> np.ndarray
     orthonormalized design, mapped back by R_i^-1 along each core mode; z
     comes from Cholesky normal equations. When that cannot be certified (a
     numerically singular R_i, a failed Cholesky, or a Gram condition bound
-    above ``GRAM_COND_LIMIT``) the core falls back to ``_SolveStats.solve``
-    on the raw design.
+    above ``GRAM_COND_LIMIT``) the core falls back to ``_lstsq_solve`` on
+    the raw design. Each solve adds to ``report``'s tallies.
     """
-    sol = _certified_solve(stats, factors, y)
+    sol = _certified_solve(report, factors, y)
     if sol is None:
-        stats.fallbacks += 1
-        sol = stats.solve(_khatri_rao(factors), y)
+        report.lstsq_fallbacks += 1
+        sol = _lstsq_solve(report, _khatri_rao(factors), y)
     else:
-        stats.fast += 1
+        report.fast_solves += 1
     return sol.reshape(shape)
 
 
-def _certified_solve(stats: _SolveStats, factors, y: np.ndarray):
+def _certified_solve(report: FitReport, factors, y: np.ndarray):
     widths = [f.shape[1] for f in factors]
     if math.prod(widths) > y.shape[0]:
         return None
@@ -443,7 +421,7 @@ def _certified_solve(stats: _SolveStats, factors, y: np.ndarray):
         return None
     # ||G||_F ||L^-1||_F^2 bounds the 2-norm condition number of G = L L^T
     cond = float(np.linalg.norm(gram) * np.sum(chol_inv * chol_inv))
-    stats.max_gram_cond = max(stats.max_gram_cond, cond)
+    report.max_gram_cond = max(report.max_gram_cond, cond)
     if not cond <= GRAM_COND_LIMIT:
         return None
     coef = (chol_inv.T @ (chol_inv @ (design.T @ y))).reshape(widths)
@@ -474,34 +452,28 @@ def fit_student(training: TrainingSet, config: FitConfig, lifts: LiftSpec):
         config.topology, n, dims, capped_uniform_bonds(config.topology, dims, config.bond_dim)
     )
     rng = np.random.default_rng(config.seed)
-    cores = []
-    for node, shape in zip(_node_ids(topo), topo.core_shapes()):
-        if _is_pure_dummy(topo, node):
-            cores.append(np.ones(shape))
-        else:
-            cores.append(rng.standard_normal(shape) / np.sqrt(math.prod(shape)))
+    cores = _init_cores(topo, rng, lambda shape: np.sqrt(math.prod(shape)))
 
     y = training.targets
     var = float(np.var(y))
-    stats = _SolveStats()
     report = FitReport()
     prev_r2 = float("-inf")
     # a tree's up messages are built once and kept current by every sweep
     up = None if topo.kind == TT else tree_up_messages(topo, cores, training.legs)
     for sweep in range(config.max_sweeps):
         sweep_start = time.perf_counter()
-        fallbacks = stats.fallbacks
+        fallbacks = report.lstsq_fallbacks
         if topo.kind == TT:
-            pred = _tt_sweep(topo, cores, training.legs, y, stats)
+            pred = _tt_sweep(topo, cores, training.legs, y, report)
         else:
-            pred = _tree_sweep(topo, cores, training.legs, y, stats, up)
+            pred = _tree_sweep(topo, cores, training.legs, y, report, up)
         mse = float(np.mean((pred - y) ** 2))
         r2 = _train_r2(mse, var)
         report.sweep_train_mse.append(mse)
         report.sweep_train_r2.append(r2)
         report.sweeps_used += 1
         logger.debug("sweep %d: train MSE %.6e, R^2 %.9f, %d lstsq fallbacks, %.3f s",
-                     sweep + 1, mse, r2, stats.fallbacks - fallbacks,
+                     sweep + 1, mse, r2, report.lstsq_fallbacks - fallbacks,
                      time.perf_counter() - sweep_start)
         if r2 - prev_r2 < config.tol:
             break
@@ -509,33 +481,28 @@ def fit_student(training: TrainingSet, config: FitConfig, lifts: LiftSpec):
 
     report.train_mse = report.sweep_train_mse[-1]
     report.train_r2 = report.sweep_train_r2[-1]
-    report.rank_deficient_solves = stats.rank_deficient
-    report.tikhonov_fallbacks = stats.tikhonov
-    report.fast_solves = stats.fast
-    report.lstsq_fallbacks = stats.fallbacks
-    report.max_gram_cond = stats.max_gram_cond
     report.wall_time_s = time.perf_counter() - start
     return TensorNetworkModel(topo, cores), report
 
 
-def _tt_sweep(topo, cores, legs, y, stats) -> np.ndarray:
+def _tt_sweep(topo, cores, legs, y, report) -> np.ndarray:
     """Re-solve every core left to right; returns the swept train's outputs
     on the training rows (its final prefix state)."""
     right = tt_right_states(cores, legs)
     left = np.ones((y.shape[0], 1))
     for j in range(topo.n):
-        cores[j] = _solve_core(stats, [left, legs[j], right[j + 1]], y, cores[j].shape)
+        cores[j] = _solve_core(report, [left, legs[j], right[j + 1]], y, cores[j].shape)
         left = _open_leg2(cores[j], left, legs[j])
     return left[:, 0]
 
 
-def _tree_sweep(topo, cores, legs, y, stats, up) -> np.ndarray:
+def _tree_sweep(topo, cores, legs, y, report, up) -> np.ndarray:
     """Re-solve the root, then every non-pad node depth first. ``up`` holds
     the tree's up messages on entry and is kept current; returns the swept
     tree's outputs on the training rows."""
     L = topo.leaf_count
     if L == 1:
-        cores[0] = _solve_core(stats, [legs[0]], y, cores[0].shape)
+        cores[0] = _solve_core(report, [legs[0]], y, cores[0].shape)
         up[1] = legs[0] @ cores[0].reshape(-1, 1)
         return up[1][:, 0]
 
@@ -546,16 +513,16 @@ def _tree_sweep(topo, cores, legs, y, stats, up) -> np.ndarray:
         idx = v - 1
         if v >= L:
             leg = legs[v - L]
-            cores[idx] = _solve_core(stats, [leg, down_v], y, cores[idx].shape)
+            cores[idx] = _solve_core(report, [leg, down_v], y, cores[idx].shape)
             up[v] = leg @ cores[idx]
             return
-        core = _solve_core(stats, [up[2 * v], up[2 * v + 1], down_v], y, cores[idx].shape)
+        core = _solve_core(report, [up[2 * v], up[2 * v + 1], down_v], y, cores[idx].shape)
         cores[idx] = core
         visit(2 * v, _open_leg1(core.transpose(1, 0, 2), up[2 * v + 1], down_v))
         visit(2 * v + 1, _open_leg1(core, up[2 * v], down_v))
         up[v] = _open_leg2(core, up[2 * v], up[2 * v + 1])
 
-    cores[0] = _solve_core(stats, [up[2], up[3]], y, cores[0].shape)
+    cores[0] = _solve_core(report, [up[2], up[3]], y, cores[0].shape)
     visit(2, up[3] @ cores[0].T)
     visit(3, up[2] @ cores[0])
     return _open_leg2(cores[0][:, :, None], up[2], up[3])[:, 0]
@@ -593,13 +560,9 @@ def eval_quality(student, teacher, lifts: LiftSpec, instances, orders=(1, 2, 3),
         b = np.concatenate(teacher_vals)
         mse = float(np.mean((a - b) ** 2))
         var = float(np.var(b))
-        if var < 1e-30:
-            quality = OrderQuality(r2=None, r2_defined=False, cosine=_cosine(a, b), mse=mse)
-        else:
-            quality = OrderQuality(
-                r2=1.0 - mse / var, r2_defined=True, cosine=_cosine(a, b), mse=mse
-            )
-        report.orders[k] = quality
+        defined = not var < 1e-30
+        report.orders[k] = OrderQuality(r2=1.0 - mse / var if defined else None,
+                                        r2_defined=defined, cosine=_cosine(a, b), mse=mse)
     return report
 
 
@@ -610,16 +573,15 @@ def rank_sweep(teacher, lifts: LiftSpec, center, config: FitConfig, ranks, seeds
     cells = []
     for rank in ranks:
         for seed in seeds:
+            cell = {"rank": int(rank), "seed": int(seed), "error": None, "report": None}
             try:
                 cell_config = replace(config, bond_dim=int(rank), seed=int(seed))
                 training = build_training_set(teacher, lifts, center, cell_config)
                 student, report = fit_student(training, cell_config, lifts)
-                report = eval_quality(
+                cell["report"] = eval_quality(
                     student, teacher, lifts, eval_instances, orders, base_report=report
                 )
-                cells.append({"rank": int(rank), "seed": int(seed),
-                              "report": report, "error": None})
             except Exception as exc:  # noqa: BLE001 - sweep isolation is the contract
-                cells.append({"rank": int(rank), "seed": int(seed),
-                              "report": None, "error": f"{type(exc).__name__}: {exc}"})
+                cell["error"] = f"{type(exc).__name__}: {exc}"
+            cells.append(cell)
     return cells

@@ -168,24 +168,19 @@ def size_grouped_sums(coeffs: np.ndarray) -> np.ndarray:
     return np.bincount(pc, weights=coeffs, minlength=n + 1)
 
 
-def diagonal_coefficient_probe(model, lifts: LiftSpec, x, nodes=None) -> np.ndarray:
+def diagonal_coefficient_probe(model, lifts: LiftSpec, x) -> np.ndarray:
     """Size-aggregated coefficient sums from the diagonal polynomial p(t).
 
     Scaling every leg by the same selector value t makes the output a
     degree-n polynomial whose t^s coefficient sums all size-s monomials, so
     n + 1 evaluations and one Vandermonde solve (with one step of iterative
     refinement) recover the sums directly. The identity holds at any real t;
-    the default nodes are the n + 1 Chebyshev-Gauss nodes on [-1, 1], where
-    the monomial Vandermonde matrix is far better conditioned than on (0, 1)
+    the nodes are the n + 1 Chebyshev-Gauss nodes on [-1, 1], where the
+    monomial Vandermonde matrix is far better conditioned than on (0, 1)
     (about 2e4 against 8e8 at n = 12).
     """
-    n = model.n
-    m = n + 1
-    if nodes is None:
-        nodes = 2.0 * chebyshev_nodes(m) - 1.0
-    nodes = np.asarray(nodes, dtype=np.float64)
-    if nodes.shape != (m,):
-        raise ValueError(f"expected {m} nodes, got shape {nodes.shape}")
+    m = model.n + 1
+    nodes = 2.0 * chebyshev_nodes(m) - 1.0
     p_values = model.forward_batch(_scaled_inputs(lifts.lift_instance(x), nodes))
     vander = np.vander(nodes, m, increasing=True)
     coeffs = np.linalg.solve(vander, p_values)

@@ -338,14 +338,9 @@ class TestHeterogeneousLifts:
             FeatureMap("fourier", k=1, omega=2.0),
         ])
         topo = TnTopology("btree", 3, lifts.dims, capped_uniform_bonds("btree", lifts.dims, 4))
-        cores = []
-        from tnshap.fit import _is_pure_dummy, _node_ids
+        from tnshap.fit import _init_cores
 
-        for node, shape in zip(_node_ids(topo), topo.core_shapes()):
-            if _is_pure_dummy(topo, node):
-                cores.append(np.ones(shape))
-            else:
-                cores.append(rng.standard_normal(shape) / np.sqrt(shape[-1]))
+        cores = _init_cores(topo, rng, lambda shape: np.sqrt(shape[-1]))
         model = TensorNetworkModel(topo, cores)
         x = rng.uniform(-1, 1, 3)
         value = coalition_value_fn(model, lifts, x)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import additive_model
-from tnshap import explain, explain_batch, load_model, save_model
+from tnshap import TensorNetworkModel, explain, explain_batch, load_model, save_model
 from tnshap.cli import main
 
 
@@ -440,6 +440,18 @@ class TestBadInput:
                      id="fit-config-probe-nodes-0"),
         pytest.param("explain", [], {"order": "two"}, "bad order",
                      id="explain-config-order-str"),
+        pytest.param("fit", ["--sigma-frac", "nan"], None, "--sigma-frac must be a finite",
+                     id="fit-sigma-frac-nan"),
+        pytest.param("fit", ["--sigma-frac", "inf"], None, "--sigma-frac must be a finite",
+                     id="fit-sigma-frac-inf"),
+        pytest.param("fit", ["--tol", "nan"], None, "--tol must be a number",
+                     id="fit-tol-nan"),
+        pytest.param("fit", [], {"sigma_frac": "nan"}, "--sigma-frac must be a finite",
+                     id="fit-config-sigma-frac-nan"),
+        pytest.param("rank-sweep", ["--sigma-frac", "nan"], None,
+                     "--sigma-frac must be a finite", id="rank-sweep-sigma-frac-nan"),
+        pytest.param("rank-sweep", ["--tol", "nan"], None, "--tol must be a number",
+                     id="rank-sweep-tol-nan"),
         pytest.param("rank-sweep", ["--eval-points", -1], None, "--eval-points must be >= 1",
                      id="rank-sweep-eval-points-neg"),
         pytest.param("rank-sweep", ["--eval-points", 0], None, "--eval-points must be >= 1",
@@ -447,9 +459,14 @@ class TestBadInput:
         pytest.param("rank-sweep", ["--max-order", 9], None, "max order 9 out of range 1..6",
                      id="rank-sweep-max-order-9"),
     ])
-    def test_exit_2(self, tmp_path, capsys, command, flags, config, needle):
+    def test_exit_2(self, tmp_path, capsys, monkeypatch, command, flags, config, needle):
         model = tmp_path / "model.json"
         assert run("gen", "--kind", "tree", "--n", 6, "--rank", 2, "--out", model) == 0
+
+        def no_forwards(self, legs):
+            raise AssertionError("a model forward ran before the input was checked")
+
+        monkeypatch.setattr(TensorNetworkModel, "forward_batch", no_forwards)
         inst = tmp_path / "inst.csv"
         write_instances(inst, [np.zeros(6)])
         inputs = {

@@ -18,7 +18,7 @@ from tnshap import (
 )
 from tnshap import fit as fit_mod
 from tnshap.attribute import chebyshev_nodes
-from tnshap.fit import _khatri_rao, _solve_core, _SolveStats, rank_sweep
+from tnshap.fit import FitReport, OrderQuality, _khatri_rao, _solve_core, rank_sweep
 from tnshap.lift import BINARY, FOURIER, POLY, FeatureMap, off_state
 from tnshap.tensor_net import (
     TnTopology,
@@ -297,15 +297,16 @@ class TestSolveCore:
         rows = 600
         factors = [_conditioned(rng, rows, w, 1e3) for w in widths]
         y = rng.standard_normal(rows)
-        stats = _SolveStats()
-        coef = _solve_core(stats, factors, y, widths)
+        report = FitReport()
+        coef = _solve_core(report, factors, y, widths)
         design = _khatri_rao(factors)
         ref = np.linalg.lstsq(design, y, rcond=None)[0]
         fitted = design @ ref
         got = design @ coef.ravel()
         assert np.linalg.norm(got - fitted) <= 1e-8 * np.linalg.norm(fitted)
-        assert (stats.fast, stats.fallbacks, stats.rank_deficient) == (1, 0, 0)
-        assert 1.0 <= stats.max_gram_cond <= fit_mod.GRAM_COND_LIMIT
+        assert (report.fast_solves, report.lstsq_fallbacks,
+                report.rank_deficient_solves) == (1, 0, 0)
+        assert 1.0 <= report.max_gram_cond <= fit_mod.GRAM_COND_LIMIT
 
     @pytest.mark.parametrize("degenerate", ["duplicate", "zero"])
     def test_singular_factor_falls_back_to_min_norm_lstsq(self, rng, degenerate):
@@ -317,20 +318,21 @@ class TestSolveCore:
         else:
             bad[:, 1] = 0.0
         y = rng.standard_normal(rows)
-        stats = _SolveStats()
-        coef = _solve_core(stats, factors, y, (3, 4))
+        report = FitReport()
+        coef = _solve_core(report, factors, y, (3, 4))
         ref = np.linalg.lstsq(_khatri_rao(factors), y, rcond=None)[0]
         np.testing.assert_array_equal(coef, ref.reshape(3, 4))
-        assert (stats.fast, stats.fallbacks, stats.rank_deficient) == (0, 1, 1)
+        assert (report.fast_solves, report.lstsq_fallbacks,
+                report.rank_deficient_solves) == (0, 1, 1)
 
     def test_underdetermined_core_falls_back(self, rng):
         factors = [rng.standard_normal((10, 4)), rng.standard_normal((10, 4))]
         y = rng.standard_normal(10)
-        stats = _SolveStats()
-        coef = _solve_core(stats, factors, y, (4, 4))
+        report = FitReport()
+        coef = _solve_core(report, factors, y, (4, 4))
         ref = np.linalg.lstsq(_khatri_rao(factors), y, rcond=None)[0]
         np.testing.assert_array_equal(coef, ref.reshape(4, 4))
-        assert (stats.fast, stats.fallbacks) == (0, 1)
+        assert (report.fast_solves, report.lstsq_fallbacks) == (0, 1)
 
     @pytest.mark.parametrize("topology,n", [("tt", 6), ("btree", 8), ("btree", 5)])
     def test_sweep_matches_from_scratch_reference(self, rng, topology, n):
@@ -345,16 +347,16 @@ class TestSolveCore:
         for slot in range(n, L if topology == "btree" else 0):
             cores[L - 1 + slot] = np.ones((1, 1))
         want = [c.copy() for c in cores]
-        stats = _SolveStats()
+        report = FitReport()
         # one up-message list goes through both tree sweeps, as in fit_student
         up = tree_up_messages(topo, cores, training.legs) if topology == "btree" else None
         for _ in range(2):
             if topology == "tt":
-                fit_mod._tt_sweep(topo, cores, training.legs, training.targets, stats)
+                fit_mod._tt_sweep(topo, cores, training.legs, training.targets, report)
             else:
-                fit_mod._tree_sweep(topo, cores, training.legs, training.targets, stats, up)
+                fit_mod._tree_sweep(topo, cores, training.legs, training.targets, report, up)
             _reference_sweep(topo, want, training.legs, training.targets)
-        assert stats.fallbacks == 0
+        assert report.lstsq_fallbacks == 0
         for got, ref in zip(cores, want):
             np.testing.assert_allclose(got, ref, rtol=1e-7, atol=1e-9 * np.abs(ref).max())
 
@@ -458,6 +460,29 @@ class TestConfigAndSweep:
                              "sigma_frac", "max_sweeps", "tol", "seed"]
         assert FitConfig.from_json_dict(obj) == config
         assert FitConfig.from_json_dict({**obj, "unknown": 1}) == config
+        # the report JSON and the manifest's numerical health keep their key
+        # orders; the solve-path tallies stay out of the v1 report
+        report = FitReport(train_r2=0.5, train_mse=0.25, sweeps_used=1, wall_time_s=0.1,
+                           sweep_train_r2=[0.5], sweep_train_mse=[0.25],
+                           rank_deficient_solves=2, tikhonov_fallbacks=1,
+                           orders={2: OrderQuality(0.9, True, 0.99, 0.01),
+                                   1: OrderQuality(None, False, 1.0, 0.0)},
+                           fast_solves=7, lstsq_fallbacks=3, max_gram_cond=12.5)
+        obj = report.to_json_dict()
+        assert list(obj) == ["version", "train_r2", "train_mse", "sweeps_used", "wall_time_s",
+                             "sweep_train_r2", "sweep_train_mse", "rank_deficient_solves",
+                             "tikhonov_fallbacks", "orders"]
+        assert obj["version"] == 1
+        assert obj["orders"] == {
+            "1": {"r2": None, "r2_defined": False, "cosine": 1.0, "mse": 0.0},
+            "2": {"r2": 0.9, "r2_defined": True, "cosine": 0.99, "mse": 0.01},
+        }
+        assert list(obj["orders"]) == ["1", "2"]
+        assert not {"fast_solves", "lstsq_fallbacks", "max_gram_cond"} & set(obj)
+        assert list(report.numerical_health().items()) == [
+            ("fast_solves", 7), ("lstsq_fallbacks", 3), ("rank_deficient_solves", 2),
+            ("tikhonov_fallbacks", 1), ("max_gram_cond", 12.5),
+        ]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -466,6 +491,10 @@ class TestConfigAndSweep:
             FitConfig(sigma_frac=0.0)
         with pytest.raises(ValueError):
             FitConfig(topology="ring")
+        for field, value in [("sigma_frac", np.nan), ("sigma_frac", np.inf),
+                             ("sigma_frac", -np.inf), ("tol", np.nan)]:
+            with pytest.raises(ValueError, match=f"^{field} "):
+                FitConfig(**{field: value})
 
     def test_sweep_isolates_cell_failures(self, rng):
         teacher, lifts = gen_tree_teacher(4, 2, seed=0)
