@@ -17,35 +17,26 @@ dot product of its m probe values with one cached weight vector
 Forward accounting is part of the contract: inclusion-exclusion spends
 2^k (n - k + 1) evaluations per subset, signed toggle n - k + 1, and the
 counter reports one forward per evaluated input configuration whichever
-arithmetic computes it. Both value helpers below return node-weighted sums
--- the index itself at the m = n - k + 1 nodes, the raw probe at a single
-node, whose weight is 1 -- and never an (m, subsets) probe matrix:
+arithmetic computes it. Every request -- all subsets, an explicit subset
+list, a ``probe_value`` -- goes through one value helper, ``_probe_values``:
+one ``tensor_net.toggle_probes`` sweep over B stacked instances, with no
+``forward_batch`` call. Both modes share its arithmetic, since
+``on - off_state == signed_toggle(on)``. It returns node-weighted sums --
+the index itself at the m = n - k + 1 nodes, the raw probe at one node of
+weight 1 -- and closes each subset at the lowest node holding its toggled
+legs: about C(n, k) m chi^2 per instance on a train (bond dimension chi)
+instead of the C(n, k) m n chi^2 of contracting every probe from scratch.
+An explicit list toggles only the legs it names, so it costs at most the
+all-subsets request over them. A model that is not a ``TensorNetworkModel``
+(``CpTeacher``) goes through its ``to_tensor_train()``, charged to itself.
+``oracle.flat_probes`` is the 2^k-configuration reference the engine is
+tested against.
 
-* ``_shared_values``: all subsets (any k, either mode) on a
-  ``TensorNetworkModel``, from one shared-environment engine,
-  ``tensor_net.toggle_probes``, over B stacked instances. Inclusion-exclusion
-  and signed toggle share its arithmetic, since
-  ``on - off_state == signed_toggle(on)``; only their counted contracts
-  differ. Each subset closes at the lowest node holding all of its toggled
-  legs, against that node's environment with the weights folded in: a
-  train's suffix sweep closes it at its first toggled leg against the
-  weighted prefix, emitting lexicographic order as it goes; a tree's
-  up-pass closes it against the weighted down message of the node where
-  its toggled legs meet (its leaf at k = 1). That is about C(n, k) m chi^2
-  per instance on a train (bond dimension chi) instead of the flat path's
-  C(n, k) m n chi^2, with no ``forward_batch`` call.
-* ``_flat_values``: explicit subset lists, ``probe_value`` and models that
-  are not tensor networks (``CpTeacher``), as flat ``forward_batch`` rows
-  contracted from scratch -- all 2^k on/off configurations for
-  inclusion-exclusion -- chunked by whole subsets to ``FLAT_ROW_BUDGET``
-  rows per call, so peak memory does not grow with C(n, k). This is also
-  the reference the engine is tested against.
-
-``explain`` is ``explain_batch`` on one row, which stacks all-subsets
-requests into chunks under ``STACK_ROW_BUDGET``; no threads are used.
-``forwards_used`` is the count the value helper added to the counter, not a
-difference of the shared counter, so concurrent requests on one model do
-not leak into each other's counts.
+``explain`` is ``explain_batch`` on one row, which stacks instances into
+chunks under ``STACK_ROW_BUDGET``; no threads are used. ``forwards_used`` is
+the count the value helper added to the counter, not a difference of the
+shared counter, so concurrent requests on one model do not leak into each
+other's counts.
 """
 
 from __future__ import annotations
@@ -53,19 +44,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor_net
-from .lift import LiftSpec, off_state, signed_toggle
+from .lift import LiftSpec, signed_toggle
 
 INCLUSION_EXCLUSION = "inclusion-exclusion"
 SIGNED_TOGGLE = "signed-toggle"
 MODES = (INCLUSION_EXCLUSION, SIGNED_TOGGLE)
 
-# rows per forward_batch call on the flat probe path; whole subsets per call
-FLAT_ROW_BUDGET = 2**13
 # open states (instances x nodes x order-(k-1) toggle choices) per sweep of a
 # stacked batch: at k = 1 the selector-scaled rows of one environment pass.
 # Bounds the batch's memory whatever the number of instances
@@ -157,7 +147,10 @@ def _normalize_subsets(n: int, k: int, subsets):
         return tuple(itertools.combinations(range(1, n + 1), k))
     norm = []
     for s in subsets:
-        t = tuple(sorted(int(i) for i in s))
+        try:
+            t = tuple(sorted(operator.index(i) for i in s))
+        except TypeError:
+            raise ValueError(f"subset {s} has a feature index that is not an integer") from None
         if not t:
             raise ValueError("empty subset: need at least one feature")
         if len(t) != k or len(set(t)) != k:
@@ -188,13 +181,28 @@ def _check_model_lifts(model, lifts: LiftSpec) -> None:
             )
 
 
+def _network(model) -> tensor_net.TensorNetworkModel:
+    """The model itself, or the ``to_tensor_train()`` it is explained through."""
+    if isinstance(model, tensor_net.TensorNetworkModel):
+        return model
+    if not hasattr(model, "to_tensor_train"):
+        raise TypeError(f"cannot explain a {type(model).__name__}: need a TensorNetworkModel "
+                        "or a model with to_tensor_train()")
+    return model.to_tensor_train()
+
+
 def probe_value(model, lifts: LiftSpec, x, subset, t: float, mode=INCLUSION_EXCLUSION) -> float:
-    """Evaluate the probe Q_S(t; x) for one subset at one selector value."""
+    """Evaluate the probe Q_S(t; x) for one subset at one finite selector
+    value: the probe engine at one node of weight 1 over the subset's legs."""
+    net = _network(model)
     _check_model_lifts(model, lifts)
     s = _normalize_subsets(model.n, len(tuple(subset)), [subset])[0]
-    mode = _resolve_mode(len(s), mode)
-    values, _ = _flat_values(model, lifts.lift_instance(x), [s], np.array([float(t)]), mode)
-    return float(values[0])
+    if not math.isfinite(t):
+        raise ValueError(f"selector value t must be finite, got {t}")
+    lifted = [v[None] for v in lifts.lift_instance(x)]
+    values, _ = _probe_values(model, net, lifted, np.array([float(t)]), len(s),
+                              _resolve_mode(len(s), mode), tuple(i - 1 for i in s))
+    return float(values[0, 0])
 
 
 def _scaled_inputs(lifted, nodes: np.ndarray) -> list:
@@ -212,78 +220,27 @@ def _scaled_inputs(lifted, nodes: np.ndarray) -> list:
     return out
 
 
-def _shared_values(model, lifted, nodes, k: int, mode):
-    """Every k-subset's probes, weighted by ``quadrature_weights(len(nodes))``,
-    for B stacked instances from one ``tensor_net.toggle_probes`` sweep.
+def _probe_values(model, net, lifted, nodes, k: int, mode, legs, columns=None):
+    """Probes of the k-subsets of ``legs`` (0-based), weighted by
+    ``quadrature_weights(len(nodes))``, for B stacked instances from one
+    ``tensor_net.toggle_probes`` sweep over ``net``, the model's network.
 
-    ``lifted[i]`` holds feature i's (B, d_i) lifted rows. Both modes take the
-    signed-toggle arithmetic and differ only in the counted contract. Returns
-    ((B, C(n, k)) values in lexicographic subset order, the forwards added to
-    the counter: one per evaluated configuration).
+    ``lifted[i]`` holds feature i's (B, d_i) lifted rows. ``columns`` keeps
+    the subsets of those lexicographic ranks (None keeps all). Returns
+    ((B, kept) values, the forwards added to ``model``'s counter: one per
+    evaluated configuration of each kept subset, by ``mode``'s contract).
     """
     scaled = _scaled_inputs(lifted, nodes)
     toggled = [signed_toggle(v) for v in lifted]
     weights = quadrature_weights(nodes.shape[0])
-    values = tensor_net.toggle_probes(model.topology, model.cores, scaled, toggled, nodes,
-                                      weights, k)
+    values = tensor_net.toggle_probes(net.topology, net.cores, scaled, toggled, nodes,
+                                      weights, k, legs)
+    if columns is not None:
+        values = values[:, columns]
     patterns = 1 << k if mode == INCLUSION_EXCLUSION else 1
-    forwards = lifted[0].shape[0] * nodes.shape[0] * math.comb(model.n, k) * patterns
+    forwards = lifted[0].shape[0] * nodes.shape[0] * values.shape[1] * patterns
     model.counter.add(forwards)
     return values, forwards
-
-
-def _flat_values(model, lifted, subsets, nodes, mode):
-    """One instance's subset probes, weighted like ``_shared_values``, via
-    flat batched forwards, chunked by whole subsets to at most
-    ``FLAT_ROW_BUDGET`` rows per call (one subset per call when a single
-    subset needs more).
-
-    Returns ((num_subsets,) values, the forwards added to the counter).
-    """
-    k = len(subsets[0])
-    m = nodes.shape[0]
-    patterns = 1 << k if mode == INCLUSION_EXCLUSION else 1
-    # pattern p switches on the legs of its set bits; its sign counts the off legs
-    signs = np.array([(-1.0) ** bin(patterns - 1 - p).count("1") for p in range(patterns)])
-    weights = quadrature_weights(m)
-    rows = m * patterns
-    repeated = [np.repeat(u, patterns, axis=0) for u in _scaled_inputs(lifted, nodes)]
-    step = max(1, FLAT_ROW_BUDGET // rows)
-    blocks = []
-    for c0 in range(0, len(subsets), step):
-        chunk = subsets[c0 : c0 + step]
-        legs = [np.tile(u, (len(chunk), 1)) for u in repeated]
-        for s_idx, subset in enumerate(chunk):
-            base = s_idx * rows
-            for pos, feat in enumerate(subset):
-                r = feat - 1
-                if mode == SIGNED_TOGGLE:
-                    legs[r][base : base + rows] = signed_toggle(lifted[r])
-                else:
-                    on = lifted[r]
-                    off = off_state(on.shape[0])
-                    for p in range(patterns):
-                        vec = on if (p >> pos) & 1 else off
-                        legs[r][base + p : base + rows : patterns] = vec
-        values = model.forward_batch(legs).reshape(len(chunk), m, patterns)
-        blocks.append((values @ signs) @ weights)
-    return np.concatenate(blocks), rows * len(subsets)
-
-
-def _request(model, lifts: LiftSpec, k: int, subsets, mode):
-    """Validate an order-k request shared by every instance of a batch.
-
-    Returns (normalized subsets, resolved mode, the m = n - k + 1 Chebyshev
-    nodes, whether the shared-environment engine applies).
-    """
-    _check_model_lifts(model, lifts)
-    n = model.n
-    if not 1 <= k <= n:
-        raise ValueError(f"order k={k} must satisfy 1 <= k <= n={n}")
-    subset_list = _normalize_subsets(n, k, subsets)
-    mode = _resolve_mode(k, mode)
-    shared = isinstance(subsets, str) and isinstance(model, tensor_net.TensorNetworkModel)
-    return subset_list, mode, chebyshev_nodes(n - k + 1), shared
 
 
 def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None) -> AttributionSet:
@@ -291,11 +248,13 @@ def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None) -> Attr
 
     Parameters
     ----------
-    model : TensorNetworkModel (or any object with the same forward protocol)
+    model : TensorNetworkModel, or a model explained through (and charged
+        for) its ``to_tensor_train()``
     lifts : LiftSpec matching the model's physical dimensions
     x : raw instance of length n, all values finite
     k : interaction order (k = 1 gives Shapley values)
-    subsets : "all" for every k-subset, or an explicit list of 1-based tuples
+    subsets : "all" for every k-subset, or an explicit list of 1-based tuples,
+        costing at most the all-subsets request over the features it names
     mode : "inclusion-exclusion", "signed-toggle", or None/"auto"
         (inclusion-exclusion for k = 1, signed toggle otherwise)
 
@@ -314,12 +273,14 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     """Order-k attribution values of many instances, in order, without
     threads.
 
-    All-subsets requests on a ``TensorNetworkModel`` stack instances, at
-    every order and in either mode: each chunk of up to
-    ``STACK_ROW_BUDGET // (m * C(n, k - 1))`` instances (m = n - k + 1) is
-    lifted one feature column at a time and shares one ``toggle_probes``
-    sweep. Explicit subset lists and models that are not tensor networks
-    take the flat path one instance after the other.
+    Each chunk of up to ``STACK_ROW_BUDGET // (m * C(N, k - 1))`` instances
+    (m = n - k + 1; N = n for all subsets, else the number of features an
+    explicit list names) is lifted one feature column at a time and shares
+    one ``toggle_probes`` sweep over those N legs, which costs at most the
+    all-subsets request over them; a list keeps its own subsets. A model
+    that is not a ``TensorNetworkModel`` goes through its
+    ``to_tensor_train()``; any other object fills every slot with a
+    TypeError.
 
     Per-instance failures do not abort the batch: the failing instance's slot
     holds the raised exception instead of an AttributionSet. Instances are
@@ -327,26 +288,37 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     """
     instances = list(instances)
     try:
-        subset_list, mode, nodes, shared = _request(model, lifts, k, subsets, mode)
+        net = _network(model)
+        _check_model_lifts(model, lifts)
+        n = model.n
+        if not 1 <= k <= n:
+            raise ValueError(f"order k={k} must satisfy 1 <= k <= n={n}")
+        subset_list = _normalize_subsets(n, k, subsets)
+        mode = _resolve_mode(k, mode)
     except (TypeError, ValueError) as exc:
         return [exc] * len(instances)
+    legs, columns = tuple(range(n)), None
+    if not isinstance(subsets, str):
+        legs = tuple(sorted({i - 1 for s in subset_list for i in s}))
+        after = {leg + 1: len(legs) - 1 - p for p, leg in enumerate(legs)}
+        # lexicographic rank among the k-subsets of legs: C(N, k) - 1 minus the
+        # C(N - 1 - c_j, k - j) subsets that first exceed it at position j
+        columns = [math.comb(len(legs), k) - 1 - sum(math.comb(after[i], k - j)
+                                                     for j, i in enumerate(s))
+                   for s in subset_list]
+    nodes = chebyshev_nodes(n - k + 1)
     results = [None] * len(instances)
     rows = []
     for idx, x in enumerate(instances):
         try:
-            if shared:
-                rows.append((idx, lifts.check_instance(x)))
-            else:
-                values, forwards = _flat_values(model, lifts.lift_instance(x), subset_list,
-                                                nodes, mode)
-                results[idx] = AttributionSet(k, subset_list, values, forwards)
+            rows.append((idx, lifts.check_instance(x)))
         except Exception as exc:  # noqa: BLE001 - batch isolation is the contract
             results[idx] = exc
-    step = max(1, STACK_ROW_BUDGET // (nodes.shape[0] * math.comb(model.n, k - 1)))
+    step = max(1, STACK_ROW_BUDGET // (nodes.shape[0] * math.comb(len(legs), k - 1)))
     for c0 in range(0, len(rows), step):
         chunk = rows[c0 : c0 + step]
         lifted = lifts.lift_rows(np.stack([x for _, x in chunk]))
-        values, forwards = _shared_values(model, lifted, nodes, k, mode)
+        values, forwards = _probe_values(model, net, lifted, nodes, k, mode, legs, columns)
         for (idx, _), vals in zip(chunk, values):
             results[idx] = AttributionSet(k, subset_list, vals, forwards // len(chunk))
     return results

@@ -46,8 +46,11 @@ def model_from_json_dict(obj: dict):
         phys_dims=tuple(obj["phys_dims"]),
         bond_dims=tuple(obj["bond_dims"]),
     )
+    shapes = topo.core_shapes()
+    if len(obj["cores"]) != len(shapes):
+        raise ValueError(f"model file has {len(obj['cores'])} cores, topology needs {len(shapes)}")
     cores = []
-    for entry, shape in zip(obj["cores"], topo.core_shapes()):
+    for entry, shape in zip(obj["cores"], shapes):
         declared = tuple(int(s) for s in entry["shape"])
         if declared != tuple(shape):
             raise ValueError(

@@ -1,9 +1,10 @@
 """Exhaustive ground truth: coalition enumeration, defining-sum indices,
-and subset-lattice (Moebius/zeta) transforms.
+subset-lattice (Moebius/zeta) transforms, and flat probes.
 
 Coalition masks are integers with bit i set when feature i+1 is on; index 0
 is the all-off state. Everything here works from the 2^n table by direct
-summation, independent of the probe-interpolation path it validates.
+summation, or from ``forward_batch`` rows contracted from scratch,
+independent of the probe engine it validates.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribute import (
-    FLAT_ROW_BUDGET,
     AttributionSet,
     _scaled_inputs,
     chebyshev_nodes,
@@ -28,6 +28,8 @@ from .lift import LiftSpec, off_state
 logger = logging.getLogger(__name__)
 
 MAX_TABLE_FEATURES = 20
+# masks per forward_batch call of ``enumerate_game``: bounds a tree's messages
+FLAT_ROW_BUDGET = 2**13
 # max-abs residual of the diagonal probe's Vandermonde solve above which a
 # warning is logged (the coefficients are still returned)
 DIAGONAL_RESIDUAL_WARN = 1e-6
@@ -53,8 +55,7 @@ class CoalitionTable:
 def enumerate_game(model, lifts: LiftSpec, x) -> CoalitionTable:
     """Evaluate every coalition: on-features keep their lifted vector, the
     rest get the all-off state. Costs exactly 2^n forwards, issued in
-    ``forward_batch`` calls of at most ``FLAT_ROW_BUDGET`` masks so that a
-    tree's per-node messages stay bounded.
+    ``forward_batch`` calls of at most ``FLAT_ROW_BUDGET`` masks.
     """
     n = model.n
     if n > MAX_TABLE_FEATURES:
@@ -71,6 +72,30 @@ def enumerate_game(model, lifts: LiftSpec, x) -> CoalitionTable:
         legs = [np.where(((masks >> r) & 1)[:, None] == 1, lifted[r], off[r]) for r in range(n)]
         values[c0 : c0 + masks.shape[0]] = model.forward_batch(legs)
     return CoalitionTable(n=n, values=values, forwards_used=size)
+
+
+def flat_probes(model, lifts: LiftSpec, x, subsets, nodes) -> np.ndarray:
+    """(len(subsets), len(nodes)) probes Q_S(t) of one instance by
+    inclusion-exclusion from one ``forward_batch`` call, every row contracted
+    from scratch: the reference the probe engine is tested against.
+
+    ``subsets`` are 1-based tuples of one size k. Each sums the 2^k on/off
+    configurations of its legs, signed by their off count, with every other
+    leg selector-scaled at each of ``nodes``.
+    """
+    lifted = lifts.lift_instance(x)
+    k, m = len(subsets[0]), len(nodes)
+    # pattern p of a (subset, node) row block switches on the legs of its set bits
+    on = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    signs = (-1.0) ** (k - on.sum(axis=1))
+    legs = [np.tile(np.repeat(u, 1 << k, axis=0), (len(subsets), 1))
+            for u in _scaled_inputs(lifted, np.asarray(nodes, dtype=np.float64))]
+    for s_idx, subset in enumerate(subsets):
+        for pos, feat in enumerate(subset):
+            v = lifted[feat - 1]
+            block = legs[feat - 1][s_idx * (m << k) : (s_idx + 1) * (m << k)]
+            block.reshape(m, 1 << k, -1)[:] = np.where(on[:, pos, None] == 1, v, off_state(len(v)))
+    return model.forward_batch(legs).reshape(len(subsets), m, 1 << k) @ signs
 
 
 def _popcounts(n: int) -> np.ndarray:

@@ -378,49 +378,49 @@ def tt_right_states(cores, batch) -> list:
 # ``C_bias + t * C_data``; a signed-toggled leg carries ``toggled`` and
 # contributes ``C_data`` alone, independent of t. The sweeps below stack, per
 # number o < k of legs toggled so far, the selector-scaled states of every
-# such choice, kept only while enough legs remain to complete them. Stacked
-# states are (B, choices, m, bond) arrays: B instances, each with its own
-# toggles. One rule closes a subset on both topologies: at the lowest node
-# that holds all of its toggled legs, against that node's environment with
+# such choice; a train keeps them only while enough toggleable legs remain
+# to complete them. Stacked states are (B, choices, m, bond) arrays, one set
+# of toggles per instance. Each subset closes against an environment with
 # the caller's weights folded in over the m nodes -- ``tt_left_states`` on a
-# train, ``tree_down_messages`` on a tree (all ones at the root). No order-k
-# state and no (m, C(n, k)) probe matrix is ever built.
+# train, ``tree_down_messages`` on a tree (all ones at the root) -- so no
+# order-k state and no (m, C(n, k)) probe matrix is ever built.
 
 
 def toggle_probes(topology: TnTopology, cores, scaled, toggled, nodes, weights,
-                  k: int) -> np.ndarray:
-    """Node-weighted signed-toggle probes of every k-subset of the real legs.
+                  k: int, legs) -> np.ndarray:
+    """Node-weighted signed-toggle probes of every k-subset of ``legs``, the
+    sorted 0-based legs a request may toggle; any other leg is only ever
+    selector-scaled, so the sweeps open no toggle on it.
 
     ``scaled[i]`` is leg i's (B * m, d_i) selector-scaled input, instance
     major, row b * m + l at ``nodes[l]``; ``toggled[i]`` is the (B, d_i)
     signed toggle of the same lifted rows. Entry (b, s) of the returned
-    (B, C(n, k)) array is the ``weights``-weighted sum over l of instance
-    b's contraction with the legs of the s-th subset (lexicographic order)
-    toggled and every other leg scaled at ``nodes[l]``: the index itself
-    under quadrature weights, the raw probe at one node of weight 1. Each
-    subset closes at the lowest node holding all of its toggled legs, against
-    that node's weighted environment: a train's suffix sweep closes it at its
-    first leg, already in lexicographic order; a tree's up-pass closes it at
-    a leaf (k = 1) or where its two parts meet, reordered by ``_tree_order``.
+    (B, C(len(legs), k)) array is the ``weights``-weighted sum over l of
+    instance b's contraction with the legs of the s-th subset (lexicographic
+    order) toggled and every other leg scaled at ``nodes[l]``: the index
+    itself under quadrature weights, the raw probe at one node of weight 1.
+    A train's sweep closes subsets in lexicographic order; a tree's is
+    reordered by ``_tree_order``.
     """
-    if not 1 <= k <= topology.n:
-        raise ValueError(f"order k={k} must satisfy 1 <= k <= n={topology.n}")
+    if not 1 <= k <= len(legs):
+        raise ValueError(f"order k={k} must satisfy 1 <= k <= {len(legs)} toggleable legs")
     if topology.kind == TT:
-        return tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k)
-    values = tree_toggle_sweep(topology, cores, scaled, toggled, weights, k)
-    return values[:, _tree_order(topology.n, k)]
+        return tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k, legs)
+    values = tree_toggle_sweep(topology, cores, scaled, toggled, weights, k, legs)
+    return values[:, _tree_order(legs, topology.leaf_count, k)]
 
 
-def tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k: int) -> np.ndarray:
-    """One right-to-left pass closing every k-subset of a tensor train.
+def tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k: int, legs) -> np.ndarray:
+    """One right-to-left pass closing every k-subset of ``legs`` on a train.
 
-    Order-o suffix states are stacked as (B, C(n - 1 - i, o), m, bond)
-    arrays; order 0 is ``tt_right_states`` and a subset closes against
-    ``tt_left_states`` at its first leg, with the weights folded into that
-    prefix, one batched GEMV per closed block. Each instance's toggled core
-    is one batched GEMM. Subsets that toggle leg i go ahead of those that
-    skip it, so by induction every stack is in lexicographic order, and so
-    is the reversed list of closed blocks. Returns (B, C(n, k)) values.
+    Order-o suffix states are stacked as (B, C(toggleable legs after i, o),
+    m, bond) arrays; order 0 is ``tt_right_states`` and a subset closes
+    against ``tt_left_states`` at its first leg, with the weights folded into
+    that prefix, one batched GEMV per closed block. Each instance's toggled
+    core is one batched GEMM. Subsets that toggle leg i go ahead of those
+    that skip it, so by induction every stack is in lexicographic order, and
+    so is the reversed list of closed blocks. Returns (B, C(len(legs), k))
+    values.
     """
     n = len(cores)
     b = toggled[0].shape[0]
@@ -428,64 +428,71 @@ def tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k: int) -> np.ndarra
     t = nodes[:, None]
     left = tt_left_states(cores, scaled)
     right = tt_right_states(cores, scaled)
+    toggleable = set(legs)
+    before = len(legs)
     stacks = [None] * k
     closed = []
     for i in range(n - 1, -1, -1):
+        toggle = i in toggleable
+        before -= toggle  # toggleable legs left of i
         core = cores[i]
         l, d, r = core.shape
-        stacks[0] = right[i + 1].reshape(b, 1, m, r) if k <= i + 1 else None
+        stacks[0] = right[i + 1].reshape(b, 1, m, r) if toggle and k <= before + 1 else None
         bias = core[:, -1, :].T
         data = (toggled[i] @ core.transpose(1, 2, 0).reshape(d, r * l)).reshape(b, r, l)
         parts = [[] for _ in range(k)]
         for o, state in enumerate(stacks):
-            if state is None:
+            keep = o > 0 and k - o <= before
+            if state is None or not (toggle or keep):
                 continue
             rows = state.shape[1]
             on = (state.reshape(b, rows * m, r) @ data).reshape(b, rows, m, l)
-            if o + 1 == k:
+            if toggle and o + 1 == k:
                 env = (weights[:, None] * left[i].reshape(b, m, l)).reshape(b, m * l, 1)
                 closed.append((on.reshape(b, rows, m * l) @ env)[:, :, 0])
-            elif k - o - 1 <= i:
+            elif toggle and k - o - 1 <= before:
                 parts[o + 1].append(on)
-            if o > 0 and k - o <= i:
+            if keep:
                 parts[o].append((state.reshape(-1, r) @ bias).reshape(b, rows, m, l) + t * on)
         stacks[1:] = [_stack(p) for p in parts[1:]]
     return _stack(closed[::-1])
 
 
-def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, weights, k: int) -> np.ndarray:
-    """One up-pass closing every k-subset of a binary tree at its lowest
-    common node.
+def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, weights, k: int,
+                      legs) -> np.ndarray:
+    """One up-pass closing every k-subset of ``legs`` on a binary tree at its
+    lowest common node.
 
-    Node v carries, per order o < k, a (B, C(real leaves under v, o), m,
-    bond) message; order 0 is ``tree_up_messages`` and a leaf's toggled
-    message is repeated over the m nodes. Children combine over the splits
-    i + j = o; dummy pad leaves carry order 0 only. A subset closes against
-    its node's ``tree_down_messages`` entry with ``weights`` folded in: at
-    k = 1 at each real leaf, ``(weights @ down) . (toggled @ leaf core)``,
-    with no internal node visited; at k >= 2 each split i + (k - i) at the
-    node where its two parts meet (``_toggle_close``). Returns (B, C(n, k))
-    values in the order ``_tree_labels`` enumerates.
+    Node v below the root carries, per order o < k its children can form
+    (whether or not it can complete), a (B, C(toggleable leaves under v, o),
+    m, bond) message; order 0 is ``tree_up_messages`` and a toggleable leaf's
+    toggled message is repeated over the m nodes. Children combine over the
+    splits i + j = o; other leaves carry order 0 only. A subset
+    closes against its node's ``tree_down_messages`` entry with ``weights``
+    folded in: at k = 1 at each toggleable leaf, ``(weights @ down) .
+    (toggled @ leaf core)``, with no internal node visited; at k >= 2 each
+    split i + (k - i) at the node where its two parts meet
+    (``_toggle_close``). Returns (B, C(len(legs), k)) values in the order
+    ``_tree_order`` sorts.
     """
     L = topology.leaf_count
-    n = topology.n
     b = toggled[0].shape[0]
     m = weights.shape[0]
     up = tree_up_messages(topology, cores, scaled)
     down = tree_down_messages(topology, cores, up)
+    toggleable = set(legs)
     msgs = [None] * (2 * L)
     closed = []
     for v in range(2 * L - 1, L - 1 if k == 1 else 0, -1):
-        if L <= v < L + n:
+        if v - L in toggleable:
             tog = toggled[v - L]
             on = tog @ cores[v - 1].reshape(tog.shape[1], -1)
             if k == 1:
                 env = weights @ down[v].reshape(b, m, -1)
                 closed.append(np.einsum("br,br->b", env, on)[:, None])
                 continue
-        lo, hi = _tree_orders(n, L, v, k)
-        msg = {0: up[v].reshape(b, 1, m, -1)} if lo == 0 else {}
-        if L <= v < L + n:
+        msg = {0: up[v].reshape(b, 1, m, -1)} if v > 1 else {}
+        if v - L in toggleable:
             msg[1] = np.broadcast_to(on[:, None, None, :], (b, 1, m, on.shape[1]))
         elif v < L:
             core = cores[v - 1] if v > 1 else cores[0][:, :, None]
@@ -493,9 +500,11 @@ def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, weights, k: 
             env = weights[:, None] * down[v].reshape(b, m, -1)
             closed += [_toggle_close(core, lchild[i], rchild[k - i], env)
                        for i in sorted(lchild) if k - i in rchild]
-            for o in range(max(lo, 1), hi + 1):
-                msg[o] = _stack([_toggle_merge(core, lchild[i], rchild[o - i])
-                                 for i in sorted(lchild) if o - i in rchild])
+            for o in range(1, k if v > 1 else 1):  # the root sends no message
+                blocks = [_toggle_merge(core, lchild[i], rchild[o - i])
+                          for i in sorted(lchild) if o - i in rchild]
+                if blocks:
+                    msg[o] = _stack(blocks)
             msgs[2 * v] = msgs[2 * v + 1] = None
         msgs[v] = msg
     return np.concatenate(closed, axis=1)
@@ -541,41 +550,32 @@ def _stack(blocks):
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
-@functools.lru_cache(maxsize=None)
-def _tree_orders(n: int, leaf_count: int, v: int, k: int):
-    """Orders below k that node v's message keeps: at most its real leaf
-    count, at least what the real leaves outside its subtree cannot supply."""
-    lo, hi = _subtree_leaf_range(v, leaf_count)
-    inside = max(0, min(hi, n) - lo)
-    return max(0, k - (n - inside)), min(k - 1, inside)
-
-
-def _tree_labels(n: int, k: int) -> list:
-    """0-based subsets in the order ``tree_toggle_sweep`` closes them."""
-    L = _tree_leaf_count(n)
+# bounded: an explicit subset list adds one entry per distinct leg set
+@functools.lru_cache(maxsize=64)
+def _tree_order(legs, leaf_count: int, k: int) -> np.ndarray:
+    """Permutation taking ``tree_toggle_sweep``'s row order to lexicographic
+    subset order: the k-subsets of ``legs``, built as rows of leg indices in
+    the order the sweep closes them, then sorted."""
+    L = leaf_count
+    toggleable = set(legs)
     labels = [None] * (2 * L)
     closed = []
     for v in range(2 * L - 1, L - 1 if k == 1 else 0, -1):
-        lo, hi = _tree_orders(n, L, v, k)
-        lab = {0: [()]} if lo == 0 else {}
-        if L <= v < L + n:
-            lab[1] = [(v - L,)]
+        lab = {0: np.empty((1, 0), dtype=np.intp)}
+        if v - L in toggleable:
+            lab[1] = np.array([[v - L]], dtype=np.intp)
         elif v < L:
             lchild, rchild = labels[2 * v], labels[2 * v + 1]
-            for o in [*range(max(lo, 1), hi + 1), k]:
-                lab[o] = [a + c for i in sorted(lchild) if o - i in rchild
-                          for a in lchild[i] for c in rchild[o - i]]
-        closed += lab.pop(k, [])
+            for o in [*range(1, k if v > 1 else 1), k]:
+                blocks = [np.concatenate([np.repeat(lchild[i], len(rchild[o - i]), axis=0),
+                                          np.tile(rchild[o - i], (len(lchild[i]), 1))], axis=1)
+                          for i in sorted(lchild) if o - i in rchild]
+                if blocks:
+                    lab[o] = np.concatenate(blocks)
+        if k in lab:
+            closed.append(lab.pop(k))
         labels[v] = lab
-    return closed
-
-
-@functools.lru_cache(maxsize=None)
-def _tree_order(n: int, k: int) -> np.ndarray:
-    """Permutation taking ``tree_toggle_sweep``'s row order to lexicographic
-    subset order."""
-    labels = _tree_labels(n, k)
-    perm = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
+    perm = np.lexsort(np.concatenate(closed).T[::-1])
     perm.setflags(write=False)
     return perm
 

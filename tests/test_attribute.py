@@ -34,7 +34,7 @@ from tnshap import (
     sii_weights,
     write_attribution_csv,
 )
-from tnshap import attribute
+from tnshap import attribute, oracle
 from tnshap.lift import off_state, signed_toggle
 
 
@@ -153,6 +153,14 @@ class TestProbeValue:
             probe_value(model, lifts, [0, 0, 0], (0,), 0.5)
         with pytest.raises(ValueError):
             probe_value(model, lifts, [0, 0, 0], (4,), 0.5)
+
+    def test_non_finite_t_rejected(self, rng):
+        model, lifts = random_tt_model(rng, 4)
+        before = model.forward_count
+        for t in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="must be finite"):
+                probe_value(model, lifts, [0.1, 0.2, 0.3, 0.4], (1, 3), t)
+        assert model.forward_count == before
 
     def test_empty_subset_rejected(self):
         model, lifts = gen_tree_teacher(4, 2, seed=1)
@@ -395,7 +403,7 @@ class TestBatch:
 
     @pytest.mark.parametrize("subsets", ["all", [(1, 2), (2, 4)]])
     @pytest.mark.parametrize("case", ["bad-k", "wrong-length", "nan", "empty-subsets",
-                                      "unknown-mode"])
+                                      "non-integral-subset", "unknown-mode"])
     def test_explain_raises_what_batch_slot_holds(self, rng, case, subsets):
         """``explain`` is a one-row ``explain_batch``: it raises the exception
         left in the row's slot, same type and message."""
@@ -409,6 +417,8 @@ class TestBatch:
             x[2] = np.nan
         elif case == "empty-subsets":
             subsets = []
+        elif case == "non-integral-subset":
+            subsets = [(1.5, 2)]
         else:
             mode = "both"
         slot = explain_batch(model, lifts, [x], k, mode=mode, subsets=subsets)[0]
@@ -443,20 +453,19 @@ class TestStackedBatch:
 
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     def test_stacked_probes_match_flat_path(self, rng, kind):
-        """At one node (weight 1) both value helpers give raw probes; the
-        stacked engine matches the flat path node by node."""
+        """At one node (weight 1) the value helper gives raw probes; the
+        stacked engine matches the flat reference node by node."""
         n = 6
         model, lifts = _random_model(kind, n, 3, seed=1)
         xs = rng.uniform(-1, 1, (3, n))
         subsets = [(j,) for j in range(1, n + 1)]
-        for t in chebyshev_nodes(n):
-            node = np.array([t])
-            stacked, _ = attribute._shared_values(model, lifts.lift_rows(xs), node, 1,
-                                                  INCLUSION_EXCLUSION)
+        nodes = chebyshev_nodes(n)
+        for t in nodes:
+            stacked, _ = attribute._probe_values(model, model, lifts.lift_rows(xs), np.array([t]),
+                                                 1, INCLUSION_EXCLUSION, tuple(range(n)))
             for b, x in enumerate(xs):
-                flat, _ = attribute._flat_values(model, lifts.lift_instance(x), subsets, node,
-                                                 INCLUSION_EXCLUSION)
-                np.testing.assert_allclose(stacked[b], flat, rtol=1e-12, atol=1e-14)
+                flat = oracle.flat_probes(model, lifts, x, subsets, [t])
+                np.testing.assert_allclose(stacked[b], flat[:, 0], rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     def test_bad_rows_fill_only_their_slots(self, rng, monkeypatch, kind):
@@ -624,15 +633,15 @@ class TestSharedProbes:
     ])
     def test_probe_matrix_matches_flat_path(self, rng, kind, n, k):
         """Per-node raw probes (one node, weight 1) of the engine against the
-        flat path, at every one of the m = n - k + 1 nodes."""
+        flat reference, at every one of the m = n - k + 1 nodes."""
         model, lifts = _random_model(kind, n, 4, seed=n + k)
-        lifted = lifts.lift_instance(rng.uniform(-1, 1, n))
+        x = rng.uniform(-1, 1, n)
+        lifted = lifts.lift_instance(x)
         subsets = list(itertools.combinations(range(1, n + 1), k))
         for t in chebyshev_nodes(n - k + 1):
-            node = np.array([t])
-            shared, _ = attribute._shared_values(model, [v[None] for v in lifted], node, k,
-                                                 SIGNED_TOGGLE)
-            flat, _ = attribute._flat_values(model, lifted, subsets, node, SIGNED_TOGGLE)
+            shared, _ = attribute._probe_values(model, model, [v[None] for v in lifted],
+                                                np.array([t]), k, SIGNED_TOGGLE, tuple(range(n)))
+            flat = oracle.flat_probes(model, lifts, x, subsets, [t])[:, 0]
             assert shared.shape == (1, len(subsets)) and flat.shape == (len(subsets),)
             assert np.max(np.abs(shared[0] - flat)) <= 1e-12 * np.max(np.abs(flat))
 
@@ -642,9 +651,10 @@ class TestSharedProbes:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_inclusion_exclusion_matches_flat_configurations(self, rng, k, kind, n, b):
         """The engine in inclusion-exclusion mode (signed-toggle arithmetic)
-        against the flat path, which evaluates all 2^k on/off configurations
-        of every subset; btree n in {5, 7, 11} has pad leaves. The engine is
-        charged the flat path's count and never calls ``forward_batch``."""
+        against the flat reference, which evaluates all 2^k on/off
+        configurations of every subset; btree n in {5, 7, 11} has pad
+        leaves. The engine is charged the reference's count and never calls
+        ``forward_batch``."""
         model, lifts = _random_model(kind, n, 4, seed=7 * n + k)
         xs = rng.uniform(-1, 1, (b, n))
         nodes = chebyshev_nodes(n - k + 1)
@@ -652,20 +662,18 @@ class TestSharedProbes:
         original = model.forward_batch
         model.forward_batch = lambda legs: calls.append(legs) or original(legs)
         before = model.forward_count
-        _, forwards = attribute._shared_values(model, lifts.lift_rows(xs), nodes, k,
-                                               INCLUSION_EXCLUSION)
+        _, forwards = attribute._probe_values(model, model, lifts.lift_rows(xs), nodes, k,
+                                              INCLUSION_EXCLUSION, tuple(range(n)))
         contract = 2**k * (n - k + 1) * math.comb(n, k) * b
         assert model.forward_count - before == forwards == contract
         assert calls == []
         model.forward_batch = original
         subsets = list(itertools.combinations(range(1, n + 1), k))
         for t in nodes:
-            node = np.array([t])
-            shared, _ = attribute._shared_values(model, lifts.lift_rows(xs), node, k,
-                                                 INCLUSION_EXCLUSION)
+            shared, _ = attribute._probe_values(model, model, lifts.lift_rows(xs), np.array([t]),
+                                                k, INCLUSION_EXCLUSION, tuple(range(n)))
             for row, x in zip(shared, xs):
-                flat, _ = attribute._flat_values(model, lifts.lift_instance(x), subsets, node,
-                                                 INCLUSION_EXCLUSION)
+                flat = oracle.flat_probes(model, lifts, x, subsets, [t])[:, 0]
                 assert row.shape == flat.shape == (len(subsets),)
                 assert np.max(np.abs(row - flat)) <= 1e-12 * np.max(np.abs(flat))
 
@@ -719,8 +727,9 @@ class TestSharedProbes:
         model, lifts = _random_model("tt", n, 3, seed=k)
         xs = rng.uniform(-1, 1, (b, n))
         monkeypatch.setattr(attribute.tensor_net, "_tree_order", None)
-        values, _ = attribute._shared_values(model, lifts.lift_rows(xs), chebyshev_nodes(n - k + 1),
-                                             k, SIGNED_TOGGLE)
+        values, _ = attribute._probe_values(model, model, lifts.lift_rows(xs),
+                                            chebyshev_nodes(n - k + 1), k, SIGNED_TOGGLE,
+                                            tuple(range(n)))
         assert values.shape == (b, math.comb(n, k))
         for row, x in zip(values, xs):
             expected = exact_sii(enumerate_game(model, lifts, x), k).values
@@ -734,6 +743,103 @@ class TestSharedProbes:
         first = explain(model, lifts, x, 2)
         for _ in range(3):
             np.testing.assert_array_equal(explain(model, lifts, x, 2).values, first.values)
+
+
+class TestExplicitLists:
+    """Explicit subset lists, single probes and models that are not tensor
+    networks all go through the probe engine."""
+
+    @pytest.mark.parametrize("mode", [INCLUSION_EXCLUSION, SIGNED_TOGGLE])
+    @pytest.mark.parametrize("k", [1, 2, 3, "n"])
+    @pytest.mark.parametrize("kind,n", [("tt", 7), ("btree", 5), ("btree", 7), ("btree", 11)])
+    def test_matches_flat_reference(self, rng, kind, n, k, mode):
+        """Unsorted requests with a duplicate, on trains and on pad-leaf trees,
+        B = 3 stacked instances: each kept subset's index equals the flat
+        2^k-configuration reference, and the request is charged the
+        per-subset contract exactly; ``probe_value`` matches the reference at
+        one node. Errors are relative to the larger of the index and the
+        model's output at x: at k = n the index can be far smaller than the
+        2^k configurations the reference cancels."""
+        k = n if k == "n" else k
+        model, lifts = _random_model(kind, n, 4, seed=11 * n + k)
+        draws = [tuple(int(i) + 1 for i in rng.permutation(n)[:k]) for _ in range(4)]
+        requested = draws + [draws[0][::-1]]
+        subsets = sorted({tuple(sorted(s)) for s in requested})
+        m = n - k + 1
+        per_subset = m * (2**k if mode == INCLUSION_EXCLUSION else 1)
+        xs = rng.uniform(-1, 1, (3, n))
+        before = model.forward_count
+        results = explain_batch(model, lifts, xs, k, mode=mode, subsets=requested)
+        assert model.forward_count - before == 3 * per_subset * len(subsets)
+        nodes = chebyshev_nodes(m)
+        for x, got in zip(xs, results):
+            assert got.subsets == tuple(subsets)
+            assert got.forwards_used == per_subset * len(subsets)
+            want = oracle.flat_probes(model, lifts, x, subsets, nodes) @ quadrature_weights(m)
+            scale = max(np.max(np.abs(want)), abs(model.forward(lifts.lift_instance(x))))
+            assert np.max(np.abs(got.values - want)) <= 1e-12 * scale
+        t = 0.37
+        probe = probe_value(model, lifts, xs[0], requested[0], t, mode)
+        want = oracle.flat_probes(model, lifts, xs[0], [tuple(sorted(requested[0]))], [t])[0, 0]
+        scale = max(abs(want), abs(model.forward(lifts.lift_instance(xs[0]))))
+        assert abs(probe - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    def test_no_request_calls_forward_batch(self, rng, monkeypatch, kind):
+        n = 7
+        model, lifts = _random_model(kind, n, 3, seed=8)
+
+        def refuse(self, legs):
+            raise AssertionError("a request contracted forward_batch rows")
+
+        monkeypatch.setattr(TensorNetworkModel, "forward_batch", refuse)
+        xs = rng.uniform(-1, 1, (3, n))
+        before = model.forward_count
+        explain_batch(model, lifts, xs, 2, subsets=[(6, 1), (2, 7), (1, 6)])
+        explain(model, lifts, xs[0], 3)
+        explain_batch(model, lifts, xs, 1)
+        probe_value(model, lifts, xs[0], (5, 2), 0.3)
+        probe_value(model, lifts, xs[0], (4,), 0.6, SIGNED_TOGGLE)
+        contract = 3 * 6 * 2 + 5 * 35 + 3 * 2 * n * n + 4 + 1
+        assert model.forward_count - before == contract
+
+    def test_cp_teacher_goes_through_its_train(self, rng, monkeypatch):
+        """A ``CpTeacher`` is explained through ``to_tensor_train()``: its own
+        counter is charged exactly the contract, no flat row is contracted,
+        and the values are those of the train."""
+        from tnshap import CpTeacher
+
+        n = 6
+        teacher, lifts = gen_cp_teacher(n, 3, seed=2)
+        train = teacher.to_tensor_train()
+
+        def refuse(self, legs):
+            raise AssertionError("a request contracted forward_batch rows")
+
+        monkeypatch.setattr(CpTeacher, "forward_batch", refuse)
+        xs = rng.uniform(-1, 1, (3, n))
+        for k, subsets, per_instance in [(1, "all", 2 * n * n), (2, "all", 5 * 15),
+                                         (3, [(4, 1, 2), (2, 1, 4), (3, 5, 6)], 4 * 2)]:
+            before = teacher.forward_count
+            got = explain_batch(teacher, lifts, xs, k, subsets=subsets)
+            assert teacher.forward_count - before == 3 * per_instance
+            want = explain_batch(train, lifts, xs, k, subsets=subsets)
+            for a, b in zip(got, want):
+                assert a.forwards_used == b.forwards_used == per_instance
+                np.testing.assert_array_equal(a.values, b.values)
+        before = teacher.forward_count
+        probe_value(teacher, lifts, xs[0], (2, 4), 0.5)
+        assert teacher.forward_count - before == 4
+
+    def test_other_objects_rejected(self, rng):
+        _, lifts = gen_cp_teacher(3, 2, seed=2)
+        x = rng.uniform(-1, 1, 3)
+        with pytest.raises(TypeError, match="cannot explain a object"):
+            explain(object(), lifts, x, 1)
+        slots = explain_batch(object(), lifts, [x, x], 1)
+        assert all(isinstance(r, TypeError) for r in slots)
+        with pytest.raises(TypeError, match="cannot explain a object"):
+            probe_value(object(), lifts, x, (1,), 0.5)
 
 
 class TestProbeMemory:
@@ -791,23 +897,6 @@ class TestForwardAccounting:
         assert aset.forwards_used == model.counter.added == per_subset * len(aset.subsets)
         if k == 1:
             assert aset.forwards_used == 2 * n * n
-
-    @pytest.mark.parametrize("mode,per_subset", [(INCLUSION_EXCLUSION, 24), (SIGNED_TOGGLE, 6)])
-    def test_flat_path_respects_row_budget(self, rng, monkeypatch, mode, per_subset):
-        n, k = 7, 2
-        model, lifts = random_tt_model(rng, n)
-        x = rng.uniform(-1, 1, n)
-        subsets = list(itertools.combinations(range(1, n + 1), k))[::2]
-        whole = explain(model, lifts, x, k, subsets=subsets, mode=mode)
-        budget = 3 * per_subset + 1
-        monkeypatch.setattr(attribute, "FLAT_ROW_BUDGET", budget)
-        rows = []
-        original = model.forward_batch
-        model.forward_batch = lambda legs: rows.append(legs[0].shape[0]) or original(legs)
-        chunked = explain(model, lifts, x, k, subsets=subsets, mode=mode)
-        assert len(rows) > 1 and max(rows) <= budget
-        assert sum(rows) == chunked.forwards_used == per_subset * len(subsets)
-        np.testing.assert_allclose(chunked.values, whole.values, rtol=1e-14, atol=1e-14)
 
     def test_quadrature_weights_built_once_per_node_count(self, rng):
         attribute.quadrature_weights.cache_clear()

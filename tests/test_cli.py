@@ -209,6 +209,19 @@ class TestExplain:
                    "--order", 1, "--out", tmp_path / "x.csv") == 2
         assert "header" in capsys.readouterr().err
 
+    def test_extra_core_rejected(self, tmp_path, teacher_path, capsys):
+        obj = json.loads(teacher_path.read_text())
+        obj["cores"].append(obj["cores"][-1])
+        model = tmp_path / "extra.json"
+        model.write_text(json.dumps(obj))
+        inst = tmp_path / "inst.csv"
+        write_instances(inst, [[0.1, 0.2, 0.3, 0.4]])
+        out = tmp_path / "x.csv"
+        assert run("explain", "--model", model, "--instances", inst,
+                   "--order", 1, "--out", out) == 2
+        assert f"has {len(obj['cores'])} cores" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_generated_teacher_passes(self, tmp_path, teacher_path):

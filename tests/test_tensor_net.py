@@ -16,6 +16,8 @@ from tnshap import (
     gen_tree_teacher,
     load_model,
     materialize_full,
+    model_from_json_dict,
+    model_to_json_dict,
     save_model,
 )
 from tnshap.tensor_net import (
@@ -314,3 +316,13 @@ class TestModelJson:
         path.write_text(json.dumps(obj))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+    @pytest.mark.parametrize("change", [1, -1])
+    def test_rejects_core_count_mismatch(self, change):
+        model, lifts = gen_tree_teacher(5, 3, seed=11)
+        obj = model_to_json_dict(model, lifts)
+        cores = obj["cores"]
+        obj["cores"] = cores + cores[-1:] if change > 0 else cores[:-1]
+        with pytest.raises(ValueError, match=f"has {len(cores) + change} cores, topology "
+                                             f"needs {len(cores)}"):
+            model_from_json_dict(obj)
