@@ -136,7 +136,7 @@ class AttributionSet:
         return list(zip(self.subsets, self.values.tolist()))
 
     def value(self, subset) -> float:
-        target = tuple(sorted(int(i) for i in subset))
+        target = tuple(sorted(operator.index(i) for i in subset))
         return float(self.values[self.subsets.index(target)])
 
 
@@ -200,8 +200,9 @@ def probe_value(model, lifts: LiftSpec, x, subset, t: float, mode=INCLUSION_EXCL
     if not math.isfinite(t):
         raise ValueError(f"selector value t must be finite, got {t}")
     lifted = [v[None] for v in lifts.lift_instance(x)]
-    values, _ = _probe_values(model, net, lifted, np.array([float(t)]), len(s),
-                              _resolve_mode(len(s), mode), tuple(i - 1 for i in s))
+    values, forwards = _probe_values(net, lifted, np.array([float(t)]), len(s),
+                                     _resolve_mode(len(s), mode), tuple(i - 1 for i in s))
+    model.counter.add(forwards)
     return float(values[0, 0])
 
 
@@ -220,15 +221,16 @@ def _scaled_inputs(lifted, nodes: np.ndarray) -> list:
     return out
 
 
-def _probe_values(model, net, lifted, nodes, k: int, mode, legs, columns=None):
+def _probe_values(net, lifted, nodes, k: int, mode, legs, columns=None):
     """Probes of the k-subsets of ``legs`` (0-based), weighted by
     ``quadrature_weights(len(nodes))``, for B stacked instances from one
-    ``tensor_net.toggle_probes`` sweep over ``net``, the model's network.
+    ``tensor_net.toggle_probes`` sweep over the network ``net``.
 
     ``lifted[i]`` holds feature i's (B, d_i) lifted rows. ``columns`` keeps
     the subsets of those lexicographic ranks (None keeps all). Returns
-    ((B, kept) values, the forwards added to ``model``'s counter: one per
-    evaluated configuration of each kept subset, by ``mode``'s contract).
+    ((B, kept) values, the forwards the caller charges to the model
+    explained: one per evaluated configuration of each kept subset, by
+    ``mode``'s contract).
     """
     scaled = _scaled_inputs(lifted, nodes)
     toggled = [signed_toggle(v) for v in lifted]
@@ -238,9 +240,7 @@ def _probe_values(model, net, lifted, nodes, k: int, mode, legs, columns=None):
     if columns is not None:
         values = values[:, columns]
     patterns = 1 << k if mode == INCLUSION_EXCLUSION else 1
-    forwards = lifted[0].shape[0] * nodes.shape[0] * values.shape[1] * patterns
-    model.counter.add(forwards)
-    return values, forwards
+    return values, lifted[0].shape[0] * nodes.shape[0] * values.shape[1] * patterns
 
 
 def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None) -> AttributionSet:
@@ -318,7 +318,8 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     for c0 in range(0, len(rows), step):
         chunk = rows[c0 : c0 + step]
         lifted = lifts.lift_rows(np.stack([x for _, x in chunk]))
-        values, forwards = _probe_values(model, net, lifted, nodes, k, mode, legs, columns)
+        values, forwards = _probe_values(net, lifted, nodes, k, mode, legs, columns)
+        model.counter.add(forwards)
         for (idx, _), vals in zip(chunk, values):
             results[idx] = AttributionSet(k, subset_list, vals, forwards // len(chunk))
     return results

@@ -46,17 +46,9 @@ def model_from_json_dict(obj: dict):
         phys_dims=tuple(obj["phys_dims"]),
         bond_dims=tuple(obj["bond_dims"]),
     )
-    shapes = topo.core_shapes()
-    if len(obj["cores"]) != len(shapes):
-        raise ValueError(f"model file has {len(obj['cores'])} cores, topology needs {len(shapes)}")
-    cores = []
-    for entry, shape in zip(obj["cores"], shapes):
-        declared = tuple(int(s) for s in entry["shape"])
-        if declared != tuple(shape):
-            raise ValueError(
-                f"core shape {declared} does not match topology shape {tuple(shape)}"
-            )
-        cores.append(np.asarray(entry["data"], dtype=np.float64).reshape(declared))
+    # the model checks the core count and every shape against the topology
+    cores = [np.asarray(entry["data"], dtype=np.float64).reshape([int(s) for s in entry["shape"]])
+             for entry in obj["cores"]]
     model = TensorNetworkModel(topo, cores)
     lifts = LiftSpec.from_json_list(obj["feature_maps"])
     if lifts.dims != topo.phys_dims:

@@ -18,6 +18,7 @@ through the two row-wise helpers of the "row-wise contractions" section.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import threading
@@ -378,8 +379,8 @@ def tt_right_states(cores, batch) -> list:
 # ``C_bias + t * C_data``; a signed-toggled leg carries ``toggled`` and
 # contributes ``C_data`` alone, independent of t. The sweeps below stack, per
 # number o < k of legs toggled so far, the selector-scaled states of every
-# such choice; a train keeps them only while enough toggleable legs remain
-# to complete them. Stacked states are (B, choices, m, bond) arrays, one set
+# such choice, kept only while enough toggleable legs remain to complete
+# them. Stacked states are (B, choices, m, bond) arrays, one set
 # of toggles per instance. Each subset closes against an environment with
 # the caller's weights folded in over the m nodes -- ``tt_left_states`` on a
 # train, ``tree_down_messages`` on a tree (all ones at the root) -- so no
@@ -463,12 +464,11 @@ def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, weights, k: 
     """One up-pass closing every k-subset of ``legs`` on a binary tree at its
     lowest common node.
 
-    Node v below the root carries, per order o < k its children can form
-    (whether or not it can complete), a (B, C(toggleable leaves under v, o),
-    m, bond) message; order 0 is ``tree_up_messages`` and a toggleable leaf's
-    toggled message is repeated over the m nodes. Children combine over the
-    splits i + j = o; other leaves carry order 0 only. A subset
-    closes against its node's ``tree_down_messages`` entry with ``weights``
+    Node v carries, per order o < k in ``_tree_orders``, a (B, C(toggleable
+    leaves under v, o), m, bond) message; order 0 is ``tree_up_messages`` and
+    a toggleable leaf's toggled message is repeated over the m nodes.
+    Children combine over the splits i + j = o; other leaves carry order 0
+    only. A subset closes against its node's ``tree_down_messages`` entry with ``weights``
     folded in: at k = 1 at each toggleable leaf, ``(weights @ down) .
     (toggled @ leaf core)``, with no internal node visited; at k >= 2 each
     split i + (k - i) at the node where its two parts meet
@@ -491,7 +491,8 @@ def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, weights, k: 
                 env = weights @ down[v].reshape(b, m, -1)
                 closed.append(np.einsum("br,br->b", env, on)[:, None])
                 continue
-        msg = {0: up[v].reshape(b, 1, m, -1)} if v > 1 else {}
+        lo, hi = _tree_orders(legs, L, v, k)
+        msg = {0: up[v].reshape(b, 1, m, -1)} if lo == 0 else {}
         if v - L in toggleable:
             msg[1] = np.broadcast_to(on[:, None, None, :], (b, 1, m, on.shape[1]))
         elif v < L:
@@ -500,11 +501,9 @@ def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, weights, k: 
             env = weights[:, None] * down[v].reshape(b, m, -1)
             closed += [_toggle_close(core, lchild[i], rchild[k - i], env)
                        for i in sorted(lchild) if k - i in rchild]
-            for o in range(1, k if v > 1 else 1):  # the root sends no message
-                blocks = [_toggle_merge(core, lchild[i], rchild[o - i])
-                          for i in sorted(lchild) if o - i in rchild]
-                if blocks:
-                    msg[o] = _stack(blocks)
+            for o in range(max(lo, 1), hi + 1):
+                msg[o] = _stack([_toggle_merge(core, lchild[i], rchild[o - i])
+                                 for i in sorted(lchild) if o - i in rchild])
             msgs[2 * v] = msgs[2 * v + 1] = None
         msgs[v] = msg
     return np.concatenate(closed, axis=1)
@@ -550,6 +549,15 @@ def _stack(blocks):
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
+def _tree_orders(legs, leaf_count: int, v: int, k: int):
+    """Orders below k that node v's message keeps: at most its toggleable leaf
+    count, at least what the toggleable leaves outside it cannot supply (else
+    k near len(legs) stacks about 2^(leaves under v) choices near the root)."""
+    lo, hi = _subtree_leaf_range(v, leaf_count)
+    inside = bisect.bisect_left(legs, hi) - bisect.bisect_left(legs, lo)
+    return max(0, k - (len(legs) - inside)), min(k - 1, inside)
+
+
 # bounded: an explicit subset list adds one entry per distinct leg set
 @functools.lru_cache(maxsize=64)
 def _tree_order(legs, leaf_count: int, k: int) -> np.ndarray:
@@ -561,20 +569,18 @@ def _tree_order(legs, leaf_count: int, k: int) -> np.ndarray:
     labels = [None] * (2 * L)
     closed = []
     for v in range(2 * L - 1, L - 1 if k == 1 else 0, -1):
-        lab = {0: np.empty((1, 0), dtype=np.intp)}
+        lo, hi = _tree_orders(legs, L, v, k)
+        lab = {0: [np.empty((1, 0), dtype=np.intp)]} if lo == 0 else {}
         if v - L in toggleable:
-            lab[1] = np.array([[v - L]], dtype=np.intp)
+            lab[1] = [np.array([[v - L]], dtype=np.intp)]
         elif v < L:
             lchild, rchild = labels[2 * v], labels[2 * v + 1]
-            for o in [*range(1, k if v > 1 else 1), k]:
-                blocks = [np.concatenate([np.repeat(lchild[i], len(rchild[o - i]), axis=0),
+            for o in [*range(max(lo, 1), hi + 1), k]:
+                lab[o] = [np.concatenate([np.repeat(lchild[i], len(rchild[o - i]), axis=0),
                                           np.tile(rchild[o - i], (len(lchild[i]), 1))], axis=1)
                           for i in sorted(lchild) if o - i in rchild]
-                if blocks:
-                    lab[o] = np.concatenate(blocks)
-        if k in lab:
-            closed.append(lab.pop(k))
-        labels[v] = lab
+        closed += lab.pop(k, [])
+        labels[v] = {o: np.concatenate(rows) for o, rows in lab.items()}
     perm = np.lexsort(np.concatenate(closed).T[::-1])
     perm.setflags(write=False)
     return perm

@@ -293,6 +293,9 @@ class TestAxioms:
         x = rng.uniform(-1, 1, 5)
         phi = explain(dummy, lifts, x, 1)
         assert abs(phi.value((3,))) < 1e-9
+        assert phi.value((np.int64(3),)) == phi.value((3,))
+        with pytest.raises(TypeError):
+            phi.value((3.5,))  # not read as feature 3
         pairs = explain(dummy, lifts, x, 2)
         for subset, val in pairs.entries():
             if 3 in subset:
@@ -461,7 +464,7 @@ class TestStackedBatch:
         subsets = [(j,) for j in range(1, n + 1)]
         nodes = chebyshev_nodes(n)
         for t in nodes:
-            stacked, _ = attribute._probe_values(model, model, lifts.lift_rows(xs), np.array([t]),
+            stacked, _ = attribute._probe_values(model, lifts.lift_rows(xs), np.array([t]),
                                                  1, INCLUSION_EXCLUSION, tuple(range(n)))
             for b, x in enumerate(xs):
                 flat = oracle.flat_probes(model, lifts, x, subsets, [t])
@@ -639,8 +642,8 @@ class TestSharedProbes:
         lifted = lifts.lift_instance(x)
         subsets = list(itertools.combinations(range(1, n + 1), k))
         for t in chebyshev_nodes(n - k + 1):
-            shared, _ = attribute._probe_values(model, model, [v[None] for v in lifted],
-                                                np.array([t]), k, SIGNED_TOGGLE, tuple(range(n)))
+            shared, _ = attribute._probe_values(model, [v[None] for v in lifted], np.array([t]),
+                                                k, SIGNED_TOGGLE, tuple(range(n)))
             flat = oracle.flat_probes(model, lifts, x, subsets, [t])[:, 0]
             assert shared.shape == (1, len(subsets)) and flat.shape == (len(subsets),)
             assert np.max(np.abs(shared[0] - flat)) <= 1e-12 * np.max(np.abs(flat))
@@ -653,24 +656,26 @@ class TestSharedProbes:
         """The engine in inclusion-exclusion mode (signed-toggle arithmetic)
         against the flat reference, which evaluates all 2^k on/off
         configurations of every subset; btree n in {5, 7, 11} has pad
-        leaves. The engine is charged the reference's count and never calls
-        ``forward_batch``."""
+        leaves. The helper counts the reference's forwards, the request
+        charges them to the model, and neither calls ``forward_batch``."""
         model, lifts = _random_model(kind, n, 4, seed=7 * n + k)
         xs = rng.uniform(-1, 1, (b, n))
         nodes = chebyshev_nodes(n - k + 1)
         calls = []
         original = model.forward_batch
         model.forward_batch = lambda legs: calls.append(legs) or original(legs)
-        before = model.forward_count
-        _, forwards = attribute._probe_values(model, model, lifts.lift_rows(xs), nodes, k,
+        _, forwards = attribute._probe_values(model, lifts.lift_rows(xs), nodes, k,
                                               INCLUSION_EXCLUSION, tuple(range(n)))
         contract = 2**k * (n - k + 1) * math.comb(n, k) * b
-        assert model.forward_count - before == forwards == contract
+        before = model.forward_count
+        results = explain_batch(model, lifts, xs, k, mode=INCLUSION_EXCLUSION)
+        charged = sum(r.forwards_used for r in results)
+        assert model.forward_count - before == charged == forwards == contract
         assert calls == []
         model.forward_batch = original
         subsets = list(itertools.combinations(range(1, n + 1), k))
         for t in nodes:
-            shared, _ = attribute._probe_values(model, model, lifts.lift_rows(xs), np.array([t]),
+            shared, _ = attribute._probe_values(model, lifts.lift_rows(xs), np.array([t]),
                                                 k, INCLUSION_EXCLUSION, tuple(range(n)))
             for row, x in zip(shared, xs):
                 flat = oracle.flat_probes(model, lifts, x, subsets, [t])[:, 0]
@@ -727,9 +732,8 @@ class TestSharedProbes:
         model, lifts = _random_model("tt", n, 3, seed=k)
         xs = rng.uniform(-1, 1, (b, n))
         monkeypatch.setattr(attribute.tensor_net, "_tree_order", None)
-        values, _ = attribute._probe_values(model, model, lifts.lift_rows(xs),
-                                            chebyshev_nodes(n - k + 1), k, SIGNED_TOGGLE,
-                                            tuple(range(n)))
+        values, _ = attribute._probe_values(model, lifts.lift_rows(xs), chebyshev_nodes(n - k + 1),
+                                            k, SIGNED_TOGGLE, tuple(range(n)))
         assert values.shape == (b, math.comb(n, k))
         for row, x in zip(values, xs):
             expected = exact_sii(enumerate_game(model, lifts, x), k).values
@@ -844,12 +848,12 @@ class TestExplicitLists:
 
 class TestProbeMemory:
     @staticmethod
-    def _explain_peak(model, lifts, x, k) -> int:
+    def _explain_peak(model, lifts, x, k, subsets="all") -> int:
         import tracemalloc
 
         tracemalloc.start()
         try:
-            explain(model, lifts, x, k)
+            explain(model, lifts, x, k, subsets=subsets)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -868,6 +872,19 @@ class TestProbeMemory:
         m) root message alone would take 20 MB."""
         model, lifts = _random_model("btree", 64, 8, seed=1)
         assert self._explain_peak(model, lifts, rng.uniform(-1, 1, 64), 3) < 30 * 2**20
+
+    def test_tree_order_near_n_tracemalloc_peak(self, rng):
+        """A tree node keeps only the orders the toggleable legs outside it
+        can complete: at btree n = 64, k = 63 (64 subsets) the 32-leaf child
+        of the root carries orders 31 and 32, 33 rows, where orders 1..32
+        would be about 2^32. The same holds for an explicit list at k = N - 1
+        over N = 48 of the legs."""
+        model, lifts = _random_model("btree", 64, 8, seed=1)
+        x = rng.uniform(-1, 1, 64)
+        assert self._explain_peak(model, lifts, x, 63) < 10 * 2**20
+        legs = [i for i in range(1, 65) if i % 4]
+        subsets = [tuple(i for i in legs if i != drop) for drop in (1, 30, 63)]
+        assert self._explain_peak(model, lifts, x, 47, subsets) < 10 * 2**20
 
 
 class _DriftingCounter:

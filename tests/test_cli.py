@@ -219,7 +219,7 @@ class TestExplain:
         out = tmp_path / "x.csv"
         assert run("explain", "--model", model, "--instances", inst,
                    "--order", 1, "--out", out) == 2
-        assert f"has {len(obj['cores'])} cores" in capsys.readouterr().err
+        assert f"cores, got {len(obj['cores'])}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -323,6 +323,6 @@ class TestModelJson:
         obj = model_to_json_dict(model, lifts)
         cores = obj["cores"]
         obj["cores"] = cores + cores[-1:] if change > 0 else cores[:-1]
-        with pytest.raises(ValueError, match=f"has {len(cores) + change} cores, topology "
-                                             f"needs {len(cores)}"):
+        with pytest.raises(ValueError, match=f"expected {len(cores)} cores, "
+                                             f"got {len(cores) + change}"):
             model_from_json_dict(obj)
