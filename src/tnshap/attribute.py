@@ -328,20 +328,34 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
 CSV_HEADER = "instance_id,order,subset,value,flag"
 
 
-def write_attribution_csv(fh, per_instance) -> None:
+def write_attribution_csv(fh, per_instance, start: int = 0) -> None:
     """Write attribution rows: header instance_id,order,subset,value,flag.
 
-    ``per_instance`` is a list over instances of AttributionSet lists. Rows
-    are ordered by instance, then order, then (already lexicographic) subset;
-    subsets are semicolon-joined 1-based indices. ``flag`` is kept for format
-    stability and written empty.
+    ``per_instance`` is a list over instances of AttributionSet lists, whose
+    instance ids count up from ``start``; only a write that starts at
+    instance 0 writes the header, so a file can be written one block of
+    instances at a time. Rows are ordered by instance, then order, then
+    (already lexicographic) subset; subsets are semicolon-joined 1-based
+    indices and values are ``repr`` floats. ``flag`` is kept for format
+    stability and written empty. The output is byte-identical to
+    ``write_attribution_rows`` on the same rows.
     """
-    rows = []
-    for iid, sets in enumerate(per_instance):
+    if start == 0:
+        fh.write(CSV_HEADER + "\n")
+    # "order,subset," per subset, built once per subset list: instances of one
+    # request share theirs. Keyed by id, which stays unique while per_instance
+    # holds every set
+    columns = {}
+    for iid, sets in enumerate(per_instance, start):
+        sep = f",\n{iid},"
         for aset in sorted(sets, key=lambda a: a.order):
-            for subset, value in aset.entries():
-                rows.append((iid, aset.order, subset, value, ""))
-    write_attribution_rows(fh, rows)
+            texts = columns.get(id(aset.subsets))
+            if texts is None:
+                texts = columns[id(aset.subsets)] = [
+                    f"{aset.order},{';'.join(map(str, s))}," for s in aset.subsets]
+            # one repr of the value list gives every float's repr
+            values = repr(aset.values.tolist())[1:-1].split(", ")
+            fh.write(sep[2:] + sep.join(map(operator.add, texts, values)) + ",\n")
 
 
 def write_attribution_rows(fh, rows) -> None:

@@ -11,6 +11,7 @@ per-phase wall times. Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import logging
@@ -35,6 +36,10 @@ MANIFEST_VERSION = 1
 # timer and host noise; fixing the count by n rather than by a timing probe
 # keeps the bench JSON reproducible apart from its times.
 BENCH_CALL_FEATURES = 256
+# ``explain`` attributes and writes its instances in blocks of about this many
+# values (rows x C(n, k), at least one row each), so its memory does not grow
+# with the instance file
+EXPLAIN_BLOCK_VALUES = 1 << 16
 # smallest accepted value of each integer flag, from the command line or a
 # config file; the commands check upper bounds that depend on the model
 MIN_FLAG_VALUE = {
@@ -105,7 +110,8 @@ def _load_model(path):
         return model_io.load_model(path)
     except OSError as exc:
         raise InputError(f"cannot open model {path}: {exc}") from exc
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        # a TypeError here is a field of the wrong JSON type, such as "n": []
         raise InputError(f"malformed model {path}: {exc}") from exc
 
 
@@ -142,7 +148,7 @@ def _json_dump(path, obj) -> None:
 
 
 def _write_manifest(path, command, config, seed, inputs, outputs,
-                    forward_counts, phases, numerical_health=None) -> None:
+                    forward_counts, phases, numerical_health=None, blocks=None) -> None:
     manifest = {
         "version": MANIFEST_VERSION,
         "command": command,
@@ -157,7 +163,25 @@ def _write_manifest(path, command, config, seed, inputs, outputs,
     }
     if numerical_health is not None:
         manifest["numerical_health"] = numerical_health
+    if blocks is not None:
+        manifest["blocks"] = blocks
     _json_dump(path, manifest)
+
+
+@contextlib.contextmanager
+def _replace_on_success(path):
+    """A text file handle on a temporary sibling of ``path``, renamed over
+    ``path`` when the block completes and removed when it raises, so a failed
+    run leaves no partial file and an existing ``path`` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _manifest_path(args, default_anchor) -> str:
@@ -309,29 +333,40 @@ def cmd_explain(args) -> int:
     mode = None if args.mode == "auto" else args.mode
     load_time = time.perf_counter() - t0
 
-    t1 = time.perf_counter()
-    results = attribute.explain_batch(model, lifts, instances, k, mode=mode)
-    for idx, res in enumerate(results):
-        if isinstance(res, Exception):
-            raise InputError(f"instance {idx}: {res}")
-        logger.debug("instance %d: %d forwards, %d non-finite values",
-                     idx, res.forwards_used, _nonfinite(res.values))
-    attribution_time = time.perf_counter() - t1
-
-    t2 = time.perf_counter()
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        attribute.write_attribution_csv(fh, [[res] for res in results])
-    emit_time = time.perf_counter() - t2
-    total_forwards = int(sum(res.forwards_used for res in results))
+    rows = max(1, EXPLAIN_BLOCK_VALUES // math.comb(model.n, k))
+    attribution_time = emit_time = 0.0
+    total_forwards = nonfinite = 0
+    with _replace_on_success(args.out) as fh:
+        for start in range(0, len(instances), rows):
+            t1 = time.perf_counter()
+            results = attribute.explain_batch(model, lifts, instances[start : start + rows], k,
+                                              mode=mode)
+            block_forwards = 0
+            for idx, res in enumerate(results, start):
+                if isinstance(res, Exception):
+                    raise InputError(f"instance {idx}: {res}")
+                bad = _nonfinite(res.values)
+                logger.debug("instance %d: %d forwards, %d non-finite values",
+                             idx, res.forwards_used, bad)
+                block_forwards += res.forwards_used
+                nonfinite += bad
+            if start == 0:
+                per_instance = results[0].forwards_used
+            t2 = time.perf_counter()
+            attribute.write_attribution_csv(fh, [[res] for res in results], start)
+            t3 = time.perf_counter()
+            logger.debug("block %d: %d rows, %d forwards, %.3f ms", start // rows,
+                         len(results), block_forwards, (t3 - t1) * 1e3)
+            total_forwards += block_forwards
+            attribution_time += t2 - t1
+            emit_time += t3 - t2
     _write_manifest(
         _manifest_path(args, args.out), "explain", config, args.seed,
         inputs=[args.model, args.instances], outputs=[args.out],
-        forward_counts={"attribution": total_forwards,
-                        "per_instance": results[0].forwards_used},
+        forward_counts={"attribution": total_forwards, "per_instance": per_instance},
         phases={"load": load_time, "attribution": attribution_time, "emit": emit_time},
-        numerical_health={
-            "nonfinite_values": sum(_nonfinite(res.values) for res in results),
-        },
+        numerical_health={"nonfinite_values": nonfinite},
+        blocks=-(-len(instances) // rows),
     )
     return 0
 

@@ -596,6 +596,26 @@ class TestCsv:
         write_attribution_rows(second, rows)
         assert first.getvalue() == second.getvalue()
 
+    def test_blocks_match_row_writer_on_special_values(self):
+        """Blocks that continue a file write no header and count instance ids
+        from ``start``; together they give the reference writer's bytes,
+        also for -0.0, subnormal, huge and non-finite values."""
+        from tnshap.attribute import AttributionSet, write_attribution_rows
+
+        subsets = ((1, 2), (1, 3), (2, 3))
+        specials = [-0.0, 5e-324, -1e308, float("nan"), float("inf"), 0.1, -2 / 3]
+        sets = [[AttributionSet(2, subsets, np.array(specials[i : i + 3]), 3)]
+                for i in range(4)]
+        blocks = io.StringIO()
+        write_attribution_csv(blocks, sets[:3])
+        write_attribution_csv(blocks, sets[3:], 3)
+        reference = io.StringIO()
+        write_attribution_rows(reference, [(iid, 2, subset, value, "")
+                                           for iid, (aset,) in enumerate(sets)
+                                           for subset, value in aset.entries()])
+        assert blocks.getvalue() == reference.getvalue()
+        assert blocks.getvalue().count("instance_id") == 1
+
     def test_reader_rejects_bad_header(self):
         from tnshap import read_attribution_csv
 

@@ -1,6 +1,12 @@
 """CLI subcommands: file contracts, exit codes, manifests, determinism."""
 
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +14,8 @@ import pytest
 from conftest import additive_model
 from tnshap import TensorNetworkModel, explain, explain_batch, load_model, save_model
 from tnshap.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(*argv):
@@ -223,6 +231,130 @@ class TestExplain:
         assert not out.exists()
 
 
+MAXRSS_CHILD = """
+import resource, sys
+from tnshap.cli import main
+rc = main(sys.argv[1:])
+print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
+"""
+
+
+class TestExplainStreaming:
+    """``explain`` attributes and writes one block of instances at a time,
+    into a temporary file that replaces ``--out`` only on success."""
+
+    @pytest.mark.parametrize("kind,n", [("cp", 6), ("tree", 5)])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_blocks_byte_identical_to_row_writer(self, tmp_path, monkeypatch, kind, n, order,
+                                                  rows):
+        """Two-row blocks give the bytes of one block and of the row-at-a-time
+        reference writer, on a train and on a tree with pad leaves."""
+        from tnshap import attribute, cli
+
+        model_path = tmp_path / "model.json"
+        assert run("gen", "--kind", kind, "--n", n, "--rank", 3, "--seed", 2,
+                   "--out", model_path) == 0
+        xs = np.random.default_rng(order).uniform(-1, 1, (rows, n))
+        inst = tmp_path / "inst.csv"
+        write_instances(inst, xs)
+        one, blocks = tmp_path / "one.csv", tmp_path / "blocks.csv"
+        assert run("explain", "--model", model_path, "--instances", inst,
+                   "--order", order, "--out", one) == 0
+        monkeypatch.setattr(cli, "EXPLAIN_BLOCK_VALUES", 2 * math.comb(n, order))
+        assert run("explain", "--model", model_path, "--instances", inst,
+                   "--order", order, "--out", blocks) == 0
+        manifest = json.loads((tmp_path / "blocks.csv.manifest.json").read_text())
+        assert manifest["blocks"] == -(-rows // 2)
+        model, lifts = load_model(model_path)
+        reference = io.StringIO()
+        attribute.write_attribution_rows(reference, [
+            (iid, order, subset, value, "")
+            for iid, aset in enumerate(explain_batch(model, lifts, xs, order))
+            for subset, value in aset.entries()])
+        assert one.read_text() == blocks.read_text() == reference.getvalue()
+
+    def test_failed_block_keeps_existing_out(self, tmp_path, teacher_path, monkeypatch, capsys):
+        from tnshap import attribute, cli
+
+        monkeypatch.setattr(cli, "EXPLAIN_BLOCK_VALUES", 8)  # 2 rows per block at n = 4
+        batch = attribute.explain_batch
+        calls = []
+
+        def fail_second_block(model, lifts, instances, k, **kw):
+            calls.append(len(instances))
+            if len(calls) == 2:
+                return [ValueError("injected block failure")] * len(instances)
+            return batch(model, lifts, instances, k, **kw)
+
+        monkeypatch.setattr(attribute, "explain_batch", fail_second_block)
+        inst = tmp_path / "inst.csv"
+        write_instances(inst, np.random.default_rng(6).uniform(-1, 1, (5, 4)))
+        out = tmp_path / "attr.csv"
+        out.write_bytes(b"previous run\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert run("explain", "--model", teacher_path, "--instances", inst,
+                   "--order", 1, "--out", out) == 2
+        assert calls == [2, 2]
+        assert "instance 2: injected block failure" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_manifest_blocks_phases_and_block_debug_lines(self, tmp_path, teacher_path,
+                                                          monkeypatch, capsys):
+        from tnshap import cli
+        from tnshap.cli import _setup_logging
+
+        monkeypatch.setattr(cli, "EXPLAIN_BLOCK_VALUES", 12)  # 3 rows per block at n = 4
+        monkeypatch.setenv("TNSHAP_LOG", "debug")
+        inst = tmp_path / "inst.csv"
+        write_instances(inst, np.random.default_rng(8).uniform(-1, 1, (7, 4)))
+        out = tmp_path / "attr.csv"
+        try:
+            assert run("explain", "--model", teacher_path, "--instances", inst,
+                       "--order", 1, "--out", out) == 0
+        finally:
+            monkeypatch.delenv("TNSHAP_LOG")
+            _setup_logging()
+        manifest = json.loads((tmp_path / "attr.csv.manifest.json").read_text())
+        assert manifest["blocks"] == 3
+        assert set(manifest["phase_wall_times_s"]) == {"load", "attribution", "emit"}
+        assert manifest["forward_counts"] == {"attribution": 7 * 32, "per_instance": 32}
+        err = capsys.readouterr().err.splitlines()
+        block_lines = [line.split("tnshap.cli: ")[1] for line in err if "block" in line]
+        assert [line.rsplit(",", 1)[0] for line in block_lines] == [
+            "block 0: 3 rows, 96 forwards", "block 1: 3 rows, 96 forwards",
+            "block 2: 1 rows, 32 forwards"]
+        assert all(line.endswith(" ms") for line in block_lines)
+        assert sum("non-finite values" in line for line in err) == 7
+
+    def test_peak_rss_flat_in_instance_count(self, tmp_path):
+        """k = 2 on a btree with n = 40 and bond 8: 4000 rows peak within
+        16 MB of 250 rows. The input rows, held for validation before any
+        attribution, take about 6 MB of that at 4000 rows; keeping every
+        instance's results, as the unstreamed command did, took about
+        360 MB more."""
+        model = tmp_path / "model.json"
+        assert run("gen", "--kind", "tree", "--n", 40, "--rank", 8, "--seed", 1,
+                   "--out", model) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        peaks = {}
+        for rows in (250, 4000):
+            inst = tmp_path / f"inst{rows}.csv"
+            write_instances(inst, np.random.default_rng(rows).uniform(-1, 1, (rows, 40)))
+            proc = subprocess.run(
+                [sys.executable, "-c", MAXRSS_CHILD, "explain", "--model", str(model),
+                 "--instances", str(inst), "--order", "2", "--out", str(tmp_path / "out.csv")],
+                env=env, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            rc, peak = proc.stdout.split()
+            assert rc == "0"
+            peaks[rows] = float(peak)
+        assert peaks[4000] <= peaks[250] + 16.0, peaks
+
+
 class TestVerify:
     def test_generated_teacher_passes(self, tmp_path, teacher_path):
         inst = tmp_path / "inst.csv"
@@ -239,10 +371,11 @@ class TestVerify:
         stays exact on it and verify keeps passing."""
         inst = tmp_path / "inst.csv"
         write_instances(inst, [[0.5, 0.5, 0.5, 0.5]])
-        obj = json.loads(teacher_path.read_text())
-        obj["cores"][0]["data"][0] += 0.25
+        model, lifts = load_model(teacher_path)
+        cores = [core.copy() for core in model.cores]
+        cores[0].flat[0] += 0.25
         bad = tmp_path / "perturbed.json"
-        bad.write_text(json.dumps(obj))
+        save_model(bad, TensorNetworkModel(model.topology, cores), lifts)
         assert run("verify", "--model", bad, "--instances", inst,
                    "--max-order", 2, "--out", tmp_path / "v.json") == 0
 
@@ -253,10 +386,11 @@ class TestVerify:
         path = tmp_path / "teacher12.json"
         assert run("gen", "--kind", "tree", "--n", 12, "--rank", 4, "--seed", 0,
                    "--out", path) == 0
-        obj = json.loads(path.read_text())
-        obj["cores"][0]["data"] = [v * 1e12 for v in obj["cores"][0]["data"]]
+        model, lifts = load_model(path)
+        cores = list(model.cores)
+        cores[0] = cores[0] * 1e12
         bad = tmp_path / "corrupted.json"
-        bad.write_text(json.dumps(obj))
+        save_model(bad, TensorNetworkModel(model.topology, cores), lifts)
         inst = tmp_path / "inst.csv"
         write_instances(inst, [np.random.default_rng(1).uniform(-1, 1, 12)])
         out = tmp_path / "v.json"
@@ -430,6 +564,13 @@ class TestConfigFile:
         assert "config" in capsys.readouterr().err
 
 
+def _edit_core(obj, idx, **fields):
+    """The model JSON object with core ``idx``'s ``fields`` replaced."""
+    cores = list(obj["cores"])
+    cores[idx] = {**cores[idx], **fields}
+    return {**obj, "cores": cores}
+
+
 class TestBadInput:
     """Out-of-range flags and mistyped config-file values exit 2 before any
     work, whether they come from the command line or a config file."""
@@ -494,6 +635,44 @@ class TestBadInput:
         capsys.readouterr()
         assert run(*argv) == 2
         assert needle in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit,needle", [
+        pytest.param(lambda obj: [], "must be a JSON object", id="top-level-list"),
+        pytest.param(lambda obj: {**obj, "cores": 5}, "cores must be a list",
+                     id="cores-int"),
+        pytest.param(lambda obj: {**obj, "cores": [5] * len(obj["cores"])},
+                     "core 0: expected an object", id="core-int"),
+        pytest.param(lambda obj: _edit_core(obj, 1, shape=4), "core 1: shape must be a list",
+                     id="shape-int"),
+        pytest.param(lambda obj: _edit_core(obj, 2, data={}), "core 2: data must be a base64",
+                     id="data-object"),
+        pytest.param(lambda obj: _edit_core(obj, 1, data="@@@="),
+                     "core 1: data is not valid base64", id="data-bad-base64"),
+        pytest.param(lambda obj: _edit_core(obj, 0, data=obj["cores"][0]["data"][12:]),
+                     "core 0: data holds", id="data-short"),
+        pytest.param(lambda obj: {**_edit_core(obj, 0, data={}), "version": 1},
+                     "core 0: data must be a list", id="v1-data-object"),
+        pytest.param(lambda obj: {**obj, "n": []}, "int() argument", id="n-list"),
+        pytest.param(lambda obj: {**obj, "feature_maps": 5}, "not iterable",
+                     id="feature-maps-int"),
+    ])
+    def test_malformed_model_exit_2(self, tmp_path, capsys, monkeypatch, edit, needle):
+        model = tmp_path / "model.json"
+        assert run("gen", "--kind", "tree", "--n", 6, "--rank", 2, "--out", model) == 0
+        model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+
+        def no_forwards(self, legs):
+            raise AssertionError("a model forward ran before the input was checked")
+
+        monkeypatch.setattr(TensorNetworkModel, "forward_batch", no_forwards)
+        inst = tmp_path / "inst.csv"
+        write_instances(inst, [np.zeros(6)])
+        capsys.readouterr()
+        assert run("explain", "--model", model, "--instances", inst,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "malformed model" in err and needle in err
         assert not (tmp_path / "out").exists()
 
     def test_config_value_outside_choices(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Tensor-network storage, contraction, cut rank, and serialization."""
 
+import base64
 import json
 from itertools import product
 
@@ -299,23 +300,64 @@ class TestModelJson:
         path = tmp_path / "add.json"
         save_model(path, model, lifts)
         obj = json.loads(path.read_text())
-        assert obj["version"] == 1
+        assert obj["version"] == 2
         assert obj["topology"] == "tt"
         assert obj["n"] == 2
         assert obj["phys_dims"] == [2, 2]
         assert obj["bond_dims"] == [2]
         assert obj["feature_maps"] == [{"kind": "binary"}, {"kind": "binary"}]
-        assert obj["cores"][0]["shape"] == [1, 2, 2]
+        assert [c["shape"] for c in obj["cores"]] == [[1, 2, 2], [2, 2, 1]]
+        for entry, core in zip(obj["cores"], model.cores):
+            assert isinstance(entry["data"], str)
+            assert base64.b64decode(entry["data"]) == core.astype("<f8").tobytes()
 
     def test_rejects_wrong_version(self, tmp_path):
         model, lifts = additive_model()
         path = tmp_path / "add.json"
         save_model(path, model, lifts)
         obj = json.loads(path.read_text())
-        obj["version"] = 2
-        path.write_text(json.dumps(obj))
-        with pytest.raises(ValueError, match="version"):
-            load_model(path)
+        for version in (0, 3):
+            obj["version"] = version
+            path.write_text(json.dumps(obj))
+            with pytest.raises(ValueError, match="version"):
+                load_model(path)
+
+    def test_version_1_loads_bitwise_and_resaves_as_version_2(self, tmp_path):
+        first = [-0.0, 5e-324, 1e308, -1e308]
+        second = [0.1, 1 / 3, -2.5e-310, 3.0]
+        obj = {
+            "version": 1, "topology": "tt", "n": 2, "phys_dims": [2, 2], "bond_dims": [2],
+            "cores": [{"shape": [1, 2, 2], "data": first},
+                      {"shape": [2, 2, 1], "data": second}],
+            "feature_maps": [{"kind": "binary"}, {"kind": "binary"}],
+        }
+        model, lifts = model_from_json_dict(obj)
+        for core, data in zip(model.cores, (first, second)):
+            assert core.tobytes() == np.array(data, dtype=np.float64).tobytes()
+        path = tmp_path / "v2.json"
+        save_model(path, model, lifts)
+        assert json.loads(path.read_text())["version"] == 2
+        again, _ = load_model(path)
+        assert [c.tobytes() for c in again.cores] == [c.tobytes() for c in model.cores]
+
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    def test_version_2_save_load_save_byte_identical_on_extreme_values(self, tmp_path, kind):
+        if kind == "tt":
+            model, lifts = random_tt_model(np.random.default_rng(3), 5, bond=3)
+        else:
+            model, lifts = gen_tree_teacher(5, 3, seed=11)  # pad leaves: 8 slots
+        extremes = [-0.0, 5e-324, 2.2e-310, 1e308, -1e308]
+        cores = [core.copy() for core in model.cores]
+        for i, value in enumerate(extremes):
+            cores[i % len(cores)].flat[i // len(cores)] = value
+        model = TensorNetworkModel(model.topology, cores)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(first, model, lifts)
+        assert json.loads(first.read_text())["version"] == 2
+        loaded, loaded_lifts = load_model(first)
+        save_model(second, loaded, loaded_lifts)
+        assert first.read_bytes() == second.read_bytes()
+        assert [c.tobytes() for c in loaded.cores] == [c.tobytes() for c in cores]
 
     @pytest.mark.parametrize("change", [1, -1])
     def test_rejects_core_count_mismatch(self, change):
