@@ -11,6 +11,7 @@ per-phase wall times. Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import array
 import contextlib
 import csv
 import json
@@ -64,7 +65,8 @@ def _setup_logging() -> None:
 
 
 def _read_instances_csv(path, n: int) -> np.ndarray:
-    """Instance CSV: header f1..fn, one raw instance per row."""
+    """Instance CSV: header f1..fn, one raw instance per row. Values are
+    parsed a row at a time into one float64 buffer, 8 bytes each."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -81,7 +83,7 @@ def _read_instances_csv(path, n: int) -> np.ndarray:
                 f"{path} line 1: expected header {','.join(expected)}, "
                 f"got {','.join(header)}"
             )
-        rows = []
+        values = array.array("d")
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -90,19 +92,19 @@ def _read_instances_csv(path, n: int) -> np.ndarray:
                     f"{path} line {lineno}: expected {n} values, got {len(row)}"
                 )
             try:
-                values = [float(v) for v in row]
+                parsed = [float(v) for v in row]
             except ValueError as exc:
                 raise InputError(f"{path} line {lineno}: {exc}") from exc
-            bad = [i for i, v in enumerate(values, start=1) if not math.isfinite(v)]
+            bad = [i for i, v in enumerate(parsed, start=1) if not math.isfinite(v)]
             if bad:
                 raise InputError(
                     f"{path} line {lineno}: non-finite value {row[bad[0] - 1].strip()!r} "
                     f"in column f{bad[0]}"
                 )
-            rows.append(values)
-    if not rows:
+            values.extend(parsed)
+    if not values:
         raise InputError(f"{path}: no instance rows")
-    return np.asarray(rows, dtype=np.float64)
+    return np.frombuffer(values, dtype=np.float64).reshape(-1, n)
 
 
 def _load_model(path):

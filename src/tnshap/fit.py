@@ -49,6 +49,7 @@ from .tensor_net import (
     TensorNetworkModel,
     TnTopology,
     _contract_batch,
+    _node_core,
     _open_leg1,
     _open_leg2,
     _subtree_leaf_range,
@@ -118,27 +119,15 @@ class CpTeacher:
         return prod @ self.weights
 
     def to_tensor_train(self) -> TensorNetworkModel:
-        """Equivalent tensor train: diagonal interior cores, weights absorbed
-        into the first core."""
-        n, rank = self.n, self.rank
-        dims = self.phys_dims
-        if n == 1:
-            core = (self.weights @ self.factors[0]).reshape(1, dims[0], 1)
-            topo = TnTopology(TT, 1, dims, ())
-            return TensorNetworkModel(topo, [core])
-        topo = TnTopology(TT, n, dims, (rank,) * (n - 1))
-        cores = []
-        first = np.zeros((1, dims[0], rank))
-        first[0] = (self.factors[0] * self.weights[:, None]).T
-        cores.append(first)
-        for i in range(1, n - 1):
-            core = np.zeros((rank, dims[i], rank))
-            for r in range(rank):
-                core[r, :, r] = self.factors[i][r]
-            cores.append(core)
-        last = np.zeros((rank, dims[-1], 1))
-        last[:, :, 0] = self.factors[-1]
-        cores.append(last)
+        """Equivalent tensor train: diagonal (R, d, R) cores, the last one's
+        right leg summed, the weights contracted into the first one's left."""
+        rank = self.rank
+        cores = [np.zeros((rank, f.shape[1], rank)) for f in self.factors]
+        for core, f in zip(cores, self.factors):
+            core[np.arange(rank), :, np.arange(rank)] = f
+        cores[-1] = cores[-1].sum(axis=2, keepdims=True)
+        cores[0] = (self.weights @ cores[0].reshape(rank, -1)).reshape(1, -1, cores[0].shape[2])
+        topo = TnTopology(TT, self.n, self.phys_dims, (rank,) * (self.n - 1))
         return TensorNetworkModel(topo, cores)
 
 
@@ -185,10 +174,7 @@ def _init_cores(topo: TnTopology, rng, scale) -> list:
 def _is_pure_dummy(topo: TnTopology, node: int) -> bool:
     if topo.kind == TT:
         return False
-    L = topo.leaf_count
-    if L == 1:
-        return False
-    lo, _hi = _subtree_leaf_range(node, L)
+    lo, _hi = _subtree_leaf_range(node, topo.leaf_count)
     return lo >= topo.n
 
 
@@ -497,35 +483,30 @@ def _tt_sweep(topo, cores, legs, y, report) -> np.ndarray:
 
 
 def _tree_sweep(topo, cores, legs, y, report, up) -> np.ndarray:
-    """Re-solve the root, then every non-pad node depth first. ``up`` holds
-    the tree's up messages on entry and is kept current; returns the swept
-    tree's outputs on the training rows."""
+    """Re-solve every non-pad node depth first from the root, each before its
+    subtree. ``up`` holds the tree's up messages on entry and is kept
+    current; returns its entry 1, the swept tree's training outputs."""
     L = topo.leaf_count
-    if L == 1:
-        cores[0] = _solve_core(report, [legs[0]], y, cores[0].shape)
-        up[1] = legs[0] @ cores[0].reshape(-1, 1)
-        return up[1][:, 0]
 
     def visit(v, down_v):
         # re-solve every core under v, then refresh v's up message
         if _is_pure_dummy(topo, v):
             return
-        idx = v - 1
+        inputs = [legs[v - L]] if v >= L else [up[2 * v], up[2 * v + 1]]
+        # the root's down message is all ones, a factor that would change only
+        # the solve's rounding, so it stays out of the root's design
+        cores[v - 1] = _solve_core(report, inputs + ([down_v] if v > 1 else []), y,
+                                   cores[v - 1].shape)
+        core = _node_core(cores, v)
         if v >= L:
-            leg = legs[v - L]
-            cores[idx] = _solve_core(report, [leg, down_v], y, cores[idx].shape)
-            up[v] = leg @ cores[idx]
+            up[v] = inputs[0] @ core
             return
-        core = _solve_core(report, [up[2 * v], up[2 * v + 1], down_v], y, cores[idx].shape)
-        cores[idx] = core
         visit(2 * v, _open_leg1(core.transpose(1, 0, 2), up[2 * v + 1], down_v))
         visit(2 * v + 1, _open_leg1(core, up[2 * v], down_v))
         up[v] = _open_leg2(core, up[2 * v], up[2 * v + 1])
 
-    cores[0] = _solve_core(report, [up[2], up[3]], y, cores[0].shape)
-    visit(2, up[3] @ cores[0].T)
-    visit(3, up[2] @ cores[0])
-    return _open_leg2(cores[0][:, :, None], up[2], up[3])[:, 0]
+    visit(1, np.ones((y.shape[0], 1)))
+    return up[1][:, 0]
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,6 +10,8 @@ lifts have phi(0) != 0, so their off state is a synthetic baseline.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,7 @@ class FeatureMap:
     kind ``"binary"`` ignores ``k`` and ``omega`` (output dim 2);
     ``"poly"`` uses powers 1..k (dim k+1); ``"fourier"`` uses
     sin/cos harmonics 1..k at base frequency ``omega`` (dim 2k+1).
+    ``k`` must be an integer and ``omega`` finite.
     """
 
     kind: str
@@ -35,8 +38,14 @@ class FeatureMap:
     def __post_init__(self):
         if self.kind not in (BINARY, POLY, FOURIER):
             raise ValueError(f"unknown feature map kind {self.kind!r}")
+        try:
+            object.__setattr__(self, "k", operator.index(self.k))
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {self.k!r}") from None
         if self.kind != BINARY and self.k < 1:
             raise ValueError("k must be >= 1")
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
 
     @property
     def dim(self) -> int:
@@ -78,9 +87,9 @@ class FeatureMap:
         if kind == BINARY:
             return FeatureMap(BINARY)
         if kind == POLY:
-            return FeatureMap(POLY, k=int(obj["k"]))
+            return FeatureMap(POLY, k=obj["k"])
         if kind == FOURIER:
-            return FeatureMap(FOURIER, k=int(obj["k"]), omega=float(obj["omega"]))
+            return FeatureMap(FOURIER, k=obj["k"], omega=float(obj["omega"]))
         raise ValueError(f"unknown feature map kind {kind!r}")
 
 

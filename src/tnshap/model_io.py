@@ -17,6 +17,7 @@ import base64
 import binascii
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -45,6 +46,14 @@ def model_to_json_dict(model: TensorNetworkModel, lifts: LiftSpec) -> dict:
     }
 
 
+def _index(value, what: str) -> int:
+    """An integer field; a float such as 4.9 raises instead of truncating."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _core_from_json(idx: int, entry, version: int) -> np.ndarray:
     """One core of a version-1 or version-2 ``cores`` entry; the model checks
     its shape against the topology."""
@@ -53,7 +62,7 @@ def _core_from_json(idx: int, entry, version: int) -> np.ndarray:
     shape, data = entry["shape"], entry["data"]
     if not isinstance(shape, list):
         raise ValueError(f"core {idx}: shape must be a list, got {type(shape).__name__}")
-    shape = [int(s) for s in shape]
+    shape = [_index(s, f"core {idx}: shape entry") for s in shape]
     if version == 1:
         if not isinstance(data, list):
             raise ValueError(f"core {idx}: data must be a list, got {type(data).__name__}")
@@ -78,16 +87,19 @@ def model_from_json_dict(obj) -> tuple:
         raise ValueError(f"unsupported model format version {version!r}")
     topo = TnTopology(
         kind=obj["topology"],
-        n=int(obj["n"]),
-        phys_dims=tuple(obj["phys_dims"]),
-        bond_dims=tuple(obj["bond_dims"]),
+        n=_index(obj["n"], "n"),
+        phys_dims=tuple(_index(d, "phys_dims entry") for d in obj["phys_dims"]),
+        bond_dims=tuple(_index(b, "bond_dims entry") for b in obj["bond_dims"]),
     )
     entries = obj["cores"]
     if not isinstance(entries, list):
         raise ValueError(f"cores must be a list of objects, got {type(entries).__name__}")
+    cores = [_core_from_json(idx, entry, version) for idx, entry in enumerate(entries)]
+    for idx, core in enumerate(cores):
+        if not np.isfinite(core).all():
+            raise ValueError(f"core {idx}: data holds a non-finite value")
     # the model checks the core count and every shape against the topology
-    model = TensorNetworkModel(topo, [_core_from_json(idx, entry, version)
-                                      for idx, entry in enumerate(entries)])
+    model = TensorNetworkModel(topo, cores)
     lifts = LiftSpec.from_json_list(obj["feature_maps"])
     if lifts.dims != topo.phys_dims:
         raise ValueError(

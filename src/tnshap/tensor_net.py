@@ -21,6 +21,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -83,8 +84,8 @@ class TnTopology:
             raise ValueError(f"unknown topology kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("need at least one feature")
-        object.__setattr__(self, "phys_dims", tuple(int(d) for d in self.phys_dims))
-        object.__setattr__(self, "bond_dims", tuple(int(b) for b in self.bond_dims))
+        object.__setattr__(self, "phys_dims", tuple(map(operator.index, self.phys_dims)))
+        object.__setattr__(self, "bond_dims", tuple(map(operator.index, self.bond_dims)))
         if len(self.phys_dims) != self.n:
             raise ValueError("phys_dims length must equal n")
         if any(d < 1 for d in self.phys_dims):
@@ -162,8 +163,6 @@ def capped_uniform_bonds(kind: str, phys_dims, chi: int) -> tuple:
     if kind != BTREE:
         raise ValueError(f"unknown topology kind {kind!r}")
     L = _tree_leaf_count(n)
-    if L == 1:
-        return ()
     full = [phys_dims[j] if j < n else 1 for j in range(L)]
     bonds = []
     for v in range(2, 2 * L):
@@ -175,7 +174,7 @@ def capped_uniform_bonds(kind: str, phys_dims, chi: int) -> tuple:
 
 
 def _tree_leaf_count(n: int) -> int:
-    return 1 if n == 1 else 2 ** math.ceil(math.log2(n))
+    return 2 ** math.ceil(math.log2(n))
 
 
 def _subtree_leaf_range(v: int, leaf_count: int):
@@ -271,19 +270,18 @@ def cut_rank(topology: TnTopology) -> int:
 def _contract_batch(topology: TnTopology, cores, batch) -> np.ndarray:
     if topology.kind == TT:
         return _tt_contract(cores, batch)
-    msgs = tree_up_messages(topology, cores, batch)
-    if topology.leaf_count == 1:
-        return msgs[1][:, 0]
-    return _open_leg2(cores[0][:, :, None], msgs[2], msgs[3])[:, 0]
+    return tree_up_messages(topology, cores, batch)[1][:, 0]
 
 
 # -- row-wise contractions ----------------------------------------------------
 #
 # A row-wise step contracts a (p, q, r) core with two row-aligned (B, .)
 # inputs; each helper is named for the leg it leaves open. ``_open_leg2``
-# serves TT prefix steps, tree up messages and, on ``root[:, :, None]``, the
-# tree's output. ``_open_leg1`` serves right-child down messages and, on
+# serves TT prefix steps and tree up messages, the root's (B, 1) output
+# included. ``_open_leg1`` serves right-child down messages and, on
 # ``core.transpose(1, 0, 2)``, left-child down messages and TT suffix steps.
+# Tree passes read node cores through ``_node_core``, which gives the root a
+# parent leg of extent 1, so the root contracts like any other node.
 # One helper for both would need a core transpose and a strided reduction on
 # one of the passes, which measured slower.
 
@@ -311,21 +309,26 @@ def _tt_contract(cores, batch) -> np.ndarray:
     return state[:, 0]
 
 
+def _node_core(cores, v: int) -> np.ndarray:
+    """Tree node ``v``'s core with a parent leg: the root's (p, q) core, or a
+    one-leaf tree's (d,) core, gains a trailing leg of extent 1; every other
+    core comes back unchanged."""
+    return cores[0][..., None] if v == 1 else cores[v - 1]
+
+
 def tree_up_messages(topology: TnTopology, cores, batch) -> list:
     """Leaf-to-root messages. Entry ``v`` is the (B, bond) message node ``v``
-    sends to its parent; unset entries are None. The root (node 1) sends none.
+    sends to its parent; entry 1 is the root's (B, 1) network output.
     """
     L = topology.leaf_count
     rows = batch[0].shape[0]
     msgs = [None] * (2 * L)
-    for j in range(L):
-        x = batch[j] if j < topology.n else np.ones((rows, 1))
-        if L == 1:
-            msgs[1] = x @ cores[0].reshape(-1, 1)
-            return msgs
-        msgs[L + j] = x @ cores[L + j - 1]
-    for v in range(L - 1, 1, -1):
-        msgs[v] = _open_leg2(cores[v - 1], msgs[2 * v], msgs[2 * v + 1])
+    for v in range(2 * L - 1, 0, -1):
+        core = _node_core(cores, v)
+        if v < L:
+            msgs[v] = _open_leg2(core, msgs[2 * v], msgs[2 * v + 1])
+        else:
+            msgs[v] = (batch[v - L] if v - L < topology.n else np.ones((rows, 1))) @ core
     return msgs
 
 
@@ -336,14 +339,9 @@ def tree_down_messages(topology: TnTopology, cores, msgs) -> list:
     """
     L = topology.leaf_count
     down = [None] * (2 * L)
-    down[1] = np.ones((msgs[-1].shape[0], 1))
-    if L == 1:
-        return down
-    root = cores[0]
-    down[2] = msgs[3] @ root.T
-    down[3] = msgs[2] @ root
-    for v in range(2, L):
-        core = cores[v - 1]
+    down[1] = np.ones((msgs[1].shape[0], 1))
+    for v in range(1, L):
+        core = _node_core(cores, v)
         down[2 * v] = _open_leg1(core.transpose(1, 0, 2), msgs[2 * v + 1], down[v])
         down[2 * v + 1] = _open_leg1(core, msgs[2 * v], down[v])
     return down
@@ -485,8 +483,7 @@ def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, weights, k: 
     closed = []
     for v in range(2 * L - 1, L - 1 if k == 1 else 0, -1):
         if v - L in toggleable:
-            tog = toggled[v - L]
-            on = tog @ cores[v - 1].reshape(tog.shape[1], -1)
+            on = toggled[v - L] @ _node_core(cores, v)
             if k == 1:
                 env = weights @ down[v].reshape(b, m, -1)
                 closed.append(np.einsum("br,br->b", env, on)[:, None])
@@ -496,7 +493,7 @@ def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, weights, k: 
         if v - L in toggleable:
             msg[1] = np.broadcast_to(on[:, None, None, :], (b, 1, m, on.shape[1]))
         elif v < L:
-            core = cores[v - 1] if v > 1 else cores[0][:, :, None]
+            core = _node_core(cores, v)
             lchild, rchild = msgs[2 * v], msgs[2 * v + 1]
             env = weights[:, None] * down[v].reshape(b, m, -1)
             closed += [_toggle_close(core, lchild[i], rchild[k - i], env)
@@ -611,13 +608,9 @@ def materialize_full(model: TensorNetworkModel, limit: int = DEFAULT_MATERIALIZE
 def _tree_materialize(topo: TnTopology, cores, v: int) -> np.ndarray:
     """Dense (prod real dims under v, bond) matrix for node ``v``'s subtree;
     the root's bond is 1. Children merge as one-row stacks."""
-    L = topo.leaf_count
-    if L == 1:
-        return np.asarray(cores[0]).reshape(-1)
-    if v >= L:
-        return cores[v - 1]
+    if v >= topo.leaf_count:
+        return _node_core(cores, v)
     ml = _tree_materialize(topo, cores, 2 * v)
     mr = _tree_materialize(topo, cores, 2 * v + 1)
-    core = cores[v - 1] if v > 1 else cores[0][:, :, None]
-    merged = _toggle_merge(core, ml[None, :, None, :], mr[None, :, None, :])
+    merged = _toggle_merge(_node_core(cores, v), ml[None, :, None, :], mr[None, :, None, :])
     return merged.reshape(ml.shape[0] * mr.shape[0], -1)

@@ -1,5 +1,6 @@
 """CLI subcommands: file contracts, exit codes, manifests, determinism."""
 
+import base64
 import io
 import json
 import math
@@ -242,6 +243,26 @@ print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 class TestExplainStreaming:
     """``explain`` attributes and writes one block of instances at a time,
     into a temporary file that replaces ``--out`` only on success."""
+
+    def test_instance_reader_peak_under_twice_the_array(self, tmp_path):
+        """The reader holds parsed values at 8 bytes each, not as lists of
+        Python floats: a 4000 x 40 file peaks under twice the array's bytes."""
+        import tracemalloc
+
+        from tnshap import cli
+
+        xs = np.random.default_rng(0).uniform(-1, 1, (4000, 40))
+        inst = tmp_path / "inst.csv"
+        write_instances(inst, xs)
+        tracemalloc.start()
+        try:
+            got = cli._read_instances_csv(inst, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, xs)
+        assert got.dtype == np.float64 and got.flags.writeable
+        assert peak < 2 * got.nbytes
 
     @pytest.mark.parametrize("kind,n", [("cp", 6), ("tree", 5)])
     @pytest.mark.parametrize("order", [1, 2, 3])
@@ -571,6 +592,19 @@ def _edit_core(obj, idx, **fields):
     return {**obj, "cores": cores}
 
 
+def _set_entry(obj, idx, pos, value, version=2):
+    """The version 2 model JSON object with entry ``pos`` of core ``idx`` set
+    to ``value``, written as format ``version``."""
+    cores = []
+    for i, core in enumerate(obj["cores"]):
+        data = np.frombuffer(base64.b64decode(core["data"]), dtype="<f8").copy()
+        if i == idx:
+            data[pos] = value
+        text = data.tolist() if version == 1 else base64.b64encode(data.tobytes()).decode()
+        cores.append({**core, "data": text})
+    return {**obj, "version": version, "cores": cores}
+
+
 class TestBadInput:
     """Out-of-range flags and mistyped config-file values exit 2 before any
     work, whether they come from the command line or a config file."""
@@ -653,9 +687,32 @@ class TestBadInput:
                      "core 0: data holds", id="data-short"),
         pytest.param(lambda obj: {**_edit_core(obj, 0, data={}), "version": 1},
                      "core 0: data must be a list", id="v1-data-object"),
-        pytest.param(lambda obj: {**obj, "n": []}, "int() argument", id="n-list"),
+        pytest.param(lambda obj: {**obj, "n": []}, "n must be an integer, got []",
+                     id="n-list"),
         pytest.param(lambda obj: {**obj, "feature_maps": 5}, "not iterable",
                      id="feature-maps-int"),
+        pytest.param(lambda obj: {**obj, "n": 6.9}, "n must be an integer, got 6.9",
+                     id="n-float"),
+        pytest.param(lambda obj: {**obj, "phys_dims": [2.0] * 6}, "phys_dims entry must be",
+                     id="phys-dims-float"),
+        pytest.param(lambda obj: {**obj, "bond_dims": [b + 0.5 for b in obj["bond_dims"]]},
+                     "bond_dims entry must be", id="bond-dims-float"),
+        pytest.param(lambda obj: _edit_core(obj, 1, shape=[2, 2.5, 2]),
+                     "core 1: shape entry must be", id="shape-float"),
+        pytest.param(lambda obj: {**obj, "feature_maps": [{"kind": "poly", "k": 1.9}] * 6},
+                     "k must be an integer, got 1.9", id="poly-k-float"),
+        pytest.param(lambda obj: {**obj, "feature_maps": [{"kind": "fourier", "k": 1,
+                                                           "omega": math.inf}] * 6},
+                     "omega must be finite", id="fourier-omega-inf"),
+        pytest.param(lambda obj: {**obj, "feature_maps": [{"kind": "fourier", "k": 1,
+                                                           "omega": math.nan}] * 6},
+                     "omega must be finite", id="fourier-omega-nan"),
+        pytest.param(lambda obj: _set_entry(obj, 2, 3, math.nan),
+                     "core 2: data holds a non-finite value", id="data-nan"),
+        pytest.param(lambda obj: _set_entry(obj, 0, 0, -math.inf),
+                     "core 0: data holds a non-finite value", id="data-inf"),
+        pytest.param(lambda obj: _set_entry(obj, 3, 1, math.nan, version=1),
+                     "core 3: data holds a non-finite value", id="v1-data-nan"),
     ])
     def test_malformed_model_exit_2(self, tmp_path, capsys, monkeypatch, edit, needle):
         model = tmp_path / "model.json"

@@ -119,11 +119,12 @@ class TestCpTeacher:
             ref = np.tensordot(ref, v, axes=([0], [0]))
         assert teacher.forward(lifted) == pytest.approx(float(ref), abs=1e-10)
 
-    def test_train_conversion_pointwise(self, rng):
-        teacher, lifts = gen_cp_teacher(5, 3, seed=4)
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_train_conversion_pointwise(self, rng, n):
+        teacher, lifts = gen_cp_teacher(n, 3, seed=4)
         tt = teacher.to_tensor_train()
         for _ in range(10):
-            legs = lifts.lift_instance(rng.uniform(-1, 1, 5))
+            legs = lifts.lift_instance(rng.uniform(-1, 1, n))
             assert tt.forward(legs) == pytest.approx(teacher.forward(legs), rel=1e-12)
 
     def test_output_scale_normalized(self, rng):

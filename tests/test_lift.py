@@ -41,6 +41,16 @@ class TestLifts:
         with pytest.raises(ValueError):
             FeatureMap("spline")
 
+    @pytest.mark.parametrize("fields,needle", [
+        ({"kind": "poly", "k": 2.9}, "k must be an integer, got 2.9"),
+        ({"kind": "fourier", "k": 2.0, "omega": 1.0}, "k must be an integer"),
+        ({"kind": "fourier", "k": 1, "omega": float("inf")}, "omega must be finite"),
+        ({"kind": "fourier", "k": 1, "omega": float("nan")}, "omega must be finite"),
+    ], ids=["poly-k-2.9", "fourier-k-2.0", "omega-inf", "omega-nan"])
+    def test_from_json_rejects_non_integral_k_and_non_finite_omega(self, fields, needle):
+        with pytest.raises(ValueError, match=needle):
+            FeatureMap.from_json_dict(fields)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_lift_instance_rejects_non_finite(self, bad):
         spec = LiftSpec.binary(3)

@@ -117,13 +117,17 @@ class TestEnvironmentCuts:
             got = np.sum(left[i] * right[i], axis=1)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
-    def test_tree_up_times_down_at_every_node(self, rng):
-        model, _ = gen_tree_teacher(6, 3, seed=4)  # 8 leaf slots, 2 pads
+    @pytest.mark.parametrize("n", [1, 2, 6])  # one leaf; two leaves; 8 slots, 2 pads
+    def test_tree_up_times_down_at_every_node(self, rng, n):
+        """From the root, whose up message is the output and whose down
+        message is all ones, to every leaf."""
+        model, _ = gen_tree_teacher(n, 3, seed=4)
         legs = [rng.standard_normal((33, d)) for d in model.phys_dims]
         want = model.forward_batch(legs)
         up = tree_up_messages(model.topology, model.cores, legs)
         down = tree_down_messages(model.topology, model.cores, up)
-        for v in range(2, 2 * model.topology.leaf_count):
+        assert up[1].shape == (33, 1)
+        for v in range(1, 2 * model.topology.leaf_count):
             got = np.sum(up[v] * down[v], axis=1)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
