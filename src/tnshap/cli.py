@@ -1,5 +1,13 @@
 """Command-line surface: gen, fit, explain, verify, bench, rank-sweep.
 
+Every option a config file may set is declared once, by ``_option``, with
+its default (``REQUIRED`` for --model, --instances and --teacher), its
+smallest accepted value and its argparse type and choices; a config file
+fills the options the command line leaves unset, and may set every option
+but --out, --config and --manifest. --out is required by every command but
+verify. ``main`` hands each command a ``_Run``: the resolved options and
+config, the wall time of each named phase, and the manifest writer.
+
 Standard output carries only data (the verify report when no --out is
 given); diagnostics go to stderr at the level selected by the TNSHAP_LOG
 environment variable (error, info, debug). Every run writes a JSON manifest
@@ -20,7 +28,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -41,12 +49,8 @@ BENCH_CALL_FEATURES = 256
 # values (rows x C(n, k), at least one row each), so its memory does not grow
 # with the instance file
 EXPLAIN_BLOCK_VALUES = 1 << 16
-# smallest accepted value of each integer flag, from the command line or a
-# config file; the commands check upper bounds that depend on the model
-MIN_FLAG_VALUE = {
-    "n": 1, "rank": 1, "seed": 0, "bond_dim": 1, "neighborhood": 0, "probe_nodes": 1,
-    "max_sweeps": 1, "order": 1, "max_order": 1, "repeats": 1, "eval_points": 1,
-}
+# the default of an option that the command line or the config file must set
+REQUIRED = object()
 
 
 class InputError(Exception):
@@ -149,27 +153,6 @@ def _json_dump(path, obj) -> None:
         fh.write("\n")
 
 
-def _write_manifest(path, command, config, seed, inputs, outputs,
-                    forward_counts, phases, numerical_health=None, blocks=None) -> None:
-    manifest = {
-        "version": MANIFEST_VERSION,
-        "command": command,
-        "argv": list(sys.argv[1:]) if sys.argv else [],
-        "config": config,
-        "seed": seed,
-        "library_version": __version__,
-        "inputs": list(inputs),
-        "outputs": list(outputs),
-        "forward_counts": forward_counts,
-        "phase_wall_times_s": phases,
-    }
-    if numerical_health is not None:
-        manifest["numerical_health"] = numerical_health
-    if blocks is not None:
-        manifest["blocks"] = blocks
-    _json_dump(path, manifest)
-
-
 @contextlib.contextmanager
 def _replace_on_success(path):
     """A text file handle on a temporary sibling of ``path``, renamed over
@@ -186,21 +169,14 @@ def _replace_on_success(path):
         raise
 
 
-def _manifest_path(args, default_anchor) -> str:
-    if getattr(args, "manifest", None):
-        return args.manifest
-    if default_anchor:
-        return str(default_anchor) + ".manifest.json"
-    return "tnshap-manifest.json"
-
-
-def _apply_config_file(args, parser_defaults) -> dict:
-    """Overlay: config-file values fill flags the user left at their default;
-    explicit CLI flags win. A file value passes its flag's type and choices
-    as if it were typed on the command line, and every resolved value its
-    ``MIN_FLAG_VALUE`` bound. Returns the resolved config dict."""
+def _apply_config_file(args) -> dict:
+    """Overlay: config-file values fill the ``_option`` flags the command
+    line left unset, and their declared defaults fill the rest; explicit
+    flags win. A file value passes its flag's type and choices as if it were
+    typed on the command line, and every resolved value its declared lower
+    bound. Returns the resolved config dict."""
     file_values = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_values = json.load(fh)
@@ -210,18 +186,21 @@ def _apply_config_file(args, parser_defaults) -> dict:
             raise InputError(f"malformed config {args.config}: {exc}") from exc
         if not isinstance(file_values, dict):
             raise InputError(f"config {args.config} must hold a JSON object")
-    flags = {action.dest: action for action in args.parser._actions}
     resolved = {}
-    for dest, default in parser_defaults.items():
-        current = getattr(args, dest)
-        if current is None and file_values.get(dest) is not None:
-            setattr(args, dest, _config_value(args.config, flags[dest], file_values[dest]))
-        elif current is None:
-            setattr(args, dest, default)
-        value = resolved[dest] = getattr(args, dest)
-        lo = MIN_FLAG_VALUE.get(dest)
-        if lo is not None and value is not None and value < lo:
-            raise InputError(f"{flags[dest].option_strings[0]} must be >= {lo}, got {value}")
+    for action in args.parser._actions:
+        if not hasattr(action, "fallback"):
+            continue  # not an _option: --help, --out, --config, --manifest
+        flag, value = action.option_strings[0], getattr(args, action.dest)
+        if value is None and file_values.get(action.dest) is not None:
+            value = _config_value(args.config, action, file_values[action.dest])
+        elif value is None:
+            value = action.fallback
+        if value is REQUIRED:
+            raise InputError(f"{args.command} requires {flag}")
+        if action.lo is not None and value is not None and value < action.lo:
+            raise InputError(f"{flag} must be >= {action.lo}, got {value}")
+        setattr(args, action.dest, value)
+        resolved[action.dest] = value
     return resolved
 
 
@@ -237,27 +216,58 @@ def _config_value(path, action, value):
     return value
 
 
-def cmd_gen(args) -> int:
-    t0 = time.perf_counter()
-    defaults = {"kind": "tree", "n": 8, "rank": 3, "seed": 0}
-    config = _apply_config_file(args, defaults)
-    if args.out is None:
-        raise InputError("gen requires --out")
-    if args.kind == "cp":
-        teacher, lifts = fit.gen_cp_teacher(args.n, args.rank, args.seed)
-        model = teacher.to_tensor_train()
-    else:
-        model, lifts = fit.gen_tree_teacher(args.n, args.rank, args.seed)
-    gen_time = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    model_io.save_model(args.out, model, lifts)
-    emit_time = time.perf_counter() - t1
-    _write_manifest(
-        _manifest_path(args, args.out), "gen", config, args.seed,
-        inputs=[], outputs=[args.out],
-        forward_counts={"generation": model.forward_count},
-        phases={"generate": gen_time, "emit": emit_time},
-    )
+class _Run:
+    """One command's run: its ``args`` with every option resolved, the
+    resolved ``config``, and the wall time of each named phase."""
+
+    def __init__(self, args):
+        self.args = args
+        self.config = _apply_config_file(args)
+        if args.out is None and args.command != "verify":
+            raise InputError(f"{args.command} requires --out")
+        self.phases = {}
+
+    @contextlib.contextmanager
+    def phase(self, *names):
+        """Add the wall time of the block to each named phase."""
+        start = time.perf_counter()
+        yield
+        elapsed = time.perf_counter() - start
+        for name in names:
+            self.phases[name] = self.phases.get(name, 0.0) + elapsed
+
+    def write_manifest(self, inputs, outputs, forward_counts, **extra) -> None:
+        """The manifest at --manifest, else beside --out, else in the working
+        directory; ``extra`` entries follow the common ones."""
+        args = self.args
+        path = args.manifest or (
+            f"{args.out}.manifest.json" if args.out else "tnshap-manifest.json")
+        _json_dump(path, {
+            "version": MANIFEST_VERSION,
+            "command": args.command,
+            "argv": sys.argv[1:],
+            "config": self.config,
+            "seed": args.seed,
+            "library_version": __version__,
+            "inputs": list(inputs),
+            "outputs": list(outputs),
+            "forward_counts": forward_counts,
+            "phase_wall_times_s": self.phases,
+            **extra,
+        })
+
+
+def cmd_gen(run) -> int:
+    args = run.args
+    with run.phase("generate"):
+        if args.kind == "cp":
+            teacher, lifts = fit.gen_cp_teacher(args.n, args.rank, args.seed)
+            model = teacher.to_tensor_train()
+        else:
+            model, lifts = fit.gen_tree_teacher(args.n, args.rank, args.seed)
+    with run.phase("emit"):
+        model_io.save_model(args.out, model, lifts)
+    run.write_manifest([], [args.out], {"generation": model.forward_count})
     return 0
 
 
@@ -275,42 +285,28 @@ def _fit_config(args, **overrides) -> fit.FitConfig:
         raise InputError(f"--{name.replace('_', '-')} {rest}") from exc
 
 
-def cmd_fit(args) -> int:
-    t0 = time.perf_counter()
-    defaults = {"teacher": None, "center": None, **asdict(fit.FitConfig()), "report": None}
-    config = _apply_config_file(args, defaults)
-    if args.teacher is None:
-        raise InputError("fit requires --teacher")
-    if args.out is None:
-        raise InputError("fit requires --out")
-    teacher, lifts = _load_model(args.teacher)
-    center = _parse_center(args.center, teacher.n)
-    fit_config = _fit_config(args)
-    load_time = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    before = teacher.forward_count
-    training = fit.build_training_set(teacher, lifts, center, fit_config)
-    teacher_calls = teacher.forward_count - before
-    build_time = time.perf_counter() - t1
-    student, report = fit.fit_student(training, fit_config, lifts)
-    fit_time = time.perf_counter() - t1
-
-    t2 = time.perf_counter()
-    model_io.save_model(args.out, student, lifts)
-    report_path = args.report or (str(args.out) + ".report.json")
-    _json_dump(report_path, report.to_json_dict())
-    emit_time = time.perf_counter() - t2
-    config["center"] = center.tolist()
-    _write_manifest(
-        _manifest_path(args, args.out), "fit",
-        {**config, "fit_config": fit_config.to_json_dict()}, args.seed,
-        inputs=[args.teacher], outputs=[args.out, report_path],
-        forward_counts={"teacher_calls": teacher_calls},
-        phases={"load": load_time, "fit": fit_time, "build": build_time,
-                "als": fit_time - build_time, "emit": emit_time},
-        numerical_health=report.numerical_health(),
-    )
+def cmd_fit(run) -> int:
+    args = run.args
+    with run.phase("load"):
+        teacher, lifts = _load_model(args.teacher)
+        center = _parse_center(args.center, teacher.n)
+        fit_config = _fit_config(args)
+    # "fit" is the sum of "build" and "als"
+    with run.phase("fit", "build"):
+        before = teacher.forward_count
+        training = fit.build_training_set(teacher, lifts, center, fit_config)
+        teacher_calls = teacher.forward_count - before
+    with run.phase("fit", "als"):
+        student, report = fit.fit_student(training, fit_config, lifts)
+    with run.phase("emit"):
+        model_io.save_model(args.out, student, lifts)
+        report_path = args.report or f"{args.out}.report.json"
+        _json_dump(report_path, report.to_json_dict())
+    run.config["center"] = center.tolist()
+    run.config["fit_config"] = fit_config.to_json_dict()
+    run.write_manifest([args.teacher], [args.out, report_path],
+                       {"teacher_calls": teacher_calls},
+                       numerical_health=report.numerical_health())
     logger.info("fit: train R^2 %.6f in %d sweeps", report.train_r2, report.sweeps_used)
     return 0
 
@@ -319,89 +315,70 @@ def _nonfinite(values) -> int:
     return int(np.count_nonzero(~np.isfinite(values)))
 
 
-def cmd_explain(args) -> int:
-    t0 = time.perf_counter()
-    defaults = {"model": None, "instances": None, "order": 1, "mode": "auto", "seed": 0}
-    config = _apply_config_file(args, defaults)
-    if args.model is None or args.instances is None:
-        raise InputError("explain requires --model and --instances")
-    if args.out is None:
-        raise InputError("explain requires --out")
-    model, lifts = _load_model(args.model)
-    instances = _read_instances_csv(args.instances, model.n)
-    k = int(args.order)
-    if not 1 <= k <= model.n:
-        raise InputError(f"order {k} out of range 1..{model.n}")
+def cmd_explain(run) -> int:
+    args = run.args
+    k = args.order
+    with run.phase("load"):
+        model, lifts = _load_model(args.model)
+        instances = _read_instances_csv(args.instances, model.n)
+        if not 1 <= k <= model.n:
+            raise InputError(f"order {k} out of range 1..{model.n}")
     mode = None if args.mode == "auto" else args.mode
-    load_time = time.perf_counter() - t0
-
     rows = max(1, EXPLAIN_BLOCK_VALUES // math.comb(model.n, k))
-    attribution_time = emit_time = 0.0
     total_forwards = nonfinite = 0
     with _replace_on_success(args.out) as fh:
         for start in range(0, len(instances), rows):
-            t1 = time.perf_counter()
-            results = attribute.explain_batch(model, lifts, instances[start : start + rows], k,
-                                              mode=mode)
-            block_forwards = 0
-            for idx, res in enumerate(results, start):
-                if isinstance(res, Exception):
-                    raise InputError(f"instance {idx}: {res}")
-                bad = _nonfinite(res.values)
-                logger.debug("instance %d: %d forwards, %d non-finite values",
-                             idx, res.forwards_used, bad)
-                block_forwards += res.forwards_used
-                nonfinite += bad
+            block_start = time.perf_counter()
+            with run.phase("attribution"):
+                results = attribute.explain_batch(model, lifts, instances[start : start + rows],
+                                                  k, mode=mode)
+                block_forwards = 0
+                for idx, res in enumerate(results, start):
+                    if isinstance(res, Exception):
+                        raise InputError(f"instance {idx}: {res}")
+                    bad = _nonfinite(res.values)
+                    logger.debug("instance %d: %d forwards, %d non-finite values",
+                                 idx, res.forwards_used, bad)
+                    block_forwards += res.forwards_used
+                    nonfinite += bad
+            with run.phase("emit"):
+                attribute.write_attribution_csv(fh, [[res] for res in results], start)
+            logger.debug("block %d: %d rows, %d forwards, %.3f ms", start // rows, len(results),
+                         block_forwards, (time.perf_counter() - block_start) * 1e3)
             if start == 0:
                 per_instance = results[0].forwards_used
-            t2 = time.perf_counter()
-            attribute.write_attribution_csv(fh, [[res] for res in results], start)
-            t3 = time.perf_counter()
-            logger.debug("block %d: %d rows, %d forwards, %.3f ms", start // rows,
-                         len(results), block_forwards, (t3 - t1) * 1e3)
             total_forwards += block_forwards
-            attribution_time += t2 - t1
-            emit_time += t3 - t2
-    _write_manifest(
-        _manifest_path(args, args.out), "explain", config, args.seed,
-        inputs=[args.model, args.instances], outputs=[args.out],
-        forward_counts={"attribution": total_forwards, "per_instance": per_instance},
-        phases={"load": load_time, "attribution": attribution_time, "emit": emit_time},
-        numerical_health={"nonfinite_values": nonfinite},
-        blocks=-(-len(instances) // rows),
-    )
+    run.write_manifest([args.model, args.instances], [args.out],
+                       {"attribution": total_forwards, "per_instance": per_instance},
+                       numerical_health={"nonfinite_values": nonfinite},
+                       blocks=-(-len(instances) // rows))
     return 0
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    defaults = {"model": None, "instances": None, "max_order": 3, "seed": 0}
-    config = _apply_config_file(args, defaults)
-    if args.model is None or args.instances is None:
-        raise InputError("verify requires --model and --instances")
-    model, lifts = _load_model(args.model)
-    if model.n > 16:
-        raise InputError(f"verify needs n <= 16 for enumeration, model has n={model.n}")
-    instances = _read_instances_csv(args.instances, model.n)
-    max_order = int(args.max_order)
-    if not 1 <= max_order <= model.n:
-        raise InputError(f"max order {max_order} out of range 1..{model.n}")
-    load_time = time.perf_counter() - t0
+def cmd_verify(run) -> int:
+    args = run.args
+    max_order = args.max_order
+    with run.phase("load"):
+        model, lifts = _load_model(args.model)
+        if model.n > 16:
+            raise InputError(f"verify needs n <= 16 for enumeration, model has n={model.n}")
+        instances = _read_instances_csv(args.instances, model.n)
+        if not 1 <= max_order <= model.n:
+            raise InputError(f"max order {max_order} out of range 1..{model.n}")
 
-    t1 = time.perf_counter()
     oracle_forwards = 0
     probe_forwards = 0
     order_diffs = {k: 0.0 for k in range(1, max_order + 1)}
-    for x in instances:
-        table = oracle.enumerate_game(model, lifts, x)
-        oracle_forwards += table.forwards_used
-        for k in range(1, max_order + 1):
-            truth = oracle.exact_sii(table, k)
-            probed = attribute.explain(model, lifts, x, k)
-            probe_forwards += probed.forwards_used
-            diff = float(np.max(np.abs(truth.values - probed.values)))
-            order_diffs[k] = max(order_diffs[k], diff)
-    verify_time = time.perf_counter() - t1
+    with run.phase("verify"):
+        for x in instances:
+            table = oracle.enumerate_game(model, lifts, x)
+            oracle_forwards += table.forwards_used
+            for k in range(1, max_order + 1):
+                truth = oracle.exact_sii(table, k)
+                probed = attribute.explain(model, lifts, x, k)
+                probe_forwards += probed.forwards_used
+                diff = float(np.max(np.abs(truth.values - probed.values)))
+                order_diffs[k] = max(order_diffs[k], diff)
 
     orders_report = {
         str(k): {"max_abs_diff": d, "pass": bool(d <= VERIFY_TOLERANCE)}
@@ -421,71 +398,56 @@ def cmd_verify(args) -> int:
     else:
         json.dump(report, sys.stdout, indent=1)
         sys.stdout.write("\n")
-    _write_manifest(
-        _manifest_path(args, args.out), "verify", config, args.seed,
-        inputs=[args.model, args.instances], outputs=[args.out] if args.out else [],
-        forward_counts={"oracle": oracle_forwards, "probes": probe_forwards},
-        phases={"load": load_time, "verify": verify_time},
-    )
+    run.write_manifest([args.model, args.instances], [args.out] if args.out else [],
+                       {"oracle": oracle_forwards, "probes": probe_forwards})
     return 0 if all_pass else 1
 
 
-def cmd_bench(args) -> int:
-    t0 = time.perf_counter()
-    defaults = {"dims": "10,20,30,40,50", "rank": 16, "repeats": 3, "seed": 0}
-    config = _apply_config_file(args, defaults)
-    if args.out is None:
-        raise InputError("bench requires --out")
-    dims = _parse_int_list(str(args.dims), "dims", 1)
-    if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
-        raise InputError(f"dims must be strictly ascending, got {dims}")
-    repeats = int(args.repeats)
-    setup_time = time.perf_counter() - t0
+def cmd_bench(run) -> int:
+    args = run.args
+    with run.phase("setup"):
+        dims = _parse_int_list(str(args.dims), "dims", 1)
+        if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
+            raise InputError(f"dims must be strictly ascending, got {dims}")
 
-    t1 = time.perf_counter()
-    cases = []
-    for n in dims:
-        teacher, lifts = fit.gen_tree_teacher(n, int(args.rank), seed=int(args.seed) + n)
-        x = np.random.default_rng(int(args.seed) + n + 1).uniform(-1.0, 1.0, n)
-        aset = attribute.explain(teacher, lifts, x, 1)  # warmup
-        cases.append((n, teacher, lifts, x, aset.forwards_used, -(-BENCH_CALL_FEATURES // n)))
-    # repeats go round-robin over the dims, so a slow spell of the host falls
-    # on every dim's samples instead of shifting one dim's median
-    times = {n: [] for n in dims}
-    for _ in range(repeats):
-        for n, teacher, lifts, x, _forwards, calls in cases:
-            start = time.perf_counter()
-            for _ in range(calls):
-                attribute.explain(teacher, lifts, x, 1)
-            times[n].append((time.perf_counter() - start) / calls * 1e3)
-    rows = []
-    for n, teacher, _lifts, _x, forwards, calls in cases:
-        times_ms = times[n]
-        rows.append({
-            "n": n,
-            "cut_rank": cut_rank(teacher.topology),
-            "forwards_per_instance": forwards,
-            "calls_per_repeat": calls,
-            "mean_ms": float(np.mean(times_ms)),
-            "std_ms": float(np.std(times_ms)),
-            "median_ms": float(np.median(times_ms)),
-            "times_ms": times_ms,
-        })
-        logger.info("bench n=%d: median %.3f ms, %d forwards", n,
-                     rows[-1]["median_ms"], forwards)
-    bench_time = time.perf_counter() - t1
+    with run.phase("attribution"):
+        cases = []
+        for n in dims:
+            teacher, lifts = fit.gen_tree_teacher(n, args.rank, seed=args.seed + n)
+            x = np.random.default_rng(args.seed + n + 1).uniform(-1.0, 1.0, n)
+            aset = attribute.explain(teacher, lifts, x, 1)  # warmup
+            cases.append((n, teacher, lifts, x, aset.forwards_used,
+                          -(-BENCH_CALL_FEATURES // n)))
+        # repeats go round-robin over the dims, so a slow spell of the host
+        # falls on every dim's samples instead of shifting one dim's median
+        times = {n: [] for n in dims}
+        for _ in range(args.repeats):
+            for n, teacher, lifts, x, _forwards, calls in cases:
+                start = time.perf_counter()
+                for _ in range(calls):
+                    attribute.explain(teacher, lifts, x, 1)
+                times[n].append((time.perf_counter() - start) / calls * 1e3)
+        rows = []
+        for n, teacher, _lifts, _x, forwards, calls in cases:
+            times_ms = times[n]
+            rows.append({
+                "n": n,
+                "cut_rank": cut_rank(teacher.topology),
+                "forwards_per_instance": forwards,
+                "calls_per_repeat": calls,
+                "mean_ms": float(np.mean(times_ms)),
+                "std_ms": float(np.std(times_ms)),
+                "median_ms": float(np.median(times_ms)),
+                "times_ms": times_ms,
+            })
+            logger.info("bench n=%d: median %.3f ms, %d forwards", n,
+                        rows[-1]["median_ms"], forwards)
 
-    t2 = time.perf_counter()
-    _json_dump(args.out, {"version": 1, "rank": int(args.rank),
-                          "repeats": repeats, "rows": rows})
-    emit_time = time.perf_counter() - t2
-    _write_manifest(
-        _manifest_path(args, args.out), "bench", config, args.seed,
-        inputs=[], outputs=[args.out],
-        forward_counts={"per_instance_by_dim": {str(r["n"]): r["forwards_per_instance"]
-                                                for r in rows}},
-        phases={"setup": setup_time, "attribution": bench_time, "emit": emit_time},
-    )
+    with run.phase("emit"):
+        _json_dump(args.out, {"version": 1, "rank": args.rank, "repeats": args.repeats,
+                              "rows": rows})
+    run.write_manifest([], [args.out], {"per_instance_by_dim": {
+        str(r["n"]): r["forwards_per_instance"] for r in rows}})
     return 0
 
 
@@ -514,80 +476,68 @@ def _aggregate_sweep(cells) -> list:
     return aggregate
 
 
-def cmd_rank_sweep(args) -> int:
-    t0 = time.perf_counter()
-    defaults = {
-        "teacher": None, "ranks": "2,4,8", "seeds": "0", "eval_points": 12,
-        "max_order": 3, "center": None, "neighborhood": 2048, "probe_nodes": None,
-        "sigma_frac": 1.0, "max_sweeps": 40, "tol": 1e-12, "topology": "btree",
-        "seed": 0,
-    }
-    config = _apply_config_file(args, defaults)
-    if args.teacher is None:
-        raise InputError("rank-sweep requires --teacher")
-    if args.out is None:
-        raise InputError("rank-sweep requires --out")
-    teacher, lifts = _load_model(args.teacher)
-    if teacher.n > 16:
-        raise InputError(f"rank-sweep needs n <= 16 for the oracle, got n={teacher.n}")
-    ranks = _parse_int_list(str(args.ranks), "ranks", 1)
-    seeds = _parse_int_list(str(args.seeds), "seeds", 0)
-    if not ranks or not seeds:
-        raise InputError("rank-sweep needs at least one rank and one seed")
-    center = _parse_center(args.center, teacher.n)
-    max_order = int(args.max_order)
-    if max_order > teacher.n:
-        raise InputError(f"max order {max_order} out of range 1..{teacher.n}")
-    orders = tuple(range(1, max_order + 1))
-    base_config = _fit_config(args, bond_dim=max(ranks))
-    eval_rng = np.random.default_rng(int(args.seed) + 1)
-    eval_instances = eval_rng.uniform(-1.0, 1.0, size=(int(args.eval_points), teacher.n))
-    setup_time = time.perf_counter() - t0
+def cmd_rank_sweep(run) -> int:
+    args = run.args
+    with run.phase("setup"):
+        teacher, lifts = _load_model(args.teacher)
+        if teacher.n > 16:
+            raise InputError(f"rank-sweep needs n <= 16 for the oracle, got n={teacher.n}")
+        ranks = _parse_int_list(str(args.ranks), "ranks", 1)
+        seeds = _parse_int_list(str(args.seeds), "seeds", 0)
+        if not ranks or not seeds:
+            raise InputError("rank-sweep needs at least one rank and one seed")
+        center = _parse_center(args.center, teacher.n)
+        if args.max_order > teacher.n:
+            raise InputError(f"max order {args.max_order} out of range 1..{teacher.n}")
+        orders = tuple(range(1, args.max_order + 1))
+        base_config = _fit_config(args, bond_dim=max(ranks))
+        eval_rng = np.random.default_rng(args.seed + 1)
+        eval_instances = eval_rng.uniform(-1.0, 1.0, size=(args.eval_points, teacher.n))
 
-    t1 = time.perf_counter()
-    cells = fit.rank_sweep(teacher, lifts, center, base_config, ranks, seeds,
-                           eval_instances, orders)
-    sweep_time = time.perf_counter() - t1
+    with run.phase("sweep"):
+        cells = fit.rank_sweep(teacher, lifts, center, base_config, ranks, seeds,
+                               eval_instances, orders)
 
-    t2 = time.perf_counter()
-    payload = {
-        "version": 1,
-        "teacher": str(args.teacher),
-        "ranks": ranks,
-        "seeds": seeds,
-        "cells": [{**c, "report": None if c["report"] is None else c["report"].to_json_dict()}
-                  for c in cells],
-        "aggregate": _aggregate_sweep(cells),
-    }
-    _json_dump(args.out, payload)
-    emit_time = time.perf_counter() - t2
-    _write_manifest(
-        _manifest_path(args, args.out), "rank-sweep", config, args.seed,
-        inputs=[args.teacher], outputs=[args.out],
-        forward_counts={"teacher_total": teacher.forward_count},
-        phases={"setup": setup_time, "sweep": sweep_time, "emit": emit_time},
-    )
+    with run.phase("emit"):
+        _json_dump(args.out, {
+            "version": 1,
+            "teacher": str(args.teacher),
+            "ranks": ranks,
+            "seeds": seeds,
+            "cells": [{**c, "report": None if c["report"] is None
+                       else c["report"].to_json_dict()} for c in cells],
+            "aggregate": _aggregate_sweep(cells),
+        })
+    run.write_manifest([args.teacher], [args.out], {"teacher_total": teacher.forward_count})
     return 0
 
 
+def _option(parser, *names, default=None, lo=None, **kwargs) -> None:
+    """Declare a flag that a config file may set too. ``default`` applies
+    when neither sets it (``REQUIRED``: one of them must); ``lo`` is the
+    smallest value either may give. Commands check the bounds that depend
+    on the model."""
+    action = parser.add_argument(*names, **kwargs)
+    action.fallback, action.lo = default, lo
+
+
 def _add_common(parser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    parser.add_argument("--out", default=None, help="primary output path")
-    parser.add_argument("--config", default=None,
-                        help="JSON config file; explicit flags override it")
-    parser.add_argument("--manifest", default=None,
-                        help="manifest path (default: <out>.manifest.json)")
+    _option(parser, "--seed", type=int, default=0, lo=0, help="base RNG seed")
+    parser.add_argument("--out", help="primary output path")
+    parser.add_argument("--config", help="JSON config file; explicit flags override it")
+    parser.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
 
 
-def _add_fit_flags(parser) -> None:
-    """The training flags ``fit`` and ``rank-sweep`` share."""
-    parser.add_argument("--center", default=None, help="comma-separated center point")
-    parser.add_argument("--topology", choices=["tt", "btree"], default=None)
-    parser.add_argument("--neighborhood", type=int, default=None)
-    parser.add_argument("--probe-nodes", dest="probe_nodes", type=int, default=None)
-    parser.add_argument("--sigma-frac", dest="sigma_frac", type=float, default=None)
-    parser.add_argument("--max-sweeps", dest="max_sweeps", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
+def _add_fit_flags(parser, defaults: fit.FitConfig) -> None:
+    """The training flags ``fit`` and ``rank-sweep`` share, defaulting to
+    the fields of ``defaults``."""
+    _option(parser, "--center", help="comma-separated center point")
+    _option(parser, "--topology", choices=["tt", "btree"], default=defaults.topology)
+    _option(parser, "--neighborhood", type=int, default=defaults.neighborhood, lo=0)
+    _option(parser, "--probe-nodes", type=int, default=defaults.probe_nodes, lo=1)
+    _option(parser, "--sigma-frac", type=float, default=defaults.sigma_frac)
+    _option(parser, "--max-sweeps", type=int, default=defaults.max_sweeps, lo=1)
+    _option(parser, "--tol", type=float, default=defaults.tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -599,50 +549,51 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic teacher model")
-    p.add_argument("--kind", choices=["cp", "tree"], default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--rank", type=int, default=None)
+    _option(p, "--kind", choices=["cp", "tree"], default="tree")
+    _option(p, "--n", type=int, default=8, lo=1)
+    _option(p, "--rank", type=int, default=3, lo=1)
     _add_common(p)
     p.set_defaults(func=cmd_gen, parser=p)
 
     p = sub.add_parser("fit", help="fit a student network to a teacher model")
-    p.add_argument("--teacher", default=None)
-    p.add_argument("--bond-dim", dest="bond_dim", type=int, default=None)
-    _add_fit_flags(p)
-    p.add_argument("--report", default=None, help="fit report path")
+    _option(p, "--teacher", default=REQUIRED)
+    _option(p, "--bond-dim", type=int, default=fit.FitConfig().bond_dim, lo=1)
+    _add_fit_flags(p, fit.FitConfig())
+    _option(p, "--report", help="fit report path")
     _add_common(p)
     p.set_defaults(func=cmd_fit, parser=p)
 
     p = sub.add_parser("explain", help="compute attributions for instances")
-    p.add_argument("--model", default=None)
-    p.add_argument("--instances", default=None)
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--mode", choices=["auto", attribute.INCLUSION_EXCLUSION,
-                                      attribute.SIGNED_TOGGLE], default=None)
+    _option(p, "--model", default=REQUIRED)
+    _option(p, "--instances", default=REQUIRED)
+    _option(p, "--order", type=int, default=1, lo=1)
+    _option(p, "--mode", choices=["auto", attribute.INCLUSION_EXCLUSION,
+                                  attribute.SIGNED_TOGGLE], default="auto")
     _add_common(p)
     p.set_defaults(func=cmd_explain, parser=p)
 
     p = sub.add_parser("verify", help="check probe attributions against enumeration")
-    p.add_argument("--model", default=None)
-    p.add_argument("--instances", default=None)
-    p.add_argument("--max-order", dest="max_order", type=int, default=None)
+    _option(p, "--model", default=REQUIRED)
+    _option(p, "--instances", default=REQUIRED)
+    _option(p, "--max-order", type=int, default=3, lo=1)
     _add_common(p)
     p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("bench", help="time order-1 attribution across dimensions")
-    p.add_argument("--dims", default=None, help="comma-separated ascending dims")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
+    _option(p, "--dims", default="10,20,30,40,50", help="comma-separated ascending dims")
+    _option(p, "--rank", type=int, default=16, lo=1)
+    _option(p, "--repeats", type=int, default=3, lo=1)
     _add_common(p)
     p.set_defaults(func=cmd_bench, parser=p)
 
     p = sub.add_parser("rank-sweep", help="fit students across ranks and score them")
-    p.add_argument("--teacher", default=None)
-    p.add_argument("--ranks", default=None, help="comma-separated student ranks")
-    p.add_argument("--seeds", default=None, help="comma-separated fit seeds")
-    p.add_argument("--eval-points", dest="eval_points", type=int, default=None)
-    p.add_argument("--max-order", dest="max_order", type=int, default=None)
-    _add_fit_flags(p)
+    _option(p, "--teacher", default=REQUIRED)
+    _option(p, "--ranks", default="2,4,8", help="comma-separated student ranks")
+    _option(p, "--seeds", default="0", help="comma-separated fit seeds")
+    _option(p, "--eval-points", type=int, default=12, lo=1)
+    _option(p, "--max-order", type=int, default=3, lo=1)
+    _add_fit_flags(p, fit.FitConfig(neighborhood=2048, sigma_frac=1.0, max_sweeps=40,
+                                     tol=1e-12))
     _add_common(p)
     p.set_defaults(func=cmd_rank_sweep, parser=p)
 
@@ -651,14 +602,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.func(_Run(args))
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

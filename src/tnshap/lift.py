@@ -28,7 +28,7 @@ class FeatureMap:
     kind ``"binary"`` ignores ``k`` and ``omega`` (output dim 2);
     ``"poly"`` uses powers 1..k (dim k+1); ``"fourier"`` uses
     sin/cos harmonics 1..k at base frequency ``omega`` (dim 2k+1).
-    ``k`` must be an integer and ``omega`` finite.
+    ``k`` must be an integer (not a boolean) and ``omega`` finite.
     """
 
     kind: str
@@ -39,6 +39,8 @@ class FeatureMap:
         if self.kind not in (BINARY, POLY, FOURIER):
             raise ValueError(f"unknown feature map kind {self.kind!r}")
         try:
+            if isinstance(self.k, bool):  # operator.index(True) is 1
+                raise TypeError
             object.__setattr__(self, "k", operator.index(self.k))
         except TypeError:
             raise ValueError(f"k must be an integer, got {self.k!r}") from None
@@ -89,7 +91,10 @@ class FeatureMap:
         if kind == POLY:
             return FeatureMap(POLY, k=obj["k"])
         if kind == FOURIER:
-            return FeatureMap(FOURIER, k=obj["k"], omega=float(obj["omega"]))
+            omega = obj["omega"]
+            if isinstance(omega, bool):  # float(True) is 1.0
+                raise ValueError(f"omega must be a number, got {omega!r}")
+            return FeatureMap(FOURIER, k=obj["k"], omega=float(omega))
         raise ValueError(f"unknown feature map kind {kind!r}")
 
 

@@ -47,8 +47,11 @@ def model_to_json_dict(model: TensorNetworkModel, lifts: LiftSpec) -> dict:
 
 
 def _index(value, what: str) -> int:
-    """An integer field; a float such as 4.9 raises instead of truncating."""
+    """An integer field; a float such as 4.9 raises instead of truncating,
+    and a JSON boolean instead of reading as 0 or 1."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
@@ -83,7 +86,7 @@ def model_from_json_dict(obj) -> tuple:
     if not isinstance(obj, dict):
         raise ValueError(f"model must be a JSON object, got {type(obj).__name__}")
     version = obj.get("version")
-    if version not in READ_VERSIONS:
+    if isinstance(version, bool) or version not in READ_VERSIONS:
         raise ValueError(f"unsupported model format version {version!r}")
     topo = TnTopology(
         kind=obj["topology"],

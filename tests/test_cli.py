@@ -109,11 +109,10 @@ class TestExplain:
         assert manifest["forward_counts"]["per_instance"] == subsets * 4 * 3  # 2^k (n-k+1)
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_threaded_manifest_counts_match_model_counter(self, tmp_path, teacher_path,
-                                                          monkeypatch, order):
+    def test_manifest_counts_match_model_counter(self, tmp_path, teacher_path, monkeypatch,
+                                                 order):
         """Manifest counts equal the model counter over a 24-row batch, which
-        stacks instances at k = 1 and k = 2 (the name predates the removal
-        of the no-op ``--threads`` flag)."""
+        stacks instances at k = 1 and k = 2."""
         from tnshap import model_io
 
         loaded = []
@@ -585,6 +584,72 @@ class TestConfigFile:
         assert "config" in capsys.readouterr().err
 
 
+FIT_DEFAULTS = {"topology": "btree", "bond_dim": 8, "neighborhood": 200, "probe_nodes": None,
+                "sigma_frac": 0.1, "max_sweeps": 30, "tol": 1e-9, "seed": 0}
+
+
+class TestManifestConfig:
+    """Each command's manifest records every option it resolved, with the
+    defaults of the flags left unset. ``bench`` sets its costly ``--dims``
+    and ``--repeats``; every other command gets only its required flags."""
+
+    @pytest.mark.parametrize("command", ["gen", "fit", "explain", "verify", "bench",
+                                         "rank-sweep"])
+    def test_defaults(self, tmp_path, teacher_path, monkeypatch, command):
+        inst = tmp_path / "inst.csv"
+        write_instances(inst, [[0.1, 0.2, 0.3, 0.4]])
+        teacher, model = str(teacher_path), ["--model", teacher_path, "--instances", inst]
+        out = ["--out", tmp_path / "out"]
+        argv, expected = {
+            "gen": (out, {"kind": "tree", "n": 8, "rank": 3, "seed": 0}),
+            "fit": (["--teacher", teacher, *out], {
+                "teacher": teacher, "center": [0.0] * 4, **FIT_DEFAULTS, "report": None,
+                "fit_config": {"version": 1, **FIT_DEFAULTS}}),
+            "explain": ([*model, *out], {"model": teacher, "instances": str(inst), "order": 1,
+                                         "mode": "auto", "seed": 0}),
+            "verify": (model, {"model": teacher, "instances": str(inst), "max_order": 3,
+                               "seed": 0}),
+            "bench": (["--dims", "4,8", "--repeats", 1, *out],
+                      {"dims": "4,8", "rank": 16, "repeats": 1, "seed": 0}),
+            "rank-sweep": (["--teacher", teacher, *out], {
+                "teacher": teacher, "ranks": "2,4,8", "seeds": "0", "eval_points": 12,
+                "max_order": 3, "center": None, "neighborhood": 2048, "probe_nodes": None,
+                "sigma_frac": 1.0, "max_sweeps": 40, "tol": 1e-12, "topology": "btree",
+                "seed": 0}),
+        }[command]
+        monkeypatch.chdir(tmp_path)  # verify without --out writes tnshap-manifest.json here
+        assert run(command, *argv) == 0
+        name = "tnshap-manifest.json" if command == "verify" else "out.manifest.json"
+        manifest = json.loads((tmp_path / name).read_text())
+        assert manifest["command"] == command
+        assert manifest["config"] == expected
+
+    def test_config_file_supplies_model_and_instances(self, tmp_path, teacher_path):
+        inst = tmp_path / "inst.csv"
+        write_instances(inst, [[0.1, 0.2, 0.3, 0.4]])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": str(teacher_path), "instances": str(inst),
+                                      "order": 2}))
+        out = tmp_path / "attr.csv"
+        assert run("explain", "--config", config, "--out", out) == 0
+        manifest = json.loads((tmp_path / "attr.csv.manifest.json").read_text())
+        assert manifest["config"] == {"model": str(teacher_path), "instances": str(inst),
+                                      "order": 2, "mode": "auto", "seed": 0}
+        assert manifest["inputs"] == [str(teacher_path), str(inst)]
+        assert len(out.read_text().splitlines()) == 1 + 6  # C(4, 2) pairs
+
+    def test_config_number_for_list_option(self, tmp_path):
+        """A JSON number runs as the one-entry list it spells: ``{"dims": 8}``
+        is ``--dims 8``, and the manifest keeps the value as the file gave it."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dims": 8, "repeats": 1}))
+        out = tmp_path / "bench.json"
+        assert run("bench", "--config", config, "--out", out) == 0
+        assert [r["n"] for r in json.loads(out.read_text())["rows"]] == [8]
+        manifest = json.loads((tmp_path / "bench.json.manifest.json").read_text())
+        assert manifest["config"] == {"dims": 8, "rank": 16, "repeats": 1, "seed": 0}
+
+
 def _edit_core(obj, idx, **fields):
     """The model JSON object with core ``idx``'s ``fields`` replaced."""
     cores = list(obj["cores"])
@@ -606,8 +671,9 @@ def _set_entry(obj, idx, pos, value, version=2):
 
 
 class TestBadInput:
-    """Out-of-range flags and mistyped config-file values exit 2 before any
-    work, whether they come from the command line or a config file."""
+    """Out-of-range flags, mistyped config-file values and missing required
+    options exit 2 before any work, whether the values come from the command
+    line or a config file."""
 
     @pytest.mark.parametrize("command,flags,config,needle", [
         pytest.param("gen", ["--n", 0], None, "--n must be >= 1",
@@ -646,6 +712,37 @@ class TestBadInput:
                      id="rank-sweep-eval-points-0"),
         pytest.param("rank-sweep", ["--max-order", 9], None, "max order 9 out of range 1..6",
                      id="rank-sweep-max-order-9"),
+        pytest.param("explain", ["--order", 0], None, "--order must be >= 1",
+                     id="explain-order-0"),
+        pytest.param("verify", [], {"max_order": 0}, "--max-order must be >= 1",
+                     id="verify-config-max-order-0"),
+        pytest.param("rank-sweep", ["--max-order", 0], None, "--max-order must be >= 1",
+                     id="rank-sweep-max-order-0"),
+        pytest.param("fit", [], {"bond_dim": 0}, "--bond-dim must be >= 1",
+                     id="fit-config-bond-dim-0"),
+        pytest.param("fit", ["--max-sweeps", 0], None, "--max-sweeps must be >= 1",
+                     id="fit-max-sweeps-0"),
+        pytest.param("fit", [], {"neighborhood": -1}, "--neighborhood must be >= 0",
+                     id="fit-config-neighborhood-neg"),
+        pytest.param("bench", ["--repeats", 0], None, "--repeats must be >= 1",
+                     id="bench-repeats-0"),
+        pytest.param("gen", [], {"rank": 0}, "--rank must be >= 1",
+                     id="gen-config-rank-0"),
+        # a flag given as None is left off the command line
+        pytest.param("explain", ["--model", None], None, "explain requires --model",
+                     id="explain-no-model"),
+        pytest.param("explain", ["--instances", None], None, "explain requires --instances",
+                     id="explain-no-instances"),
+        pytest.param("fit", ["--teacher", None], None, "fit requires --teacher",
+                     id="fit-no-teacher"),
+        pytest.param("verify", ["--model", None], None, "verify requires --model",
+                     id="verify-no-model"),
+        pytest.param("bench", ["--out", None], None, "bench requires --out",
+                     id="bench-no-out"),
+        pytest.param("rank-sweep", ["--out", None], None, "rank-sweep requires --out",
+                     id="rank-sweep-no-out"),
+        pytest.param("gen", ["--out", None], {"out": "out"}, "gen requires --out",
+                     id="gen-config-out-ignored"),
     ])
     def test_exit_2(self, tmp_path, capsys, monkeypatch, command, flags, config, needle):
         model = tmp_path / "model.json"
@@ -655,14 +752,18 @@ class TestBadInput:
             raise AssertionError("a model forward ran before the input was checked")
 
         monkeypatch.setattr(TensorNetworkModel, "forward_batch", no_forwards)
+        monkeypatch.chdir(tmp_path)  # so a config file's relative "out" would land here
         inst = tmp_path / "inst.csv"
         write_instances(inst, [np.zeros(6)])
         inputs = {
             "gen": [], "bench": ["--dims", "4,8"], "fit": ["--teacher", model],
             "explain": ["--model", model, "--instances", inst],
+            "verify": ["--model", model, "--instances", inst],
             "rank-sweep": ["--teacher", model, "--neighborhood", 16, "--max-sweeps", 2],
         }[command]
-        argv = [command, *inputs, *flags, "--out", tmp_path / "out"]
+        given = {**dict(zip(inputs[::2], inputs[1::2])), "--out": tmp_path / "out",
+                 **dict(zip(flags[::2], flags[1::2]))}
+        argv = [command, *(a for pair in given.items() if pair[1] is not None for a in pair)]
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config))
             argv += ["--config", tmp_path / "config.json"]
@@ -713,6 +814,15 @@ class TestBadInput:
                      "core 0: data holds a non-finite value", id="data-inf"),
         pytest.param(lambda obj: _set_entry(obj, 3, 1, math.nan, version=1),
                      "core 3: data holds a non-finite value", id="v1-data-nan"),
+        pytest.param(lambda obj: {**obj, "n": True}, "n must be an integer, got True",
+                     id="n-bool"),
+        pytest.param(lambda obj: {**obj, "version": True},
+                     "unsupported model format version True", id="version-bool"),
+        pytest.param(lambda obj: {**obj, "feature_maps": [{"kind": "poly", "k": True}] * 6},
+                     "k must be an integer, got True", id="poly-k-bool"),
+        pytest.param(lambda obj: {**obj, "feature_maps": [{"kind": "fourier", "k": 1,
+                                                           "omega": True}] * 6},
+                     "omega must be a number, got True", id="fourier-omega-bool"),
     ])
     def test_malformed_model_exit_2(self, tmp_path, capsys, monkeypatch, edit, needle):
         model = tmp_path / "model.json"
