@@ -4,7 +4,9 @@ Every option a config file may set is declared once, by ``_option``, with
 its default (``REQUIRED`` for --model, --instances and --teacher), its
 smallest accepted value and its argparse type and choices; a config file
 fills the options the command line leaves unset, and may set every option
-but --out, --config and --manifest. --out is required by every command but
+but --out, --config and --manifest. A path option (--model, --instances,
+--teacher, --report) has type ``str`` and takes only a JSON string from a
+config file. --out is required by every command but
 verify. ``main`` hands each command a ``_Run``: the resolved options and
 config, the wall time of each named phase, and the manifest writer.
 
@@ -205,7 +207,10 @@ def _apply_config_file(args) -> dict:
 
 
 def _config_value(path, action, value):
-    """A config-file value converted and checked like its command-line flag."""
+    """A config-file value converted and checked like its command-line flag;
+    a path option (``type=str``) takes only a JSON string."""
+    if action.type is str and not isinstance(value, str):
+        raise InputError(f"config {path}: {action.dest} must be a string, got {value!r}")
     try:
         if action.type is not None:
             value = action.type(str(value))
@@ -534,7 +539,6 @@ def _add_fit_flags(parser, defaults: fit.FitConfig) -> None:
     _option(parser, "--center", help="comma-separated center point")
     _option(parser, "--topology", choices=["tt", "btree"], default=defaults.topology)
     _option(parser, "--neighborhood", type=int, default=defaults.neighborhood, lo=0)
-    _option(parser, "--probe-nodes", type=int, default=defaults.probe_nodes, lo=1)
     _option(parser, "--sigma-frac", type=float, default=defaults.sigma_frac)
     _option(parser, "--max-sweeps", type=int, default=defaults.max_sweeps, lo=1)
     _option(parser, "--tol", type=float, default=defaults.tol)
@@ -556,16 +560,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen, parser=p)
 
     p = sub.add_parser("fit", help="fit a student network to a teacher model")
-    _option(p, "--teacher", default=REQUIRED)
+    _option(p, "--teacher", type=str, default=REQUIRED)
     _option(p, "--bond-dim", type=int, default=fit.FitConfig().bond_dim, lo=1)
     _add_fit_flags(p, fit.FitConfig())
-    _option(p, "--report", help="fit report path")
+    _option(p, "--report", type=str, help="fit report path")
     _add_common(p)
     p.set_defaults(func=cmd_fit, parser=p)
 
     p = sub.add_parser("explain", help="compute attributions for instances")
-    _option(p, "--model", default=REQUIRED)
-    _option(p, "--instances", default=REQUIRED)
+    _option(p, "--model", type=str, default=REQUIRED)
+    _option(p, "--instances", type=str, default=REQUIRED)
     _option(p, "--order", type=int, default=1, lo=1)
     _option(p, "--mode", choices=["auto", attribute.INCLUSION_EXCLUSION,
                                   attribute.SIGNED_TOGGLE], default="auto")
@@ -573,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explain, parser=p)
 
     p = sub.add_parser("verify", help="check probe attributions against enumeration")
-    _option(p, "--model", default=REQUIRED)
-    _option(p, "--instances", default=REQUIRED)
+    _option(p, "--model", type=str, default=REQUIRED)
+    _option(p, "--instances", type=str, default=REQUIRED)
     _option(p, "--max-order", type=int, default=3, lo=1)
     _add_common(p)
     p.set_defaults(func=cmd_verify, parser=p)
@@ -587,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bench, parser=p)
 
     p = sub.add_parser("rank-sweep", help="fit students across ranks and score them")
-    _option(p, "--teacher", default=REQUIRED)
+    _option(p, "--teacher", type=str, default=REQUIRED)
     _option(p, "--ranks", default="2,4,8", help="comma-separated student ranks")
     _option(p, "--seeds", default="0", help="comma-separated fit seeds")
     _option(p, "--eval-points", type=int, default=12, lo=1)

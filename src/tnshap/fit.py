@@ -26,8 +26,9 @@ returns, the only place they are kept: both paths (``fast_solves``,
 the largest Gram condition bound seen. The CLI puts all five in the fit
 manifest; the v1 report JSON has only the rank-deficient and Tikhonov counts.
 The training set mixes a Gaussian neighborhood around a center point with
-the structured on/off selector configurations used by the order-1 probes,
-evaluated exactly on the (multilinear) teacher.
+the 2n^2 on/off configurations of the order-1 probes at the center, laid
+out by ``oracle.probe_configurations`` at the nodes ``explain`` integrates
+order 1 on, all evaluated exactly on the (multilinear) teacher.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import attribute, oracle
 from .attribute import chebyshev_nodes
-from .lift import LiftSpec, off_state
+from .lift import LiftSpec
 from .tensor_net import (
     BTREE,
     TT,
@@ -186,7 +187,6 @@ class FitConfig:
     topology: str = BTREE
     bond_dim: int = 8
     neighborhood: int = 200
-    probe_nodes: int | None = None
     sigma_frac: float = 0.1
     max_sweeps: int = 30
     tol: float = 1e-9
@@ -199,8 +199,6 @@ class FitConfig:
             raise ValueError("bond_dim must be >= 1")
         if self.neighborhood < 0:
             raise ValueError("neighborhood must be >= 0")
-        if self.probe_nodes is not None and self.probe_nodes < 1:
-            raise ValueError(f"probe_nodes must be >= 1 (or None for n), got {self.probe_nodes}")
         if not (math.isfinite(self.sigma_frac) and self.sigma_frac > 0):
             raise ValueError(f"sigma_frac must be a finite number > 0, got {self.sigma_frac}")
         if self.max_sweeps < 1:
@@ -233,40 +231,27 @@ class TrainingSet:
         return self.targets.shape[0]
 
 
-def build_training_set(teacher, lifts: LiftSpec, center, config: FitConfig,
-                       feature_std=None) -> TrainingSet:
+def build_training_set(teacher, lifts: LiftSpec, center, config: FitConfig) -> TrainingSet:
     """Gaussian neighborhood plus structured on/off probe configurations.
 
     The neighborhood draws ``config.neighborhood`` raw instances around
-    ``center`` with per-feature sigma ``config.sigma_frac * feature_std``.
-    The structured block holds, for every feature i and every probe node t,
-    the on and off configurations of the order-1 probe at the center (all
-    other legs selector-scaled by t), evaluated exactly on the teacher.
-    Teacher calls: neighborhood + 2 * n * nodes (2n^2 by default).
+    ``center`` with per-feature sigma ``config.sigma_frac``. The structured
+    block is ``oracle.probe_configurations`` for the n singletons at the
+    n order-1 nodes ``explain`` integrates on: for every feature i and node
+    t, the on and off configurations of the order-1 probe at the center (all
+    other legs selector-scaled by t). Every row is evaluated exactly on the
+    teacher: neighborhood + 2n^2 teacher calls.
     """
     n = lifts.n
     rng = np.random.default_rng(config.seed)
-    sigma = np.asarray(feature_std if feature_std is not None else np.ones(n), dtype=np.float64)
-    sigma = sigma * config.sigma_frac
     center = np.asarray(center, dtype=np.float64)
     if center.shape != (n,):
         raise ValueError(f"center must have length {n}")
 
-    m_nodes = config.probe_nodes or n
-    nodes = chebyshev_nodes(m_nodes)
-    raw = center[None, :] + rng.standard_normal((config.neighborhood, n)) * sigma[None, :]
+    raw = center[None, :] + rng.standard_normal((config.neighborhood, n)) * config.sigma_frac
     neighborhood_legs = lifts.lift_rows(raw)
-
-    # rows run over (i, t, on/off): leg i on or off, every other leg scaled at t
-    lifted_center = lifts.lift_instance(center)
-    scaled = attribute._scaled_inputs(lifted_center, nodes)
-    structured_rows = 2 * n * m_nodes
-    structured_legs = []
-    for r, (on, d) in enumerate(zip(lifted_center, lifts.dims)):
-        block = np.repeat(scaled[r][None, :, None, :], n, axis=0).repeat(2, axis=2)
-        block[r, :, 0] = on
-        block[r, :, 1] = off_state(d)
-        structured_legs.append(block.reshape(structured_rows, d))
+    structured_legs, _signs = oracle.probe_configurations(
+        lifts, center, [(i,) for i in range(1, n + 1)], chebyshev_nodes(n))
 
     legs = [
         np.concatenate([nb, st], axis=0)
@@ -277,7 +262,7 @@ def build_training_set(teacher, lifts: LiftSpec, center, config: FitConfig,
         legs=legs,
         targets=targets,
         neighborhood_rows=config.neighborhood,
-        structured_rows=structured_rows,
+        structured_rows=2 * n * n,
     )
 
 

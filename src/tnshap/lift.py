@@ -92,7 +92,8 @@ class FeatureMap:
             return FeatureMap(POLY, k=obj["k"])
         if kind == FOURIER:
             omega = obj["omega"]
-            if isinstance(omega, bool):  # float(True) is 1.0
+            # float() would read true as 1.0 and parse "1.5"
+            if isinstance(omega, bool) or not isinstance(omega, (int, float)):
                 raise ValueError(f"omega must be a number, got {omega!r}")
             return FeatureMap(FOURIER, k=obj["k"], omega=float(omega))
         raise ValueError(f"unknown feature map kind {kind!r}")

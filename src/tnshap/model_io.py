@@ -69,6 +69,10 @@ def _core_from_json(idx: int, entry, version: int) -> np.ndarray:
     if version == 1:
         if not isinstance(data, list):
             raise ValueError(f"core {idx}: data must be a list, got {type(data).__name__}")
+        # np.asarray would parse "0.5" and read true as 1.0
+        for value in data:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"core {idx}: data entry must be a number, got {value!r}")
         return np.asarray(data, dtype=np.float64).reshape(shape)
     if not isinstance(data, str):
         raise ValueError(f"core {idx}: data must be a base64 string, got {type(data).__name__}")

@@ -1,38 +1,31 @@
 """Exhaustive ground truth: coalition enumeration, defining-sum indices,
-subset-lattice (Moebius/zeta) transforms, and flat probes.
+subset-lattice (Moebius/zeta) transforms, flat probes and the diagonal
+coefficient probe.
 
 Coalition masks are integers with bit i set when feature i+1 is on; index 0
 is the all-off state. Everything here works from the 2^n table by direct
-summation, or from ``forward_batch`` rows contracted from scratch,
-independent of the probe engine it validates.
+summation, or from network rows contracted from scratch, independent of the
+probe engine it validates. ``probe_configurations`` lays out the on/off rows
+of the flat probes; the fit's training set takes its structured block from
+it. The diagonal probe reads its coefficient sums off one discrete Fourier
+transform of the diagonal polynomial at the roots of unity.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attribute import (
-    AttributionSet,
-    _scaled_inputs,
-    chebyshev_nodes,
-    shapley_weights,
-    sii_weights,
-)
+from . import attribute, tensor_net
+from .attribute import AttributionSet, _scaled_inputs, shapley_weights, sii_weights
 from .lift import LiftSpec, off_state
-
-logger = logging.getLogger(__name__)
 
 MAX_TABLE_FEATURES = 20
 # masks per forward_batch call of ``enumerate_game``: bounds a tree's messages
 FLAT_ROW_BUDGET = 2**13
-# max-abs residual of the diagonal probe's Vandermonde solve above which a
-# warning is logged (the coefficients are still returned)
-DIAGONAL_RESIDUAL_WARN = 1e-6
 _DUMP_MAGIC = b"TNSHCTB1"
 
 
@@ -74,19 +67,20 @@ def enumerate_game(model, lifts: LiftSpec, x) -> CoalitionTable:
     return CoalitionTable(n=n, values=values, forwards_used=size)
 
 
-def flat_probes(model, lifts: LiftSpec, x, subsets, nodes) -> np.ndarray:
-    """(len(subsets), len(nodes)) probes Q_S(t) of one instance by
-    inclusion-exclusion from one ``forward_batch`` call, every row contracted
-    from scratch: the reference the probe engine is tested against.
+def probe_configurations(lifts: LiftSpec, x, subsets, nodes):
+    """The on/off configurations of the probes Q_S(t) of one instance and
+    their inclusion-exclusion signs: ((rows, d_i) legs, (2^k,) signs).
 
-    ``subsets`` are 1-based tuples of one size k. Each sums the 2^k on/off
-    configurations of its legs, signed by their off count, with every other
-    leg selector-scaled at each of ``nodes``.
+    ``subsets`` are 1-based tuples of one size k. Rows run over (subset,
+    node, pattern); the 2^k patterns go from all-on to all-off over the
+    subset's legs, each signed by its off count, with every other leg
+    selector-scaled at the row's node. At k = 1 a subset's rows at a node
+    are its (on, off) pair.
     """
     lifted = lifts.lift_instance(x)
     k, m = len(subsets[0]), len(nodes)
-    # pattern p of a (subset, node) row block switches on the legs of its set bits
-    on = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    # row p of a (subset, node) block switches on the legs set in on[p], all-on first
+    on = (np.arange((1 << k) - 1, -1, -1)[:, None] >> np.arange(k)) & 1
     signs = (-1.0) ** (k - on.sum(axis=1))
     legs = [np.tile(np.repeat(u, 1 << k, axis=0), (len(subsets), 1))
             for u in _scaled_inputs(lifted, np.asarray(nodes, dtype=np.float64))]
@@ -95,7 +89,17 @@ def flat_probes(model, lifts: LiftSpec, x, subsets, nodes) -> np.ndarray:
             v = lifted[feat - 1]
             block = legs[feat - 1][s_idx * (m << k) : (s_idx + 1) * (m << k)]
             block.reshape(m, 1 << k, -1)[:] = np.where(on[:, pos, None] == 1, v, off_state(len(v)))
-    return model.forward_batch(legs).reshape(len(subsets), m, 1 << k) @ signs
+    return legs, signs
+
+
+def flat_probes(model, lifts: LiftSpec, x, subsets, nodes) -> np.ndarray:
+    """(len(subsets), len(nodes)) probes Q_S(t) of one instance by
+    inclusion-exclusion over ``probe_configurations`` from one
+    ``forward_batch`` call, every row contracted from scratch: the reference
+    the probe engine is tested against.
+    """
+    legs, signs = probe_configurations(lifts, x, subsets, nodes)
+    return model.forward_batch(legs).reshape(len(subsets), len(nodes), -1) @ signs
 
 
 def _popcounts(n: int) -> np.ndarray:
@@ -197,26 +201,22 @@ def diagonal_coefficient_probe(model, lifts: LiftSpec, x) -> np.ndarray:
     """Size-aggregated coefficient sums from the diagonal polynomial p(t).
 
     Scaling every leg by the same selector value t makes the output a
-    degree-n polynomial whose t^s coefficient sums all size-s monomials, so
-    n + 1 evaluations and one Vandermonde solve (with one step of iterative
-    refinement) recover the sums directly. The identity holds at any real t;
-    the nodes are the n + 1 Chebyshev-Gauss nodes on [-1, 1], where the
-    monomial Vandermonde matrix is far better conditioned than on (0, 1)
-    (about 2e4 against 8e8 at n = 12).
+    degree-n polynomial whose t^s coefficient sums all size-s monomials. The
+    identity holds at any complex t, so p is evaluated at the n + 1 roots of
+    unity and its coefficients are one discrete Fourier transform of those
+    values, with no solve. The complex rows go through the network's own
+    contraction (a ``CpTeacher`` through its ``to_tensor_train()``), charged
+    as n + 1 forwards to ``model``.
     """
+    net = attribute._network(model)
+    attribute._check_model_lifts(model, lifts)
     m = model.n + 1
-    nodes = 2.0 * chebyshev_nodes(m) - 1.0
-    p_values = model.forward_batch(_scaled_inputs(lifts.lift_instance(x), nodes))
-    vander = np.vander(nodes, m, increasing=True)
-    coeffs = np.linalg.solve(vander, p_values)
-    coeffs += np.linalg.solve(vander, p_values - vander @ coeffs)
-    residual = float(np.max(np.abs(p_values - vander @ coeffs)))
-    if residual > DIAGONAL_RESIDUAL_WARN:
-        logger.warning(
-            "diagonal probe solve residual %.3e above threshold; values kept",
-            residual,
-        )
-    return coeffs
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    lifted = [v.astype(np.complex128) for v in lifts.lift_instance(x)]
+    p_values = tensor_net._contract_batch(net.topology, net.cores,
+                                          _scaled_inputs(lifted, roots))
+    model.counter.add(m)
+    return np.fft.fft(p_values).real / m
 
 
 def dump_table(path, table: CoalitionTable) -> None:

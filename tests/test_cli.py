@@ -584,8 +584,8 @@ class TestConfigFile:
         assert "config" in capsys.readouterr().err
 
 
-FIT_DEFAULTS = {"topology": "btree", "bond_dim": 8, "neighborhood": 200, "probe_nodes": None,
-                "sigma_frac": 0.1, "max_sweeps": 30, "tol": 1e-9, "seed": 0}
+FIT_DEFAULTS = {"topology": "btree", "bond_dim": 8, "neighborhood": 200, "sigma_frac": 0.1,
+                "max_sweeps": 30, "tol": 1e-9, "seed": 0}
 
 
 class TestManifestConfig:
@@ -613,9 +613,8 @@ class TestManifestConfig:
                       {"dims": "4,8", "rank": 16, "repeats": 1, "seed": 0}),
             "rank-sweep": (["--teacher", teacher, *out], {
                 "teacher": teacher, "ranks": "2,4,8", "seeds": "0", "eval_points": 12,
-                "max_order": 3, "center": None, "neighborhood": 2048, "probe_nodes": None,
-                "sigma_frac": 1.0, "max_sweeps": 40, "tol": 1e-12, "topology": "btree",
-                "seed": 0}),
+                "max_order": 3, "center": None, "neighborhood": 2048, "sigma_frac": 1.0,
+                "max_sweeps": 40, "tol": 1e-12, "topology": "btree", "seed": 0}),
         }[command]
         monkeypatch.chdir(tmp_path)  # verify without --out writes tnshap-manifest.json here
         assert run(command, *argv) == 0
@@ -659,13 +658,16 @@ def _edit_core(obj, idx, **fields):
 
 def _set_entry(obj, idx, pos, value, version=2):
     """The version 2 model JSON object with entry ``pos`` of core ``idx`` set
-    to ``value``, written as format ``version``."""
+    to ``value``, written as format ``version``; a version 1 entry may be any
+    JSON value."""
     cores = []
     for i, core in enumerate(obj["cores"]):
         data = np.frombuffer(base64.b64decode(core["data"]), dtype="<f8").copy()
+        if version == 1:
+            data = data.tolist()
         if i == idx:
             data[pos] = value
-        text = data.tolist() if version == 1 else base64.b64encode(data.tobytes()).decode()
+        text = data if version == 1 else base64.b64encode(data.tobytes()).decode()
         cores.append({**core, "data": text})
     return {**obj, "version": version, "cores": cores}
 
@@ -686,12 +688,6 @@ class TestBadInput:
                      id="bench-rank-0"),
         pytest.param("bench", ["--dims", "0,4"], None, "dims must be >= 1",
                      id="bench-dims-0"),
-        pytest.param("fit", ["--probe-nodes", -3], None, "--probe-nodes must be >= 1",
-                     id="fit-probe-nodes-neg"),
-        pytest.param("fit", ["--probe-nodes", 0], None, "--probe-nodes must be >= 1",
-                     id="fit-probe-nodes-0"),
-        pytest.param("fit", [], {"probe_nodes": 0}, "--probe-nodes must be >= 1",
-                     id="fit-config-probe-nodes-0"),
         pytest.param("explain", [], {"order": "two"}, "bad order",
                      id="explain-config-order-str"),
         pytest.param("fit", ["--sigma-frac", "nan"], None, "--sigma-frac must be a finite",
@@ -743,6 +739,20 @@ class TestBadInput:
                      id="rank-sweep-no-out"),
         pytest.param("gen", ["--out", None], {"out": "out"}, "gen requires --out",
                      id="gen-config-out-ignored"),
+        # a path option takes only a JSON string from a config file
+        pytest.param("explain", ["--model", None], {"model": 0}, "model must be a string, got 0",
+                     id="explain-config-model-int"),
+        pytest.param("explain", ["--instances", None], {"instances": ["inst.csv"]},
+                     "instances must be a string, got ['inst.csv']",
+                     id="explain-config-instances-list"),
+        pytest.param("fit", ["--teacher", None], {"teacher": 1},
+                     "teacher must be a string, got 1", id="fit-config-teacher-int"),
+        pytest.param("fit", [], {"report": 2.5}, "report must be a string, got 2.5",
+                     id="fit-config-report-float"),
+        pytest.param("verify", ["--model", None], {"model": True},
+                     "model must be a string, got True", id="verify-config-model-bool"),
+        pytest.param("rank-sweep", ["--teacher", None], {"teacher": {"path": "model.json"}},
+                     "teacher must be a string", id="rank-sweep-config-teacher-object"),
     ])
     def test_exit_2(self, tmp_path, capsys, monkeypatch, command, flags, config, needle):
         model = tmp_path / "model.json"
@@ -823,6 +833,13 @@ class TestBadInput:
         pytest.param(lambda obj: {**obj, "feature_maps": [{"kind": "fourier", "k": 1,
                                                            "omega": True}] * 6},
                      "omega must be a number, got True", id="fourier-omega-bool"),
+        pytest.param(lambda obj: {**obj, "feature_maps": [{"kind": "fourier", "k": 1,
+                                                           "omega": "1.5"}] * 6},
+                     "omega must be a number, got '1.5'", id="fourier-omega-string"),
+        pytest.param(lambda obj: _set_entry(obj, 2, 3, "0.123", version=1),
+                     "core 2: data entry must be a number, got '0.123'", id="v1-data-string"),
+        pytest.param(lambda obj: _set_entry(obj, 1, 0, True, version=1),
+                     "core 1: data entry must be a number, got True", id="v1-data-bool"),
     ])
     def test_malformed_model_exit_2(self, tmp_path, capsys, monkeypatch, edit, needle):
         model = tmp_path / "model.json"

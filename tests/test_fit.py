@@ -188,19 +188,19 @@ class TestTrainingSet:
             legs = [training.legs[i][row] for i in range(3)]
             assert teacher.forward(legs) == pytest.approx(training.targets[row])
 
-    @pytest.mark.parametrize("maps,probe_nodes", [
-        ([FeatureMap(BINARY)] * 6, None),
-        ([FeatureMap(BINARY)], None),
-        ([FeatureMap(POLY, k=3), FeatureMap(BINARY), FeatureMap(FOURIER, k=2)], 5),
+    @pytest.mark.parametrize("maps", [
+        [FeatureMap(BINARY)] * 6,
+        [FeatureMap(BINARY)],
+        [FeatureMap(POLY, k=3), FeatureMap(BINARY), FeatureMap(FOURIER, k=2)],
     ])
-    def test_structured_block_bitwise_matches_loop(self, rng, maps, probe_nodes):
+    def test_structured_block_bitwise_matches_loop(self, rng, maps):
         lifts = LiftSpec(maps)
         n = lifts.n
         teacher = CpTeacher([rng.standard_normal((3, d)) for d in lifts.dims], np.ones(3))
-        config = FitConfig(neighborhood=7, probe_nodes=probe_nodes, seed=4)
+        config = FitConfig(neighborhood=7, seed=4)
         center = rng.uniform(-1, 1, n)
         training = build_training_set(teacher, lifts, center, config)
-        ref = _structured_loop_reference(lifts, center, chebyshev_nodes(probe_nodes or n))
+        ref = _structured_loop_reference(lifts, center, chebyshev_nodes(n))
         for leg, want in zip(training.legs, ref):
             assert leg[7:].tobytes() == want.tobytes()
         legs = [np.concatenate([leg[:7], want]) for leg, want in zip(training.legs, ref)]
@@ -454,10 +454,10 @@ class TestEvalQuality:
 
 class TestConfigAndSweep:
     def test_config_json_roundtrip(self):
-        config = FitConfig(topology="tt", bond_dim=5, neighborhood=77, probe_nodes=9,
+        config = FitConfig(topology="tt", bond_dim=5, neighborhood=77,
                            sigma_frac=0.25, max_sweeps=11, tol=1e-8, seed=13)
         obj = config.to_json_dict()
-        assert list(obj) == ["version", "topology", "bond_dim", "neighborhood", "probe_nodes",
+        assert list(obj) == ["version", "topology", "bond_dim", "neighborhood",
                              "sigma_frac", "max_sweeps", "tol", "seed"]
         assert FitConfig.from_json_dict(obj) == config
         assert FitConfig.from_json_dict({**obj, "unknown": 1}) == config

@@ -213,6 +213,26 @@ class TestDiagonalProbe:
             np.testing.assert_allclose(probed, grouped, atol=1e-8)
 
 
+    @pytest.mark.parametrize("kind,n", [("btree", 6), ("tt", 5), ("btree", 1), ("cp", 5)])
+    def test_charges_n_plus_1_forwards(self, rng, kind, n):
+        """n + 1 forwards go to the model given (a 6-leaf tree pads to 8
+        leaves); a CP teacher pays itself, not its ``to_tensor_train()``."""
+        if kind == "tt":
+            model, lifts = random_tt_model(rng, n)
+        elif kind == "btree":
+            model, lifts = gen_tree_teacher(n, 3, seed=n)
+        else:
+            model, lifts = gen_cp_teacher(n, 3, seed=n)
+            train = model.to_tensor_train()
+            model.to_tensor_train = lambda: train
+        before = model.forward_count
+        sums = diagonal_coefficient_probe(model, lifts, rng.uniform(-1, 1, n))
+        assert model.forward_count - before == n + 1
+        assert sums.shape == (n + 1,) and sums.dtype == np.float64
+        if kind == "cp":
+            assert train.forward_count == 0
+
+
 def _grouped_mobius_chunked(model, lifts, x, chunk=1 << 14):
     """Grouped Moebius sums of the 2^n coalition table, built in row chunks
     with the same on/off legs as ``enumerate_game`` so n = 20 stays small."""
