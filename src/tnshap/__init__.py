@@ -33,19 +33,16 @@ from .fit import (
     gen_tree_teacher,
     rank_sweep,
 )
-from .lift import BINARY, FOURIER, POLY, FeatureMap, LiftSpec, off_state, selector_apply, signed_toggle
+from .lift import BINARY, FOURIER, POLY, FeatureMap, LiftSpec, off_state, signed_toggle
 from .model_io import load_model, model_from_json_dict, model_to_json_dict, save_model
 from .oracle import (
     CoalitionTable,
     diagonal_coefficient_probe,
-    dump_table,
     enumerate_game,
     exact_shapley,
     exact_sii,
-    load_table,
     mobius_coefficients,
     size_grouped_sums,
-    zeta_reconstruct,
 )
 from .tensor_net import (
     BTREE,
@@ -81,7 +78,6 @@ __all__ = [
     "chebyshev_nodes",
     "cut_rank",
     "diagonal_coefficient_probe",
-    "dump_table",
     "enumerate_game",
     "eval_quality",
     "exact_shapley",
@@ -92,7 +88,6 @@ __all__ = [
     "gen_cp_teacher",
     "gen_tree_teacher",
     "load_model",
-    "load_table",
     "materialize_full",
     "mobius_coefficients",
     "model_from_json_dict",
@@ -103,11 +98,9 @@ __all__ = [
     "rank_sweep",
     "read_attribution_csv",
     "save_model",
-    "selector_apply",
     "shapley_weights",
     "signed_toggle",
     "sii_weights",
     "size_grouped_sums",
     "write_attribution_csv",
-    "zeta_reconstruct",
 ]

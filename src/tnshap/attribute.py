@@ -137,6 +137,8 @@ class AttributionSet:
 
     def value(self, subset) -> float:
         target = tuple(sorted(operator.index(i) for i in subset))
+        if target not in self.subsets:
+            raise ValueError(f"subset {target} is not in this order-{self.order} set")
         return float(self.values[self.subsets.index(target)])
 
 
@@ -200,7 +202,7 @@ def probe_value(model, lifts: LiftSpec, x, subset, t: float, mode=INCLUSION_EXCL
     if not math.isfinite(t):
         raise ValueError(f"selector value t must be finite, got {t}")
     lifted = [v[None] for v in lifts.lift_instance(x)]
-    values, forwards = _probe_values(net, lifted, np.array([float(t)]), len(s),
+    values, forwards = _probe_values(net, lifted, np.array([float(t)]), np.ones(1), len(s),
                                      _resolve_mode(len(s), mode), tuple(i - 1 for i in s))
     model.counter.add(forwards)
     return float(values[0, 0])
@@ -221,9 +223,9 @@ def _scaled_inputs(lifted, nodes: np.ndarray) -> list:
     return out
 
 
-def _probe_values(net, lifted, nodes, k: int, mode, legs, columns=None):
-    """Probes of the k-subsets of ``legs`` (0-based), weighted by
-    ``quadrature_weights(len(nodes))``, for B stacked instances from one
+def _probe_values(net, lifted, nodes, weights, k: int, mode, legs, columns=None):
+    """Probes of the k-subsets of ``legs`` (0-based) at ``nodes``, summed
+    with the per-node ``weights``, for B stacked instances from one
     ``tensor_net.toggle_probes`` sweep over the network ``net``.
 
     ``lifted[i]`` holds feature i's (B, d_i) lifted rows. ``columns`` keeps
@@ -234,7 +236,6 @@ def _probe_values(net, lifted, nodes, k: int, mode, legs, columns=None):
     """
     scaled = _scaled_inputs(lifted, nodes)
     toggled = [signed_toggle(v) for v in lifted]
-    weights = quadrature_weights(nodes.shape[0])
     values = tensor_net.toggle_probes(net.topology, net.cores, scaled, toggled, nodes,
                                       weights, k, legs)
     if columns is not None:
@@ -306,7 +307,7 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
         columns = [math.comb(len(legs), k) - 1 - sum(math.comb(after[i], k - j)
                                                      for j, i in enumerate(s))
                    for s in subset_list]
-    nodes = chebyshev_nodes(n - k + 1)
+    nodes, weights = chebyshev_nodes(n - k + 1), quadrature_weights(n - k + 1)
     results = [None] * len(instances)
     rows = []
     for idx, x in enumerate(instances):
@@ -318,7 +319,7 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     for c0 in range(0, len(rows), step):
         chunk = rows[c0 : c0 + step]
         lifted = lifts.lift_rows(np.stack([x for _, x in chunk]))
-        values, forwards = _probe_values(net, lifted, nodes, k, mode, legs, columns)
+        values, forwards = _probe_values(net, lifted, nodes, weights, k, mode, legs, columns)
         model.counter.add(forwards)
         for (idx, _), vals in zip(chunk, values):
             results[idx] = AttributionSet(k, subset_list, vals, forwards // len(chunk))
@@ -337,8 +338,9 @@ def write_attribution_csv(fh, per_instance, start: int = 0) -> None:
     instances at a time. Rows are ordered by instance, then order, then
     (already lexicographic) subset; subsets are semicolon-joined 1-based
     indices and values are ``repr`` floats. ``flag`` is kept for format
-    stability and written empty. The output is byte-identical to
-    ``write_attribution_rows`` on the same rows.
+    stability and written empty. The output is byte-identical to the
+    row-at-a-time reference writer the tests keep (``tests/conftest.py``)
+    on the same rows.
     """
     if start == 0:
         fh.write(CSV_HEADER + "\n")
@@ -356,14 +358,6 @@ def write_attribution_csv(fh, per_instance, start: int = 0) -> None:
             # one repr of the value list gives every float's repr
             values = repr(aset.values.tolist())[1:-1].split(", ")
             fh.write(sep[2:] + sep.join(map(operator.add, texts, values)) + ",\n")
-
-
-def write_attribution_rows(fh, rows) -> None:
-    """Serialize (instance_id, order, subset, value, flag) rows verbatim."""
-    fh.write(CSV_HEADER + "\n")
-    for iid, order, subset, value, flag in rows:
-        subset_txt = ";".join(str(i) for i in subset)
-        fh.write(f"{iid},{order},{subset_txt},{float(value)!r},{flag}\n")
 
 
 def read_attribution_csv(fh) -> list:

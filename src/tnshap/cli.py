@@ -40,6 +40,8 @@ from .tensor_net import cut_rank
 logger = logging.getLogger("tnshap.cli")
 
 VERIFY_TOLERANCE = 1e-7
+# the largest n verify and rank-sweep accept: their oracle costs 2^n forwards
+ORACLE_MAX_FEATURES = 16
 MANIFEST_VERSION = 1
 # A bench repeat times ceil(BENCH_CALL_FEATURES / n) back-to-back explain calls
 # and reports their mean. Order-1 time grows about linearly in n, so every
@@ -328,7 +330,6 @@ def cmd_explain(run) -> int:
         instances = _read_instances_csv(args.instances, model.n)
         if not 1 <= k <= model.n:
             raise InputError(f"order {k} out of range 1..{model.n}")
-    mode = None if args.mode == "auto" else args.mode
     rows = max(1, EXPLAIN_BLOCK_VALUES // math.comb(model.n, k))
     total_forwards = nonfinite = 0
     with _replace_on_success(args.out) as fh:
@@ -336,7 +337,7 @@ def cmd_explain(run) -> int:
             block_start = time.perf_counter()
             with run.phase("attribution"):
                 results = attribute.explain_batch(model, lifts, instances[start : start + rows],
-                                                  k, mode=mode)
+                                                  k, mode=args.mode)
                 block_forwards = 0
                 for idx, res in enumerate(results, start):
                     if isinstance(res, Exception):
@@ -365,8 +366,9 @@ def cmd_verify(run) -> int:
     max_order = args.max_order
     with run.phase("load"):
         model, lifts = _load_model(args.model)
-        if model.n > 16:
-            raise InputError(f"verify needs n <= 16 for enumeration, model has n={model.n}")
+        if model.n > ORACLE_MAX_FEATURES:
+            raise InputError(f"verify needs n <= {ORACLE_MAX_FEATURES} for enumeration, "
+                             f"model has n={model.n}")
         instances = _read_instances_csv(args.instances, model.n)
         if not 1 <= max_order <= model.n:
             raise InputError(f"max order {max_order} out of range 1..{model.n}")
@@ -485,8 +487,9 @@ def cmd_rank_sweep(run) -> int:
     args = run.args
     with run.phase("setup"):
         teacher, lifts = _load_model(args.teacher)
-        if teacher.n > 16:
-            raise InputError(f"rank-sweep needs n <= 16 for the oracle, got n={teacher.n}")
+        if teacher.n > ORACLE_MAX_FEATURES:
+            raise InputError(f"rank-sweep needs n <= {ORACLE_MAX_FEATURES} for the oracle, "
+                             f"got n={teacher.n}")
         ranks = _parse_int_list(str(args.ranks), "ranks", 1)
         seeds = _parse_int_list(str(args.seeds), "seeds", 0)
         if not ranks or not seeds:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -209,13 +209,6 @@ class FitConfig:
     def to_json_dict(self) -> dict:
         return {"version": CONFIG_VERSION, **asdict(self)}
 
-    @staticmethod
-    def from_json_dict(obj: dict) -> "FitConfig":
-        version = obj.get("version", CONFIG_VERSION)
-        if version != CONFIG_VERSION:
-            raise ValueError(f"unsupported fit config version {version!r}")
-        return FitConfig(**{f.name: obj[f.name] for f in fields(FitConfig) if f.name in obj})
-
 
 @dataclass
 class TrainingSet:
@@ -223,8 +216,6 @@ class TrainingSet:
 
     legs: list
     targets: np.ndarray
-    neighborhood_rows: int
-    structured_rows: int
 
     @property
     def rows(self) -> int:
@@ -257,13 +248,7 @@ def build_training_set(teacher, lifts: LiftSpec, center, config: FitConfig) -> T
         np.concatenate([nb, st], axis=0)
         for nb, st in zip(neighborhood_legs, structured_legs)
     ]
-    targets = teacher.forward_batch(legs)
-    return TrainingSet(
-        legs=legs,
-        targets=targets,
-        neighborhood_rows=config.neighborhood,
-        structured_rows=2 * n * n,
-    )
+    return TrainingSet(legs=legs, targets=teacher.forward_batch(legs))
 
 
 @dataclass

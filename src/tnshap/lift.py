@@ -1,8 +1,9 @@
-"""Feature lifts and the diagonal selector algebra on lifted vectors.
+"""Feature lifts, the all-off state and the signed toggle on lifted vectors.
 
 A lift maps a scalar feature value to a vector whose last channel is the
 constant 1 (the bias channel). Selectors scale the data channels while
-leaving the bias untouched, so feature inclusion/exclusion never changes
+leaving the bias untouched (the probe engine scales its legs in
+``attribute._scaled_inputs``), so feature inclusion/exclusion never changes
 the network topology. For binary and polynomial lifts the all-off state
 ``[0, ..., 0, 1]`` coincides with lifting the reference input 0; Fourier
 lifts have phi(0) != 0, so their off state is a synthetic baseline.
@@ -119,10 +120,6 @@ class LiftSpec:
     def dims(self) -> tuple:
         return tuple(m.dim for m in self.maps)
 
-    def lift(self, i: int, x: float) -> np.ndarray:
-        """Lift feature i's raw value (i is 0-based here)."""
-        return self.maps[i].apply(x)
-
     def check_instance(self, x) -> np.ndarray:
         """The raw instance as a float64 (n,) array.
 
@@ -156,13 +153,6 @@ class LiftSpec:
     @staticmethod
     def from_json_list(objs) -> "LiftSpec":
         return LiftSpec([FeatureMap.from_json_dict(o) for o in objs])
-
-
-def selector_apply(t: float, v: np.ndarray) -> np.ndarray:
-    """Apply Diag(t * I_{d-1}, 1): scale data channels, keep the bias."""
-    out = np.array(v, dtype=np.float64)
-    out[..., :-1] *= t
-    return out
 
 
 def signed_toggle(v: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Exhaustive ground truth: coalition enumeration, defining-sum indices,
-subset-lattice (Moebius/zeta) transforms, flat probes and the diagonal
-coefficient probe.
+the Moebius transform and its size-grouped sums, flat probes and the
+diagonal coefficient probe.
 
 Coalition masks are integers with bit i set when feature i+1 is on; index 0
 is the all-off state. Everything here works from the 2^n table by direct
@@ -14,7 +14,6 @@ transform of the diagonal polynomial at the roots of unity.
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ from .lift import LiftSpec, off_state
 MAX_TABLE_FEATURES = 20
 # masks per forward_batch call of ``enumerate_game``: bounds a tree's messages
 FLAT_ROW_BUDGET = 2**13
-_DUMP_MAGIC = b"TNSHCTB1"
 
 
 @dataclass(frozen=True)
@@ -173,21 +171,6 @@ def mobius_coefficients(table: CoalitionTable) -> np.ndarray:
     return c
 
 
-def zeta_reconstruct(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of ``mobius_coefficients``: v(C) = sum of c_T over T within C."""
-    c = np.array(coeffs, dtype=np.float64)
-    size = c.shape[0]
-    n = size.bit_length() - 1
-    if 1 << n != size:
-        raise ValueError("coefficient array length must be a power of two")
-    idx = np.arange(size)
-    for b in range(n):
-        bit = 1 << b
-        has = (idx & bit) != 0
-        c[has] += c[idx[has] ^ bit]
-    return c
-
-
 def size_grouped_sums(coeffs: np.ndarray) -> np.ndarray:
     """Aggregate Moebius coefficients by subset size: entry s sums all c_T
     with |T| = s."""
@@ -218,22 +201,3 @@ def diagonal_coefficient_probe(model, lifts: LiftSpec, x) -> np.ndarray:
     model.counter.add(m)
     return np.fft.fft(p_values).real / m
 
-
-def dump_table(path, table: CoalitionTable) -> None:
-    """Write magic, n (little-endian uint64), then 2^n little-endian doubles."""
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_MAGIC)
-        fh.write(struct.pack("<Q", table.n))
-        fh.write(table.values.astype("<f8").tobytes())
-
-
-def load_table(path) -> CoalitionTable:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _DUMP_MAGIC:
-            raise ValueError(f"bad table magic {magic!r}")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.shape[0] != 1 << n:
-        raise ValueError(f"expected {1 << n} values, found {data.shape[0]}")
-    return CoalitionTable(n=int(n), values=data.astype(np.float64))

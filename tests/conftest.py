@@ -21,6 +21,7 @@ except ImportError:  # running from a checkout without installation
     import tnshap  # noqa: F401
 
 from tnshap import LiftSpec, TensorNetworkModel, TnTopology, off_state
+from tnshap.attribute import CSV_HEADER
 
 
 def powerset(items):
@@ -73,6 +74,15 @@ def brute_sii(n, k, value):
             total += w * delta
         out.append(total)
     return np.array(out)
+
+
+def write_attribution_rows(fh, rows) -> None:
+    """Serialize (instance_id, order, subset, value, flag) rows verbatim: the
+    row-at-a-time reference that ``write_attribution_csv`` is tested against."""
+    fh.write(CSV_HEADER + "\n")
+    for iid, order, subset, value, flag in rows:
+        subset_txt = ";".join(str(i) for i in subset)
+        fh.write(f"{iid},{order},{subset_txt},{float(value)!r},{flag}\n")
 
 
 def product_model():

@@ -162,6 +162,24 @@ class TestProbeValue:
                 probe_value(model, lifts, [0.1, 0.2, 0.3, 0.4], (1, 3), t)
         assert model.forward_count == before
 
+    @pytest.mark.parametrize("kind,n", [("tt", 6), ("btree", 5)])
+    @pytest.mark.parametrize("k,mode", [(1, INCLUSION_EXCLUSION), (2, SIGNED_TOGGLE)])
+    def test_value_helper_sums_nodes_with_given_weights(self, rng, kind, n, k, mode):
+        """At two nodes with weights (0.25, 0.75) the value helper gives
+        0.25 Q(t0) + 0.75 Q(t1) per subset, on a train and on a tree with
+        pad leaves (btree n = 5)."""
+        model, lifts = _random_model(kind, n, 3, seed=n + k)
+        x = rng.uniform(-1, 1, n)
+        nodes = np.array([0.3, 0.8])
+        got, _ = attribute._probe_values(model, [v[None] for v in lifts.lift_instance(x)],
+                                         nodes, np.array([0.25, 0.75]), k, mode, tuple(range(n)))
+        subsets = list(itertools.combinations(range(1, n + 1), k))
+        want = np.array([0.25 * probe_value(model, lifts, x, s, nodes[0], mode)
+                         + 0.75 * probe_value(model, lifts, x, s, nodes[1], mode)
+                         for s in subsets])
+        assert got.shape == (1, len(subsets))
+        np.testing.assert_allclose(got[0], want, rtol=1e-14, atol=0)
+
     def test_empty_subset_rejected(self):
         model, lifts = gen_tree_teacher(4, 2, seed=1)
         with pytest.raises(ValueError, match="empty subset"):
@@ -275,6 +293,15 @@ class TestModesAndCounts:
         model, lifts = random_tt_model(rng, 4)
         aset = explain(model, lifts, [0.1] * 4, 2, subsets=[(3, 1), (4, 2)])
         assert aset.subsets == ((1, 3), (2, 4))
+
+    @pytest.mark.parametrize("subset", [(1, 9), (1,)])
+    def test_value_of_missing_subset_names_it(self, rng, subset):
+        """A subset outside the set, by a feature index or by its size, is a
+        ValueError that names the subset and the set's order."""
+        model, lifts = random_tt_model(rng, 4)
+        aset = explain(model, lifts, rng.uniform(-1, 1, 4), 2)
+        with pytest.raises(ValueError, match=rf"subset \({subset[0]},.*order-2"):
+            aset.value(subset)
 
     def test_degenerate_full_order(self, rng):
         """k = n has one node of weight 1; the single probe value is the answer."""
@@ -465,7 +492,8 @@ class TestStackedBatch:
         nodes = chebyshev_nodes(n)
         for t in nodes:
             stacked, _ = attribute._probe_values(model, lifts.lift_rows(xs), np.array([t]),
-                                                 1, INCLUSION_EXCLUSION, tuple(range(n)))
+                                                 np.ones(1), 1, INCLUSION_EXCLUSION,
+                                                 tuple(range(n)))
             for b, x in enumerate(xs):
                 flat = oracle.flat_probes(model, lifts, x, subsets, [t])
                 np.testing.assert_allclose(stacked[b], flat[:, 0], rtol=1e-12, atol=1e-14)
@@ -581,8 +609,8 @@ class TestCsv:
 
     def test_roundtrip_bytes(self, rng):
         """write -> read -> write reproduces identical bytes."""
+        from conftest import write_attribution_rows
         from tnshap import read_attribution_csv
-        from tnshap.attribute import write_attribution_rows
 
         model, lifts = random_tt_model(rng, 4, bond=3)
         sets = [
@@ -600,7 +628,8 @@ class TestCsv:
         """Blocks that continue a file write no header and count instance ids
         from ``start``; together they give the reference writer's bytes,
         also for -0.0, subnormal, huge and non-finite values."""
-        from tnshap.attribute import AttributionSet, write_attribution_rows
+        from conftest import write_attribution_rows
+        from tnshap.attribute import AttributionSet
 
         subsets = ((1, 2), (1, 3), (2, 3))
         specials = [-0.0, 5e-324, -1e308, float("nan"), float("inf"), 0.1, -2 / 3]
@@ -663,7 +692,7 @@ class TestSharedProbes:
         subsets = list(itertools.combinations(range(1, n + 1), k))
         for t in chebyshev_nodes(n - k + 1):
             shared, _ = attribute._probe_values(model, [v[None] for v in lifted], np.array([t]),
-                                                k, SIGNED_TOGGLE, tuple(range(n)))
+                                                np.ones(1), k, SIGNED_TOGGLE, tuple(range(n)))
             flat = oracle.flat_probes(model, lifts, x, subsets, [t])[:, 0]
             assert shared.shape == (1, len(subsets)) and flat.shape == (len(subsets),)
             assert np.max(np.abs(shared[0] - flat)) <= 1e-12 * np.max(np.abs(flat))
@@ -684,7 +713,8 @@ class TestSharedProbes:
         calls = []
         original = model.forward_batch
         model.forward_batch = lambda legs: calls.append(legs) or original(legs)
-        _, forwards = attribute._probe_values(model, lifts.lift_rows(xs), nodes, k,
+        _, forwards = attribute._probe_values(model, lifts.lift_rows(xs), nodes,
+                                              quadrature_weights(n - k + 1), k,
                                               INCLUSION_EXCLUSION, tuple(range(n)))
         contract = 2**k * (n - k + 1) * math.comb(n, k) * b
         before = model.forward_count
@@ -696,7 +726,8 @@ class TestSharedProbes:
         subsets = list(itertools.combinations(range(1, n + 1), k))
         for t in nodes:
             shared, _ = attribute._probe_values(model, lifts.lift_rows(xs), np.array([t]),
-                                                k, INCLUSION_EXCLUSION, tuple(range(n)))
+                                                np.ones(1), k, INCLUSION_EXCLUSION,
+                                                tuple(range(n)))
             for row, x in zip(shared, xs):
                 flat = oracle.flat_probes(model, lifts, x, subsets, [t])[:, 0]
                 assert row.shape == flat.shape == (len(subsets),)
@@ -753,7 +784,8 @@ class TestSharedProbes:
         xs = rng.uniform(-1, 1, (b, n))
         monkeypatch.setattr(attribute.tensor_net, "_tree_order", None)
         values, _ = attribute._probe_values(model, lifts.lift_rows(xs), chebyshev_nodes(n - k + 1),
-                                            k, SIGNED_TOGGLE, tuple(range(n)))
+                                            quadrature_weights(n - k + 1), k, SIGNED_TOGGLE,
+                                            tuple(range(n)))
         assert values.shape == (b, math.comb(n, k))
         for row, x in zip(values, xs):
             expected = exact_sii(enumerate_game(model, lifts, x), k).values

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import additive_model
+from conftest import additive_model, write_attribution_rows
 from tnshap import TensorNetworkModel, explain, explain_batch, load_model, save_model
 from tnshap.cli import main
 
@@ -270,7 +270,7 @@ class TestExplainStreaming:
                                                   rows):
         """Two-row blocks give the bytes of one block and of the row-at-a-time
         reference writer, on a train and on a tree with pad leaves."""
-        from tnshap import attribute, cli
+        from tnshap import cli
 
         model_path = tmp_path / "model.json"
         assert run("gen", "--kind", kind, "--n", n, "--rank", 3, "--seed", 2,
@@ -288,7 +288,7 @@ class TestExplainStreaming:
         assert manifest["blocks"] == -(-rows // 2)
         model, lifts = load_model(model_path)
         reference = io.StringIO()
-        attribute.write_attribution_rows(reference, [
+        write_attribution_rows(reference, [
             (iid, order, subset, value, "")
             for iid, aset in enumerate(explain_batch(model, lifts, xs, order))
             for subset, value in aset.entries()])

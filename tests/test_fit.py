@@ -172,8 +172,6 @@ class TestTrainingSet:
         training = build_training_set(teacher, lifts, np.zeros(8), config)
         assert training.rows == 228
         assert teacher.forward_count - before == 228
-        assert training.structured_rows == 128
-        assert training.neighborhood_rows == 100
 
     def test_zero_neighborhood_gives_structured_only(self):
         teacher, lifts = gen_tree_teacher(4, 2, seed=0)
@@ -459,8 +457,6 @@ class TestConfigAndSweep:
         obj = config.to_json_dict()
         assert list(obj) == ["version", "topology", "bond_dim", "neighborhood",
                              "sigma_frac", "max_sweeps", "tol", "seed"]
-        assert FitConfig.from_json_dict(obj) == config
-        assert FitConfig.from_json_dict({**obj, "unknown": 1}) == config
         # the report JSON and the manifest's numerical health keep their key
         # orders; the solve-path tallies stay out of the v1 report
         report = FitReport(train_r2=0.5, train_mse=0.25, sweeps_used=1, wall_time_s=0.1,

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import random_tt_model
-from tnshap import FeatureMap, LiftSpec, off_state, selector_apply, signed_toggle
-from tnshap.attribute import chebyshev_nodes
+from tnshap import FeatureMap, LiftSpec, off_state, signed_toggle
+from tnshap.attribute import _scaled_inputs, chebyshev_nodes
+
+
+def select(t: float, v) -> np.ndarray:
+    """The probe engine's selector Diag(t * I_{d-1}, 1) on one lifted vector."""
+    return _scaled_inputs([np.asarray(v, dtype=np.float64)], np.array([t]))[0][0]
 
 
 class TestLifts:
@@ -25,12 +30,9 @@ class TestLifts:
         assert FeatureMap("fourier", k=2).dim == 5
 
     def test_off_state_consistency_binary_poly(self):
-        """lift(0) equals the zeroed-channel state for binary and poly maps."""
+        """lift(0) equals the all-off state for binary and poly maps."""
         for fmap in (FeatureMap("binary"), FeatureMap("poly", k=3)):
-            for x in (0.0, 0.7, -2.0):
-                np.testing.assert_allclose(
-                    fmap.apply(0.0), selector_apply(0.0, fmap.apply(x))
-                )
+            np.testing.assert_allclose(fmap.apply(0.0), off_state(fmap.dim))
 
     def test_fourier_off_state_is_synthetic(self):
         """phi(0) != 0 for cosine channels: the off state is not lift(0)."""
@@ -72,28 +74,26 @@ class TestLifts:
         )
         again = LiftSpec.from_json_list(spec.to_json_list())
         assert again.dims == spec.dims == (2, 3, 3)
-        np.testing.assert_allclose(again.lift(2, 0.3), spec.lift(2, 0.3))
+        x = [0.4, -0.7, 0.3]
+        for v, w in zip(again.lift_instance(x), spec.lift_instance(x)):
+            np.testing.assert_allclose(v, w)
 
 
 class TestSelectors:
     def test_scaling(self):
-        np.testing.assert_allclose(selector_apply(0.5, np.array([2.0, 1.0])), [1.0, 1.0])
+        np.testing.assert_allclose(select(0.5, np.array([2.0, 1.0])), [1.0, 1.0])
 
     def test_identity(self, rng):
         v = rng.standard_normal(4)
         v[-1] = 1.0
-        np.testing.assert_allclose(selector_apply(1.0, v), v)
+        np.testing.assert_allclose(select(1.0, v), v)
 
     def test_off(self):
-        np.testing.assert_allclose(selector_apply(0.0, np.array([7.0, -2.0, 1.0])), [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(select(0.0, np.array([7.0, -2.0, 1.0])), [0.0, 0.0, 1.0])
 
     def test_semigroup_on_data_channels(self, rng):
         v = rng.standard_normal(5)
-        np.testing.assert_allclose(
-            selector_apply(0.3, selector_apply(0.7, v)),
-            selector_apply(0.21, v),
-            rtol=1e-12,
-        )
+        np.testing.assert_allclose(select(0.3, select(0.7, v)), select(0.21, v), rtol=1e-12)
 
     def test_signed_toggle(self):
         np.testing.assert_allclose(signed_toggle(np.array([3.5, 1.0])), [3.5, 0.0])
@@ -127,10 +127,9 @@ class TestSelectorPolynomial:
         deg = len(subset)
 
         def value(t):
-            legs = [
-                selector_apply(t, v) if (i + 1) in subset else v
-                for i, v in enumerate(lifted)
-            ]
+            # the selector scales a leg's data channels by t and keeps its bias
+            legs = [np.append(t * v[:-1], v[-1]) if (i + 1) in subset else v
+                    for i, v in enumerate(lifted)]
             return model.forward(legs)
 
         nodes = chebyshev_nodes(deg + 1)

@@ -16,16 +16,13 @@ from tnshap import (
     TensorNetworkModel,
     TnTopology,
     diagonal_coefficient_probe,
-    dump_table,
     enumerate_game,
     exact_shapley,
     exact_sii,
     gen_cp_teacher,
     gen_tree_teacher,
-    load_table,
     mobius_coefficients,
     size_grouped_sums,
-    zeta_reconstruct,
 )
 from tnshap.lift import off_state
 
@@ -46,6 +43,17 @@ def naive_mobius(values):
             sub = (sub - 1) & t
         out[t] = total
     return out
+
+
+def subset_sums(coeffs):
+    """Zeta transform: v(C) = sum of c_T over T within C, one pass per bit."""
+    v = np.array(coeffs, dtype=np.float64)
+    n = v.shape[0].bit_length() - 1
+    for i in range(n):
+        v = v.reshape(-1, 2, 1 << i)
+        v[:, 1, :] += v[:, 0, :]
+        v = v.reshape(-1)
+    return v
 
 
 class TestEnumeration:
@@ -173,7 +181,7 @@ class TestMobius:
         for n in (2, 5, 10):
             values = rng.standard_normal(1 << n)
             table = CoalitionTable(n=n, values=values)
-            back = zeta_reconstruct(mobius_coefficients(table))
+            back = subset_sums(mobius_coefficients(table))
             assert np.max(np.abs(back - values)) < 1e-10
 
     def test_size_grouped_sums(self, rng):
@@ -262,30 +270,3 @@ class TestDiagonalProbeConditioning:
         probed = diagonal_coefficient_probe(model, lifts, x)
         assert np.max(np.abs(probed - grouped)) <= 1e-9 * np.max(np.abs(grouped))
 
-
-class TestTableDump:
-    def test_roundtrip_bytes(self, tmp_path, rng):
-        table = CoalitionTable(n=4, values=rng.standard_normal(16))
-        path = tmp_path / "table.bin"
-        dump_table(path, table)
-        loaded = load_table(path)
-        assert loaded.n == 4
-        np.testing.assert_array_equal(loaded.values, table.values)
-        again = tmp_path / "again.bin"
-        dump_table(again, loaded)
-        assert path.read_bytes() == again.read_bytes()
-
-    def test_golden_header(self, tmp_path):
-        table = CoalitionTable(n=1, values=np.array([0.0, 1.0]))
-        path = tmp_path / "one.bin"
-        dump_table(path, table)
-        raw = path.read_bytes()
-        assert raw[:8] == b"TNSHCTB1"
-        assert int.from_bytes(raw[8:16], "little") == 1
-        assert len(raw) == 16 + 2 * 8
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
-        with pytest.raises(ValueError, match="magic"):
-            load_table(path)
