@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Order-k interaction indices and the two probe modes.
 
-Pairwise and three-way interaction indices come from the same probe +
-interpolation machinery as Shapley values; only the toggle pattern and the
-size weights change. Inclusion-exclusion spends 2^k forwards per node,
+Pairwise and three-way interaction indices come from the same probe
+quadrature as Shapley values; only the toggled subset and the number of
+nodes change. Inclusion-exclusion spends 2^k forwards per node,
 while the signed-toggle trick collapses each alternating sum into a single
 contraction of [phi, 0] inputs. Both give identical numbers.
 """

@@ -18,8 +18,6 @@ from .attribute import (
     probe_value,
     quadrature_weights,
     read_attribution_csv,
-    shapley_weights,
-    sii_weights,
     write_attribution_csv,
 )
 from .fit import (
@@ -39,10 +37,10 @@ from .oracle import (
     CoalitionTable,
     diagonal_coefficient_probe,
     enumerate_game,
-    exact_shapley,
     exact_sii,
     mobius_coefficients,
     size_grouped_sums,
+    sii_weights,
 )
 from .tensor_net import (
     BTREE,
@@ -80,7 +78,6 @@ __all__ = [
     "diagonal_coefficient_probe",
     "enumerate_game",
     "eval_quality",
-    "exact_shapley",
     "exact_sii",
     "explain",
     "explain_batch",
@@ -98,7 +95,6 @@ __all__ = [
     "rank_sweep",
     "read_attribution_csv",
     "save_model",
-    "shapley_weights",
     "signed_toggle",
     "sii_weights",
     "size_grouped_sums",

@@ -27,8 +27,8 @@ weight 1 -- and closes each subset at the lowest node holding its toggled
 legs: about C(n, k) m chi^2 per instance on a train (bond dimension chi)
 instead of the C(n, k) m n chi^2 of contracting every probe from scratch.
 An explicit list toggles only the legs it names, so it costs at most the
-all-subsets request over them. A model that is not a ``TensorNetworkModel``
-(``CpTeacher``) goes through its ``to_tensor_train()``, charged to itself.
+all-subsets request over them. Only a ``TensorNetworkModel`` is explained: a
+``CpTeacher`` is converted first with its ``to_tensor_train()``.
 ``oracle.flat_probes`` is the 2^k-configuration reference the engine is
 tested against.
 
@@ -96,29 +96,6 @@ def quadrature_weights(m: int) -> np.ndarray:
     return weights
 
 
-def shapley_weights(n: int) -> np.ndarray:
-    """Size weights s!(n-s-1)!/n! for s = 0..n-1.
-
-    Factorials are exact integers; each weight is one correctly rounded
-    division, so any n >= 1 is supported.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    fact = math.factorial
-    return np.array([fact(s) * fact(n - s - 1) / fact(n) for s in range(n)])
-
-
-def sii_weights(n: int, k: int) -> np.ndarray:
-    """Interaction size weights s!(n-k-s)!/(n-k+1)! for s = 0..n-k.
-
-    Reduces to ``shapley_weights(n)`` at k = 1.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"order k={k} must satisfy 1 <= k <= n={n}")
-    fact = math.factorial
-    return np.array([fact(s) * fact(n - k - s) / fact(n - k + 1) for s in range(n - k + 1)])
-
-
 @dataclass(frozen=True)
 class AttributionSet:
     """Attribution values of one order for one instance.
@@ -136,10 +113,19 @@ class AttributionSet:
         return list(zip(self.subsets, self.values.tolist()))
 
     def value(self, subset) -> float:
-        target = tuple(sorted(operator.index(i) for i in subset))
+        target = _feature_indices(subset)
         if target not in self.subsets:
             raise ValueError(f"subset {target} is not in this order-{self.order} set")
         return float(self.values[self.subsets.index(target)])
+
+
+def _feature_indices(subset) -> tuple:
+    """The subset's feature indices, sorted. A boolean is a ValueError, though
+    ``operator.index(True)`` is 1; any other non-integer a TypeError."""
+    items = tuple(subset)
+    if any(isinstance(i, bool) for i in items):
+        raise ValueError(f"subset {subset} has a feature index that is not an integer")
+    return tuple(sorted(map(operator.index, items)))
 
 
 def _normalize_subsets(n: int, k: int, subsets):
@@ -150,7 +136,7 @@ def _normalize_subsets(n: int, k: int, subsets):
     norm = []
     for s in subsets:
         try:
-            t = tuple(sorted(operator.index(i) for i in s))
+            t = _feature_indices(s)
         except TypeError:
             raise ValueError(f"subset {s} has a feature index that is not an integer") from None
         if not t:
@@ -174,6 +160,9 @@ def _resolve_mode(k: int, mode) -> str:
 
 
 def _check_model_lifts(model, lifts: LiftSpec) -> None:
+    if not isinstance(model, tensor_net.TensorNetworkModel):
+        raise TypeError(f"cannot explain a {type(model).__name__}: need a TensorNetworkModel; "
+                        "convert the model first with its to_tensor_train()")
     if lifts.n != model.n:
         raise ValueError(f"lift spec covers {lifts.n} features, model has {model.n}")
     for i, (dl, dm) in enumerate(zip(lifts.dims, model.phys_dims)):
@@ -183,26 +172,15 @@ def _check_model_lifts(model, lifts: LiftSpec) -> None:
             )
 
 
-def _network(model) -> tensor_net.TensorNetworkModel:
-    """The model itself, or the ``to_tensor_train()`` it is explained through."""
-    if isinstance(model, tensor_net.TensorNetworkModel):
-        return model
-    if not hasattr(model, "to_tensor_train"):
-        raise TypeError(f"cannot explain a {type(model).__name__}: need a TensorNetworkModel "
-                        "or a model with to_tensor_train()")
-    return model.to_tensor_train()
-
-
 def probe_value(model, lifts: LiftSpec, x, subset, t: float, mode=INCLUSION_EXCLUSION) -> float:
     """Evaluate the probe Q_S(t; x) for one subset at one finite selector
     value: the probe engine at one node of weight 1 over the subset's legs."""
-    net = _network(model)
     _check_model_lifts(model, lifts)
     s = _normalize_subsets(model.n, len(tuple(subset)), [subset])[0]
     if not math.isfinite(t):
         raise ValueError(f"selector value t must be finite, got {t}")
     lifted = [v[None] for v in lifts.lift_instance(x)]
-    values, forwards = _probe_values(net, lifted, np.array([float(t)]), np.ones(1), len(s),
+    values, forwards = _probe_values(model, lifted, np.array([float(t)]), np.ones(1), len(s),
                                      _resolve_mode(len(s), mode), tuple(i - 1 for i in s))
     model.counter.add(forwards)
     return float(values[0, 0])
@@ -249,8 +227,8 @@ def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None) -> Attr
 
     Parameters
     ----------
-    model : TensorNetworkModel, or a model explained through (and charged
-        for) its ``to_tensor_train()``
+    model : TensorNetworkModel (convert a ``CpTeacher`` first with its
+        ``to_tensor_train()``)
     lifts : LiftSpec matching the model's physical dimensions
     x : raw instance of length n, all values finite
     k : interaction order (k = 1 gives Shapley values)
@@ -279,9 +257,7 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     explicit list names) is lifted one feature column at a time and shares
     one ``toggle_probes`` sweep over those N legs, which costs at most the
     all-subsets request over them; a list keeps its own subsets. A model
-    that is not a ``TensorNetworkModel`` goes through its
-    ``to_tensor_train()``; any other object fills every slot with a
-    TypeError.
+    that is not a ``TensorNetworkModel`` fills every slot with a TypeError.
 
     Per-instance failures do not abort the batch: the failing instance's slot
     holds the raised exception instead of an AttributionSet. Instances are
@@ -289,7 +265,6 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     """
     instances = list(instances)
     try:
-        net = _network(model)
         _check_model_lifts(model, lifts)
         n = model.n
         if not 1 <= k <= n:
@@ -319,7 +294,7 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     for c0 in range(0, len(rows), step):
         chunk = rows[c0 : c0 + step]
         lifted = lifts.lift_rows(np.stack([x for _, x in chunk]))
-        values, forwards = _probe_values(net, lifted, nodes, weights, k, mode, legs, columns)
+        values, forwards = _probe_values(model, lifted, nodes, weights, k, mode, legs, columns)
         model.counter.add(forwards)
         for (idx, _), vals in zip(chunk, values):
             results[idx] = AttributionSet(k, subset_list, vals, forwards // len(chunk))

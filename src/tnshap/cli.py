@@ -73,10 +73,11 @@ def _setup_logging() -> None:
 
 
 def _read_instances_csv(path, n: int) -> np.ndarray:
-    """Instance CSV: header f1..fn, one raw instance per row. Values are
-    parsed a row at a time into one float64 buffer, 8 bytes each."""
+    """Instance CSV: header f1..fn, one raw instance per row, with or without
+    the UTF-8 byte-order mark spreadsheets write. Values are parsed a row at a
+    time into one float64 buffer, 8 bytes each."""
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise InputError(f"cannot open instances file {path}: {exc}") from exc
     with fh:
@@ -252,7 +253,7 @@ class _Run:
         _json_dump(path, {
             "version": MANIFEST_VERSION,
             "command": args.command,
-            "argv": sys.argv[1:],
+            "argv": args.argv,
             "config": self.config,
             "seed": args.seed,
             "library_version": __version__,
@@ -609,7 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv  # the manifest records the arguments this call parsed
     try:
         return args.func(_Run(args))
     except (InputError, OSError) as exc:

@@ -493,7 +493,7 @@ def eval_quality(student, teacher, lifts: LiftSpec, instances, orders=(1, 2, 3),
                  base_report: FitReport | None = None) -> FitReport:
     """Attribution fidelity of the student against exact teacher values.
 
-    For each order k, stacks the student's probe-interpolated values and the
+    For each order k, stacks the student's probe-quadrature values and the
     teacher's enumeration-oracle values over all subsets and instances, then
     reports R^2 (flagged undefined on zero-variance truth), cosine, and MSE.
     Each instance's 2^n teacher table is enumerated once for all orders.

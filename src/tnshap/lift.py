@@ -58,10 +58,6 @@ class FeatureMap:
             return self.k + 1
         return 2 * self.k + 1
 
-    def apply(self, x: float) -> np.ndarray:
-        """Lifted vector [phi(x), 1] for a scalar input."""
-        return self.apply_batch(np.asarray([x], dtype=np.float64))[0]
-
     def apply_batch(self, x: np.ndarray) -> np.ndarray:
         """Lift a 1-D array of raw values into a (len(x), dim) array."""
         x = np.asarray(x, dtype=np.float64)
@@ -139,8 +135,7 @@ class LiftSpec:
 
     def lift_instance(self, x) -> list:
         """Lift a full raw instance into one vector per feature."""
-        x = self.check_instance(x)
-        return [m.apply(v) for m, v in zip(self.maps, x)]
+        return [v[0] for v in self.lift_rows(self.check_instance(x)[None])]
 
     def lift_rows(self, xs: np.ndarray) -> list:
         """Lift stacked instances column by column: one (B, d_i) array per

@@ -4,22 +4,25 @@ diagonal coefficient probe.
 
 Coalition masks are integers with bit i set when feature i+1 is on; index 0
 is the all-off state. Everything here works from the 2^n table by direct
-summation, or from network rows contracted from scratch, independent of the
-probe engine it validates. ``probe_configurations`` lays out the on/off rows
-of the flat probes; the fit's training set takes its structured block from
-it. The diagonal probe reads its coefficient sums off one discrete Fourier
-transform of the diagonal polynomial at the roots of unity.
+summation, or from network rows contracted from scratch, apart from the probe
+engine it validates save for one shared step: ``attribute._scaled_inputs``,
+which scales the data channels of the lifted legs at each selector value.
+``probe_configurations`` lays out the on/off rows of the flat probes; the
+fit's training set takes its structured block from it. The diagonal probe
+reads its coefficient sums off one discrete Fourier transform of the diagonal
+polynomial at the roots of unity.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import attribute, tensor_net
-from .attribute import AttributionSet, _scaled_inputs, shapley_weights, sii_weights
+from .attribute import AttributionSet, _scaled_inputs
 from .lift import LiftSpec, off_state
 
 MAX_TABLE_FEATURES = 20
@@ -108,24 +111,23 @@ def _popcounts(n: int) -> np.ndarray:
     return pc
 
 
-def exact_shapley(table: CoalitionTable) -> np.ndarray:
-    """Shapley values by the defining size-weighted sum over all coalitions."""
-    n = table.n
-    v = table.values
-    weights = shapley_weights(n)
-    pc = _popcounts(n)
-    masks = np.arange(1 << n)
-    phi = np.empty(n)
-    for i in range(n):
-        bit = 1 << i
-        without = masks[(masks & bit) == 0]
-        phi[i] = np.sum(weights[pc[without]] * (v[without | bit] - v[without]))
-    return phi
+def sii_weights(n: int, k: int) -> np.ndarray:
+    """Interaction size weights s!(n-k-s)!/(n-k+1)! for s = 0..n-k; at k = 1
+    the Shapley weights s!(n-s-1)!/n!.
+
+    Factorials are exact integers; each weight is one correctly rounded
+    division, so any 1 <= k <= n is supported.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"order k={k} must satisfy 1 <= k <= n={n}")
+    fact = math.factorial
+    return np.array([fact(s) * fact(n - k - s) / fact(n - k + 1) for s in range(n - k + 1)])
 
 
 def exact_sii(table: CoalitionTable, k: int) -> AttributionSet:
     """Order-k interaction indices by direct summation: the discrete
-    derivative over each subset, size-weighted over all complements.
+    derivative over each subset, size-weighted over all complements. At
+    k = 1 these are the Shapley values.
     """
     n = table.n
     if not 1 <= k <= n:
@@ -188,15 +190,13 @@ def diagonal_coefficient_probe(model, lifts: LiftSpec, x) -> np.ndarray:
     identity holds at any complex t, so p is evaluated at the n + 1 roots of
     unity and its coefficients are one discrete Fourier transform of those
     values, with no solve. The complex rows go through the network's own
-    contraction (a ``CpTeacher`` through its ``to_tensor_train()``), charged
-    as n + 1 forwards to ``model``.
+    contraction, charged as n + 1 forwards to ``model``.
     """
-    net = attribute._network(model)
     attribute._check_model_lifts(model, lifts)
     m = model.n + 1
     roots = np.exp(2j * np.pi * np.arange(m) / m)
     lifted = [v.astype(np.complex128) for v in lifts.lift_instance(x)]
-    p_values = tensor_net._contract_batch(net.topology, net.cores,
+    p_values = tensor_net._contract_batch(model.topology, model.cores,
                                           _scaled_inputs(lifted, roots))
     model.counter.add(m)
     return np.fft.fft(p_values).real / m

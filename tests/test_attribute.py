@@ -30,7 +30,6 @@ from tnshap import (
     gen_tree_teacher,
     probe_value,
     quadrature_weights,
-    shapley_weights,
     sii_weights,
     write_attribution_csv,
 )
@@ -59,31 +58,28 @@ class TestChebyshevNodes:
 
 class TestWeights:
     def test_shapley_n3(self):
-        np.testing.assert_allclose(shapley_weights(3), [1 / 3, 1 / 6, 1 / 3])
+        np.testing.assert_allclose(sii_weights(3, 1), [1 / 3, 1 / 6, 1 / 3])
 
     def test_shapley_n1_n2(self):
-        np.testing.assert_allclose(shapley_weights(1), [1.0])
-        np.testing.assert_allclose(shapley_weights(2), [0.5, 0.5])
+        np.testing.assert_allclose(sii_weights(1, 1), [1.0])
+        np.testing.assert_allclose(sii_weights(2, 1), [0.5, 0.5])
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 20, 50])
     def test_shapley_sum_identity(self, n):
-        w = shapley_weights(n)
+        w = sii_weights(n, 1)
         assert np.all(w > 0)
         total = sum(w[s] * math.comb(n - 1, s) for s in range(n))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_shapley_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            shapley_weights(0)
+            sii_weights(0, 1)
 
     def test_sii_n4_k2(self):
         np.testing.assert_allclose(sii_weights(4, 2), [1 / 3, 1 / 6, 1 / 3])
 
     def test_sii_k_equals_n(self):
         np.testing.assert_allclose(sii_weights(5, 5), [1.0])
-
-    def test_sii_k1_matches_shapley(self):
-        np.testing.assert_allclose(sii_weights(3, 1), shapley_weights(3))
 
     def test_sii_rejects_k_above_n(self):
         with pytest.raises(ValueError):
@@ -802,8 +798,8 @@ class TestSharedProbes:
 
 
 class TestExplicitLists:
-    """Explicit subset lists, single probes and models that are not tensor
-    networks all go through the probe engine."""
+    """Explicit subset lists and single probes go through the probe engine;
+    models that are not tensor networks are refused."""
 
     @pytest.mark.parametrize("mode", [INCLUSION_EXCLUSION, SIGNED_TOGGLE])
     @pytest.mark.parametrize("k", [1, 2, 3, "n"])
@@ -859,33 +855,38 @@ class TestExplicitLists:
         contract = 3 * 6 * 2 + 5 * 35 + 3 * 2 * n * n + 4 + 1
         assert model.forward_count - before == contract
 
-    def test_cp_teacher_goes_through_its_train(self, rng, monkeypatch):
-        """A ``CpTeacher`` is explained through ``to_tensor_train()``: its own
-        counter is charged exactly the contract, no flat row is contracted,
-        and the values are those of the train."""
-        from tnshap import CpTeacher
-
-        n = 6
+    def test_cp_teacher_must_be_converted_first(self, rng):
+        """A ``CpTeacher`` is refused by every entry point with a TypeError
+        that names ``to_tensor_train()``, and its counter does not move."""
+        n = 4
         teacher, lifts = gen_cp_teacher(n, 3, seed=2)
-        train = teacher.to_tensor_train()
+        x = rng.uniform(-1, 1, n)
+        match = r"cannot explain a CpTeacher:.*to_tensor_train\(\)"
+        for call in (lambda: explain(teacher, lifts, x, 1),
+                     lambda: probe_value(teacher, lifts, x, (1,), 0.5),
+                     lambda: oracle.diagonal_coefficient_probe(teacher, lifts, x)):
+            with pytest.raises(TypeError, match=match):
+                call()
+        slots = explain_batch(teacher, lifts, [x, x], 2)
+        assert len(slots) == 2
+        for slot in slots:
+            assert isinstance(slot, TypeError) and "to_tensor_train()" in str(slot)
+        assert teacher.forward_count == 0
 
-        def refuse(self, legs):
-            raise AssertionError("a request contracted forward_batch rows")
-
-        monkeypatch.setattr(CpTeacher, "forward_batch", refuse)
-        xs = rng.uniform(-1, 1, (3, n))
-        for k, subsets, per_instance in [(1, "all", 2 * n * n), (2, "all", 5 * 15),
-                                         (3, [(4, 1, 2), (2, 1, 4), (3, 5, 6)], 4 * 2)]:
-            before = teacher.forward_count
-            got = explain_batch(teacher, lifts, xs, k, subsets=subsets)
-            assert teacher.forward_count - before == 3 * per_instance
-            want = explain_batch(train, lifts, xs, k, subsets=subsets)
-            for a, b in zip(got, want):
-                assert a.forwards_used == b.forwards_used == per_instance
-                np.testing.assert_array_equal(a.values, b.values)
-        before = teacher.forward_count
-        probe_value(teacher, lifts, xs[0], (2, 4), 0.5)
-        assert teacher.forward_count - before == 4
+    def test_boolean_feature_indices_refused(self, rng):
+        """``True`` is not read as feature 1 by a subset list, a single probe
+        or an AttributionSet lookup."""
+        model, lifts = random_tt_model(rng, 3)
+        x = rng.uniform(-1, 1, 3)
+        match = "has a feature index that is not an integer"
+        with pytest.raises(ValueError, match=match):
+            explain(model, lifts, x, 2, subsets=[(True, 2)])
+        with pytest.raises(ValueError, match=match):
+            probe_value(model, lifts, x, (True,), 0.5)
+        pairs = explain(model, lifts, x, 2)
+        with pytest.raises(ValueError, match=match):
+            pairs.value((True, 2))
+        assert pairs.value((1, 2)) == pairs.values[0]
 
     def test_other_objects_rejected(self, rng):
         _, lifts = gen_cp_teacher(3, 2, seed=2)

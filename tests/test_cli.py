@@ -69,6 +69,16 @@ class TestGen:
     def test_requires_out(self):
         assert run("gen", "--kind", "tree", "--n", 4, "--rank", 2) == 2
 
+    def test_manifest_records_arguments_main_parsed(self, tmp_path, monkeypatch):
+        """An in-process call records its own argument list, not the host
+        program's ``sys.argv``."""
+        monkeypatch.setattr(sys, "argv", ["host-program", "--host-flag"])
+        out = str(tmp_path / "m.json")
+        argv = ["gen", "--n", "4", "--out", out]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text())
+        assert manifest["argv"] == argv
+
 
 class TestExplain:
     def test_csv_matches_library_values(self, tmp_path, teacher_path):
@@ -209,6 +219,19 @@ class TestExplain:
         assert run("explain", "--model", teacher_path, "--instances", inst,
                    "--order", 1, "--out", tmp_path / "x.csv") == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_byte_order_mark_accepted(self, tmp_path, teacher_path):
+        """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark;
+        it gives the same attribution file as the plain copy."""
+        plain = tmp_path / "plain.csv"
+        write_instances(plain, [[1.0, 1.0, 1.0, 1.0], [0.5, -0.5, 0.25, 0.75]])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for inst in (plain, marked):
+            assert run("explain", "--model", teacher_path, "--instances", inst,
+                       "--order", 1, "--out", tmp_path / f"{inst.stem}.out.csv") == 0
+        assert ((tmp_path / "marked.out.csv").read_bytes()
+                == (tmp_path / "plain.out.csv").read_bytes())
 
     def test_bad_header_rejected(self, tmp_path, teacher_path, capsys):
         inst = tmp_path / "inst.csv"

@@ -10,7 +10,6 @@ from tnshap import (
     build_training_set,
     cut_rank,
     eval_quality,
-    explain,
     fit_student,
     gen_cp_teacher,
     gen_tree_teacher,
@@ -132,14 +131,6 @@ class TestCpTeacher:
         raw = rng.uniform(-1, 1, (2000, 6))
         legs = [m.apply_batch(raw[:, i]) for i, m in enumerate(lifts.maps)]
         assert 0.5 < np.std(teacher.forward_batch(legs)) < 2.0
-
-    def test_explainable_directly(self, rng):
-        """Probes accept a CP teacher through the same forward protocol."""
-        teacher, lifts = gen_cp_teacher(4, 2, seed=3)
-        x = rng.uniform(-1, 1, 4)
-        direct = explain(teacher, lifts, x, 1)
-        via_train = explain(teacher.to_tensor_train(), lifts, x, 1)
-        np.testing.assert_allclose(direct.values, via_train.values, atol=1e-10)
 
 
 class TestTreeTeacher:
@@ -443,8 +434,8 @@ class TestEvalQuality:
         factors = [np.array([[0.0, 1.0]])] * 3
         teacher = CpTeacher(factors, np.array([5.0]))
         lifts = LiftSpec.binary(3)
-        report = eval_quality(teacher, teacher, lifts, rng.uniform(-1, 1, (3, 3)),
-                              orders=(1,))
+        report = eval_quality(teacher.to_tensor_train(), teacher, lifts,
+                              rng.uniform(-1, 1, (3, 3)), orders=(1,))
         assert report.orders[1].r2 is None
         assert not report.orders[1].r2_defined
         assert np.isfinite(report.orders[1].mse)

@@ -13,15 +13,20 @@ def select(t: float, v) -> np.ndarray:
     return _scaled_inputs([np.asarray(v, dtype=np.float64)], np.array([t]))[0][0]
 
 
+def lift_one(fmap, x: float) -> np.ndarray:
+    """The lifted vector [phi(x), 1] of one scalar input."""
+    return fmap.apply_batch(np.array([x]))[0]
+
+
 class TestLifts:
     def test_binary(self):
-        np.testing.assert_allclose(FeatureMap("binary").apply(3.5), [3.5, 1.0])
+        np.testing.assert_allclose(lift_one(FeatureMap("binary"), 3.5), [3.5, 1.0])
 
     def test_polynomial_degree_two(self):
-        np.testing.assert_allclose(FeatureMap("poly", k=2).apply(2.0), [2.0, 4.0, 1.0])
+        np.testing.assert_allclose(lift_one(FeatureMap("poly", k=2), 2.0), [2.0, 4.0, 1.0])
 
     def test_fourier_first_harmonic(self):
-        got = FeatureMap("fourier", k=1, omega=np.pi).apply(0.5)
+        got = lift_one(FeatureMap("fourier", k=1, omega=np.pi), 0.5)
         np.testing.assert_allclose(got, [1.0, 0.0, 1.0], atol=1e-15)
 
     def test_dims(self):
@@ -32,12 +37,12 @@ class TestLifts:
     def test_off_state_consistency_binary_poly(self):
         """lift(0) equals the all-off state for binary and poly maps."""
         for fmap in (FeatureMap("binary"), FeatureMap("poly", k=3)):
-            np.testing.assert_allclose(fmap.apply(0.0), off_state(fmap.dim))
+            np.testing.assert_allclose(lift_one(fmap, 0.0), off_state(fmap.dim))
 
     def test_fourier_off_state_is_synthetic(self):
         """phi(0) != 0 for cosine channels: the off state is not lift(0)."""
         fmap = FeatureMap("fourier", k=1, omega=np.pi)
-        assert not np.allclose(fmap.apply(0.0), off_state(fmap.dim))
+        assert not np.allclose(lift_one(fmap, 0.0), off_state(fmap.dim))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from tnshap import (
     TnTopology,
     diagonal_coefficient_probe,
     enumerate_game,
-    exact_shapley,
     exact_sii,
     gen_cp_teacher,
     gen_tree_teacher,
@@ -117,7 +116,7 @@ class TestEnumeration:
 class TestExactIndices:
     def test_product_table_shapley(self):
         table = CoalitionTable(n=2, values=np.array([0.0, 0.0, 0.0, 1.0]))
-        np.testing.assert_allclose(exact_shapley(table), [0.5, 0.5])
+        np.testing.assert_allclose(exact_sii(table, 1).values, [0.5, 0.5])
 
     def test_additive_table_recovers_coefficients(self, rng):
         a = rng.standard_normal(4)
@@ -126,16 +125,12 @@ class TestExactIndices:
             sum(a[i] for i in range(4) if (m >> i) & 1) for m in masks
         ])
         table = CoalitionTable(n=4, values=values)
-        np.testing.assert_allclose(exact_shapley(table), a, atol=1e-12)
+        np.testing.assert_allclose(exact_sii(table, 1).values, a, atol=1e-12)
 
     def test_efficiency(self, rng):
         table = CoalitionTable(n=5, values=rng.standard_normal(32))
-        phi = exact_shapley(table)
+        phi = exact_sii(table, 1).values
         assert phi.sum() == pytest.approx(table.values[-1] - table.values[0], abs=1e-10)
-
-    def test_sii_k1_matches_shapley(self, rng):
-        table = CoalitionTable(n=5, values=rng.standard_normal(32))
-        np.testing.assert_allclose(exact_sii(table, 1).values, exact_shapley(table), atol=1e-12)
 
     def test_triple_product_full_order(self):
         # g = x1 x2 x3 at x = 1: only the full coalition has value 1
@@ -154,7 +149,8 @@ class TestExactIndices:
         x = rng.uniform(-1, 1, 5)
         table = enumerate_game(model, lifts, x)
         value = coalition_value_fn(model, lifts, x)
-        np.testing.assert_allclose(exact_shapley(table), brute_shapley(5, value), atol=1e-10)
+        np.testing.assert_allclose(exact_sii(table, 1).values, brute_shapley(5, value),
+                                   atol=1e-10)
 
 
 class TestMobius:
@@ -221,24 +217,18 @@ class TestDiagonalProbe:
             np.testing.assert_allclose(probed, grouped, atol=1e-8)
 
 
-    @pytest.mark.parametrize("kind,n", [("btree", 6), ("tt", 5), ("btree", 1), ("cp", 5)])
+    @pytest.mark.parametrize("kind,n", [("btree", 6), ("tt", 5), ("btree", 1)])
     def test_charges_n_plus_1_forwards(self, rng, kind, n):
         """n + 1 forwards go to the model given (a 6-leaf tree pads to 8
-        leaves); a CP teacher pays itself, not its ``to_tensor_train()``."""
+        leaves)."""
         if kind == "tt":
             model, lifts = random_tt_model(rng, n)
-        elif kind == "btree":
-            model, lifts = gen_tree_teacher(n, 3, seed=n)
         else:
-            model, lifts = gen_cp_teacher(n, 3, seed=n)
-            train = model.to_tensor_train()
-            model.to_tensor_train = lambda: train
+            model, lifts = gen_tree_teacher(n, 3, seed=n)
         before = model.forward_count
         sums = diagonal_coefficient_probe(model, lifts, rng.uniform(-1, 1, n))
         assert model.forward_count - before == n + 1
         assert sums.shape == (n + 1,) and sums.dtype == np.float64
-        if kind == "cp":
-            assert train.forward_count == 0
 
 
 def _grouped_mobius_chunked(model, lifts, x, chunk=1 << 14):
