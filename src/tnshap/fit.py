@@ -17,10 +17,15 @@ factors (a tree node's two child up messages and its down message, a leaf's
 leg and down message, a train core's left state, leg and right state). Each
 factor is orthonormalized by a thin QR, the problem on the orthonormalized
 design is solved by Cholesky normal equations, and the solution is mapped
-back by the small R^-1 along each core mode. A solve that cannot be
-certified (numerically singular R, failed Cholesky, or a Gram condition
-bound above ``GRAM_COND_LIMIT``) falls back to SVD ``lstsq`` on the raw
-design. The solves add their tallies straight to the ``FitReport`` the fit
+back by the small R^-1 along each core mode. The normal equations are
+contracted from the factors without building the design: the Gram is read
+off a packed Gram of the factors' per-row pair products (prod b_i(b_i+1)/2
+entries for widths b_i) through an index map cached per width tuple, and
+the inverse Cholesky factor L^-1 is built directly by a blocked Cholesky in
+matrix products. A solve that cannot be certified (numerically singular R,
+failed Cholesky, or a Gram condition bound above ``GRAM_COND_LIMIT``) falls
+back to SVD ``lstsq`` on the raw design, the only place the design is
+built. The solves add their tallies straight to the ``FitReport`` the fit
 returns, the only place they are kept: both paths (``fast_solves``,
 ``lstsq_fallbacks``), the rank-deficient and Tikhonov fallback solves, and
 the largest Gram condition bound seen. The CLI puts all five in the fit
@@ -33,6 +38,7 @@ order 1 on, all evaluated exactly on the (multilinear) teacher.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -320,33 +326,82 @@ def _khatri_rao(factors) -> np.ndarray:
     return out
 
 
-def _tril_inv(low: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix by recursive halving, so the
-    work is in matrix products (numpy has no triangular solve)."""
-    n = low.shape[0]
+def _row_contract(factors, weights: np.ndarray) -> np.ndarray:
+    """sum_r w_r f_1[r] (x) ... (x) f_k[r] over the rows of (rows, b_i)
+    factors, flattened with the first factor's index slowest: that is
+    ``_khatri_rao(factors).T @ weights`` without the (rows, prod b_i)
+    product. The last two factors meet in one matrix product per column of
+    the weighted Khatri-Rao product of the others."""
+    if len(factors) == 1:
+        return weights @ factors[0]
+    *lead, mid, last = factors
+    mid_t = np.ascontiguousarray(mid.T)
+    return np.concatenate([(mid_t * w) @ last
+                           for w in _khatri_rao([weights[:, None], *lead]).T]).ravel()
+
+
+def _pair_products(q: np.ndarray) -> np.ndarray:
+    """Per-row upper-triangle outer products q[r, j] q[r, l], j <= l, in
+    ``np.triu_indices`` order: (rows, b(b+1)/2)."""
+    q_t = np.ascontiguousarray(q.T)
+    return np.concatenate([q_t[j:] * q_t[j] for j in range(q_t.shape[0])]).T
+
+
+@functools.lru_cache(maxsize=16)
+def _gram_index(widths: tuple) -> np.ndarray:
+    """(W, W) map, W = prod(widths), from each entry of the Gram of
+    ``_khatri_rao`` of factors of these widths to its entry of the packed
+    Gram ``_row_contract(map(_pair_products, factors), ones)``. Read-only:
+    every solve of these widths shares it (a fit has a handful of width
+    tuples)."""
+    index = np.zeros((1, 1), dtype=np.intp)
+    for b in widths:
+        j, l = np.triu_indices(b)
+        pair = np.empty((b, b), dtype=np.intp)
+        pair[j, l] = pair[l, j] = np.arange(j.shape[0])
+        index = (index[:, None, :, None] * j.shape[0] + pair[None, :, None, :]).reshape(
+            index.shape[0] * b, -1)
+    index.flags.writeable = False
+    return index
+
+
+def _normal_equations(qs, y: np.ndarray):
+    """Gram D^T D and D^T y of the design D = ``_khatri_rao(qs)``, never
+    building D: G[(j), (l)] = sum_r prod_i q_i[r, j_i] q_i[r, l_i] is read off
+    the packed Gram of the factors' pair products, prod b_i(b_i+1)/2 entries,
+    through the cached ``_gram_index``."""
+    packed = _row_contract([_pair_products(q) for q in qs], np.ones(y.shape[0]))
+    return packed[_gram_index(tuple(q.shape[1] for q in qs))], _row_contract(qs, y)
+
+
+def _chol_inv(gram: np.ndarray) -> np.ndarray:
+    """L^-1 for the Cholesky factor L of a symmetric positive-definite
+    ``gram`` (G = L L^T), by recursive halving so the work is in matrix
+    products (numpy has no triangular solve). With L11 L11^T the leading
+    half, L21 = G21 L11^-T and L22 L22^T = G22 - L21 L21^T (the Schur
+    complement), the off-diagonal block of L^-1 is -L22^-1 L21 L11^-1.
+    Raises ``LinAlgError`` when a leading block or a Schur complement is
+    not positive definite."""
+    n = gram.shape[0]
     if n <= 32:
-        return np.linalg.inv(low)
+        return np.linalg.inv(np.linalg.cholesky(gram))
     h = n // 2
-    top = _tril_inv(low[:h, :h])
-    bottom = _tril_inv(low[h:, h:])
-    out = np.zeros_like(low)
+    top = _chol_inv(gram[:h, :h])
+    low = gram[h:, :h] @ top.T
+    bottom = _chol_inv(gram[h:, h:] - low @ low.T)
+    out = np.zeros_like(gram)
     out[:h, :h] = top
     out[h:, h:] = bottom
-    out[h:, :h] = -(bottom @ low[h:, :h]) @ top
+    out[h:, :h] = -(bottom @ low) @ top
     return out
 
 
 def _solve_core(report: FitReport, factors, y: np.ndarray, shape) -> np.ndarray:
     """Least-squares core whose design is ``_khatri_rao(factors)``.
 
-    Each (rows, b_i) environment factor is thin-QR'd, F_i = Q_i R_i. Since
-    KR(Q_1 R_1, ..., Q_k R_k) = KR(Q_1, ..., Q_k) (R_1 x ... x R_k), the
-    minimizer is the solution z of the well-conditioned problem on the
-    orthonormalized design, mapped back by R_i^-1 along each core mode; z
-    comes from Cholesky normal equations. When that cannot be certified (a
-    numerically singular R_i, a failed Cholesky, or a Gram condition bound
-    above ``GRAM_COND_LIMIT``) the core falls back to ``_lstsq_solve`` on
-    the raw design. Each solve adds to ``report``'s tallies.
+    Tries ``_certified_solve``; when that cannot certify its solution the
+    core falls back to ``_lstsq_solve`` on the raw design, the only place
+    the design is built. Each solve adds to ``report``'s tallies.
     """
     sol = _certified_solve(report, factors, y)
     if sol is None:
@@ -358,6 +413,22 @@ def _solve_core(report: FitReport, factors, y: np.ndarray, shape) -> np.ndarray:
 
 
 def _certified_solve(report: FitReport, factors, y: np.ndarray):
+    """The minimizer of ||_khatri_rao(factors) c - y||, or None when it
+    cannot be certified.
+
+    Each (rows, b_i) environment factor is thin-QR'd, F_i = Q_i R_i. Since
+    KR(Q_1 R_1, ..., Q_k R_k) = KR(Q_1, ..., Q_k) (R_1 x ... x R_k), the
+    minimizer is the solution z of the well-conditioned problem on the
+    orthonormalized design D, mapped back by R_i^-1 along each core mode.
+    z comes from the normal equations: the Gram and D^T y are contracted
+    from the Q_i by ``_normal_equations`` without building D, and
+    ``_chol_inv`` gives the inverse Cholesky factor, so z = L^-T L^-1 D^T y.
+    None (uncertified) when the core has more coefficients than rows, an
+    R_i is numerically singular (reciprocal condition at most ``R_RCOND``),
+    the Cholesky fails, or the Gram's condition bound
+    ||G||_F ||L^-1||_F^2 exceeds ``GRAM_COND_LIMIT``; every bound computed
+    feeds ``report.max_gram_cond``.
+    """
     widths = [f.shape[1] for f in factors]
     if math.prod(widths) > y.shape[0]:
         return None
@@ -370,9 +441,8 @@ def _certified_solve(report: FitReport, factors, y: np.ndarray):
                 return None
             qs.append(q)
             r_invs.append(np.linalg.inv(r))
-        design = _khatri_rao(qs)
-        gram = design.T @ design
-        chol_inv = _tril_inv(np.linalg.cholesky(gram))
+        gram, rhs = _normal_equations(qs, y)
+        chol_inv = _chol_inv(gram)
     except np.linalg.LinAlgError:
         return None
     # ||G||_F ||L^-1||_F^2 bounds the 2-norm condition number of G = L L^T
@@ -380,7 +450,7 @@ def _certified_solve(report: FitReport, factors, y: np.ndarray):
     report.max_gram_cond = max(report.max_gram_cond, cond)
     if not cond <= GRAM_COND_LIMIT:
         return None
-    coef = (chol_inv.T @ (chol_inv @ (design.T @ y))).reshape(widths)
+    coef = (chol_inv.T @ (chol_inv @ rhs)).reshape(widths)
     for axis, r_inv in enumerate(r_invs):
         coef = np.moveaxis(np.tensordot(r_inv, coef, axes=(1, axis)), 0, axis)
     return coef

@@ -1,4 +1,4 @@
-"""Probe-interpolation engine: nodes, weights, probes, explain."""
+"""Probe-quadrature engine: nodes, weights, probes, explain."""
 
 import io
 import itertools

@@ -17,7 +17,15 @@ from tnshap import (
 )
 from tnshap import fit as fit_mod
 from tnshap.attribute import chebyshev_nodes
-from tnshap.fit import FitReport, OrderQuality, _khatri_rao, _solve_core, rank_sweep
+from tnshap.fit import (
+    FitReport,
+    OrderQuality,
+    _chol_inv,
+    _khatri_rao,
+    _normal_equations,
+    _solve_core,
+    rank_sweep,
+)
 from tnshap.lift import BINARY, FOURIER, POLY, FeatureMap, off_state
 from tnshap.tensor_net import (
     TnTopology,
@@ -277,6 +285,77 @@ class TestFitStudent:
         assert r1.sweep_train_mse == r2.sweep_train_mse
         for c1, c2 in zip(s1.cores, s2.cores):
             np.testing.assert_array_equal(c1, c2)
+
+
+class TestNormalEquations:
+    @pytest.mark.parametrize("widths", [(1,), (3,), (2, 2), (1, 2, 8), (4, 3, 5), (8, 8, 8),
+                                        (2, 3, 2, 2)])
+    def test_packed_gram_and_rhs_match_dense_design(self, rng, widths):
+        rows = 600
+        factors = [rng.standard_normal((rows, w)) for w in widths]
+        y = rng.standard_normal(rows)
+        gram, rhs = _normal_equations(factors, y)
+        design = _khatri_rao(factors)
+        want_gram, want_rhs = design.T @ design, design.T @ y
+        np.testing.assert_array_equal(gram, gram.T)
+        assert np.abs(gram - want_gram).max() <= 1e-13 * np.abs(want_gram).max()
+        assert np.abs(rhs - want_rhs).max() <= 1e-13 * np.abs(want_rhs).max()
+
+    @pytest.mark.parametrize("size", [1, 31, 32, 33, 100, 512])
+    def test_chol_inv_is_the_inverse_cholesky_factor(self, rng, size):
+        a = rng.standard_normal((4 * size, size))
+        gram = a.T @ a
+        want = np.linalg.inv(np.linalg.cholesky(gram))
+        np.testing.assert_allclose(_chol_inv(gram), want, rtol=0,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_chol_inv_refuses_an_indefinite_schur_complement(self, rng):
+        """The leading half is positive definite, the Schur complement of
+        the trailing half is -I."""
+        h = 40
+        a = rng.standard_normal((2 * h, h))
+        lead = a.T @ a
+        cross = rng.standard_normal((h, h))
+        gram = np.block([[lead, cross], [cross.T, cross.T @ np.linalg.solve(lead, cross)
+                                         - np.eye(h)]])
+        gram = (gram + gram.T) / 2
+        np.linalg.cholesky(gram[:h, :h])
+        with pytest.raises(np.linalg.LinAlgError):
+            _chol_inv(gram)
+
+    def test_rank_deficient_product_of_full_rank_factors_falls_back(self, rng):
+        """Rows [1, s] in both factors: each factor has rank 2, their
+        Khatri-Rao product has the column s twice."""
+        rows = 50
+        s = rng.standard_normal(rows)
+        a = np.stack([np.ones(rows), s], axis=1)
+        y = rng.standard_normal(rows)
+        report = FitReport()
+        coef = _solve_core(report, [a, a], y, (2, 2))
+        ref = np.linalg.lstsq(_khatri_rao([a, a]), y, rcond=None)[0]
+        np.testing.assert_array_equal(coef, ref.reshape(2, 2))
+        assert (report.fast_solves, report.lstsq_fallbacks,
+                report.rank_deficient_solves) == (0, 1, 1)
+
+    def test_solve_never_builds_the_design(self, rng):
+        """One (8, 8, 8) core on 2560 rows, its Gram index already cached as
+        it is after a fit's first sweep, peaks below the 10.5 MB that its
+        (rows, 512) design alone would take."""
+        import tracemalloc
+
+        rows, widths = 2560, (8, 8, 8)
+        factors = [rng.standard_normal((rows, w)) for w in widths]
+        y = rng.standard_normal(rows)
+        report = FitReport()
+        _solve_core(report, factors, y, widths)
+        tracemalloc.start()
+        try:
+            _solve_core(report, factors, y, widths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.fast_solves == 2
+        assert peak < rows * 512 * 8
 
 
 class TestSolveCore:

@@ -1,4 +1,4 @@
-"""Enumeration oracle, subset-lattice transforms, diagonal probe, table dumps."""
+"""Enumeration oracle, exact indices, Mobius coefficients, diagonal probe."""
 
 import numpy as np
 import pytest
