@@ -19,16 +19,21 @@ Forward accounting is part of the contract: inclusion-exclusion spends
 counter reports one forward per evaluated input configuration whichever
 arithmetic computes it. Every request -- all subsets, an explicit subset
 list, a ``probe_value`` -- goes through one value helper, ``_probe_values``:
-one ``tensor_net.toggle_probes`` sweep over B stacked instances, with no
-``forward_batch`` call. Both modes share its arithmetic, since
-``on - off_state == signed_toggle(on)``. It returns node-weighted sums --
-the index itself at the m = n - k + 1 nodes, the raw probe at one node of
-weight 1 -- and closes each subset at the lowest node holding its toggled
-legs: about C(n, k) m chi^2 per instance on a train (bond dimension chi)
-instead of the C(n, k) m n chi^2 of contracting every probe from scratch.
-An explicit list toggles only the legs it names, so it costs at most the
-all-subsets request over them. Only a ``TensorNetworkModel`` is explained: a
-``CpTeacher`` is converted first with its ``to_tensor_train()``.
+one sweep over B stacked instances, with no ``forward_batch`` call. Both
+modes share its arithmetic, since ``on - off_state == signed_toggle(on)``.
+It returns node-weighted sums -- the index itself at the m = n - k + 1
+nodes, the raw probe at one node of weight 1. The sweep is
+``tensor_net.toggle_probes`` on a train at every k and on a tree at k >= 2:
+it closes each subset at the lowest node holding its toggled legs, about
+C(n, k) m chi^2 per instance on a train (bond dimension chi) instead of the
+C(n, k) m n chi^2 of contracting every probe from scratch. Order 1 on a tree
+is ``tensor_net.tree_order1_probes``: one up and one adjoint down pass in
+which a node with s real leaves below it is evaluated at s + 1 points, about
+sum_v (s_v + 1) chi^3 plus O(n^2) interpolation per instance, where an
+all-nodes pass spends m chi^3 at every node. An explicit list toggles only
+the legs it names, so it costs at most the all-subsets request over them.
+Only a ``TensorNetworkModel`` is explained: a ``CpTeacher`` is converted
+first with its ``to_tensor_train()``.
 ``oracle.flat_probes`` is the 2^k-configuration reference the engine is
 tested against.
 
@@ -51,27 +56,17 @@ import numpy as np
 
 from . import tensor_net
 from .lift import LiftSpec, signed_toggle
+from .tensor_net import chebyshev_nodes
 
 INCLUSION_EXCLUSION = "inclusion-exclusion"
 SIGNED_TOGGLE = "signed-toggle"
 MODES = (INCLUSION_EXCLUSION, SIGNED_TOGGLE)
 
 # open states (instances x nodes x order-(k-1) toggle choices) per sweep of a
-# stacked batch: at k = 1 the selector-scaled rows of one environment pass.
-# Bounds the batch's memory whatever the number of instances
-STACK_ROW_BUDGET = 256
-
-
-def chebyshev_nodes(m: int) -> np.ndarray:
-    """Chebyshev-Gauss nodes mapped to (0, 1).
-
-    t_l = (1 + cos((2l + 1) pi / (2m))) / 2 for l = 0..m-1, returned in the
-    formula's natural (descending) order.
-    """
-    if m < 1:
-        raise ValueError("need at least one node")
-    ell = np.arange(m)
-    return 0.5 * (1.0 + np.cos((2 * ell + 1) * np.pi / (2 * m)))
+# stacked batch: at k = 1 the instance x node rows of one environment pass
+# (the root's, on a tree). Bounds the batch's memory whatever the number of
+# instances
+STACK_ROW_BUDGET = 512
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,11 +82,15 @@ def quadrature_weights(m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("need at least one node")
     ell = np.arange(1, m // 2 + 1)
-    # 2 l theta_j = l (2j + 1) pi / m, reduced modulo 2 pi in integers so the
-    # cosine sees an argument below 2 pi
-    turns = np.outer(2 * np.arange(m) + 1, ell) % (2 * m)
-    terms = np.cos(turns * (np.pi / m)) / (4 * ell**2 - 1)
-    weights = (1.0 - 2.0 * terms.sum(axis=1)) / m
+    weights = np.empty(m)
+    # rows of the (m, m / 2) cosine table in blocks, so its memory stays O(m)
+    step = max(1, tensor_net.BLOCK_ENTRIES // max(1, ell.shape[0]))
+    for j0 in range(0, m, step):
+        # 2 l theta_j = l (2j + 1) pi / m, reduced modulo 2 pi in integers so
+        # the cosine sees an argument below 2 pi
+        turns = np.outer(2 * np.arange(j0, min(m, j0 + step)) + 1, ell) % (2 * m)
+        terms = np.cos(turns * (np.pi / m)) / (4 * ell**2 - 1)
+        weights[j0 : j0 + step] = (1.0 - 2.0 * terms.sum(axis=1)) / m
     weights.setflags(write=False)
     return weights
 
@@ -203,8 +202,10 @@ def _scaled_inputs(lifted, nodes: np.ndarray) -> list:
 
 def _probe_values(net, lifted, nodes, weights, k: int, mode, legs, columns=None):
     """Probes of the k-subsets of ``legs`` (0-based) at ``nodes``, summed
-    with the per-node ``weights``, for B stacked instances from one
-    ``tensor_net.toggle_probes`` sweep over the network ``net``.
+    with the per-node ``weights``, for B stacked instances from one sweep
+    over the network ``net``: ``tensor_net.tree_order1_probes`` at k = 1 on a
+    tree, which needs only the toggled rows, else ``tensor_net.toggle_probes``
+    on the selector-scaled (B * m)-row inputs.
 
     ``lifted[i]`` holds feature i's (B, d_i) lifted rows. ``columns`` keeps
     the subsets of those lexicographic ranks (None keeps all). Returns
@@ -212,10 +213,13 @@ def _probe_values(net, lifted, nodes, weights, k: int, mode, legs, columns=None)
     explained: one per evaluated configuration of each kept subset, by
     ``mode``'s contract).
     """
-    scaled = _scaled_inputs(lifted, nodes)
     toggled = [signed_toggle(v) for v in lifted]
-    values = tensor_net.toggle_probes(net.topology, net.cores, scaled, toggled, nodes,
-                                      weights, k, legs)
+    if k == 1 and net.topology.kind == tensor_net.BTREE:
+        values = tensor_net.tree_order1_probes(net.topology, net.cores, toggled, nodes, weights,
+                                               legs)
+    else:
+        values = tensor_net.toggle_probes(net.topology, net.cores, _scaled_inputs(lifted, nodes),
+                                          toggled, nodes, weights, k, legs)
     if columns is not None:
         values = values[:, columns]
     patterns = 1 << k if mode == INCLUSION_EXCLUSION else 1
@@ -255,8 +259,10 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     Each chunk of up to ``STACK_ROW_BUDGET // (m * C(N, k - 1))`` instances
     (m = n - k + 1; N = n for all subsets, else the number of features an
     explicit list names) is lifted one feature column at a time and shares
-    one ``toggle_probes`` sweep over those N legs, which costs at most the
-    all-subsets request over them; a list keeps its own subsets. A model
+    one ``_probe_values`` sweep over those N legs, which costs at most the
+    all-subsets request over them; a list keeps its own subsets. At k = 1
+    that is ``STACK_ROW_BUDGET // n`` instances, which also bounds the
+    widest node of the tree's order-1 pass, the root at its m points. A model
     that is not a ``TensorNetworkModel`` fills every slot with a TypeError.
 
     Per-instance failures do not abort the batch: the failing instance's slot

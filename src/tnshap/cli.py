@@ -45,9 +45,10 @@ ORACLE_MAX_FEATURES = 16
 MANIFEST_VERSION = 1
 # A bench repeat times ceil(BENCH_CALL_FEATURES / n) back-to-back explain calls
 # and reports their mean. Order-1 time grows about linearly in n, so every
-# repeat lasts about as long (20-30 ms on a 2.0 GHz Xeon core), well above
-# timer and host noise; fixing the count by n rather than by a timing probe
-# keeps the bench JSON reproducible apart from its times.
+# repeat lasts about as long (11-15 ms at rank 16, n = 10..50, on a 2.0 GHz
+# Xeon core with one BLAS thread), well above timer and host noise; fixing
+# the count by n rather than by a timing probe keeps the bench JSON
+# reproducible apart from its times.
 BENCH_CALL_FEATURES = 256
 # ``explain`` attributes and writes its instances in blocks of about this many
 # values (rows x C(n, k), at least one row each), so its memory does not grow

@@ -543,12 +543,17 @@ class TestStackedBatch:
         model, lifts = _random_model(kind, n, 3, seed=3)
         xs = rng.uniform(-1, 1, (7, n))
         whole = explain_batch(model, lifts, xs, 1)
-        env = "tt_left_states" if kind == "tt" else "tree_up_messages"
+        # the sweep's instance x node rows: a train's selector-scaled inputs;
+        # a tree's order-1 path takes (B, d) toggled rows and the m nodes
+        env = "tt_left_states" if kind == "tt" else "tree_order1_probes"
         rows = []
         original = getattr(attribute.tensor_net, env)
 
         def spy(*args):
-            rows.append(args[-1][0].shape[0])
+            if kind == "tt":
+                rows.append(args[-1][0].shape[0])
+            else:
+                rows.append(args[2][0].shape[0] * args[3].shape[0])
             return original(*args)
 
         monkeypatch.setattr(attribute.tensor_net, env, spy)
@@ -1027,3 +1032,103 @@ class TestBeyondEnumeration:
         on = model.forward(lifts.lift_instance(x))
         off = model.forward([off_state(d) for d in lifts.dims])
         assert abs(phi.sum() - (on - off)) <= 1e-10 * max(abs(on - off), np.max(np.abs(phi)))
+
+
+def _flat_indices(model, lifts, x, subsets, nodes, weights):
+    """Node-weighted probes of one instance, every probe contracted from
+    scratch by ``oracle.flat_probes``."""
+    return oracle.flat_probes(model, lifts, x, subsets, nodes) @ weights
+
+
+def _assert_close(got, want, rtol=1e-12):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestOrder1TreePoints:
+    """Order 1 on a tree evaluates each node at its own point set (s_v + 1
+    Chebyshev points for s_v real leaves below it, or its parent's) and
+    must match the from-scratch reference at every size, pads included."""
+
+    @pytest.mark.parametrize("mode", [INCLUSION_EXCLUSION, SIGNED_TOGGLE])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 16, 24, 30, 33, 64, 100])
+    def test_all_subsets_match_flat_probes(self, rng, n, mode):
+        model, lifts = _random_model("btree", n, 3, seed=n)
+        xs = rng.uniform(-1, 1, (2, n))
+        nodes, weights = chebyshev_nodes(n), quadrature_weights(n)
+        subsets = [(j,) for j in range(1, n + 1)]
+        for x, got in zip(xs, explain_batch(model, lifts, xs, 1, mode=mode)):
+            assert got.forwards_used == (2 if mode == INCLUSION_EXCLUSION else 1) * n * n
+            _assert_close(got.values, _flat_indices(model, lifts, x, subsets, nodes, weights))
+
+    @pytest.mark.parametrize("b", [1, 17, 48])
+    def test_stacked_rows_match_flat_probes(self, rng, b):
+        n = 30
+        model, lifts = _random_model("btree", n, 4, seed=b)
+        xs = rng.uniform(-1, 1, (b, n))
+        nodes, weights = chebyshev_nodes(n), quadrature_weights(n)
+        values, forwards = attribute._probe_values(model, lifts.lift_rows(xs), nodes, weights, 1,
+                                                   SIGNED_TOGGLE, tuple(range(n)))
+        assert values.shape == (b, n) and forwards == b * n * n
+        subsets = [(j,) for j in range(1, n + 1)]
+        for x, row in zip(xs, values):
+            _assert_close(row, _flat_indices(model, lifts, x, subsets, nodes, weights))
+
+    @pytest.mark.parametrize("n", [7, 33, 64])
+    def test_explicit_lists_match_flat_probes(self, rng, n):
+        model, lifts = _random_model("btree", n, 3, seed=n + 1)
+        x = rng.uniform(-1, 1, n)
+        subsets = [(n,), (1,), (n // 2,), (n // 2 + 1,)]
+        got = explain(model, lifts, x, 1, subsets=subsets)
+        assert got.subsets == tuple(sorted(subsets))
+        assert got.forwards_used == 2 * n * len(subsets)
+        want = _flat_indices(model, lifts, x, list(got.subsets), chebyshev_nodes(n),
+                             quadrature_weights(n))
+        _assert_close(got.values, want)
+
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("n", [1, 3, 24, 33])
+    def test_probe_value_matches_flat_probes(self, rng, n, t):
+        model, lifts = _random_model("btree", n, 3, seed=n + 2)
+        x = rng.uniform(-1, 1, n)
+        for j in (1, n):
+            want = oracle.flat_probes(model, lifts, x, [(j,)], [t])[0, 0]
+            got = probe_value(model, lifts, x, (j,), t)
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
+
+    @pytest.mark.parametrize("n", [5, 30, 64])
+    def test_gauss_legendre_nodes_match_flat_probes(self, rng, n):
+        """Root nodes that are no Chebyshev set: the highest nodes with their
+        own points interpolate to Gauss-Legendre targets and back."""
+        model, lifts = _random_model("btree", n, 3, seed=n + 3)
+        xs = rng.uniform(-1, 1, (3, n))
+        g, w = np.polynomial.legendre.leggauss(n // 2 + 1)
+        nodes, weights = 0.5 * (g + 1.0), 0.5 * w
+        values, _ = attribute._probe_values(model, lifts.lift_rows(xs), nodes, weights, 1,
+                                            INCLUSION_EXCLUSION, tuple(range(n)))
+        subsets = [(j,) for j in range(1, n + 1)]
+        for x, row in zip(xs, values):
+            _assert_close(row, _flat_indices(model, lifts, x, subsets, nodes, weights))
+
+    def test_n2000_memory_and_efficiency(self, rng):
+        """btree n = 2000, k = 1 (2048 leaf slots, m = 2000 nodes): the root's
+        children interpolate from 1025 and 977 points and every matrix above
+        2^16 entries is built in row blocks, so the request, plan and
+        quadrature weights built cold, peaks under 32 MB (the all-nodes
+        sweep took 555 MB) and satisfies efficiency."""
+        import tracemalloc
+
+        n = 2000
+        model, lifts = _random_model("btree", n, 8, seed=3)
+        x = rng.uniform(-1, 1, n)
+        attribute.quadrature_weights.cache_clear()
+        attribute.tensor_net._order1_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            phi = explain(model, lifts, x, 1).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        on = model.forward(lifts.lift_instance(x))
+        off = model.forward([off_state(d) for d in lifts.dims])
+        assert abs(phi.sum() - (on - off)) <= 1e-10 * np.abs(phi).sum()

@@ -22,6 +22,8 @@ from tnshap import (
     save_model,
 )
 from tnshap.tensor_net import (
+    chebyshev_interpolation,
+    chebyshev_nodes,
     tree_down_messages,
     tree_up_messages,
     tt_left_states,
@@ -372,3 +374,34 @@ class TestModelJson:
         with pytest.raises(ValueError, match=f"expected {len(cores)} cores, "
                                              f"got {len(cores) + change}"):
             model_from_json_dict(obj)
+
+
+class TestChebyshevInterpolation:
+    @pytest.mark.parametrize("size", range(1, 65))
+    def test_reproduces_polynomials_below_size(self, size):
+        """Degree size - 1 in the Chebyshev basis of 2t - 1, at random
+        targets, the endpoints and every source node (exact hits)."""
+        rng = np.random.default_rng(size)
+        src = chebyshev_nodes(size)
+        targets = np.concatenate([rng.uniform(0, 1, 50), [0.0, 1.0], src[::-1]])
+        coef = rng.standard_normal(size)
+        f = lambda t: np.polynomial.chebyshev.chebval(2 * t - 1, coef)  # noqa: E731
+        mat = chebyshev_interpolation(size, targets)
+        assert mat.shape == (targets.shape[0], size)
+        assert np.max(np.abs(mat @ f(src) - f(targets))) <= 1e-13 * np.abs(coef).sum()
+        np.testing.assert_array_equal(mat[-size:], np.eye(size)[::-1])
+
+    def test_row_blocks_match_the_whole_matrix(self, monkeypatch):
+        """Above ``BLOCK_ENTRIES`` entries the map is rebuilt in row blocks at
+        each use; both directions agree with the whole matrix."""
+        from tnshap import tensor_net
+
+        rng = np.random.default_rng(0)
+        targets = chebyshev_nodes(40)
+        whole = chebyshev_interpolation(9, targets)
+        x, y = rng.standard_normal((9, 3)), rng.standard_normal((40, 3))
+        monkeypatch.setattr(tensor_net, "BLOCK_ENTRIES", 9 * 7)
+        blocked = tensor_net._Interpolation(9, targets)
+        assert blocked.mat is None and blocked.step == 7
+        np.testing.assert_allclose(blocked.forward(x), whole @ x, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(blocked.adjoint(y), whole.T @ y, rtol=1e-13, atol=1e-13)
