@@ -23,15 +23,15 @@ one sweep over B stacked instances, with no ``forward_batch`` call. Both
 modes share its arithmetic, since ``on - off_state == signed_toggle(on)``.
 It returns node-weighted sums -- the index itself at the m = n - k + 1
 nodes, the raw probe at one node of weight 1. The sweep is
-``tensor_net.toggle_probes`` on a train at every k and on a tree at k >= 2:
-it closes each subset at the lowest node holding its toggled legs, about
-C(n, k) m chi^2 per instance on a train (bond dimension chi) instead of the
-C(n, k) m n chi^2 of contracting every probe from scratch. Order 1 on a tree
-is ``tensor_net.tree_order1_probes``: one up and one adjoint down pass in
-which a node with s real leaves below it is evaluated at s + 1 points, about
-sum_v (s_v + 1) chi^3 plus O(n^2) interpolation per instance, where an
-all-nodes pass spends m chi^3 at every node. An explicit list toggles only
-the legs it names, so it costs at most the all-subsets request over them.
+``tensor_net.tt_toggle_sweep`` on a train and ``tensor_net.tree_probes`` on a
+tree, at every k: each closes a subset at the lowest node holding its
+toggled legs, about C(n, k) m chi^2 per instance on a train (bond dimension
+chi) instead of the C(n, k) m n chi^2 of contracting every probe from
+scratch. On a tree a node with s real leaves below it is evaluated at
+s + 1 points, so order 1 costs about sum_v (s_v + 1) chi^3 plus O(n^2)
+interpolation per instance, where an all-nodes pass spends m chi^3 at every
+node. An explicit list toggles only the legs it names, so it costs at most
+the all-subsets request over them.
 Only a ``TensorNetworkModel`` is explained: a ``CpTeacher`` is converted
 first with its ``to_tensor_train()``.
 ``oracle.flat_probes`` is the 2^k-configuration reference the engine is
@@ -63,9 +63,10 @@ SIGNED_TOGGLE = "signed-toggle"
 MODES = (INCLUSION_EXCLUSION, SIGNED_TOGGLE)
 
 # open states (instances x nodes x order-(k-1) toggle choices) per sweep of a
-# stacked batch: at k = 1 the instance x node rows of one environment pass
-# (the root's, on a tree). Bounds the batch's memory whatever the number of
-# instances
+# stacked batch: a train holds that many at every leg, a tree at most that
+# many at any node, as only its root runs at all m nodes (at k = 1, the
+# instance x node rows of the root's environment). Bounds the batch's memory
+# whatever the number of instances
 STACK_ROW_BUDGET = 512
 
 
@@ -203,9 +204,9 @@ def _scaled_inputs(lifted, nodes: np.ndarray) -> list:
 def _probe_values(net, lifted, nodes, weights, k: int, mode, legs, columns=None):
     """Probes of the k-subsets of ``legs`` (0-based) at ``nodes``, summed
     with the per-node ``weights``, for B stacked instances from one sweep
-    over the network ``net``: ``tensor_net.tree_order1_probes`` at k = 1 on a
-    tree, which needs only the toggled rows, else ``tensor_net.toggle_probes``
-    on the selector-scaled (B * m)-row inputs.
+    over the network ``net``: ``tensor_net.tree_probes`` on a tree, which
+    needs only the toggled rows, else ``tensor_net.tt_toggle_sweep`` on the
+    selector-scaled (B * m)-row inputs.
 
     ``lifted[i]`` holds feature i's (B, d_i) lifted rows. ``columns`` keeps
     the subsets of those lexicographic ranks (None keeps all). Returns
@@ -214,12 +215,11 @@ def _probe_values(net, lifted, nodes, weights, k: int, mode, legs, columns=None)
     ``mode``'s contract).
     """
     toggled = [signed_toggle(v) for v in lifted]
-    if k == 1 and net.topology.kind == tensor_net.BTREE:
-        values = tensor_net.tree_order1_probes(net.topology, net.cores, toggled, nodes, weights,
-                                               legs)
+    if net.topology.kind == tensor_net.BTREE:
+        values = tensor_net.tree_probes(net.topology, net.cores, toggled, nodes, weights, k, legs)
     else:
-        values = tensor_net.toggle_probes(net.topology, net.cores, _scaled_inputs(lifted, nodes),
-                                          toggled, nodes, weights, k, legs)
+        values = tensor_net.tt_toggle_sweep(net.cores, _scaled_inputs(lifted, nodes), toggled,
+                                             nodes, weights, k, legs)
     if columns is not None:
         values = values[:, columns]
     patterns = 1 << k if mode == INCLUSION_EXCLUSION else 1
@@ -261,8 +261,8 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     explicit list names) is lifted one feature column at a time and shares
     one ``_probe_values`` sweep over those N legs, which costs at most the
     all-subsets request over them; a list keeps its own subsets. At k = 1
-    that is ``STACK_ROW_BUDGET // n`` instances, which also bounds the
-    widest node of the tree's order-1 pass, the root at its m points. A model
+    that is ``STACK_ROW_BUDGET // n`` instances. On a tree only the root
+    runs at all m nodes, so the same count bounds its widest node. A model
     that is not a ``TensorNetworkModel`` fills every slot with a TypeError.
 
     Per-instance failures do not abort the batch: the failing instance's slot

@@ -5,8 +5,9 @@ diagonal coefficient probe.
 Coalition masks are integers with bit i set when feature i+1 is on; index 0
 is the all-off state. Everything here works from the 2^n table by direct
 summation, or from network rows contracted from scratch, apart from the probe
-engine it validates save for one shared step: ``attribute._scaled_inputs``,
-which scales the data channels of the lifted legs at each selector value.
+engine it validates save for one step shared with the train's sweep:
+``attribute._scaled_inputs``, which scales the data channels of the lifted
+legs at each selector value (the tree's sweep scales no inputs).
 ``probe_configurations`` lays out the on/off rows of the flat probes; the
 fit's training set takes its structured block from it. The diagonal probe
 reads its coefficient sums off one discrete Fourier transform of the diagonal

@@ -14,19 +14,17 @@ contraction of one input configuration.
 
 Forward passes, environments and the ALS updates of ``tnshap.fit`` go
 through the two row-wise helpers of the "row-wise contractions" section.
-Node-weighted probes go through ``toggle_probes`` (a train at every order, a
-tree at order k >= 2), whose sweeps run every node at all m quadrature
-nodes, and ``tree_order1_probes`` (a tree at order 1), which runs a node
-with s real leaves below it at only s + 1 points: about
-sum_v (s_v + 1) chi^3 plus O(n^2) interpolation per instance. On btree
-n = 2000, chi 8 one order-1 request takes 0.2-0.35 s and a 16 MB
+Node-weighted probes go through ``tt_toggle_sweep`` on a train, which runs
+every node at all m quadrature nodes, and ``tree_probes`` on a tree at every
+order, which runs a node with s real leaves below it at only s + 1 points:
+about sum_v (s_v + 1) chi^3 plus O(n^2) interpolation per instance at order
+1. On btree n = 2000, chi 8 one order-1 request takes 0.2-0.35 s and a 16 MB
 ``tracemalloc`` peak (2.3 s and 555 MB when every node ran at all 2000
 nodes; one 2.0 GHz Xeon core, one BLAS thread).
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
@@ -344,21 +342,6 @@ def tree_up_messages(topology: TnTopology, cores, batch) -> list:
     return msgs
 
 
-def tree_down_messages(topology: TnTopology, cores, msgs) -> list:
-    """Root-to-leaf messages: entry ``v`` is the (B, bond) contraction of
-    everything outside node ``v``'s subtree, dual to ``tree_up_messages``;
-    entry 1 is the all-ones (B, 1) boundary at the root.
-    """
-    L = topology.leaf_count
-    down = [None] * (2 * L)
-    down[1] = np.ones((msgs[1].shape[0], 1))
-    for v in range(1, L):
-        core = _node_core(cores, v)
-        down[2 * v] = _open_leg1(core.transpose(1, 0, 2), msgs[2 * v + 1], down[v])
-        down[2 * v + 1] = _open_leg1(core, msgs[2 * v], down[v])
-    return down
-
-
 def tt_left_states(cores, batch) -> list:
     """Prefix contractions: entry i is the (B, bond_i) state after absorbing
     legs 1..i; entry 0 is the all-ones (B, 1) boundary.
@@ -382,26 +365,24 @@ def tt_right_states(cores, batch) -> list:
     return states
 
 
-# -- shared-environment order-k probes ----------------------------------------
+# -- order-k probes on a train ----------------------------------------------
 #
 # A selector-scaled leg at node t carries ``bias + t * toggled`` (the bias
 # channel is the last one and equals 1), so its core splits as
 # ``C_bias + t * C_data``; a signed-toggled leg carries ``toggled`` and
-# contributes ``C_data`` alone, independent of t. The sweeps below stack, per
-# number o < k of legs toggled so far, the selector-scaled states of every
-# such choice, kept only while enough toggleable legs remain to complete
-# them. Stacked states are (B, choices, m, bond) arrays, one set
-# of toggles per instance. Each subset closes against an environment with
-# the caller's weights folded in over the m nodes -- ``tt_left_states`` on a
-# train, ``tree_down_messages`` on a tree (all ones at the root) -- so no
-# order-k state and no (m, C(n, k)) probe matrix is ever built.
+# contributes ``C_data`` alone, independent of t. The train's sweep stacks,
+# per number o < k of legs toggled so far, the selector-scaled states of
+# every such choice, kept only while enough toggleable legs remain to
+# complete them. Stacked states are (B, choices, m, bond) arrays, one set of
+# toggles per instance. Each subset closes against ``tt_left_states`` with
+# the caller's weights folded in over the m nodes, so no order-k state and
+# no (m, C(n, k)) probe matrix is ever built.
 
 
-def toggle_probes(topology: TnTopology, cores, scaled, toggled, nodes, weights,
-                  k: int, legs) -> np.ndarray:
+def tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     """Node-weighted signed-toggle probes of every k-subset of ``legs``, the
-    sorted 0-based legs a request may toggle; any other leg is only ever
-    selector-scaled, so the sweeps open no toggle on it.
+    sorted 0-based legs a request may toggle, on a train, from one
+    right-to-left pass; any other leg is only ever selector-scaled.
 
     ``scaled[i]`` is leg i's (B * m, d_i) selector-scaled input, instance
     major, row b * m + l at ``nodes[l]``; ``toggled[i]`` is the (B, d_i)
@@ -410,21 +391,6 @@ def toggle_probes(topology: TnTopology, cores, scaled, toggled, nodes, weights,
     instance b's contraction with the legs of the s-th subset (lexicographic
     order) toggled and every other leg scaled at ``nodes[l]``: the index
     itself under quadrature weights, the raw probe at one node of weight 1.
-    A train's sweep closes subsets in lexicographic order; a tree's is
-    reordered by ``_tree_order``. On a tree k must be at least 2: order 1 there
-    is ``tree_order1_probes``, which needs no selector-scaled inputs.
-    """
-    lowest = 1 if topology.kind == TT else 2
-    if not lowest <= k <= len(legs):
-        raise ValueError(f"order k={k} must satisfy {lowest} <= k <= {len(legs)} toggleable legs")
-    if topology.kind == TT:
-        return tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k, legs)
-    values = tree_toggle_sweep(topology, cores, scaled, toggled, weights, k, legs)
-    return values[:, _tree_order(legs, topology.leaf_count, k)]
-
-
-def tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k: int, legs) -> np.ndarray:
-    """One right-to-left pass closing every k-subset of ``legs`` on a train.
 
     Order-o suffix states are stacked as (B, C(toggleable legs after i, o),
     m, bond) arrays; order 0 is ``tt_right_states`` and a subset closes
@@ -432,8 +398,7 @@ def tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k: int, legs) -> np.
     that prefix, one batched GEMV per closed block. Each instance's toggled
     core is one batched GEMM. Subsets that toggle leg i go ahead of those
     that skip it, so by induction every stack is in lexicographic order, and
-    so is the reversed list of closed blocks. Returns (B, C(len(legs), k))
-    values.
+    so is the reversed list of closed blocks.
     """
     n = len(cores)
     b = toggled[0].shape[0]
@@ -471,142 +436,34 @@ def tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k: int, legs) -> np.
     return _stack(closed[::-1])
 
 
-def tree_toggle_sweep(topology: TnTopology, cores, scaled, toggled, weights, k: int,
-                      legs) -> np.ndarray:
-    """One up-pass closing every k-subset (k >= 2) of ``legs`` on a binary
-    tree at its lowest common node.
-
-    Node v carries, per order o < k in ``_tree_orders``, a (B, C(toggleable
-    leaves under v, o), m, bond) message; order 0 is ``tree_up_messages`` and
-    a toggleable leaf's toggled message is repeated over the m nodes.
-    Children combine over the splits i + j = o; other leaves carry order 0
-    only. A subset closes against its node's ``tree_down_messages`` entry
-    with ``weights`` folded in, each split i + (k - i) at the node where its
-    two parts meet (``_toggle_close``). Returns (B, C(len(legs), k)) values
-    in the order ``_tree_order`` sorts.
-    """
-    L = topology.leaf_count
-    b = toggled[0].shape[0]
-    m = weights.shape[0]
-    up = tree_up_messages(topology, cores, scaled)
-    down = tree_down_messages(topology, cores, up)
-    toggleable = set(legs)
-    msgs = [None] * (2 * L)
-    closed = []
-    for v in range(2 * L - 1, 0, -1):
-        lo, hi = _tree_orders(legs, L, v, k)
-        msg = {0: up[v].reshape(b, 1, m, -1)} if lo == 0 else {}
-        if v - L in toggleable:
-            on = toggled[v - L] @ _node_core(cores, v)
-            msg[1] = np.broadcast_to(on[:, None, None, :], (b, 1, m, on.shape[1]))
-        elif v < L:
-            core = _node_core(cores, v)
-            lchild, rchild = msgs[2 * v], msgs[2 * v + 1]
-            env = weights[:, None] * down[v].reshape(b, m, -1)
-            closed += [_toggle_close(core, lchild[i], rchild[k - i], env)
-                       for i in sorted(lchild) if k - i in rchild]
-            for o in range(max(lo, 1), hi + 1):
-                msg[o] = _stack([_toggle_merge(core, lchild[i], rchild[o - i])
-                                 for i in sorted(lchild) if o - i in rchild])
-            msgs[2 * v] = msgs[2 * v + 1] = None
-        msgs[v] = msg
-    return np.concatenate(closed, axis=1)
-
-
-def _toggle_merge(core, left, right) -> np.ndarray:
-    """Contract stacked child messages (B, a, m, p) and (B, c, m, q) through
-    a (p, q, r) core into (B, a * c, m, r), left rows major. The smaller
-    stack goes through the core GEMM, so the 5-D intermediate stays small."""
-    nb, a, m, p = left.shape
-    c, q = right.shape[1], right.shape[3]
-    r = core.shape[2]
-    if a <= c:
-        tmp = (left.reshape(nb * a * m, p) @ core.reshape(p, q * r)).reshape(nb, a, m, q, r)
-        tmp = tmp.transpose(0, 2, 1, 4, 3).reshape(nb, m, a * r, q)
-        out = (tmp @ right.transpose(0, 2, 3, 1)).reshape(nb, m, a, r, c).transpose(0, 2, 4, 1, 3)
-    else:
-        tmp = right.reshape(nb * c * m, q) @ core.transpose(1, 0, 2).reshape(q, p * r)
-        tmp = tmp.reshape(nb, c, m, p, r).transpose(0, 2, 3, 1, 4).reshape(nb, m, p, c * r)
-        out = (left.transpose(0, 2, 1, 3) @ tmp).reshape(nb, m, a, c, r).transpose(0, 2, 3, 1, 4)
-    return out.reshape(nb, a * c, m, r)
-
-
-def _toggle_close(core, left, right, env) -> np.ndarray:
-    """Close stacked child messages (B, a, m, p) and (B, c, m, q) through a
-    (p, q, r) core against the node's weighted (B, m, r) environment, summed
-    over the m nodes; returns (B, a * c), left rows major. The environment
-    goes into the core first, so no (B, a * c, m, r) block is built, and the
-    smaller stack meets it first."""
-    nb, a, m, p = left.shape
-    c, q = right.shape[1], right.shape[3]
-    if a > c:
-        out = _toggle_close(core.transpose(1, 0, 2), right, left, env)
-        return out.reshape(nb, c, a).transpose(0, 2, 1).reshape(nb, a * c)
-    g = (env.reshape(nb * m, -1) @ core.reshape(p * q, -1).T).reshape(nb, m, p, q)
-    tmp = (left.transpose(0, 2, 1, 3) @ g).transpose(0, 2, 1, 3).reshape(nb, a, m * q)
-    return (tmp @ right.reshape(nb, c, m * q).transpose(0, 2, 1)).reshape(nb, a * c)
-
-
 def _stack(blocks):
     if not blocks:
         return None
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
 
-def _tree_orders(legs, leaf_count: int, v: int, k: int):
-    """Orders below k that node v's message keeps: at most its toggleable leaf
-    count, at least what the toggleable leaves outside it cannot supply (else
-    k near len(legs) stacks about 2^(leaves under v) choices near the root)."""
-    lo, hi = _subtree_leaf_range(v, leaf_count)
-    inside = bisect.bisect_left(legs, hi) - bisect.bisect_left(legs, lo)
-    return max(0, k - (len(legs) - inside)), min(k - 1, inside)
-
-
-# bounded: an explicit subset list adds one entry per distinct leg set
-@functools.lru_cache(maxsize=64)
-def _tree_order(legs, leaf_count: int, k: int) -> np.ndarray:
-    """Permutation taking ``tree_toggle_sweep``'s row order to lexicographic
-    subset order: the k-subsets of ``legs``, built as rows of leg indices in
-    the order the sweep closes them, then sorted."""
-    L = leaf_count
-    toggleable = set(legs)
-    labels = [None] * (2 * L)
-    closed = []
-    for v in range(2 * L - 1, 0, -1):
-        lo, hi = _tree_orders(legs, L, v, k)
-        lab = {0: [np.empty((1, 0), dtype=np.intp)]} if lo == 0 else {}
-        if v - L in toggleable:
-            lab[1] = [np.array([[v - L]], dtype=np.intp)]
-        elif v < L:
-            lchild, rchild = labels[2 * v], labels[2 * v + 1]
-            for o in [*range(max(lo, 1), hi + 1), k]:
-                lab[o] = [np.concatenate([np.repeat(lchild[i], len(rchild[o - i]), axis=0),
-                                          np.tile(rchild[o - i], (len(lchild[i]), 1))], axis=1)
-                          for i in sorted(lchild) if o - i in rchild]
-        closed += lab.pop(k, [])
-        labels[v] = {o: np.concatenate(rows) for o, rows in lab.items()}
-    perm = np.lexsort(np.concatenate(closed).T[::-1])
-    perm.setflags(write=False)
-    return perm
-
-
-# -- order-1 tree probes on per-node point sets -------------------------------
+# -- order-k probes on a tree, on per-node point sets ------------------------
 #
 # With every leg selector-scaled, leg j's leaf message ``core[-1] + t *
 # (tog_j @ core)`` (bias channel last, equal to 1) is affine in t, so the up
 # message of a subtree with s real leaves is a polynomial of degree s in t,
-# fixed by its values at s + 1 points. ``_order1_plan`` gives each node a
+# fixed by its values at s + 1 points. ``_tree_plan`` gives each node a
 # point set: the root has the caller's nodes; an internal node has
 # ``chebyshev_nodes(s + 1)`` when that is fewer points than its parent has,
 # else its parent's; a real leaf always shares its parent's, where its affine
 # message is evaluated directly. An up message reaches its parent's points
 # through a barycentric interpolation matrix (``chebyshev_interpolation``),
-# and the down pass carries the weighted adjoint back through the transpose.
-# Toggling leaf j lowers the degree of every subtree above it by one, so
-# interpolation reproduces that probe exactly, and leaf j's index is the
-# adjoint at its leaf closed against ``tog_j @ core``. A node costs its point
-# count times chi^3, about sum_v (s_v + 1) chi^3 per instance, plus the
-# interpolation GEMMs.
+# and the down pass carries the weighted adjoint back through the transpose,
+# so node v's adjoint is the linear map from v's message at v's points to
+# the weighted sum of root outputs. Toggling o leaves below v lowers the
+# degree of v's message to s - o, so interpolation reproduces every probe
+# exactly, and a k-subset's index is the adjoint at its lowest common node
+# closed against the message with its legs toggled: at its leaf for k = 1,
+# else where its two parts meet (``_toggle_close``). Up to order k - 1 the
+# toggled messages are stacked per choice of legs and ride the same
+# interpolation GEMMs as the order-0 ones. A node costs its point count times
+# chi^3 per stacked row, about sum_v (s_v + 1) chi^3 per instance at k = 1,
+# plus the interpolation GEMMs.
 
 
 def chebyshev_nodes(m: int) -> np.ndarray:
@@ -676,9 +533,9 @@ class _Interpolation:
 
 # bounded: one entry per (n, root nodes) pair a process explains
 @functools.lru_cache(maxsize=16)
-def _order1_plan(n: int, key: bytes) -> tuple:
-    """``tree_order1_probes``' point sets for n features with the root nodes
-    whose float64 bytes are ``key``: (points, maps), where ``points[v]`` holds
+def _tree_plan(n: int, key: bytes) -> tuple:
+    """``tree_probes``' point sets for n features with the root nodes whose
+    float64 bytes are ``key``: (points, maps), where ``points[v]`` holds
     node v's points as a (points, 1, 1) column and ``maps[v]`` is the
     ``_Interpolation`` from them to its parent's, or None where v shares its
     parent's points. A subtree of pad leaves only is constant and has no
@@ -702,24 +559,32 @@ def _order1_plan(n: int, key: bytes) -> tuple:
     return tuple(points), tuple(maps)
 
 
-def tree_order1_probes(topology: TnTopology, cores, toggled, nodes, weights,
-                       legs) -> np.ndarray:
-    """Node-weighted order-1 probes of every leg in ``legs`` (sorted, 0-based)
-    on a binary tree, from one up pass and one adjoint down pass on per-node
-    point sets (see the section comment).
+def tree_probes(topology: TnTopology, cores, toggled, nodes, weights, k: int,
+                legs) -> np.ndarray:
+    """Node-weighted signed-toggle probes of every k-subset of ``legs`` (the
+    sorted 0-based legs a request may toggle) on a binary tree, from one
+    up pass, one adjoint down pass and, for k >= 2, one stacked up pass on
+    per-node point sets (see the section comment).
 
     ``toggled[i]`` is the (B, d_i) signed toggle of leg i's lifted rows, whose
-    bias channel is 1. Entry (b, s) of the returned (B, len(legs)) array is
-    the ``weights``-weighted sum over l of instance b's contraction with leg
-    ``legs[s]`` toggled and every other leg selector-scaled at ``nodes[l]``:
-    what ``toggle_probes`` gives at k = 1, without its (B * m)-row inputs.
-    Messages are (points, B, bond) arrays, so one GEMM takes a message to
-    another point set. A subtree of pads only sends a constant (bond,) vector,
-    which its parent folds into its core once per call.
+    bias channel is 1. Entry (b, s) of the returned (B, C(len(legs), k))
+    array is the ``weights``-weighted sum over l of instance b's contraction
+    with the legs of the s-th subset (lexicographic order) toggled and every
+    other leg selector-scaled at ``nodes[l]``: the index itself under
+    quadrature weights, the raw probe at one node of weight 1. No (B * m)-row
+    selector-scaled input is built.
+
+    Messages are point-major, (points, B, bond) arrays, so one GEMM takes a
+    message to another point set; the order-o stacks of the stacked pass are
+    (points * B, C(toggleable leaves under v, o), bond) arrays, kept per
+    ``_tree_orders``. A subtree of pads only sends a constant (bond,)
+    vector, which its parent folds into its core once per call. Order-1
+    subsets close at their leaves in ``legs`` order; higher orders close in
+    the order ``_tree_order`` sorts.
     """
     L, n = topology.leaf_count, topology.n
     b = toggled[0].shape[0]
-    points, maps = _order1_plan(n, np.ascontiguousarray(nodes, dtype=np.float64).tobytes())
+    points, maps = _tree_plan(n, np.ascontiguousarray(nodes, dtype=np.float64).tobytes())
     ons = [toggled[j] @ _node_core(cores, L + j) for j in range(n)]
     # entry v: node v's up message at its parent's points
     up = [None] * (2 * L)
@@ -746,24 +611,24 @@ def tree_order1_probes(topology: TnTopology, cores, toggled, nodes, weights,
         if maps[v] is not None:
             msg = maps[v].forward(msg.reshape(t.shape[0], -1)).reshape(-1, b, msg.shape[2])
         up[v] = msg
-    active = [False] * (2 * L)
-    for j in legs:
-        v = L + j
-        while v and not active[v]:
-            active[v] = True
-            v //= 2
-    # entry v: the weighted adjoint of node v's up message, at v's points
+    inside = _tree_counts(legs, L)
+    # entry v: the weighted adjoint of node v's up message, at v's points. It
+    # is built where at least k toggleable leaves lie below v (the nodes where
+    # subsets close, and their ancestors) and kept only where subsets close:
+    # the toggleable leaves at k = 1, else the nodes whose two children both
+    # hold toggleable leaves
     down = [None] * (2 * L)
     down[1] = np.repeat(weights[:, None, None], b, axis=1)
     for v in range(1, L):
-        if not active[v]:
+        if inside[v] < k:
             continue
         core = _node_core(cores, v)
         p = down[v].shape[0]
         env = down[v].reshape(p * b, -1)
-        down[v] = None
+        if k == 1 or not (inside[2 * v] and inside[2 * v + 1]):
+            down[v] = None
         for c in (2 * v, 2 * v + 1):
-            if not active[c]:
+            if inside[c] < k:
                 continue
             if v in folded:
                 adj = env @ folded[v].T
@@ -775,11 +640,123 @@ def tree_order1_probes(topology: TnTopology, cores, toggled, nodes, weights,
             if maps[c] is not None:
                 adj = maps[c].adjoint(adj.reshape(p, -1))
             down[c] = adj.reshape(-1, b, bond)
-    out = np.empty((b, len(legs)))
-    for s_idx, j in enumerate(legs):
-        out[:, s_idx] = np.einsum("fbr,br->b", down[L + j], ons[j])
-    return out
+    if k == 1:
+        out = np.empty((b, len(legs)))
+        for s_idx, j in enumerate(legs):
+            out[:, s_idx] = np.einsum("fbr,br->b", down[L + j], ons[j])
+        return out
+    # entry v: node v's stacked messages by order, at its parent's points
+    msgs = [None] * (2 * L)
+    closed = []
+    for v in range(2 * L - 1, 0, -1):
+        if points[v] is None:
+            continue
+        lo, hi = _tree_orders(inside[v], len(legs), k)
+        if v >= L:
+            msg = {1: np.tile(ons[v - L], (points[v].shape[0], 1))[:, None]} if inside[v] else {}
+        else:
+            core = _node_core(cores, v)
+            lchild, rchild = msgs[2 * v], msgs[2 * v + 1]
+            msgs[2 * v] = msgs[2 * v + 1] = None
+            if v in folded:
+                msg = {o: (x.reshape(-1, x.shape[2]) @ folded[v]).reshape(*x.shape[:2], -1)
+                       for o, x in lchild.items() if o}
+            else:
+                if down[v] is not None:
+                    closed += [_toggle_close(core, lchild[i], rchild[k - i], down[v])
+                               for i in sorted(lchild) if k - i in rchild]
+                    down[v] = None
+                msg = {o: _stack([_toggle_merge(core, lchild[i], rchild[o - i])
+                                  for i in sorted(lchild) if o - i in rchild])
+                       for o in range(max(lo, 1), hi + 1)}
+            if maps[v] is not None:
+                p = points[v].shape[0]
+                msg = {o: maps[v].forward(x.reshape(p, -1)).reshape(-1, *x.shape[1:])
+                       for o, x in msg.items()}
+        if lo == 0:
+            msg[0] = up[v].reshape(-1, 1, up[v].shape[2])
+        msgs[v] = msg
+    return np.concatenate(closed, axis=1)[:, _tree_order(legs, L, k)]
 
+
+def _toggle_merge(core, left, right) -> np.ndarray:
+    """Contract row-aligned stacks (N, a, p) and (N, c, q) through a (p, q, r)
+    core into (N, a * c, r), left choices major. The smaller stack goes
+    through the core GEMM, so the 4-D intermediate stays small."""
+    rows, a, p = left.shape
+    c, q = right.shape[1:]
+    r = core.shape[2]
+    if a <= c:
+        tmp = (left.reshape(rows * a, p) @ core.reshape(p, q * r)).reshape(rows, a, q, r)
+        out = tmp.transpose(0, 1, 3, 2).reshape(rows, a * r, q) @ right.transpose(0, 2, 1)
+        return out.reshape(rows, a, r, c).transpose(0, 1, 3, 2).reshape(rows, a * c, r)
+    tmp = right.reshape(rows * c, q) @ core.transpose(1, 0, 2).reshape(q, p * r)
+    tmp = tmp.reshape(rows, c, p, r).transpose(0, 2, 1, 3).reshape(rows, p, c * r)
+    return (left @ tmp).reshape(rows, a * c, r)
+
+
+def _toggle_close(core, left, right, env) -> np.ndarray:
+    """Close stacks (P * B, a, p) and (P * B, c, q), point-major, through a
+    (p, q, r) core against the node's weighted (P, B, r) adjoint, summed over
+    the P points; returns (B, a * c), left choices major. The adjoint goes
+    into the core first, so no (P * B, a * c, r) block is built, and the
+    smaller stack meets it first."""
+    rows, a, p = left.shape
+    c, q = right.shape[1:]
+    b = env.shape[1]
+    if a > c:
+        out = _toggle_close(core.transpose(1, 0, 2), right, left, env)
+        return out.reshape(b, c, a).transpose(0, 2, 1).reshape(b, a * c)
+    g = (env.reshape(rows, -1) @ core.reshape(p * q, -1).T).reshape(rows, p, q)
+    tmp = (left @ g).reshape(-1, b, a, q).transpose(1, 2, 0, 3).reshape(b, a, -1)
+    right = right.reshape(-1, b, c, q).transpose(1, 0, 3, 2).reshape(b, -1, c)
+    return (tmp @ right).reshape(b, a * c)
+
+
+def _tree_counts(legs, leaf_count: int) -> list:
+    """Entry v: the number of ``legs`` on leaves below tree node v."""
+    inside = [0] * (2 * leaf_count)
+    for j in legs:
+        inside[leaf_count + j] = 1
+    for v in range(leaf_count - 1, 0, -1):
+        inside[v] = inside[2 * v] + inside[2 * v + 1]
+    return inside
+
+
+def _tree_orders(inside: int, total: int, k: int):
+    """Orders below k that a node with ``inside`` of the ``total`` toggleable
+    leaves below it keeps: at most ``inside``, at least what the toggleable
+    leaves outside it cannot supply (else k near ``total`` stacks about
+    2^inside choices near the root)."""
+    return max(0, k - (total - inside)), min(k - 1, inside)
+
+
+# bounded: an explicit subset list adds one entry per distinct leg set
+@functools.lru_cache(maxsize=64)
+def _tree_order(legs, leaf_count: int, k: int) -> np.ndarray:
+    """Permutation taking ``tree_probes``' closing order at k >= 2 to
+    lexicographic subset order: the k-subsets of ``legs``, built as rows of
+    leg indices in the order the stacked pass closes them, then sorted."""
+    L = leaf_count
+    inside = _tree_counts(legs, L)
+    labels = [None] * (2 * L)
+    closed = []
+    for v in range(2 * L - 1, 0, -1):
+        lo, hi = _tree_orders(inside[v], len(legs), k)
+        lab = {0: [np.empty((1, 0), dtype=np.intp)]} if lo == 0 else {}
+        if v >= L and inside[v]:
+            lab[1] = [np.array([[v - L]], dtype=np.intp)]
+        elif v < L:
+            lchild, rchild = labels[2 * v], labels[2 * v + 1]
+            for o in [*range(max(lo, 1), hi + 1), k]:
+                lab[o] = [np.concatenate([np.repeat(lchild[i], len(rchild[o - i]), axis=0),
+                                          np.tile(rchild[o - i], (len(lchild[i]), 1))], axis=1)
+                          for i in sorted(lchild) if o - i in rchild]
+        closed += lab.pop(k, [])
+        labels[v] = {o: np.concatenate(rows) for o, rows in lab.items()}
+    perm = np.lexsort(np.concatenate(closed).T[::-1])
+    perm.setflags(write=False)
+    return perm
 
 def materialize_full(model: TensorNetworkModel, limit: int = DEFAULT_MATERIALIZE_LIMIT) -> np.ndarray:
     """Expand the model into its dense coefficient tensor over the real legs.
@@ -810,5 +787,5 @@ def _tree_materialize(topo: TnTopology, cores, v: int) -> np.ndarray:
         return _node_core(cores, v)
     ml = _tree_materialize(topo, cores, 2 * v)
     mr = _tree_materialize(topo, cores, 2 * v + 1)
-    merged = _toggle_merge(_node_core(cores, v), ml[None, :, None, :], mr[None, :, None, :])
+    merged = _toggle_merge(_node_core(cores, v), ml[None], mr[None])
     return merged.reshape(ml.shape[0] * mr.shape[0], -1)

@@ -22,6 +22,7 @@ except ImportError:  # running from a checkout without installation
 
 from tnshap import LiftSpec, TensorNetworkModel, TnTopology, off_state
 from tnshap.attribute import CSV_HEADER
+from tnshap.tensor_net import _node_core, _open_leg1
 
 
 def powerset(items):
@@ -83,6 +84,21 @@ def write_attribution_rows(fh, rows) -> None:
     for iid, order, subset, value, flag in rows:
         subset_txt = ";".join(str(i) for i in subset)
         fh.write(f"{iid},{order},{subset_txt},{float(value)!r},{flag}\n")
+
+
+def tree_down_messages(topology, cores, msgs) -> list:
+    """Root-to-leaf messages: entry ``v`` is the (B, bond) contraction of
+    everything outside node ``v``'s subtree, dual to ``tree_up_messages``'
+    ``msgs``; entry 1 is the all-ones (B, 1) boundary at the root. The
+    reference down pass for the environment and ALS tests."""
+    L = topology.leaf_count
+    down = [None] * (2 * L)
+    down[1] = np.ones((msgs[1].shape[0], 1))
+    for v in range(1, L):
+        core = _node_core(cores, v)
+        down[2 * v] = _open_leg1(core.transpose(1, 0, 2), msgs[2 * v + 1], down[v])
+        down[2 * v + 1] = _open_leg1(core, msgs[2 * v], down[v])
+    return down
 
 
 def product_model():

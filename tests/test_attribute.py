@@ -520,10 +520,12 @@ class TestStackedBatch:
         m = n - k + 1
         monkeypatch.setattr(attribute, "STACK_ROW_BUDGET", 3 * m * n)  # 3 instances per chunk
         sweeps = []
-        original = attribute.tensor_net.toggle_probes
-        monkeypatch.setattr(attribute.tensor_net, "toggle_probes",
-                            lambda *a: sweeps.append(a[3][0].shape[0]) or original(*a))
         for kind in ("tt", "btree"):
+            sweep = "tt_toggle_sweep" if kind == "tt" else "tree_probes"
+            original = getattr(attribute.tensor_net, sweep)
+            # both sweeps take the (B, d) toggled rows as their third argument
+            monkeypatch.setattr(attribute.tensor_net, sweep,
+                                lambda *a, f=original: sweeps.append(a[2][0].shape[0]) or f(*a))
             model, lifts = _random_model(kind, n, 3, seed=5)
             xs = rng.uniform(-1, 1, (7, n))
             xs[1, 0] = np.inf
@@ -544,8 +546,8 @@ class TestStackedBatch:
         xs = rng.uniform(-1, 1, (7, n))
         whole = explain_batch(model, lifts, xs, 1)
         # the sweep's instance x node rows: a train's selector-scaled inputs;
-        # a tree's order-1 path takes (B, d) toggled rows and the m nodes
-        env = "tt_left_states" if kind == "tt" else "tree_order1_probes"
+        # a tree's sweep takes (B, d) toggled rows and the m nodes
+        env = "tt_left_states" if kind == "tt" else "tree_probes"
         rows = []
         original = getattr(attribute.tensor_net, env)
 
@@ -778,8 +780,8 @@ class TestSharedProbes:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_train_sweep_is_lexicographic_without_permutation(self, rng, monkeypatch, k):
-        """``toggle_probes`` returns (B, C(n, k)) values; a train's suffix
-        sweep emits them in lexicographic order without ``_tree_order``."""
+        """``tt_toggle_sweep`` returns (B, C(n, k)) values in lexicographic
+        order without ``_tree_order``."""
         n, b = 7, 2
         model, lifts = _random_model("tt", n, 3, seed=k)
         xs = rng.uniform(-1, 1, (b, n))
@@ -1044,9 +1046,20 @@ def _assert_close(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
-class TestOrder1TreePoints:
-    """Order 1 on a tree evaluates each node at its own point set (s_v + 1
-    Chebyshev points for s_v real leaves below it, or its parent's) and
+def _assert_sampled_subsets(rng, model, lifts, xs, values, k, nodes, weights):
+    """Check the first and last rows of all-subsets ``values`` on up to 40
+    k-subsets, the first and last included, against ``_flat_indices``."""
+    subsets = list(itertools.combinations(range(1, model.n + 1), k))
+    picks = sorted({0, len(subsets) - 1,
+                    *rng.choice(len(subsets), min(len(subsets), 38), replace=False)})
+    for x, row in zip(xs[[0, -1]], values[[0, -1]]):
+        want = _flat_indices(model, lifts, x, [subsets[i] for i in picks], nodes, weights)
+        _assert_close(row[picks], want)
+
+
+class TestTreePoints:
+    """A tree evaluates each node at its own point set (s_v + 1 Chebyshev
+    points for s_v real leaves below it, or its parent's) at every order and
     must match the from-scratch reference at every size, pads included."""
 
     @pytest.mark.parametrize("mode", [INCLUSION_EXCLUSION, SIGNED_TOGGLE])
@@ -1109,6 +1122,68 @@ class TestOrder1TreePoints:
         for x, row in zip(xs, values):
             _assert_close(row, _flat_indices(model, lifts, x, subsets, nodes, weights))
 
+    @pytest.mark.parametrize("b", [1, 17])
+    @pytest.mark.parametrize("n", [5, 7, 24, 33])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_higher_orders_match_flat_probes(self, rng, k, n, b):
+        """Order-o stacks ride the order-0 interpolation GEMMs and close at
+        their lowest common node, for B stacked instances."""
+        model, lifts = _random_model("btree", n, 3, seed=n + k)
+        xs = rng.uniform(-1, 1, (b, n))
+        m = n - k + 1
+        nodes, weights = chebyshev_nodes(m), quadrature_weights(m)
+        values, forwards = attribute._probe_values(model, lifts.lift_rows(xs), nodes, weights, k,
+                                                   SIGNED_TOGGLE, tuple(range(n)))
+        assert values.shape == (b, math.comb(n, k)) and forwards == b * m * math.comb(n, k)
+        _assert_sampled_subsets(rng, model, lifts, xs, values, k, nodes, weights)
+
+    @pytest.mark.parametrize("n", [5, 7, 24, 33])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_higher_order_lists_match_flat_probes(self, rng, k, n):
+        """An explicit list toggles only the legs it names, so some nodes
+        hold fewer toggleable leaves than real ones."""
+        model, lifts = _random_model("btree", n, 3, seed=n + k + 1)
+        x = rng.uniform(-1, 1, n)
+        subsets = {tuple(sorted(rng.choice(n, k, replace=False) + 1)) for _ in range(6)}
+        subsets |= {tuple(range(n - k + 1, n + 1)), tuple(range(1, k + 1))}
+        got = explain(model, lifts, x, k, subsets=sorted(subsets))
+        assert got.subsets == tuple(sorted(subsets))
+        m = n - k + 1
+        assert got.forwards_used == m * len(subsets)
+        want = _flat_indices(model, lifts, x, list(got.subsets), chebyshev_nodes(m),
+                             quadrature_weights(m))
+        _assert_close(got.values, want)
+
+    @pytest.mark.parametrize("n", [5, 7, 24, 33])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_higher_order_gauss_legendre_nodes_match_flat_probes(self, rng, k, n):
+        """Root nodes that are no Chebyshev set, at every order."""
+        model, lifts = _random_model("btree", n, 3, seed=n + k + 2)
+        xs = rng.uniform(-1, 1, (3, n))
+        g, w = np.polynomial.legendre.leggauss((n - k) // 2 + 1)
+        nodes, weights = 0.5 * (g + 1.0), 0.5 * w
+        values, _ = attribute._probe_values(model, lifts.lift_rows(xs), nodes, weights, k,
+                                            SIGNED_TOGGLE, tuple(range(n)))
+        _assert_sampled_subsets(rng, model, lifts, xs, values, k, nodes, weights)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_no_scaled_inputs_and_no_full_up_pass(self, rng, monkeypatch, k):
+        """A tree request at any order builds no (B * m)-row selector-scaled
+        inputs and runs no all-nodes up pass."""
+        n = 7
+        model, lifts = _random_model("btree", n, 3, seed=k)
+        x = rng.uniform(-1, 1, n)
+        subset = tuple(range(1, k + 1))
+        want = explain(model, lifts, x, k).values, probe_value(model, lifts, x, subset, 0.37)
+
+        def forbidden(*args):
+            raise AssertionError("called on a tree request")
+
+        monkeypatch.setattr(attribute, "_scaled_inputs", forbidden)
+        monkeypatch.setattr(attribute.tensor_net, "tree_up_messages", forbidden)
+        assert np.array_equal(explain(model, lifts, x, k).values, want[0])
+        assert probe_value(model, lifts, x, subset, 0.37) == want[1]
+
     def test_n2000_memory_and_efficiency(self, rng):
         """btree n = 2000, k = 1 (2048 leaf slots, m = 2000 nodes): the root's
         children interpolate from 1025 and 977 points and every matrix above
@@ -1121,7 +1196,7 @@ class TestOrder1TreePoints:
         model, lifts = _random_model("btree", n, 8, seed=3)
         x = rng.uniform(-1, 1, n)
         attribute.quadrature_weights.cache_clear()
-        attribute.tensor_net._order1_plan.cache_clear()
+        attribute.tensor_net._tree_plan.cache_clear()
         tracemalloc.start()
         try:
             phi = explain(model, lifts, x, 1).values

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import tree_down_messages
 from tnshap import (
     CpTeacher,
     FitConfig,
@@ -31,7 +32,6 @@ from tnshap.tensor_net import (
     TnTopology,
     _subtree_leaf_range,
     capped_uniform_bonds,
-    tree_down_messages,
     tree_up_messages,
     tt_left_states,
     tt_right_states,

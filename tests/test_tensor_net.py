@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import additive_model, product_model, random_tt_model
+from conftest import additive_model, product_model, random_tt_model, tree_down_messages
 from tnshap import (
     LiftSpec,
     TensorNetworkModel,
@@ -24,7 +24,6 @@ from tnshap import (
 from tnshap.tensor_net import (
     chebyshev_interpolation,
     chebyshev_nodes,
-    tree_down_messages,
     tree_up_messages,
     tt_left_states,
     tt_right_states,
