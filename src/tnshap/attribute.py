@@ -23,15 +23,16 @@ one sweep over B stacked instances, with no ``forward_batch`` call. Both
 modes share its arithmetic, since ``on - off_state == signed_toggle(on)``.
 It returns node-weighted sums -- the index itself at the m = n - k + 1
 nodes, the raw probe at one node of weight 1. The sweep is
-``tensor_net.tt_toggle_sweep`` on a train and ``tensor_net.tree_probes`` on a
-tree, at every k: each closes a subset at the lowest node holding its
-toggled legs, about C(n, k) m chi^2 per instance on a train (bond dimension
-chi) instead of the C(n, k) m n chi^2 of contracting every probe from
-scratch. On a tree a node with s real leaves below it is evaluated at
-s + 1 points, so order 1 costs about sum_v (s_v + 1) chi^3 plus O(n^2)
-interpolation per instance, where an all-nodes pass spends m chi^3 at every
-node. An explicit list toggles only the legs it names, so it costs at most
-the all-subsets request over them.
+``tensor_net.tt_probes`` on a train and ``tensor_net.tree_probes`` on a tree,
+at every k, both on the (B, d) signed-toggled rows, so no (B * m)-row
+selector-scaled input is built: each closes a subset at the lowest node
+holding its toggled legs, about C(n, k) m chi^2 per instance on a train
+(bond dimension chi) instead of the C(n, k) m n chi^2 of contracting every
+probe from scratch. On a tree a node with s real leaves below it is
+evaluated at s + 1 points, so order 1 costs about sum_v (s_v + 1) chi^3
+plus O(n^2) interpolation per instance, where an all-nodes pass spends
+m chi^3 at every node. An explicit list toggles only the legs it names, so
+it costs at most the all-subsets request over them.
 Only a ``TensorNetworkModel`` is explained: a ``CpTeacher`` is converted
 first with its ``to_tensor_train()``.
 ``oracle.flat_probes`` is the 2^k-configuration reference the engine is
@@ -186,27 +187,11 @@ def probe_value(model, lifts: LiftSpec, x, subset, t: float, mode=INCLUSION_EXCL
     return float(values[0, 0])
 
 
-def _scaled_inputs(lifted, nodes: np.ndarray) -> list:
-    """Per-leg (B * m, d) arrays, instance-major: each lifted row with its
-    data channels scaled at every node. ``lifted[i]`` is feature i's (d,)
-    vector for one instance or its (B, d) rows for B stacked instances."""
-    m = nodes.shape[0]
-    rows = np.atleast_2d(lifted[0]).shape[0]
-    scale = np.tile(nodes, rows)[:, None]
-    out = []
-    for v in lifted:
-        u = np.repeat(np.atleast_2d(v), m, axis=0)
-        u[:, :-1] *= scale
-        out.append(u)
-    return out
-
-
 def _probe_values(net, lifted, nodes, weights, k: int, mode, legs, columns=None):
     """Probes of the k-subsets of ``legs`` (0-based) at ``nodes``, summed
     with the per-node ``weights``, for B stacked instances from one sweep
-    over the network ``net``: ``tensor_net.tree_probes`` on a tree, which
-    needs only the toggled rows, else ``tensor_net.tt_toggle_sweep`` on the
-    selector-scaled (B * m)-row inputs.
+    over the network ``net`` on their toggled rows: ``tensor_net.tt_probes``
+    on a train, ``tensor_net.tree_probes`` on a tree.
 
     ``lifted[i]`` holds feature i's (B, d_i) lifted rows. ``columns`` keeps
     the subsets of those lexicographic ranks (None keeps all). Returns
@@ -218,8 +203,7 @@ def _probe_values(net, lifted, nodes, weights, k: int, mode, legs, columns=None)
     if net.topology.kind == tensor_net.BTREE:
         values = tensor_net.tree_probes(net.topology, net.cores, toggled, nodes, weights, k, legs)
     else:
-        values = tensor_net.tt_toggle_sweep(net.cores, _scaled_inputs(lifted, nodes), toggled,
-                                             nodes, weights, k, legs)
+        values = tensor_net.tt_probes(net.cores, toggled, nodes, weights, k, legs)
     if columns is not None:
         values = values[:, columns]
     patterns = 1 << k if mode == INCLUSION_EXCLUSION else 1
@@ -263,7 +247,8 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     all-subsets request over them; a list keeps its own subsets. At k = 1
     that is ``STACK_ROW_BUDGET // n`` instances. On a tree only the root
     runs at all m nodes, so the same count bounds its widest node. A model
-    that is not a ``TensorNetworkModel`` fills every slot with a TypeError.
+    that is not a ``TensorNetworkModel`` fills every slot with a TypeError,
+    a k that is a bool or not integral with a ValueError.
 
     Per-instance failures do not abort the batch: the failing instance's slot
     holds the raised exception instead of an AttributionSet. Instances are
@@ -273,6 +258,12 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     try:
         _check_model_lifts(model, lifts)
         n = model.n
+        try:
+            if isinstance(k, bool):
+                raise TypeError
+            k = operator.index(k)
+        except TypeError:
+            raise ValueError(f"order k={k!r} is not an integer") from None
         if not 1 <= k <= n:
             raise ValueError(f"order k={k} must satisfy 1 <= k <= n={n}")
         subset_list = _normalize_subsets(n, k, subsets)
@@ -355,6 +346,9 @@ def read_attribution_csv(fh) -> list:
         if len(parts) != 5:
             raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         iid, order, subset_txt, value, flag = parts
-        subset = tuple(int(s) for s in subset_txt.split(";"))
-        rows.append((int(iid), int(order), subset, float(value), flag))
+        try:
+            subset = tuple(int(s) for s in subset_txt.split(";"))
+            rows.append((int(iid), int(order), subset, float(value), flag))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return rows

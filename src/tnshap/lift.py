@@ -2,9 +2,9 @@
 
 A lift maps a scalar feature value to a vector whose last channel is the
 constant 1 (the bias channel). Selectors scale the data channels while
-leaving the bias untouched (a train's probe sweep scales its legs in
-``attribute._scaled_inputs``, a tree's its leaf messages), so feature
-inclusion/exclusion never changes the network topology. For binary and polynomial lifts the all-off state
+leaving the bias untouched (the probe engine applies them to each leg's
+core, from its signed toggle), so feature inclusion/exclusion never changes
+the network topology. For binary and polynomial lifts the all-off state
 ``[0, ..., 0, 1]`` coincides with lifting the reference input 0; Fourier
 lifts have phi(0) != 0, so their off state is a synthetic baseline.
 """

@@ -4,10 +4,10 @@ diagonal coefficient probe.
 
 Coalition masks are integers with bit i set when feature i+1 is on; index 0
 is the all-off state. Everything here works from the 2^n table by direct
-summation, or from network rows contracted from scratch, apart from the probe
-engine it validates save for one step shared with the train's sweep:
-``attribute._scaled_inputs``, which scales the data channels of the lifted
-legs at each selector value (the tree's sweep scales no inputs).
+summation, or from network rows contracted from scratch, and shares no step
+with the probe engine it validates: ``_scaled_inputs``, which scales the data
+channels of the lifted legs at each selector value, is built here only (the
+engine scales no inputs).
 ``probe_configurations`` lays out the on/off rows of the flat probes; the
 fit's training set takes its structured block from it. The diagonal probe
 reads its coefficient sums off one discrete Fourier transform of the diagonal
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attribute, tensor_net
-from .attribute import AttributionSet, _scaled_inputs
+from .attribute import AttributionSet
 from .lift import LiftSpec, off_state
 
 MAX_TABLE_FEATURES = 20
@@ -67,6 +67,21 @@ def enumerate_game(model, lifts: LiftSpec, x) -> CoalitionTable:
         legs = [np.where(((masks >> r) & 1)[:, None] == 1, lifted[r], off[r]) for r in range(n)]
         values[c0 : c0 + masks.shape[0]] = model.forward_batch(legs)
     return CoalitionTable(n=n, values=values, forwards_used=size)
+
+
+def _scaled_inputs(lifted, nodes: np.ndarray) -> list:
+    """Per-leg (B * m, d) arrays, instance-major: each lifted row with its
+    data channels scaled at every node. ``lifted[i]`` is feature i's (d,)
+    vector for one instance or its (B, d) rows for B stacked instances."""
+    m = nodes.shape[0]
+    rows = np.atleast_2d(lifted[0]).shape[0]
+    scale = np.tile(nodes, rows)[:, None]
+    out = []
+    for v in lifted:
+        u = np.repeat(np.atleast_2d(v), m, axis=0)
+        u[:, :-1] *= scale
+        out.append(u)
+    return out
 
 
 def probe_configurations(lifts: LiftSpec, x, subsets, nodes):

@@ -14,11 +14,13 @@ contraction of one input configuration.
 
 Forward passes, environments and the ALS updates of ``tnshap.fit`` go
 through the two row-wise helpers of the "row-wise contractions" section.
-Node-weighted probes go through ``tt_toggle_sweep`` on a train, which runs
-every node at all m quadrature nodes, and ``tree_probes`` on a tree at every
-order, which runs a node with s real leaves below it at only s + 1 points:
-about sum_v (s_v + 1) chi^3 plus O(n^2) interpolation per instance at order
-1. On btree n = 2000, chi 8 one order-1 request takes 0.2-0.35 s and a 16 MB
+Node-weighted probes take one contract on both topologies: the (B, d)
+signed-toggled rows, from which each leg under the selector at node t is
+the affine matrix ``core[:, -1, :] + t * (toggled @ core)``. ``tt_probes``
+runs every leg of a train at all m quadrature nodes; ``tree_probes`` runs a
+node with s real leaves below it at only s + 1 points: about
+sum_v (s_v + 1) chi^3 plus O(n^2) interpolation per instance at order 1. On
+btree n = 2000, chi 8 one order-1 request takes 0.2-0.35 s and a 16 MB
 ``tracemalloc`` peak (2.3 s and 555 MB when every node ran at all 2000
 nodes; one 2.0 GHz Xeon core, one BLAS thread).
 """
@@ -342,17 +344,6 @@ def tree_up_messages(topology: TnTopology, cores, batch) -> list:
     return msgs
 
 
-def tt_left_states(cores, batch) -> list:
-    """Prefix contractions: entry i is the (B, bond_i) state after absorbing
-    legs 1..i; entry 0 is the all-ones (B, 1) boundary.
-    """
-    rows = batch[0].shape[0]
-    states = [np.ones((rows, 1))]
-    for core, x in zip(cores, batch):
-        states.append(_open_leg2(core, states[-1], x))
-    return states
-
-
 def tt_right_states(cores, batch) -> list:
     """Suffix contractions: entry i is the (B, bond_{i-1}) state for legs
     i+1..n absorbed; entry n is the all-ones (B, 1) boundary.
@@ -367,72 +358,68 @@ def tt_right_states(cores, batch) -> list:
 
 # -- order-k probes on a train ----------------------------------------------
 #
-# A selector-scaled leg at node t carries ``bias + t * toggled`` (the bias
-# channel is the last one and equals 1), so its core splits as
-# ``C_bias + t * C_data``; a signed-toggled leg carries ``toggled`` and
-# contributes ``C_data`` alone, independent of t. The train's sweep stacks,
-# per number o < k of legs toggled so far, the selector-scaled states of
-# every such choice, kept only while enough toggleable legs remain to
-# complete them. Stacked states are (B, choices, m, bond) arrays, one set of
-# toggles per instance. Each subset closes against ``tt_left_states`` with
-# the caller's weights folded in over the m nodes, so no order-k state and
-# no (m, C(n, k)) probe matrix is ever built.
+# Under the selector at node t a leg carries ``off + t * toggled`` (bias
+# channel last: 1 in ``off``, 0 in ``toggled``), so leg i acts as the affine
+# matrix ``core[:, -1, :] + t * (toggled_i @ core)``; a signed-toggled leg
+# contributes its toggled core alone. ``tt_probes`` builds each instance's
+# toggled cores once, runs a prefix pass of the affine matrices from the
+# quadrature weights, and a right-to-left pass that stacks, per number o < k
+# of legs toggled so far, the suffix states of every such choice, kept only
+# while enough toggleable legs remain to complete them. Each subset closes
+# against the weighted prefix at its first leg, so no order-k state and no
+# (m, C(n, k)) probe matrix is ever built.
 
 
-def tt_toggle_sweep(cores, scaled, toggled, nodes, weights, k: int, legs) -> np.ndarray:
-    """Node-weighted signed-toggle probes of every k-subset of ``legs``, the
-    sorted 0-based legs a request may toggle, on a train, from one
-    right-to-left pass; any other leg is only ever selector-scaled.
-
-    ``scaled[i]`` is leg i's (B * m, d_i) selector-scaled input, instance
-    major, row b * m + l at ``nodes[l]``; ``toggled[i]`` is the (B, d_i)
-    signed toggle of the same lifted rows. Entry (b, s) of the returned
-    (B, C(len(legs), k)) array is the ``weights``-weighted sum over l of
-    instance b's contraction with the legs of the s-th subset (lexicographic
-    order) toggled and every other leg scaled at ``nodes[l]``: the index
-    itself under quadrature weights, the raw probe at one node of weight 1.
+def tt_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
+    """Node-weighted signed-toggle probes of every k-subset of ``legs`` (the
+    sorted 0-based legs a request may toggle) on a train: ``tree_probes``'
+    arguments and (B, C(len(legs), k)) output, without the topology, from
+    one weighted prefix pass and one stacked right-to-left pass.
 
     Order-o suffix states are stacked as (B, C(toggleable legs after i, o),
-    m, bond) arrays; order 0 is ``tt_right_states`` and a subset closes
-    against ``tt_left_states`` at its first leg, with the weights folded into
-    that prefix, one batched GEMV per closed block. Each instance's toggled
-    core is one batched GEMM. Subsets that toggle leg i go ahead of those
-    that skip it, so by induction every stack is in lexicographic order, and
-    so is the reversed list of closed blocks.
+    m, bond) arrays, order 0 starting from ones; a subset closes against the
+    (B, m, bond) prefix at its first leg, one batched GEMV per closed block.
+    Subsets that toggle leg i go ahead of those that skip it, so by
+    induction every stack is in lexicographic order, and so is the reversed
+    list of closed blocks.
     """
     n = len(cores)
     b = toggled[0].shape[0]
     m = nodes.shape[0]
     t = nodes[:, None]
-    left = tt_left_states(cores, scaled)
-    right = tt_right_states(cores, scaled)
+    # leg i's toggled core per instance, a contiguous (B, r, l) array
+    data = [(x @ core.transpose(1, 2, 0).reshape(x.shape[1], -1)).reshape(b, core.shape[2], -1)
+            for core, x in zip(cores, toggled)]
+    # entry i: the weighted (B, m, bond) prefix through legs 0..i-1
+    left = [np.repeat(weights[None, :, None], b, axis=0)]
+    for i in range(legs[-1]):
+        state = left[-1]
+        bias = (state.reshape(b * m, -1) @ cores[i][:, -1, :]).reshape(b, m, -1)
+        left.append(bias + t * (state @ data[i].transpose(0, 2, 1)))
     toggleable = set(legs)
     before = len(legs)
-    stacks = [None] * k
+    stacks = [np.ones((b, 1, m, 1))] + [None] * (k - 1)
     closed = []
     for i in range(n - 1, -1, -1):
         toggle = i in toggleable
         before -= toggle  # toggleable legs left of i
-        core = cores[i]
-        l, d, r = core.shape
-        stacks[0] = right[i + 1].reshape(b, 1, m, r) if toggle and k <= before + 1 else None
-        bias = core[:, -1, :].T
-        data = (toggled[i] @ core.transpose(1, 2, 0).reshape(d, r * l)).reshape(b, r, l)
+        l, _, r = cores[i].shape
+        bias = cores[i][:, -1, :].T
         parts = [[] for _ in range(k)]
         for o, state in enumerate(stacks):
-            keep = o > 0 and k - o <= before
-            if state is None or not (toggle or keep):
+            grow = toggle and k - o - 1 <= before
+            keep = k - o <= before
+            if state is None or not (grow or keep):
                 continue
             rows = state.shape[1]
-            on = (state.reshape(b, rows * m, r) @ data).reshape(b, rows, m, l)
-            if toggle and o + 1 == k:
-                env = (weights[:, None] * left[i].reshape(b, m, l)).reshape(b, m * l, 1)
-                closed.append((on.reshape(b, rows, m * l) @ env)[:, :, 0])
-            elif toggle and k - o - 1 <= before:
+            on = (state.reshape(b, rows * m, r) @ data[i]).reshape(b, rows, m, l)
+            if grow and o + 1 == k:
+                closed.append((on.reshape(b, rows, m * l) @ left[i].reshape(b, m * l, 1))[:, :, 0])
+            elif grow:
                 parts[o + 1].append(on)
             if keep:
                 parts[o].append((state.reshape(-1, r) @ bias).reshape(b, rows, m, l) + t * on)
-        stacks[1:] = [_stack(p) for p in parts[1:]]
+        stacks = [_stack(p) for p in parts]
     return _stack(closed[::-1])
 
 

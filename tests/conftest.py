@@ -22,7 +22,7 @@ except ImportError:  # running from a checkout without installation
 
 from tnshap import LiftSpec, TensorNetworkModel, TnTopology, off_state
 from tnshap.attribute import CSV_HEADER
-from tnshap.tensor_net import _node_core, _open_leg1
+from tnshap.tensor_net import _node_core, _open_leg1, _open_leg2
 
 
 def powerset(items):
@@ -99,6 +99,17 @@ def tree_down_messages(topology, cores, msgs) -> list:
         down[2 * v] = _open_leg1(core.transpose(1, 0, 2), msgs[2 * v + 1], down[v])
         down[2 * v + 1] = _open_leg1(core, msgs[2 * v], down[v])
     return down
+
+
+def tt_left_states(cores, batch) -> list:
+    """Prefix contractions: entry i is the (B, bond_i) state after absorbing
+    legs 1..i; entry 0 is the all-ones (B, 1) boundary. The reference prefix
+    pass for the environment and ALS tests, dual to ``tt_right_states``."""
+    rows = batch[0].shape[0]
+    states = [np.ones((rows, 1))]
+    for core, x in zip(cores, batch):
+        states.append(_open_leg2(core, states[-1], x))
+    return states
 
 
 def product_model():

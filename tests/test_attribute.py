@@ -428,8 +428,8 @@ class TestBatch:
 
 
     @pytest.mark.parametrize("subsets", ["all", [(1, 2), (2, 4)]])
-    @pytest.mark.parametrize("case", ["bad-k", "wrong-length", "nan", "empty-subsets",
-                                      "non-integral-subset", "unknown-mode"])
+    @pytest.mark.parametrize("case", ["bad-k", "boolean-k", "float-k", "wrong-length", "nan",
+                                      "empty-subsets", "non-integral-subset", "unknown-mode"])
     def test_explain_raises_what_batch_slot_holds(self, rng, case, subsets):
         """``explain`` is a one-row ``explain_batch``: it raises the exception
         left in the row's slot, same type and message."""
@@ -437,6 +437,10 @@ class TestBatch:
         x, k, mode = rng.uniform(-1, 1, 4), 2, None
         if case == "bad-k":
             k = 5
+        elif case == "boolean-k":
+            k = True
+        elif case == "float-k":
+            k = 2.0
         elif case == "wrong-length":
             x = x[:3]
         elif case == "nan":
@@ -449,6 +453,8 @@ class TestBatch:
             mode = "both"
         slot = explain_batch(model, lifts, [x], k, mode=mode, subsets=subsets)[0]
         assert isinstance(slot, ValueError)
+        if case.endswith("-k"):
+            assert f"k={k!r}" in str(slot)
         with pytest.raises(type(slot)) as info:
             explain(model, lifts, x, k, subsets=subsets, mode=mode)
         assert str(info.value) == str(slot)
@@ -521,11 +527,13 @@ class TestStackedBatch:
         monkeypatch.setattr(attribute, "STACK_ROW_BUDGET", 3 * m * n)  # 3 instances per chunk
         sweeps = []
         for kind in ("tt", "btree"):
-            sweep = "tt_toggle_sweep" if kind == "tt" else "tree_probes"
+            sweep = "tt_probes" if kind == "tt" else "tree_probes"
             original = getattr(attribute.tensor_net, sweep)
-            # both sweeps take the (B, d) toggled rows as their third argument
+            # both sweeps take the (B, d) toggled rows, after the topology on a tree
+            arg = 1 if kind == "tt" else 2
             monkeypatch.setattr(attribute.tensor_net, sweep,
-                                lambda *a, f=original: sweeps.append(a[2][0].shape[0]) or f(*a))
+                                lambda *a, f=original, i=arg: sweeps.append(a[i][0].shape[0])
+                                or f(*a))
             model, lifts = _random_model(kind, n, 3, seed=5)
             xs = rng.uniform(-1, 1, (7, n))
             xs[1, 0] = np.inf
@@ -545,17 +553,15 @@ class TestStackedBatch:
         model, lifts = _random_model(kind, n, 3, seed=3)
         xs = rng.uniform(-1, 1, (7, n))
         whole = explain_batch(model, lifts, xs, 1)
-        # the sweep's instance x node rows: a train's selector-scaled inputs;
-        # a tree's sweep takes (B, d) toggled rows and the m nodes
-        env = "tt_left_states" if kind == "tt" else "tree_probes"
+        # the sweep's instance x node rows: both sweeps take the (B, d)
+        # toggled rows and the m nodes, after the topology on a tree
+        env = "tt_probes" if kind == "tt" else "tree_probes"
         rows = []
         original = getattr(attribute.tensor_net, env)
 
         def spy(*args):
-            if kind == "tt":
-                rows.append(args[-1][0].shape[0])
-            else:
-                rows.append(args[2][0].shape[0] * args[3].shape[0])
+            toggled, nodes = args[1:3] if kind == "tt" else args[2:4]
+            rows.append(toggled[0].shape[0] * nodes.shape[0])
             return original(*args)
 
         monkeypatch.setattr(attribute.tensor_net, env, spy)
@@ -653,6 +659,17 @@ class TestCsv:
 
         with pytest.raises(ValueError, match="header"):
             read_attribution_csv(io.StringIO("nope\n1,2,3,4,5\n"))
+
+    @pytest.mark.parametrize("row", ["x,1,2,0.5,", "0,True,1,0.5,", "0,2,1;y,0.5,", "0,1,2,z,",
+                                     "0,1,,0.5,", "0,1,2"])
+    def test_reader_names_the_bad_line(self, row):
+        """Every malformed row is reported with its line number, whether a
+        field count is wrong or a field does not convert."""
+        from tnshap import read_attribution_csv
+
+        text = f"{attribute.CSV_HEADER}\n0,1,1,0.25,\n{row}\n"
+        with pytest.raises(ValueError, match=r"^line 3: "):
+            read_attribution_csv(io.StringIO(text))
 
     def test_row_order_instance_then_order_then_subset(self, rng):
         model, lifts = random_tt_model(rng, 3)
@@ -780,8 +797,8 @@ class TestSharedProbes:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_train_sweep_is_lexicographic_without_permutation(self, rng, monkeypatch, k):
-        """``tt_toggle_sweep`` returns (B, C(n, k)) values in lexicographic
-        order without ``_tree_order``."""
+        """``tt_probes`` returns (B, C(n, k)) values in lexicographic order
+        without ``_tree_order``."""
         n, b = 7, 2
         model, lifts = _random_model("tt", n, 3, seed=k)
         xs = rng.uniform(-1, 1, (b, n))
@@ -1060,7 +1077,8 @@ def _assert_sampled_subsets(rng, model, lifts, xs, values, k, nodes, weights):
 class TestTreePoints:
     """A tree evaluates each node at its own point set (s_v + 1 Chebyshev
     points for s_v real leaves below it, or its parent's) at every order and
-    must match the from-scratch reference at every size, pads included."""
+    must match the from-scratch reference at every size, pads included. The
+    Gauss-Legendre and input-contract cases run on a train too."""
 
     @pytest.mark.parametrize("mode", [INCLUSION_EXCLUSION, SIGNED_TOGGLE])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 16, 24, 30, 33, 64, 100])
@@ -1108,11 +1126,13 @@ class TestTreePoints:
             got = probe_value(model, lifts, x, (j,), t)
             assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300)
 
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
     @pytest.mark.parametrize("n", [5, 30, 64])
-    def test_gauss_legendre_nodes_match_flat_probes(self, rng, n):
-        """Root nodes that are no Chebyshev set: the highest nodes with their
-        own points interpolate to Gauss-Legendre targets and back."""
-        model, lifts = _random_model("btree", n, 3, seed=n + 3)
+    def test_gauss_legendre_nodes_match_flat_probes(self, rng, n, kind):
+        """Root nodes that are no Chebyshev set: the highest tree nodes with
+        their own points interpolate to Gauss-Legendre targets and back, and
+        a train's weighted prefix starts from non-uniform weights."""
+        model, lifts = _random_model(kind, n, 3, seed=n + 3)
         xs = rng.uniform(-1, 1, (3, n))
         g, w = np.polynomial.legendre.leggauss(n // 2 + 1)
         nodes, weights = 0.5 * (g + 1.0), 0.5 * w
@@ -1154,11 +1174,13 @@ class TestTreePoints:
                              quadrature_weights(m))
         _assert_close(got.values, want)
 
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
     @pytest.mark.parametrize("n", [5, 7, 24, 33])
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_higher_order_gauss_legendre_nodes_match_flat_probes(self, rng, k, n):
-        """Root nodes that are no Chebyshev set, at every order."""
-        model, lifts = _random_model("btree", n, 3, seed=n + k + 2)
+    def test_higher_order_gauss_legendre_nodes_match_flat_probes(self, rng, k, n, kind):
+        """Root nodes that are no Chebyshev set, at every order, on both
+        topologies."""
+        model, lifts = _random_model(kind, n, 3, seed=n + k + 2)
         xs = rng.uniform(-1, 1, (3, n))
         g, w = np.polynomial.legendre.leggauss((n - k) // 2 + 1)
         nodes, weights = 0.5 * (g + 1.0), 0.5 * w
@@ -1166,21 +1188,23 @@ class TestTreePoints:
                                             SIGNED_TOGGLE, tuple(range(n)))
         _assert_sampled_subsets(rng, model, lifts, xs, values, k, nodes, weights)
 
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_no_scaled_inputs_and_no_full_up_pass(self, rng, monkeypatch, k):
-        """A tree request at any order builds no (B * m)-row selector-scaled
-        inputs and runs no all-nodes up pass."""
+    def test_no_scaled_inputs_and_no_full_up_pass(self, rng, monkeypatch, k, kind):
+        """A request at any order on either topology builds no (B * m)-row
+        selector-scaled inputs and runs no all-nodes environment pass."""
         n = 7
-        model, lifts = _random_model("btree", n, 3, seed=k)
+        model, lifts = _random_model(kind, n, 3, seed=k)
         x = rng.uniform(-1, 1, n)
         subset = tuple(range(1, k + 1))
         want = explain(model, lifts, x, k).values, probe_value(model, lifts, x, subset, 0.37)
 
         def forbidden(*args):
-            raise AssertionError("called on a tree request")
+            raise AssertionError(f"called on a {kind} request")
 
-        monkeypatch.setattr(attribute, "_scaled_inputs", forbidden)
+        monkeypatch.setattr(oracle, "_scaled_inputs", forbidden)
         monkeypatch.setattr(attribute.tensor_net, "tree_up_messages", forbidden)
+        monkeypatch.setattr(attribute.tensor_net, "tt_right_states", forbidden)
         assert np.array_equal(explain(model, lifts, x, k).values, want[0])
         assert probe_value(model, lifts, x, subset, 0.37) == want[1]
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import tree_down_messages
+from conftest import tree_down_messages, tt_left_states
 from tnshap import (
     CpTeacher,
     FitConfig,
@@ -33,7 +33,6 @@ from tnshap.tensor_net import (
     _subtree_leaf_range,
     capped_uniform_bonds,
     tree_up_messages,
-    tt_left_states,
     tt_right_states,
 )
 

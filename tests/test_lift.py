@@ -5,11 +5,12 @@ import pytest
 
 from conftest import random_tt_model
 from tnshap import FeatureMap, LiftSpec, off_state, signed_toggle
-from tnshap.attribute import _scaled_inputs, chebyshev_nodes
+from tnshap.attribute import chebyshev_nodes
+from tnshap.oracle import _scaled_inputs
 
 
 def select(t: float, v) -> np.ndarray:
-    """The probe engine's selector Diag(t * I_{d-1}, 1) on one lifted vector."""
+    """The oracle's selector Diag(t * I_{d-1}, 1) on one lifted vector."""
     return _scaled_inputs([np.asarray(v, dtype=np.float64)], np.array([t]))[0][0]
 
 

@@ -7,7 +7,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import additive_model, product_model, random_tt_model, tree_down_messages
+from conftest import (
+    additive_model,
+    product_model,
+    random_tt_model,
+    tree_down_messages,
+    tt_left_states,
+)
 from tnshap import (
     LiftSpec,
     TensorNetworkModel,
@@ -25,7 +31,6 @@ from tnshap.tensor_net import (
     chebyshev_interpolation,
     chebyshev_nodes,
     tree_up_messages,
-    tt_left_states,
     tt_right_states,
 )
 
