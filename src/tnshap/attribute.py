@@ -129,6 +129,20 @@ def _feature_indices(subset) -> tuple:
     return tuple(sorted(map(operator.index, items)))
 
 
+def _check_order(k, n: int) -> int:
+    """The order k as an int in 1..n; a bool, though ``operator.index(True)``
+    is 1, or a k that ``operator.index`` refuses is a ValueError."""
+    try:
+        if isinstance(k, bool):
+            raise TypeError
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"order k={k!r} is not an integer") from None
+    if not 1 <= k <= n:
+        raise ValueError(f"order k={k} must satisfy 1 <= k <= n={n}")
+    return k
+
+
 def _normalize_subsets(n: int, k: int, subsets):
     if isinstance(subsets, str):
         if subsets != "all":
@@ -136,6 +150,8 @@ def _normalize_subsets(n: int, k: int, subsets):
         return tuple(itertools.combinations(range(1, n + 1), k))
     norm = []
     for s in subsets:
+        if not hasattr(s, "__iter__"):
+            raise ValueError(f"subset {s!r} is not a sequence of feature indices")
         try:
             t = _feature_indices(s)
         except TypeError:
@@ -258,14 +274,7 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     try:
         _check_model_lifts(model, lifts)
         n = model.n
-        try:
-            if isinstance(k, bool):
-                raise TypeError
-            k = operator.index(k)
-        except TypeError:
-            raise ValueError(f"order k={k!r} is not an integer") from None
-        if not 1 <= k <= n:
-            raise ValueError(f"order k={k} must satisfy 1 <= k <= n={n}")
+        k = _check_order(k, n)
         subset_list = _normalize_subsets(n, k, subsets)
         mode = _resolve_mode(k, mode)
     except (TypeError, ValueError) as exc:

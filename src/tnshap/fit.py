@@ -569,16 +569,24 @@ def eval_quality(student, teacher, lifts: LiftSpec, instances, orders=(1, 2, 3),
     Each instance's 2^n teacher table is enumerated once for all orders.
     """
     instances = np.asarray(instances, dtype=np.float64)
-    report = base_report if base_report is not None else FitReport()
-    values = {int(k): ([], []) for k in orders}
+    return _score(student, lifts, instances, _exact_values(teacher, lifts, instances, orders),
+                  base_report if base_report is not None else FitReport())
+
+
+def _exact_values(teacher, lifts: LiftSpec, instances, orders) -> dict:
+    """Order k -> the teacher's exact values of every instance, in order."""
+    truth = {int(k): [] for k in orders}
     for x in instances:
         table = oracle.enumerate_game(teacher, lifts, x)
-        for k, (student_vals, teacher_vals) in values.items():
-            student_vals.append(attribute.explain(student, lifts, x, k).values)
-            teacher_vals.append(oracle.exact_sii(table, k).values)
-    for k, (student_vals, teacher_vals) in values.items():
-        a = np.concatenate(student_vals)
-        b = np.concatenate(teacher_vals)
+        for k, values in truth.items():
+            values.append(oracle.exact_sii(table, k).values)
+    return {k: np.concatenate(values) for k, values in truth.items()}
+
+
+def _score(student, lifts: LiftSpec, instances, truth: dict, report: FitReport) -> FitReport:
+    """``eval_quality`` against the teacher values ``truth`` holds."""
+    for k, b in truth.items():
+        a = np.concatenate([attribute.explain(student, lifts, x, k).values for x in instances])
         mse = float(np.mean((a - b) ** 2))
         var = float(np.var(b))
         defined = not var < 1e-30
@@ -590,18 +598,20 @@ def eval_quality(student, teacher, lifts: LiftSpec, instances, orders=(1, 2, 3),
 def rank_sweep(teacher, lifts: LiftSpec, center, config: FitConfig, ranks, seeds,
                eval_instances, orders=(1, 2, 3)):
     """Fit students across (rank, seed) cells and score each against the
-    teacher; failures are recorded per cell without aborting the sweep."""
-    cells = []
+    teacher; failures are recorded per cell without aborting the sweep. A
+    seed's training set and the teacher's exact values are computed in the
+    first cell that needs them, and again only if that failed."""
+    cells, training, truth = [], {}, {}
     for rank in ranks:
         for seed in seeds:
             cell = {"rank": int(rank), "seed": int(seed), "error": None, "report": None}
             try:
                 cell_config = replace(config, bond_dim=int(rank), seed=int(seed))
-                training = build_training_set(teacher, lifts, center, cell_config)
-                student, report = fit_student(training, cell_config, lifts)
-                cell["report"] = eval_quality(
-                    student, teacher, lifts, eval_instances, orders, base_report=report
-                )
+                if seed not in training:
+                    training[seed] = build_training_set(teacher, lifts, center, cell_config)
+                student, report = fit_student(training[seed], cell_config, lifts)
+                truth = truth or _exact_values(teacher, lifts, eval_instances, orders)
+                cell["report"] = _score(student, lifts, eval_instances, truth, report)
             except Exception as exc:  # noqa: BLE001 - sweep isolation is the contract
                 cell["error"] = f"{type(exc).__name__}: {exc}"
             cells.append(cell)

@@ -134,8 +134,7 @@ def sii_weights(n: int, k: int) -> np.ndarray:
     Factorials are exact integers; each weight is one correctly rounded
     division, so any 1 <= k <= n is supported.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"order k={k} must satisfy 1 <= k <= n={n}")
+    k = attribute._check_order(k, n)
     fact = math.factorial
     return np.array([fact(s) * fact(n - k - s) / fact(n - k + 1) for s in range(n - k + 1)])
 
@@ -146,8 +145,7 @@ def exact_sii(table: CoalitionTable, k: int) -> AttributionSet:
     k = 1 these are the Shapley values.
     """
     n = table.n
-    if not 1 <= k <= n:
-        raise ValueError(f"order k={k} must satisfy 1 <= k <= n={n}")
+    k = attribute._check_order(k, n)
     v = table.values
     weights = sii_weights(n, k)
     pc = _popcounts(n)

@@ -21,8 +21,7 @@ runs every leg of a train at all m quadrature nodes; ``tree_probes`` runs a
 node with s real leaves below it at only s + 1 points: about
 sum_v (s_v + 1) chi^3 plus O(n^2) interpolation per instance at order 1. On
 btree n = 2000, chi 8 one order-1 request takes 0.2-0.35 s and a 16 MB
-``tracemalloc`` peak (2.3 s and 555 MB when every node ran at all 2000
-nodes; one 2.0 GHz Xeon core, one BLAS thread).
+``tracemalloc`` peak (one 2.0 GHz Xeon core, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -448,9 +447,9 @@ def _stack(blocks):
 # closed against the message with its legs toggled: at its leaf for k = 1,
 # else where its two parts meet (``_toggle_close``). Up to order k - 1 the
 # toggled messages are stacked per choice of legs and ride the same
-# interpolation GEMMs as the order-0 ones. A node costs its point count times
-# chi^3 per stacked row, about sum_v (s_v + 1) chi^3 per instance at k = 1,
-# plus the interpolation GEMMs.
+# interpolation GEMMs as the order-0 ones, as ``_tree_schedule`` lists. A node
+# costs its point count times chi^3 per stacked row, about sum_v (s_v + 1)
+# chi^3 per instance at k = 1, plus the interpolation GEMMs.
 
 
 def chebyshev_nodes(m: int) -> np.ndarray:
@@ -563,11 +562,12 @@ def tree_probes(topology: TnTopology, cores, toggled, nodes, weights, k: int,
 
     Messages are point-major, (points, B, bond) arrays, so one GEMM takes a
     message to another point set; the order-o stacks of the stacked pass are
-    (points * B, C(toggleable leaves under v, o), bond) arrays, kept per
-    ``_tree_orders``. A subtree of pads only sends a constant (bond,)
-    vector, which its parent folds into its core once per call. Order-1
-    subsets close at their leaves in ``legs`` order; higher orders close in
-    the order ``_tree_order`` sorts.
+    (points * B, C(toggleable leaves under v, o), bond) arrays. Which orders
+    a node keeps, merges and closes, and the permutation to lexicographic
+    order, come from ``_tree_schedule``; this pass only runs it. A subtree of
+    pads only sends a constant (bond,) vector, which its parent folds into
+    its core once per call. Order-1 subsets close at their leaves in
+    ``legs`` order.
     """
     L, n = topology.leaf_count, topology.n
     b = toggled[0].shape[0]
@@ -598,12 +598,11 @@ def tree_probes(topology: TnTopology, cores, toggled, nodes, weights, k: int,
         if maps[v] is not None:
             msg = maps[v].forward(msg.reshape(t.shape[0], -1)).reshape(-1, b, msg.shape[2])
         up[v] = msg
-    inside = _tree_counts(legs, L)
+    inside, keep, ups, closes, perm = _tree_schedule(legs, L, k)
     # entry v: the weighted adjoint of node v's up message, at v's points. It
     # is built where at least k toggleable leaves lie below v (the nodes where
     # subsets close, and their ancestors) and kept only where subsets close:
-    # the toggleable leaves at k = 1, else the nodes whose two children both
-    # hold toggleable leaves
+    # the toggleable leaves at k = 1, else the nodes the schedule closes at
     down = [None] * (2 * L)
     down[1] = np.repeat(weights[:, None, None], b, axis=1)
     for v in range(1, L):
@@ -612,7 +611,7 @@ def tree_probes(topology: TnTopology, cores, toggled, nodes, weights, k: int,
         core = _node_core(cores, v)
         p = down[v].shape[0]
         env = down[v].reshape(p * b, -1)
-        if k == 1 or not (inside[2 * v] and inside[2 * v + 1]):
+        if not closes[v]:
             down[v] = None
         for c in (2 * v, 2 * v + 1):
             if inside[c] < k:
@@ -638,7 +637,6 @@ def tree_probes(topology: TnTopology, cores, toggled, nodes, weights, k: int,
     for v in range(2 * L - 1, 0, -1):
         if points[v] is None:
             continue
-        lo, hi = _tree_orders(inside[v], len(legs), k)
         if v >= L:
             msg = {1: np.tile(ons[v - L], (points[v].shape[0], 1))[:, None]} if inside[v] else {}
         else:
@@ -649,21 +647,18 @@ def tree_probes(topology: TnTopology, cores, toggled, nodes, weights, k: int,
                 msg = {o: (x.reshape(-1, x.shape[2]) @ folded[v]).reshape(*x.shape[:2], -1)
                        for o, x in lchild.items() if o}
             else:
-                if down[v] is not None:
-                    closed += [_toggle_close(core, lchild[i], rchild[k - i], down[v])
-                               for i in sorted(lchild) if k - i in rchild]
-                    down[v] = None
-                msg = {o: _stack([_toggle_merge(core, lchild[i], rchild[o - i])
-                                  for i in sorted(lchild) if o - i in rchild])
-                       for o in range(max(lo, 1), hi + 1)}
+                closed += [_toggle_close(core, lchild[i], rchild[j], down[v])
+                           for i, j in closes[v]]
+                msg = {o: _stack([_toggle_merge(core, lchild[i], rchild[j]) for i, j in merges])
+                       for o, merges in ups[v]}
             if maps[v] is not None:
                 p = points[v].shape[0]
                 msg = {o: maps[v].forward(x.reshape(p, -1)).reshape(-1, *x.shape[1:])
                        for o, x in msg.items()}
-        if lo == 0:
+        if keep[v]:
             msg[0] = up[v].reshape(-1, 1, up[v].shape[2])
         msgs[v] = msg
-    return np.concatenate(closed, axis=1)[:, _tree_order(legs, L, k)]
+    return np.concatenate(closed, axis=1)[:, perm]
 
 
 def _toggle_merge(core, left, right) -> np.ndarray:
@@ -700,50 +695,49 @@ def _toggle_close(core, left, right, env) -> np.ndarray:
     return (tmp @ right).reshape(b, a * c)
 
 
-def _tree_counts(legs, leaf_count: int) -> list:
-    """Entry v: the number of ``legs`` on leaves below tree node v."""
-    inside = [0] * (2 * leaf_count)
-    for j in legs:
-        inside[leaf_count + j] = 1
-    for v in range(leaf_count - 1, 0, -1):
-        inside[v] = inside[2 * v] + inside[2 * v + 1]
-    return inside
-
-
-def _tree_orders(inside: int, total: int, k: int):
-    """Orders below k that a node with ``inside`` of the ``total`` toggleable
-    leaves below it keeps: at most ``inside``, at least what the toggleable
-    leaves outside it cannot supply (else k near ``total`` stacks about
-    2^inside choices near the root)."""
-    return max(0, k - (total - inside)), min(k - 1, inside)
-
-
 # bounded: an explicit subset list adds one entry per distinct leg set
 @functools.lru_cache(maxsize=64)
-def _tree_order(legs, leaf_count: int, k: int) -> np.ndarray:
-    """Permutation taking ``tree_probes``' closing order at k >= 2 to
-    lexicographic subset order: the k-subsets of ``legs``, built as rows of
-    leg indices in the order the stacked pass closes them, then sorted."""
+def _tree_schedule(legs, leaf_count: int, k: int) -> tuple:
+    """``tree_probes``' stacked pass over the k-subsets of ``legs``: (inside,
+    keep, ups, closes, perm). Node v has ``inside[v]`` of the ``legs`` below
+    it and keeps only the orders below k that the legs outside it can
+    complete (else k near ``len(legs)`` stacks about 2^inside choices): 0 if
+    ``keep[v]``, and each o of ``ups[v]``'s (o, (left, right) order pairs
+    merged into o). It closes the order-k pairs ``closes[v]``; at k = 1 a
+    leaf closes itself. ``perm`` takes that closing order to lexicographic
+    order: it sorts the leg-index rows built from the same pairs."""
     L = leaf_count
-    inside = _tree_counts(legs, L)
+    toggleable = set(legs)
+    inside, keep, ups, closes = [0] * (2 * L), [False] * (2 * L), [()] * (2 * L), [()] * (2 * L)
     labels = [None] * (2 * L)
     closed = []
+
+    def merged(a, b):  # two label blocks' rows, left choices major
+        return np.concatenate([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))], axis=1)
+
     for v in range(2 * L - 1, 0, -1):
-        lo, hi = _tree_orders(inside[v], len(legs), k)
-        lab = {0: [np.empty((1, 0), dtype=np.intp)]} if lo == 0 else {}
+        inside[v] = int(v - L in toggleable) if v >= L else inside[2 * v] + inside[2 * v + 1]
+        lo, hi = max(0, k - (len(legs) - inside[v])), min(k - 1, inside[v])
+        keep[v] = lo == 0
+        lab = {0: np.empty((1, 0), dtype=np.intp)} if keep[v] else {}
         if v >= L and inside[v]:
-            lab[1] = [np.array([[v - L]], dtype=np.intp)]
+            lab[1] = np.array([[v - L]], dtype=np.intp)
         elif v < L:
-            lchild, rchild = labels[2 * v], labels[2 * v + 1]
-            for o in [*range(max(lo, 1), hi + 1), k]:
-                lab[o] = [np.concatenate([np.repeat(lchild[i], len(rchild[o - i]), axis=0),
-                                          np.tile(rchild[o - i], (len(lchild[i]), 1))], axis=1)
-                          for i in sorted(lchild) if o - i in rchild]
-        closed += lab.pop(k, [])
-        labels[v] = {o: np.concatenate(rows) for o, rows in lab.items()}
+            left, right = labels[2 * v], labels[2 * v + 1]
+            pairs = {o: tuple((i, o - i) for i in sorted(left) if o - i in right)
+                     for o in [*range(max(lo, 1), hi + 1), k]}
+            closes[v] = pairs.pop(k)
+            ups[v] = tuple(pairs.items())
+            for o, merges in ups[v]:
+                lab[o] = np.concatenate([merged(left[i], right[j]) for i, j in merges])
+            closed += [merged(left[i], right[j]) for i, j in closes[v]]
+        if k in lab:
+            closed.append(lab.pop(k))
+        labels[v] = lab
     perm = np.lexsort(np.concatenate(closed).T[::-1])
     perm.setflags(write=False)
-    return perm
+    return tuple(inside), tuple(keep), tuple(ups), tuple(closes), perm
+
 
 def materialize_full(model: TensorNetworkModel, limit: int = DEFAULT_MATERIALIZE_LIMIT) -> np.ndarray:
     """Expand the model into its dense coefficient tensor over the real legs.

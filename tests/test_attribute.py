@@ -429,7 +429,8 @@ class TestBatch:
 
     @pytest.mark.parametrize("subsets", ["all", [(1, 2), (2, 4)]])
     @pytest.mark.parametrize("case", ["bad-k", "boolean-k", "float-k", "wrong-length", "nan",
-                                      "empty-subsets", "non-integral-subset", "unknown-mode"])
+                                      "empty-subsets", "non-integral-subset",
+                                      "non-sequence-subset", "unknown-mode"])
     def test_explain_raises_what_batch_slot_holds(self, rng, case, subsets):
         """``explain`` is a one-row ``explain_batch``: it raises the exception
         left in the row's slot, same type and message."""
@@ -449,12 +450,16 @@ class TestBatch:
             subsets = []
         elif case == "non-integral-subset":
             subsets = [(1.5, 2)]
+        elif case == "non-sequence-subset":
+            subsets = [1, 2]
         else:
             mode = "both"
         slot = explain_batch(model, lifts, [x], k, mode=mode, subsets=subsets)[0]
         assert isinstance(slot, ValueError)
         if case.endswith("-k"):
             assert f"k={k!r}" in str(slot)
+        if case == "non-sequence-subset":
+            assert str(slot) == "subset 1 is not a sequence of feature indices"
         with pytest.raises(type(slot)) as info:
             explain(model, lifts, x, k, subsets=subsets, mode=mode)
         assert str(info.value) == str(slot)
@@ -798,11 +803,11 @@ class TestSharedProbes:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_train_sweep_is_lexicographic_without_permutation(self, rng, monkeypatch, k):
         """``tt_probes`` returns (B, C(n, k)) values in lexicographic order
-        without ``_tree_order``."""
+        without the tree's ``_tree_schedule``."""
         n, b = 7, 2
         model, lifts = _random_model("tt", n, 3, seed=k)
         xs = rng.uniform(-1, 1, (b, n))
-        monkeypatch.setattr(attribute.tensor_net, "_tree_order", None)
+        monkeypatch.setattr(attribute.tensor_net, "_tree_schedule", None)
         values, _ = attribute._probe_values(model, lifts.lift_rows(xs), chebyshev_nodes(n - k + 1),
                                             quadrature_weights(n - k + 1), k, SIGNED_TOGGLE,
                                             tuple(range(n)))
@@ -1174,6 +1179,40 @@ class TestTreePoints:
                              quadrature_weights(m))
         _assert_close(got.values, want)
 
+    @pytest.mark.parametrize("n", [5, 11, 24])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_reversed_schedule_pairs_keep_values_on_their_subsets(self, rng, monkeypatch, k, n):
+        """The stacked pass and the permutation read one schedule: with every
+        node's merge and close pairs listed in reverse (the schedule's one
+        ``sorted`` made descending), the closing order changes and every
+        value still lands on its subset, for all subsets and for a list,
+        whose values also match the flat reference."""
+        tensor_net = attribute.tensor_net
+        model, lifts = _random_model("btree", n, 3, seed=n + k + 3)
+        x = rng.uniform(-1, 1, n)
+        subsets = sorted({tuple(sorted(rng.choice(n, k, replace=False) + 1)) for _ in range(5)})
+        key = (tuple(range(n)), tensor_net._tree_leaf_count(n), k)
+        ups, closes, perm = tensor_net._tree_schedule(*key)[2:]
+        want = [explain(model, lifts, x, k), explain(model, lifts, x, k, subsets=subsets)]
+        tensor_net._tree_schedule.cache_clear()
+        monkeypatch.setattr(tensor_net, "sorted", lambda xs: sorted(xs, reverse=True),
+                            raising=False)
+        try:
+            got_ups, got_closes, got_perm = tensor_net._tree_schedule(*key)[2:]
+            got = [explain(model, lifts, x, k), explain(model, lifts, x, k, subsets=subsets)]
+        finally:
+            tensor_net._tree_schedule.cache_clear()
+        assert got_closes == tuple(pairs[::-1] for pairs in closes)
+        assert got_ups == tuple(tuple((o, pairs[::-1]) for o, pairs in up) for up in ups)
+        assert not np.array_equal(got_perm, perm)
+        for g, w in zip(got, want):
+            assert g.subsets == w.subsets == tuple(sorted(w.subsets))
+            np.testing.assert_allclose(g.values, w.values, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(w.values)))
+        m = n - k + 1
+        _assert_close(got[1].values, _flat_indices(model, lifts, x, subsets, chebyshev_nodes(m),
+                                                   quadrature_weights(m)))
+
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     @pytest.mark.parametrize("n", [5, 7, 24, 33])
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -1221,6 +1260,7 @@ class TestTreePoints:
         x = rng.uniform(-1, 1, n)
         attribute.quadrature_weights.cache_clear()
         attribute.tensor_net._tree_plan.cache_clear()
+        attribute.tensor_net._tree_schedule.cache_clear()
         tracemalloc.start()
         try:
             phi = explain(model, lifts, x, 1).values

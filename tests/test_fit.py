@@ -589,3 +589,34 @@ class TestConfigAndSweep:
         assert cell.train_r2 == report.train_r2
         assert cell.orders[1].r2 == report.orders[1].r2
         assert cell.orders[2].r2 == report.orders[2].r2
+
+    def test_sweep_charges_each_training_set_and_table_once(self, rng):
+        """A seed's training set is the same at every rank and the teacher's
+        exact values are the same in every cell: the teacher is charged
+        neighborhood + 2n^2 forwards per seed and 2^n per eval instance, and
+        a later cell scores as the direct path does."""
+        from dataclasses import replace
+
+        n, neighborhood = 4, 32
+        teacher, lifts = gen_tree_teacher(n, 2, seed=3)
+        config = FitConfig(neighborhood=neighborhood, sigma_frac=1.0, max_sweeps=4, seed=0)
+        eval_x = rng.uniform(-1, 1, (3, n))
+        before = teacher.forward_count
+        cells = rank_sweep(teacher, lifts, np.zeros(n), config, ranks=[1, 2, 3], seeds=[0, 5],
+                           eval_instances=eval_x, orders=(1, 2))
+        assert [c["error"] for c in cells] == [None] * 6
+        assert teacher.forward_count - before == 2 * (neighborhood + 2 * n * n) + 3 * 2**n
+        cell_config = replace(config, bond_dim=3, seed=5)
+        training = build_training_set(teacher, lifts, np.zeros(n), cell_config)
+        student, report = fit_student(training, cell_config, lifts)
+        report = eval_quality(student, teacher, lifts, eval_x, (1, 2), base_report=report)
+        assert cells[-1]["report"].to_json_dict() == {**report.to_json_dict(),
+                                                      "wall_time_s": cells[-1]["report"].wall_time_s}
+
+    def test_sweep_failure_to_score_lands_in_every_cell(self, rng):
+        teacher, lifts = gen_tree_teacher(4, 2, seed=0)
+        config = FitConfig(neighborhood=16, sigma_frac=1.0, max_sweeps=2, seed=0)
+        cells = rank_sweep(teacher, lifts, np.zeros(4), config, ranks=[1, 2], seeds=[0, 1],
+                           eval_instances=rng.uniform(-1, 1, (2, 3)), orders=(1,))
+        errors = [c["error"] for c in cells]
+        assert len(set(errors)) == 1 and errors[0].startswith("ValueError")

@@ -21,6 +21,7 @@ from tnshap import (
     gen_cp_teacher,
     gen_tree_teacher,
     mobius_coefficients,
+    sii_weights,
     size_grouped_sums,
 )
 from tnshap.lift import off_state
@@ -143,6 +144,16 @@ class TestExactIndices:
         model, lifts = additive_model()
         table = enumerate_game(model, lifts, [1.0, 1.0])
         np.testing.assert_allclose(exact_sii(table, 2).values, [0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("k", [True, 2.0, 1.0, "2"])
+    def test_order_that_is_not_an_integer_rejected(self, k):
+        """A bool or non-integral order is refused as ``explain_batch`` refuses
+        it, not read as order 1 or passed to ``range``."""
+        table = CoalitionTable(n=3, values=np.arange(8.0))
+        with pytest.raises(ValueError, match=rf"^order k={k!r} is not an integer$"):
+            sii_weights(3, k)
+        with pytest.raises(ValueError, match=rf"^order k={k!r} is not an integer$"):
+            exact_sii(table, k)
 
     def test_matches_independent_powerset_oracle(self, rng):
         model, lifts = random_tt_model(rng, 5, bond=3)
