@@ -24,15 +24,14 @@ modes share its arithmetic, since ``on - off_state == signed_toggle(on)``.
 It returns node-weighted sums -- the index itself at the m = n - k + 1
 nodes, the raw probe at one node of weight 1. The sweep is
 ``tensor_net.tt_probes`` on a train and ``tensor_net.tree_probes`` on a tree,
-at every k, both on the (B, d) signed-toggled rows, so no (B * m)-row
-selector-scaled input is built: each closes a subset at the lowest node
-holding its toggled legs, about C(n, k) m chi^2 per instance on a train
-(bond dimension chi) instead of the C(n, k) m n chi^2 of contracting every
-probe from scratch. On a tree a node with s real leaves below it is
-evaluated at s + 1 points, so order 1 costs about sum_v (s_v + 1) chi^3
-plus O(n^2) interpolation per instance, where an all-nodes pass spends
-m chi^3 at every node. An explicit list toggles only the legs it names, so
-it costs at most the all-subsets request over them.
+at every k, with one argument list, on the (B, d) signed-toggled rows, so no
+(B * m)-row selector-scaled input is built: each closes a subset at the
+lowest node holding its toggled legs, about C(n, k) m chi^2 per instance on
+a train (bond dimension chi) instead of the C(n, k) m n chi^2 of
+contracting every probe from scratch; a tree evaluates a node with s real
+leaves below it at s + 1 points (``tensor_net``'s tree section gives the
+cost). An explicit list toggles only the legs it names, so it costs at most
+the all-subsets request over them.
 Only a ``TensorNetworkModel`` is explained: a ``CpTeacher`` is converted
 first with its ``to_tensor_train()``.
 ``oracle.flat_probes`` is the 2^k-configuration reference the engine is
@@ -130,13 +129,10 @@ def _feature_indices(subset) -> tuple:
 
 
 def _check_order(k, n: int) -> int:
-    """The order k as an int in 1..n; a bool, though ``operator.index(True)``
-    is 1, or a k that ``operator.index`` refuses is a ValueError."""
+    """The order k as an int in 1..n, by ``tensor_net.as_int``'s rule."""
     try:
-        if isinstance(k, bool):
-            raise TypeError
-        k = operator.index(k)
-    except TypeError:
+        k = tensor_net.as_int(k, "order k")
+    except ValueError:
         raise ValueError(f"order k={k!r} is not an integer") from None
     if not 1 <= k <= n:
         raise ValueError(f"order k={k} must satisfy 1 <= k <= n={n}")
@@ -206,8 +202,9 @@ def probe_value(model, lifts: LiftSpec, x, subset, t: float, mode=INCLUSION_EXCL
 def _probe_values(net, lifted, nodes, weights, k: int, mode, legs, columns=None):
     """Probes of the k-subsets of ``legs`` (0-based) at ``nodes``, summed
     with the per-node ``weights``, for B stacked instances from one sweep
-    over the network ``net`` on their toggled rows: ``tensor_net.tt_probes``
-    on a train, ``tensor_net.tree_probes`` on a tree.
+    over the network ``net`` on their toggled rows: one call, with the same
+    arguments, to ``tensor_net.tt_probes`` on a train or
+    ``tensor_net.tree_probes`` on a tree.
 
     ``lifted[i]`` holds feature i's (B, d_i) lifted rows. ``columns`` keeps
     the subsets of those lexicographic ranks (None keeps all). Returns
@@ -216,10 +213,8 @@ def _probe_values(net, lifted, nodes, weights, k: int, mode, legs, columns=None)
     ``mode``'s contract).
     """
     toggled = [signed_toggle(v) for v in lifted]
-    if net.topology.kind == tensor_net.BTREE:
-        values = tensor_net.tree_probes(net.topology, net.cores, toggled, nodes, weights, k, legs)
-    else:
-        values = tensor_net.tt_probes(net.cores, toggled, nodes, weights, k, legs)
+    probes = tensor_net.tt_probes if net.topology.kind == tensor_net.TT else tensor_net.tree_probes
+    values = probes(net.cores, toggled, nodes, weights, k, legs)
     if columns is not None:
         values = values[:, columns]
     patterns = 1 << k if mode == INCLUSION_EXCLUSION else 1

@@ -60,6 +60,7 @@ from .tensor_net import (
     _open_leg1,
     _open_leg2,
     _subtree_leaf_range,
+    as_int,
     capped_uniform_bonds,
     tree_up_messages,
     tt_right_states,
@@ -142,10 +143,11 @@ def gen_cp_teacher(n: int, rank: int, seed: int, lifts: LiftSpec | None = None):
     """Random CP teacher with factors ~ N(0,1), output-normalized to unit
     standard deviation over uniform samples of [-1, 1]^n.
     """
+    rank = as_int(rank, "rank")
     if rank < 1:
         raise ValueError("rank must be >= 1")
     lifts = lifts or LiftSpec.binary(n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "seed"))
     factors = [rng.standard_normal((rank, d)) for d in lifts.dims]
     teacher = CpTeacher(factors, np.ones(rank))
     legs = lifts.lift_rows(rng.uniform(-1.0, 1.0, size=(NORMALIZATION_SAMPLES, lifts.n)))
@@ -159,7 +161,7 @@ def gen_tree_teacher(n: int, bond_dim: int, seed: int, lifts: LiftSpec | None = 
     """Random balanced-tree teacher with N(0,1) cores (dummy pads fixed to 1),
     output-normalized like ``gen_cp_teacher``."""
     lifts = lifts or LiftSpec.binary(n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "seed"))
     topo = TnTopology(BTREE, n, lifts.dims, capped_uniform_bonds(BTREE, lifts.dims, bond_dim))
     cores = _init_cores(topo, rng, lambda shape: np.sqrt(shape[-1]))
     legs = lifts.lift_rows(rng.uniform(-1.0, 1.0, size=(NORMALIZATION_SAMPLES, lifts.n)))
@@ -201,6 +203,8 @@ class FitConfig:
     def __post_init__(self):
         if self.topology not in (TT, BTREE):
             raise ValueError(f"topology must be {TT!r} or {BTREE!r}, got {self.topology!r}")
+        for name in ("bond_dim", "neighborhood", "max_sweeps", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.bond_dim < 1:
             raise ValueError("bond_dim must be >= 1")
         if self.neighborhood < 0:
@@ -211,6 +215,8 @@ class FitConfig:
             raise ValueError("max_sweeps must be >= 1")
         if math.isnan(self.tol):
             raise ValueError("tol must be a number, got nan")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_json_dict(self) -> dict:
         return {"version": CONFIG_VERSION, **asdict(self)}
@@ -575,7 +581,7 @@ def eval_quality(student, teacher, lifts: LiftSpec, instances, orders=(1, 2, 3),
 
 def _exact_values(teacher, lifts: LiftSpec, instances, orders) -> dict:
     """Order k -> the teacher's exact values of every instance, in order."""
-    truth = {int(k): [] for k in orders}
+    truth = {attribute._check_order(k, lifts.n): [] for k in orders}
     for x in instances:
         table = oracle.enumerate_game(teacher, lifts, x)
         for k, values in truth.items():
@@ -598,15 +604,17 @@ def _score(student, lifts: LiftSpec, instances, truth: dict, report: FitReport) 
 def rank_sweep(teacher, lifts: LiftSpec, center, config: FitConfig, ranks, seeds,
                eval_instances, orders=(1, 2, 3)):
     """Fit students across (rank, seed) cells and score each against the
-    teacher; failures are recorded per cell without aborting the sweep. A
-    seed's training set and the teacher's exact values are computed in the
-    first cell that needs them, and again only if that failed."""
+    teacher; failures, a rank or seed ``FitConfig`` refuses included, are
+    recorded per cell without aborting the sweep. A seed's training set and
+    the teacher's exact values are computed in the first cell that needs
+    them, and again only if that failed."""
     cells, training, truth = [], {}, {}
     for rank in ranks:
         for seed in seeds:
-            cell = {"rank": int(rank), "seed": int(seed), "error": None, "report": None}
+            cell = {"rank": rank, "seed": seed, "error": None, "report": None}
             try:
-                cell_config = replace(config, bond_dim=int(rank), seed=int(seed))
+                cell_config = replace(config, bond_dim=rank, seed=seed)
+                cell["rank"], cell["seed"] = cell_config.bond_dim, cell_config.seed
                 if seed not in training:
                     training[seed] = build_training_set(teacher, lifts, center, cell_config)
                 student, report = fit_student(training[seed], cell_config, lifts)

@@ -12,10 +12,11 @@ lifts have phi(0) != 0, so their off state is a synthetic baseline.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor_net import as_int
 
 BINARY = "binary"
 POLY = "poly"
@@ -29,7 +30,7 @@ class FeatureMap:
     kind ``"binary"`` ignores ``k`` and ``omega`` (output dim 2);
     ``"poly"`` uses powers 1..k (dim k+1); ``"fourier"`` uses
     sin/cos harmonics 1..k at base frequency ``omega`` (dim 2k+1).
-    ``k`` must be an integer (not a boolean) and ``omega`` finite.
+    ``k`` must be an integer (``tensor_net.as_int``) and ``omega`` finite.
     """
 
     kind: str
@@ -39,12 +40,7 @@ class FeatureMap:
     def __post_init__(self):
         if self.kind not in (BINARY, POLY, FOURIER):
             raise ValueError(f"unknown feature map kind {self.kind!r}")
-        try:
-            if isinstance(self.k, bool):  # operator.index(True) is 1
-                raise TypeError
-            object.__setattr__(self, "k", operator.index(self.k))
-        except TypeError:
-            raise ValueError(f"k must be an integer, got {self.k!r}") from None
+        object.__setattr__(self, "k", as_int(self.k, "k"))
         if self.kind != BINARY and self.k < 1:
             raise ValueError("k must be >= 1")
         if not math.isfinite(self.omega):
@@ -106,7 +102,7 @@ class LiftSpec:
 
     @staticmethod
     def binary(n: int) -> "LiftSpec":
-        return LiftSpec([FeatureMap(BINARY)] * n)
+        return LiftSpec([FeatureMap(BINARY)] * as_int(n, "n"))
 
     @property
     def n(self) -> int:

@@ -17,12 +17,11 @@ import base64
 import binascii
 import json
 import math
-import operator
 
 import numpy as np
 
 from .lift import LiftSpec
-from .tensor_net import TensorNetworkModel, TnTopology
+from .tensor_net import TensorNetworkModel, TnTopology, as_int
 
 FORMAT_VERSION = 2
 READ_VERSIONS = (1, 2)
@@ -46,17 +45,6 @@ def model_to_json_dict(model: TensorNetworkModel, lifts: LiftSpec) -> dict:
     }
 
 
-def _index(value, what: str) -> int:
-    """An integer field; a float such as 4.9 raises instead of truncating,
-    and a JSON boolean instead of reading as 0 or 1."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
 def _core_from_json(idx: int, entry, version: int) -> np.ndarray:
     """One core of a version-1 or version-2 ``cores`` entry; the model checks
     its shape against the topology."""
@@ -65,7 +53,7 @@ def _core_from_json(idx: int, entry, version: int) -> np.ndarray:
     shape, data = entry["shape"], entry["data"]
     if not isinstance(shape, list):
         raise ValueError(f"core {idx}: shape must be a list, got {type(shape).__name__}")
-    shape = [_index(s, f"core {idx}: shape entry") for s in shape]
+    shape = [as_int(s, f"core {idx}: shape entry") for s in shape]
     if version == 1:
         if not isinstance(data, list):
             raise ValueError(f"core {idx}: data must be a list, got {type(data).__name__}")
@@ -92,12 +80,8 @@ def model_from_json_dict(obj) -> tuple:
     version = obj.get("version")
     if isinstance(version, bool) or version not in READ_VERSIONS:
         raise ValueError(f"unsupported model format version {version!r}")
-    topo = TnTopology(
-        kind=obj["topology"],
-        n=_index(obj["n"], "n"),
-        phys_dims=tuple(_index(d, "phys_dims entry") for d in obj["phys_dims"]),
-        bond_dims=tuple(_index(b, "bond_dims entry") for b in obj["bond_dims"]),
-    )
+    # the topology checks n and every phys_dims and bond_dims entry
+    topo = TnTopology(obj["topology"], obj["n"], obj["phys_dims"], obj["bond_dims"])
     entries = obj["cores"]
     if not isinstance(entries, list):
         raise ValueError(f"cores must be a list of objects, got {type(entries).__name__}")

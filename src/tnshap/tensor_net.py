@@ -14,14 +14,14 @@ contraction of one input configuration.
 
 Forward passes, environments and the ALS updates of ``tnshap.fit`` go
 through the two row-wise helpers of the "row-wise contractions" section.
-Node-weighted probes take one contract on both topologies: the (B, d)
-signed-toggled rows, from which each leg under the selector at node t is
-the affine matrix ``core[:, -1, :] + t * (toggled @ core)``. ``tt_probes``
-runs every leg of a train at all m quadrature nodes; ``tree_probes`` runs a
-node with s real leaves below it at only s + 1 points: about
-sum_v (s_v + 1) chi^3 plus O(n^2) interpolation per instance at order 1. On
-btree n = 2000, chi 8 one order-1 request takes 0.2-0.35 s and a 16 MB
-``tracemalloc`` peak (one 2.0 GHz Xeon core, one BLAS thread).
+Node-weighted probes take one argument list on both topologies: the cores,
+the (B, d) signed-toggled rows, from which each leg under the selector at
+node t is the affine matrix ``core[:, -1, :] + t * (toggled @ core)``, the
+nodes, their weights, the order and the legs. ``tt_probes`` runs every leg
+of a train at all m quadrature nodes; ``tree_probes`` runs a node with s
+real leaves below it at only s + 1 points (its section comment gives the
+cost). The integers of a topology, a lift, an order and a fit config pass
+one rule, ``as_int``.
 """
 
 from __future__ import annotations
@@ -42,6 +42,18 @@ DEFAULT_MATERIALIZE_LIMIT = 2**20
 # interpolation matrices up to this size and builds larger ones in row blocks
 # of it at each use; the quadrature weights build their cosine table so too
 BLOCK_ENTRIES = 1 << 16
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as a plain int; a bool, which ``operator.index`` reads as 0
+    or 1, or a non-integral value such as 4.9 or 4.0 is a ValueError that
+    starts with ``what``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 class ForwardCounter:
@@ -93,10 +105,12 @@ class TnTopology:
     def __post_init__(self):
         if self.kind not in (TT, BTREE):
             raise ValueError(f"unknown topology kind {self.kind!r}")
+        object.__setattr__(self, "n", as_int(self.n, "n"))
         if self.n < 1:
             raise ValueError("need at least one feature")
-        object.__setattr__(self, "phys_dims", tuple(map(operator.index, self.phys_dims)))
-        object.__setattr__(self, "bond_dims", tuple(map(operator.index, self.bond_dims)))
+        for name in ("phys_dims", "bond_dims"):
+            object.__setattr__(self, name, tuple(as_int(d, f"{name} entry")
+                                                 for d in getattr(self, name)))
         if len(self.phys_dims) != self.n:
             raise ValueError("phys_dims length must equal n")
         if any(d < 1 for d in self.phys_dims):
@@ -152,9 +166,9 @@ def capped_uniform_bonds(kind: str, phys_dims, chi: int) -> tuple:
     its two sides; extents beyond that are pure parameter redundancy. Dummy
     tree leaves contribute a factor of 1, so dummy-side edges collapse to 1.
     """
-    phys_dims = tuple(int(d) for d in phys_dims)
+    phys_dims = tuple(as_int(d, "phys_dims entry") for d in phys_dims)
     n = len(phys_dims)
-    chi = int(chi)
+    chi = as_int(chi, "bond dimension")
     if chi < 1:
         raise ValueError("bond dimension must be >= 1")
 
@@ -372,8 +386,8 @@ def tt_right_states(cores, batch) -> list:
 def tt_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     """Node-weighted signed-toggle probes of every k-subset of ``legs`` (the
     sorted 0-based legs a request may toggle) on a train: ``tree_probes``'
-    arguments and (B, C(len(legs), k)) output, without the topology, from
-    one weighted prefix pass and one stacked right-to-left pass.
+    arguments and (B, C(len(legs), k)) output, from one weighted prefix pass
+    and one stacked right-to-left pass.
 
     Order-o suffix states are stacked as (B, C(toggleable legs after i, o),
     m, bond) arrays, order 0 starting from ones; a subset closes against the
@@ -458,7 +472,7 @@ def chebyshev_nodes(m: int) -> np.ndarray:
     t_l = (1 + cos((2l + 1) pi / (2m))) / 2 for l = 0..m-1, returned in the
     formula's natural (descending) order.
     """
-    if m < 1:
+    if as_int(m, "node count") < 1:
         raise ValueError("need at least one node")
     ell = np.arange(m)
     return 0.5 * (1.0 + np.cos((2 * ell + 1) * np.pi / (2 * m)))
@@ -545,20 +559,21 @@ def _tree_plan(n: int, key: bytes) -> tuple:
     return tuple(points), tuple(maps)
 
 
-def tree_probes(topology: TnTopology, cores, toggled, nodes, weights, k: int,
-                legs) -> np.ndarray:
+def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     """Node-weighted signed-toggle probes of every k-subset of ``legs`` (the
-    sorted 0-based legs a request may toggle) on a binary tree, from one
-    up pass, one adjoint down pass and, for k >= 2, one stacked up pass on
+    sorted 0-based legs a request may toggle) on a binary tree over
+    n = ``len(toggled)`` features, with ``tt_probes``' arguments, from one up
+    pass, one adjoint down pass and, for k >= 2, one stacked up pass on
     per-node point sets (see the section comment).
 
-    ``toggled[i]`` is the (B, d_i) signed toggle of leg i's lifted rows, whose
-    bias channel is 1. Entry (b, s) of the returned (B, C(len(legs), k))
-    array is the ``weights``-weighted sum over l of instance b's contraction
-    with the legs of the s-th subset (lexicographic order) toggled and every
-    other leg selector-scaled at ``nodes[l]``: the index itself under
-    quadrature weights, the raw probe at one node of weight 1. No (B * m)-row
-    selector-scaled input is built.
+    ``cores`` are in serialization order, over ``_tree_leaf_count(n)`` leaf
+    slots. ``toggled[i]`` is the (B, d_i) signed toggle of leg i's lifted
+    rows, whose bias channel is 1. Entry (b, s) of the returned
+    (B, C(len(legs), k)) array is the ``weights``-weighted sum over l of
+    instance b's contraction with the legs of the s-th subset (lexicographic
+    order) toggled and every other leg selector-scaled at ``nodes[l]``: the
+    index itself under quadrature weights, the raw probe at one node of
+    weight 1. No (B * m)-row selector-scaled input is built.
 
     Messages are point-major, (points, B, bond) arrays, so one GEMM takes a
     message to another point set; the order-o stacks of the stacked pass are
@@ -569,8 +584,8 @@ def tree_probes(topology: TnTopology, cores, toggled, nodes, weights, k: int,
     its core once per call. Order-1 subsets close at their leaves in
     ``legs`` order.
     """
-    L, n = topology.leaf_count, topology.n
-    b = toggled[0].shape[0]
+    n, b = len(toggled), toggled[0].shape[0]
+    L = _tree_leaf_count(n)
     points, maps = _tree_plan(n, np.ascontiguousarray(nodes, dtype=np.float64).tobytes())
     ons = [toggled[j] @ _node_core(cores, L + j) for j in range(n)]
     # entry v: node v's up message at its parent's points

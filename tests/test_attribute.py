@@ -1,5 +1,6 @@
 """Probe-quadrature engine: nodes, weights, probes, explain."""
 
+import inspect
 import io
 import itertools
 import math
@@ -54,6 +55,11 @@ class TestChebyshevNodes:
     def test_strictly_monotone_after_sorting(self):
         nodes = np.sort(chebyshev_nodes(9))
         assert np.all(np.diff(nodes) > 0)
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, True], ids=["2.5", "2.0", "True"])
+    def test_node_count_that_is_not_an_integer_rejected(self, m):
+        with pytest.raises(ValueError, match=f"^node count must be an integer, got {m!r}$"):
+            chebyshev_nodes(m)
 
 
 class TestWeights:
@@ -534,11 +540,9 @@ class TestStackedBatch:
         for kind in ("tt", "btree"):
             sweep = "tt_probes" if kind == "tt" else "tree_probes"
             original = getattr(attribute.tensor_net, sweep)
-            # both sweeps take the (B, d) toggled rows, after the topology on a tree
-            arg = 1 if kind == "tt" else 2
+            # both sweeps take the (B, d) toggled rows at argument 1
             monkeypatch.setattr(attribute.tensor_net, sweep,
-                                lambda *a, f=original, i=arg: sweeps.append(a[i][0].shape[0])
-                                or f(*a))
+                                lambda *a, f=original: sweeps.append(a[1][0].shape[0]) or f(*a))
             model, lifts = _random_model(kind, n, 3, seed=5)
             xs = rng.uniform(-1, 1, (7, n))
             xs[1, 0] = np.inf
@@ -559,13 +563,13 @@ class TestStackedBatch:
         xs = rng.uniform(-1, 1, (7, n))
         whole = explain_batch(model, lifts, xs, 1)
         # the sweep's instance x node rows: both sweeps take the (B, d)
-        # toggled rows and the m nodes, after the topology on a tree
+        # toggled rows and the m nodes at arguments 1 and 2
         env = "tt_probes" if kind == "tt" else "tree_probes"
         rows = []
         original = getattr(attribute.tensor_net, env)
 
         def spy(*args):
-            toggled, nodes = args[1:3] if kind == "tt" else args[2:4]
+            toggled, nodes = args[1:3]
             rows.append(toggled[0].shape[0] * nodes.shape[0])
             return original(*args)
 
@@ -579,6 +583,12 @@ class TestStackedBatch:
         rows.clear()
         explain_batch(model, lifts, xs[:2], 1)
         assert rows == [n, n]
+
+    def test_engines_share_one_argument_list(self):
+        """``_probe_values`` makes one call whichever engine the topology picks."""
+        tree = inspect.signature(attribute.tensor_net.tree_probes).parameters
+        train = inspect.signature(attribute.tensor_net.tt_probes).parameters
+        assert list(tree.values()) == list(train.values())
 
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     def test_counts_without_forward_batch(self, rng, kind):

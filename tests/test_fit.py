@@ -1,5 +1,7 @@
 """Teacher generation, training-set construction, ALS fitting, quality metrics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,15 @@ class TestCpTeacher:
         for v in lifted:
             ref = np.tensordot(ref, v, axes=([0], [0]))
         assert teacher.forward(lifted) == pytest.approx(float(ref), abs=1e-10)
+
+    @pytest.mark.parametrize("gen,rank,seed,needle", [
+        (gen_cp_teacher, 2.5, 0, "rank must be an integer, got 2.5"),
+        (gen_cp_teacher, 2, True, "seed must be an integer, got True"),
+        (gen_tree_teacher, 2, True, "seed must be an integer, got True"),
+    ], ids=["cp-rank-2.5", "cp-seed-True", "tree-seed-True"])
+    def test_non_integral_rank_or_seed_refused(self, gen, rank, seed, needle):
+        with pytest.raises(ValueError, match=f"^{needle}$"):
+            gen(4, rank, seed=seed)
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_train_conversion_pointwise(self, rng, n):
@@ -508,6 +519,13 @@ class TestEvalQuality:
         eval_quality(student, teacher, lifts, instances, orders=(1, 2, 3))
         assert teacher.forward_count - before == 3 * 2**5
 
+    @pytest.mark.parametrize("order", [2.5, True], ids=["2.5", "True"])
+    def test_non_integral_order_refused(self, rng, order):
+        """An order is not truncated to 2 or read as 1."""
+        teacher, lifts = gen_tree_teacher(4, 2, seed=3)
+        with pytest.raises(ValueError, match=f"^order k={order!r} is not an integer$"):
+            eval_quality(teacher, teacher, lifts, rng.uniform(-1, 1, (2, 4)), orders=(order,))
+
     def test_zero_variance_truth_flagged(self, rng):
         factors = [np.array([[0.0, 1.0]])] * 3
         teacher = CpTeacher(factors, np.array([5.0]))
@@ -558,9 +576,27 @@ class TestConfigAndSweep:
         with pytest.raises(ValueError):
             FitConfig(topology="ring")
         for field, value in [("sigma_frac", np.nan), ("sigma_frac", np.inf),
-                             ("sigma_frac", -np.inf), ("tol", np.nan)]:
+                             ("sigma_frac", -np.inf), ("tol", np.nan), ("bond_dim", 2.5),
+                             ("neighborhood", 1.5), ("max_sweeps", True), ("seed", -1),
+                             ("seed", 1.5)]:
             with pytest.raises(ValueError, match=f"^{field} "):
                 FitConfig(**{field: value})
+
+    def test_config_numpy_integers_write_as_json_ints(self):
+        obj = FitConfig(bond_dim=np.int64(4), seed=np.int64(3)).to_json_dict()
+        assert json.loads(json.dumps(obj))["bond_dim"] == 4
+        assert type(obj["bond_dim"]) is int and type(obj["seed"]) is int
+
+    def test_sweep_non_integral_rank_fails_only_its_cell(self, rng):
+        teacher, lifts = gen_tree_teacher(4, 2, seed=0)
+        config = FitConfig(neighborhood=16, sigma_frac=1.0, max_sweeps=2, seed=0)
+        cells = rank_sweep(teacher, lifts, np.zeros(4), config, ranks=[2.5, np.int64(2)],
+                           seeds=[np.int64(0)], eval_instances=rng.uniform(-1, 1, (2, 4)),
+                           orders=(1,))
+        assert cells[0]["rank"] == 2.5 and cells[0]["report"] is None
+        assert cells[0]["error"] == "ValueError: bond_dim must be an integer, got 2.5"
+        assert cells[1]["error"] is None
+        assert type(cells[1]["rank"]) is int and type(cells[1]["seed"]) is int
 
     def test_sweep_isolates_cell_failures(self, rng):
         teacher, lifts = gen_tree_teacher(4, 2, seed=0)

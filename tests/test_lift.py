@@ -59,6 +59,11 @@ class TestLifts:
         with pytest.raises(ValueError, match=needle):
             FeatureMap.from_json_dict(fields)
 
+    @pytest.mark.parametrize("n", [2.0, True], ids=["2.0", "True"])
+    def test_binary_refuses_non_integral_n(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            LiftSpec.binary(n)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_lift_instance_rejects_non_finite(self, bad):
         spec = LiftSpec.binary(3)

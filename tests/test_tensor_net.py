@@ -274,6 +274,27 @@ class TestTopology:
         # chain over binary legs: edge caps are min(2^left, 2^right, chi)
         assert capped_uniform_bonds("tt", (2,) * 5, 4) == (2, 4, 4, 2)
 
+    @pytest.mark.parametrize("build,needle", [
+        (lambda: TnTopology("tt", 2.0, (2, 2), (2,)), "n must be an integer, got 2.0"),
+        (lambda: TnTopology("tt", True, (2,), ()), "n must be an integer, got True"),
+        (lambda: TnTopology("tt", 2, (2, 2), (True,)), "bond_dims entry must be an integer"),
+        (lambda: TnTopology("btree", 2, (2, True), (2, 2)),
+         "phys_dims entry must be an integer, got True"),
+        (lambda: capped_uniform_bonds("tt", (2,) * 5, 2.7),
+         "bond dimension must be an integer, got 2.7"),
+        (lambda: capped_uniform_bonds("btree", (2,) * 5, True),
+         "bond dimension must be an integer, got True"),
+    ], ids=["n-2.0", "n-True", "bond-True", "phys-True", "chi-2.7", "chi-True"])
+    def test_integer_fields_refuse_bools_and_non_integers(self, build, needle):
+        with pytest.raises(ValueError, match=f"^{needle}"):
+            build()
+
+    def test_numpy_integers_stored_as_int(self):
+        topo = TnTopology("tt", np.int64(2), (np.int64(2), 2), (np.int32(2),))
+        assert type(topo.n) is int
+        assert all(type(d) is int for d in topo.phys_dims + topo.bond_dims)
+        assert capped_uniform_bonds("tt", (2,) * 5, np.int64(4)) == (2, 4, 4, 2)
+
     def test_models_are_immutable(self, rng):
         model, _ = random_tt_model(rng, 3)
         with pytest.raises(ValueError):
