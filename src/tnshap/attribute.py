@@ -38,7 +38,10 @@ first with its ``to_tensor_train()``.
 tested against.
 
 ``explain`` is ``explain_batch`` on one row, which stacks instances into
-chunks under ``STACK_ROW_BUDGET``; no threads are used. ``forwards_used`` is
+chunks of at most ``STACK_ENTRY_BUDGET`` float64 entries of engine state, at
+``tensor_net.probe_entries`` per instance (a train's prefix state at every
+leg and a tree's messages, plus the widest order-(k-1) stack); no threads
+are used. ``forwards_used`` is
 the count the value helper added to the counter, not a difference of the
 shared counter, so concurrent requests on one model do not leak into each
 other's counts.
@@ -62,12 +65,13 @@ INCLUSION_EXCLUSION = "inclusion-exclusion"
 SIGNED_TOGGLE = "signed-toggle"
 MODES = (INCLUSION_EXCLUSION, SIGNED_TOGGLE)
 
-# open states (instances x nodes x order-(k-1) toggle choices) per sweep of a
-# stacked batch: a train holds that many at every leg, a tree at most that
-# many at any node, as only its root runs at all m nodes (at k = 1, the
-# instance x node rows of the root's environment). Bounds the batch's memory
-# whatever the number of instances
-STACK_ROW_BUDGET = 512
+# float64 entries (4 MB) of live engine state per sweep of a stacked batch: a
+# chunk stacks as many instances as fit at ``tensor_net.probe_entries`` each,
+# m chi (n + 3 C(N, k-1)) on a train and 2 chi sum_v P_v + 2 m chi C(N, k-1)
+# on a tree (at least one), which bounds the batch's memory whatever the
+# number of instances. In a sweep of 2^16..2^22 this was the knee: k = 2
+# batches ran slower per instance above it, and every peak doubled per step
+STACK_ENTRY_BUDGET = 1 << 19
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,13 +255,15 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     """Order-k attribution values of many instances, in order, without
     threads.
 
-    Each chunk of up to ``STACK_ROW_BUDGET // (m * C(N, k - 1))`` instances
-    (m = n - k + 1; N = n for all subsets, else the number of features an
-    explicit list names) is lifted one feature column at a time and shares
-    one ``_probe_values`` sweep over those N legs, which costs at most the
-    all-subsets request over them; a list keeps its own subsets. At k = 1
-    that is ``STACK_ROW_BUDGET // n`` instances. On a tree only the root
-    runs at all m nodes, so the same count bounds its widest node. A model
+    Each chunk of up to ``STACK_ENTRY_BUDGET // e`` instances (at least
+    one) is lifted one feature column at a time and shares one
+    ``_probe_values`` sweep over the N legs the request toggles (N = n for
+    all subsets, else the number of features an explicit list names), which
+    costs at most the all-subsets request over them; a list keeps its own
+    subsets. ``e = tensor_net.probe_entries`` is one instance's float64
+    entries of engine state at bond dimension chi and m = n - k + 1 nodes:
+    m chi (n + 3 C(N, k - 1)) on a train, 2 chi sum_v P_v + 2 m chi
+    C(N, k - 1) on a tree with P_v points at node v. A model
     that is not a ``TensorNetworkModel`` fills every slot with a TypeError,
     a k that is a bool or not integral with a ValueError.
 
@@ -291,7 +297,9 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
             rows.append((idx, lifts.check_instance(x)))
         except Exception as exc:  # noqa: BLE001 - batch isolation is the contract
             results[idx] = exc
-    step = max(1, STACK_ROW_BUDGET // (nodes.shape[0] * math.comb(len(legs), k - 1)))
+    if not rows:  # no sweep, so no engine state to count
+        return results
+    step = max(1, STACK_ENTRY_BUDGET // tensor_net.probe_entries(model.topology, nodes, k, legs))
     for c0 in range(0, len(rows), step):
         chunk = rows[c0 : c0 + step]
         lifted = lifts.lift_rows(np.stack([x for _, x in chunk]))

@@ -155,8 +155,7 @@ def _parse_center(text, n: int) -> np.ndarray:
 
 def _json_dump(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=1) + "\n")
 
 
 @contextlib.contextmanager
@@ -549,7 +548,10 @@ def _add_fit_flags(parser, defaults: fit.FitConfig) -> None:
     _option(parser, "--tol", type=float, default=defaults.tol)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command) -> argparse.ArgumentParser:
+    """The parser with every subcommand registered, and the arguments of
+    ``command`` only: argparse formats each argument it adds, so the others
+    would cost time without changing what it parses or prints."""
     parser = argparse.ArgumentParser(
         prog="tnshap",
         description="Exact Shapley values and interactions on tensor-network "
@@ -558,53 +560,59 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic teacher model")
-    _option(p, "--kind", choices=["cp", "tree"], default="tree")
-    _option(p, "--n", type=int, default=8, lo=1)
-    _option(p, "--rank", type=int, default=3, lo=1)
-    _add_common(p)
-    p.set_defaults(func=cmd_gen, parser=p)
+    if command == "gen":
+        _option(p, "--kind", choices=["cp", "tree"], default="tree")
+        _option(p, "--n", type=int, default=8, lo=1)
+        _option(p, "--rank", type=int, default=3, lo=1)
+        _add_common(p)
+        p.set_defaults(func=cmd_gen, parser=p)
 
     p = sub.add_parser("fit", help="fit a student network to a teacher model")
-    _option(p, "--teacher", type=str, default=REQUIRED)
-    _option(p, "--bond-dim", type=int, default=fit.FitConfig().bond_dim, lo=1)
-    _add_fit_flags(p, fit.FitConfig())
-    _option(p, "--report", type=str, help="fit report path")
-    _add_common(p)
-    p.set_defaults(func=cmd_fit, parser=p)
+    if command == "fit":
+        _option(p, "--teacher", type=str, default=REQUIRED)
+        _option(p, "--bond-dim", type=int, default=fit.FitConfig().bond_dim, lo=1)
+        _add_fit_flags(p, fit.FitConfig())
+        _option(p, "--report", type=str, help="fit report path")
+        _add_common(p)
+        p.set_defaults(func=cmd_fit, parser=p)
 
     p = sub.add_parser("explain", help="compute attributions for instances")
-    _option(p, "--model", type=str, default=REQUIRED)
-    _option(p, "--instances", type=str, default=REQUIRED)
-    _option(p, "--order", type=int, default=1, lo=1)
-    _option(p, "--mode", choices=["auto", attribute.INCLUSION_EXCLUSION,
-                                  attribute.SIGNED_TOGGLE], default="auto")
-    _add_common(p)
-    p.set_defaults(func=cmd_explain, parser=p)
+    if command == "explain":
+        _option(p, "--model", type=str, default=REQUIRED)
+        _option(p, "--instances", type=str, default=REQUIRED)
+        _option(p, "--order", type=int, default=1, lo=1)
+        _option(p, "--mode", choices=["auto", attribute.INCLUSION_EXCLUSION,
+                                      attribute.SIGNED_TOGGLE], default="auto")
+        _add_common(p)
+        p.set_defaults(func=cmd_explain, parser=p)
 
     p = sub.add_parser("verify", help="check probe attributions against enumeration")
-    _option(p, "--model", type=str, default=REQUIRED)
-    _option(p, "--instances", type=str, default=REQUIRED)
-    _option(p, "--max-order", type=int, default=3, lo=1)
-    _add_common(p)
-    p.set_defaults(func=cmd_verify, parser=p)
+    if command == "verify":
+        _option(p, "--model", type=str, default=REQUIRED)
+        _option(p, "--instances", type=str, default=REQUIRED)
+        _option(p, "--max-order", type=int, default=3, lo=1)
+        _add_common(p)
+        p.set_defaults(func=cmd_verify, parser=p)
 
     p = sub.add_parser("bench", help="time order-1 attribution across dimensions")
-    _option(p, "--dims", default="10,20,30,40,50", help="comma-separated ascending dims")
-    _option(p, "--rank", type=int, default=16, lo=1)
-    _option(p, "--repeats", type=int, default=3, lo=1)
-    _add_common(p)
-    p.set_defaults(func=cmd_bench, parser=p)
+    if command == "bench":
+        _option(p, "--dims", default="10,20,30,40,50", help="comma-separated ascending dims")
+        _option(p, "--rank", type=int, default=16, lo=1)
+        _option(p, "--repeats", type=int, default=3, lo=1)
+        _add_common(p)
+        p.set_defaults(func=cmd_bench, parser=p)
 
     p = sub.add_parser("rank-sweep", help="fit students across ranks and score them")
-    _option(p, "--teacher", type=str, default=REQUIRED)
-    _option(p, "--ranks", default="2,4,8", help="comma-separated student ranks")
-    _option(p, "--seeds", default="0", help="comma-separated fit seeds")
-    _option(p, "--eval-points", type=int, default=12, lo=1)
-    _option(p, "--max-order", type=int, default=3, lo=1)
-    _add_fit_flags(p, fit.FitConfig(neighborhood=2048, sigma_frac=1.0, max_sweeps=40,
-                                     tol=1e-12))
-    _add_common(p)
-    p.set_defaults(func=cmd_rank_sweep, parser=p)
+    if command == "rank-sweep":
+        _option(p, "--teacher", type=str, default=REQUIRED)
+        _option(p, "--ranks", default="2,4,8", help="comma-separated student ranks")
+        _option(p, "--seeds", default="0", help="comma-separated fit seeds")
+        _option(p, "--eval-points", type=int, default=12, lo=1)
+        _option(p, "--max-order", type=int, default=3, lo=1)
+        _add_fit_flags(p, fit.FitConfig(neighborhood=2048, sigma_frac=1.0, max_sweeps=40,
+                                         tol=1e-12))
+        _add_common(p)
+        p.set_defaults(func=cmd_rank_sweep, parser=p)
 
     return parser
 
@@ -612,7 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
+    # the command is the first token that is not an option
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     args.argv = argv  # the manifest records the arguments this call parsed
     try:
         return args.func(_Run(args))

@@ -100,9 +100,9 @@ def model_from_json_dict(obj) -> tuple:
 
 
 def save_model(path, model: TensorNetworkModel, lifts: LiftSpec) -> None:
+    # one write: json.dump with an indent feeds the file chunk by chunk
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json_dict(model, lifts), fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(model_to_json_dict(model, lifts), indent=1) + "\n")
 
 
 def load_model(path):

@@ -134,6 +134,7 @@ def sii_weights(n: int, k: int) -> np.ndarray:
     Factorials are exact integers; each weight is one correctly rounded
     division, so any 1 <= k <= n is supported.
     """
+    n = tensor_net.as_int(n, "n")
     k = attribute._check_order(k, n)
     fact = math.factorial
     return np.array([fact(s) * fact(n - k - s) / fact(n - k + 1) for s in range(n - k + 1)])

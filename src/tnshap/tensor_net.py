@@ -20,8 +20,9 @@ node t is the affine matrix ``core[:, -1, :] + t * (toggled @ core)``, the
 nodes, their weights, the order and the legs. ``tt_probes`` runs every leg
 of a train at all m quadrature nodes; ``tree_probes`` runs a node with s
 real leaves below it at only s + 1 points (its section comment gives the
-cost). The integers of a topology, a lift, an order and a fit config pass
-one rule, ``as_int``.
+cost); ``probe_entries`` counts the float64 state one instance adds to
+either sweep. The integers of a topology, a lift, an order and a fit config
+pass one rule, ``as_int``.
 """
 
 from __future__ import annotations
@@ -535,11 +536,12 @@ class _Interpolation:
 @functools.lru_cache(maxsize=16)
 def _tree_plan(n: int, key: bytes) -> tuple:
     """``tree_probes``' point sets for n features with the root nodes whose
-    float64 bytes are ``key``: (points, maps), where ``points[v]`` holds
-    node v's points as a (points, 1, 1) column and ``maps[v]`` is the
+    float64 bytes are ``key``: (points, maps, total), where ``points[v]``
+    holds node v's points as a (points, 1, 1) column and ``maps[v]`` is the
     ``_Interpolation`` from them to its parent's, or None where v shares its
-    parent's points. A subtree of pad leaves only is constant and has no
-    points (None)."""
+    parent's points, and ``total`` is the number of points over all nodes
+    (``probe_entries`` reads it). A subtree of pad leaves only is constant
+    and has no points (None)."""
     L = _tree_leaf_count(n)
     points = [None] * (2 * L)
     maps = [None] * (2 * L)
@@ -556,7 +558,11 @@ def _tree_plan(n: int, key: bytes) -> tuple:
             maps[v] = _Interpolation(size, parent.ravel())
         else:
             points[v] = parent
-    return tuple(points), tuple(maps)
+    return tuple(points), tuple(maps), sum(p.shape[0] for p in points if p is not None)
+
+
+def _plan_key(nodes) -> bytes:
+    return np.ascontiguousarray(nodes, dtype=np.float64).tobytes()
 
 
 def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
@@ -586,7 +592,7 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     """
     n, b = len(toggled), toggled[0].shape[0]
     L = _tree_leaf_count(n)
-    points, maps = _tree_plan(n, np.ascontiguousarray(nodes, dtype=np.float64).tobytes())
+    points, maps, _ = _tree_plan(n, _plan_key(nodes))
     ons = [toggled[j] @ _node_core(cores, L + j) for j in range(n)]
     # entry v: node v's up message at its parent's points
     up = [None] * (2 * L)
@@ -752,6 +758,25 @@ def _tree_schedule(legs, leaf_count: int, k: int) -> tuple:
     perm = np.lexsort(np.concatenate(closed).T[::-1])
     perm.setflags(write=False)
     return tuple(inside), tuple(keep), tuple(ups), tuple(closes), perm
+
+
+def probe_entries(topology: TnTopology, nodes, k: int, legs) -> int:
+    """Float64 entries of live state that one instance adds to a
+    ``tt_probes`` or ``tree_probes`` sweep with these ``nodes``, order and
+    ``legs``, at bond dimension chi = ``cut_rank(topology)`` and m nodes.
+
+    Both hold the widest order-(k - 1) stack, m chi C(len(legs), k - 1),
+    with its working copies: three on a train (the stack, the block grown
+    from it and the block kept), two on a tree (the stack and its closing's
+    products). A train adds its weighted prefix state at every leg,
+    m chi n; a tree its kept up and down messages over ``_tree_plan``'s
+    point sets, 2 chi sum_v P_v, read from the cached plan. A ``tracemalloc``
+    peak per stacked instance falls within 2x of this count."""
+    chi, m = cut_rank(topology), nodes.shape[0]
+    stack = m * chi * math.comb(len(legs), k - 1)
+    if topology.kind == TT:
+        return 3 * stack + m * chi * topology.n
+    return 2 * stack + 2 * chi * _tree_plan(topology.n, _plan_key(nodes))[2]
 
 
 def materialize_full(model: TensorNetworkModel, limit: int = DEFAULT_MATERIALIZE_LIMIT) -> np.ndarray:

@@ -91,6 +91,14 @@ class TestWeights:
         with pytest.raises(ValueError):
             sii_weights(3, 4)
 
+    @pytest.mark.parametrize("n,k", [(True, 1), (3.0, 2), (2.5, 1)])
+    def test_feature_count_that_is_not_an_integer_rejected(self, n, k):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            sii_weights(n, k)
+
+    def test_numpy_integer_feature_count_accepted(self):
+        np.testing.assert_array_equal(sii_weights(np.int64(3), 1), sii_weights(3, 1))
+
 
 class TestQuadratureWeights:
     def test_positive_unit_sum_and_exact_on_monomials(self):
@@ -472,8 +480,17 @@ class TestBatch:
 
 
 class TestStackedBatch:
-    """All-subsets batches on tensor networks stack instances into shared
-    sweeps of at most ``STACK_ROW_BUDGET`` open states."""
+    """Batches on tensor networks stack instances into shared sweeps of at
+    most ``STACK_ENTRY_BUDGET`` float64 entries of engine state, at
+    ``tensor_net.probe_entries`` per instance."""
+
+    @staticmethod
+    def _set_chunk(monkeypatch, model, k, instances, extra=0):
+        """Set the budget to ``instances`` all-subsets order-k instances of
+        ``model`` per sweep, plus ``extra`` entries."""
+        per = attribute.tensor_net.probe_entries(model.topology, chebyshev_nodes(model.n - k + 1),
+                                                 k, tuple(range(model.n)))
+        monkeypatch.setattr(attribute, "STACK_ENTRY_BUDGET", instances * per + extra)
 
     @staticmethod
     def _assert_matches_explain(model, lifts, xs, results, mode=None, k=1):
@@ -487,9 +504,11 @@ class TestStackedBatch:
     @pytest.mark.parametrize("mode", [INCLUSION_EXCLUSION, SIGNED_TOGGLE])
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     @pytest.mark.parametrize("n", [2, 5, 7, 30])
-    def test_stacked_matches_per_instance_explain(self, rng, kind, n, mode):
-        """btree n in {5, 7, 30} has pad leaves; n = 30 spans two chunks."""
+    def test_stacked_matches_per_instance_explain(self, rng, monkeypatch, kind, n, mode):
+        """btree n in {5, 7, 30} has pad leaves; the 12 rows span three
+        chunks of 5."""
         model, lifts = _random_model(kind, n, 4, seed=n)
+        self._set_chunk(monkeypatch, model, 1, 5)
         xs = rng.uniform(-1, 1, (12, n))
         results = explain_batch(model, lifts, xs, 1, mode=mode)
         self._assert_matches_explain(model, lifts, xs, results, mode)
@@ -515,7 +534,7 @@ class TestStackedBatch:
     def test_bad_rows_fill_only_their_slots(self, rng, monkeypatch, kind):
         n = 5
         model, lifts = _random_model(kind, n, 3, seed=2)
-        monkeypatch.setattr(attribute, "STACK_ROW_BUDGET", 4 * n)  # 4 instances per chunk
+        self._set_chunk(monkeypatch, model, 1, 4)
         xs = list(rng.uniform(-1, 1, (7, n)))
         nan_row = xs[2].copy()
         nan_row[3] = np.nan
@@ -534,8 +553,6 @@ class TestStackedBatch:
         per-instance ``explain``, on both topologies (the name predates k = 2
         stacking)."""
         n, k = 5, 2
-        m = n - k + 1
-        monkeypatch.setattr(attribute, "STACK_ROW_BUDGET", 3 * m * n)  # 3 instances per chunk
         sweeps = []
         for kind in ("tt", "btree"):
             sweep = "tt_probes" if kind == "tt" else "tree_probes"
@@ -544,6 +561,7 @@ class TestStackedBatch:
             monkeypatch.setattr(attribute.tensor_net, sweep,
                                 lambda *a, f=original: sweeps.append(a[1][0].shape[0]) or f(*a))
             model, lifts = _random_model(kind, n, 3, seed=5)
+            self._set_chunk(monkeypatch, model, k, 3)
             xs = rng.uniform(-1, 1, (7, n))
             xs[1, 0] = np.inf
             xs[4, 2] = np.nan
@@ -574,15 +592,86 @@ class TestStackedBatch:
             return original(*args)
 
         monkeypatch.setattr(attribute.tensor_net, env, spy)
-        monkeypatch.setattr(attribute, "STACK_ROW_BUDGET", 3 * n - 1)  # 2 instances per chunk
+        self._set_chunk(monkeypatch, model, 1, 3, extra=-1)  # 2 instances per chunk
         chunked = explain_batch(model, lifts, xs, 1)
         assert rows == [2 * n, 2 * n, 2 * n, n]
         for a, b in zip(chunked, whole):
             np.testing.assert_allclose(a.values, b.values, rtol=1e-12, atol=1e-15)
-        monkeypatch.setattr(attribute, "STACK_ROW_BUDGET", 1)  # below one instance
+        monkeypatch.setattr(attribute, "STACK_ENTRY_BUDGET", 1)  # below one instance
         rows.clear()
         explain_batch(model, lifts, xs[:2], 1)
         assert rows == [n, n]
+
+    @pytest.mark.parametrize("rows", [0, 2])
+    def test_batch_without_valid_rows_plans_nothing(self, monkeypatch, rows):
+        """An empty batch, or one whose every row fails its check, runs no
+        sweep, so it neither counts engine state nor builds a tree plan."""
+        model, lifts = _random_model("btree", 9, 3, seed=4)
+
+        def no_plan(*args):
+            raise AssertionError("_tree_plan called")
+
+        monkeypatch.setattr(attribute.tensor_net, "_tree_plan", no_plan)
+        xs = np.full((rows, 9), np.nan)
+        results = explain_batch(model, lifts, xs, 2)
+        assert len(results) == rows
+        assert all(isinstance(r, ValueError) for r in results)
+
+    @pytest.mark.parametrize("kind,n,bond", [("btree", 30, 16), ("tt", 40, 8)])
+    def test_order2_batches_stack(self, rng, monkeypatch, kind, n, bond):
+        """At the default budget a k = 2 batch stacks more than one instance
+        per sweep, with the values of per-instance ``explain``."""
+        model, lifts = _random_model(kind, n, bond, seed=6)
+        sweep = "tt_probes" if kind == "tt" else "tree_probes"
+        original = getattr(attribute.tensor_net, sweep)
+        sweeps = []
+        monkeypatch.setattr(attribute.tensor_net, sweep,
+                            lambda *a: sweeps.append(a[1][0].shape[0]) or original(*a))
+        xs = rng.uniform(-1, 1, (12, n))
+        results = explain_batch(model, lifts, xs, 2)
+        assert sweeps[0] > 1 and sum(sweeps) == 12
+        self._assert_matches_explain(model, lifts, xs, results, k=2)
+
+    @pytest.mark.parametrize("kind,n,bond,rows", [("btree", 30, 16, 256), ("tt", 300, 8, 8)])
+    def test_stacked_batch_peak_under_twice_the_budget(self, rng, kind, n, bond, rows):
+        """A k = 1 batch's ``tracemalloc`` peak stays under twice the budget's
+        bytes, whether many instances share a sweep (btree n = 30) or one
+        instance is above the budget alone (a train holds its rows at every
+        leg: CP-TT n = 300)."""
+        import tracemalloc
+
+        model, lifts = _random_model(kind, n, bond, seed=1)
+        xs = rng.uniform(-1, 1, (rows, n))
+        tracemalloc.start()
+        try:
+            results = explain_batch(model, lifts, xs, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(not isinstance(r, Exception) for r in results)
+        assert peak < 2 * 8 * attribute.STACK_ENTRY_BUDGET
+
+    @pytest.mark.parametrize("kind,n,bond,k", [("btree", 30, 16, 1), ("btree", 30, 16, 2),
+                                               ("btree", 24, 16, 3), ("tt", 40, 8, 1),
+                                               ("tt", 40, 8, 2), ("tt", 12, 4, 3)])
+    def test_entry_count_within_twice_the_measured_peak(self, rng, kind, n, bond, k):
+        """``probe_entries`` is within 2x of a full chunk's ``tracemalloc``
+        peak per instance, in float64 entries."""
+        import tracemalloc
+
+        model, lifts = _random_model(kind, n, bond, seed=2)
+        per = attribute.tensor_net.probe_entries(model.topology, chebyshev_nodes(n - k + 1), k,
+                                                 tuple(range(n)))
+        step = max(1, attribute.STACK_ENTRY_BUDGET // per)
+        xs = rng.uniform(-1, 1, (step, n))
+        explain_batch(model, lifts, xs[:1], k)  # plans and weights are cached
+        tracemalloc.start()
+        try:
+            explain_batch(model, lifts, xs, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 < peak / (8 * step * per) < 2
 
     def test_engines_share_one_argument_list(self):
         """``_probe_values`` makes one call whichever engine the topology picks."""

@@ -156,9 +156,11 @@ class TestExplain:
         assert a.read_bytes() == b.read_bytes()
 
     def test_multi_chunk_output_byte_identical(self, tmp_path, teacher_path, monkeypatch):
-        from tnshap import attribute
+        from tnshap import attribute, chebyshev_nodes, tensor_net
 
-        monkeypatch.setattr(attribute, "STACK_ROW_BUDGET", 9)  # 2 instances per chunk
+        model, _ = load_model(teacher_path)
+        per = tensor_net.probe_entries(model.topology, chebyshev_nodes(4), 1, tuple(range(4)))
+        monkeypatch.setattr(attribute, "STACK_ENTRY_BUDGET", 2 * per)  # 2 instances per chunk
         inst = tmp_path / "inst.csv"
         write_instances(inst, np.random.default_rng(5).uniform(-1, 1, (7, 4)))
         a = tmp_path / "a.csv"
@@ -893,3 +895,37 @@ class TestBadInput:
         assert run("gen", "--config", tmp_path / "config.json", "--out", tmp_path / "a.json") == 0
         assert run("gen", "--seed", 5, "--out", tmp_path / "b.json") == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+class TestParser:
+    """``main`` builds the arguments of the invoked subcommand only; every
+    text the parser prints stays as it was when every subcommand's arguments
+    were built. ``cli_texts.json`` holds those texts, captured from that
+    parser at 80 columns."""
+
+    CASES = json.loads((Path(__file__).parent / "cli_texts.json").read_text())
+
+    @pytest.mark.parametrize("case", CASES["cases"], ids=lambda c: " ".join(c["argv"]) or "none")
+    def test_help_and_error_texts_unchanged(self, tmp_path, monkeypatch, capsys, case):
+        if list(sys.version_info[:2]) != self.CASES["python"]:
+            pytest.skip("argparse lays out help differently on other Python versions")
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(case["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_only_the_invoked_command_gets_arguments(self):
+        from tnshap import cli
+
+        parser = cli.build_parser("explain")
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        flags = {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+        assert list(flags) == ["gen", "fit", "explain", "verify", "bench", "rank-sweep"]
+        assert flags["explain"] == ["help", "model", "instances", "order", "mode", "seed", "out",
+                                    "config", "manifest"]
+        assert all(dests == ["help"] for name, dests in flags.items() if name != "explain")

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import sys
 from itertools import product
 
 import numpy as np
@@ -389,6 +390,28 @@ class TestModelJson:
         save_model(second, loaded, loaded_lifts)
         assert first.read_bytes() == second.read_bytes()
         assert [c.tobytes() for c in loaded.cores] == [c.tobytes() for c in cores]
+
+    # b64decode(validate=True) is binascii's strict mode, with these messages,
+    # from Python 3.11 on; 3.10 checks the alphabet only, with its own message
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="strict base64 messages of 3.11+")
+    @pytest.mark.parametrize("data,reason", [
+        ("@@@=", "Only base64 data is allowed"),
+        ("AAAAAAAA8D8", "Incorrect padding"),
+        ("AAAAAAAA8D=8", "Discontinuous padding not allowed"),
+        ("AAAAAAAA8=D8", "Discontinuous padding not allowed"),
+        ("AAAAAAAA\n8D8=", "Only base64 data is allowed"),
+        ("AAAAAAAA 8D8=", "Only base64 data is allowed"),
+        ("AAAAAAAA8D8=AA==", "Excess data after padding"),
+        ("AAAAAAAA8D8==", "Excess data after padding"),
+        ("=AAAAAAAA8D8", "Leading padding not allowed"),
+    ])
+    def test_core_data_must_be_strict_base64(self, data, reason):
+        from tnshap import model_io
+
+        assert model_io._core_from_json(0, {"shape": [1], "data": "AAAAAAAA8D8="}, 2)[0] == 1.0
+        with pytest.raises(ValueError) as info:
+            model_io._core_from_json(3, {"shape": [1], "data": data}, 2)
+        assert str(info.value) == f"core 3: data is not valid base64: {reason}"
 
     @pytest.mark.parametrize("change", [1, -1])
     def test_rejects_core_count_mismatch(self, change):
