@@ -20,8 +20,7 @@ from tnshap import (
 )
 
 n = 8
-teacher, lifts = gen_cp_teacher(n, rank=4, seed=3)
-model = teacher.to_tensor_train()
+model, lifts = gen_cp_teacher(n, rank=4, seed=3)
 x = np.random.default_rng(1).uniform(-1.0, 1.0, n)
 table = enumerate_game(model, lifts, x)
 
@@ -53,12 +52,14 @@ for k in (2, 3):
     print()
 
 # An additive model has no interactions at all.
-from tnshap import CpTeacher, LiftSpec  # noqa: E402
+from tnshap import TT, LiftSpec, TensorNetworkModel, TnTopology  # noqa: E402
 
 print("additive sanity: a model with no joint terms")
-additive = CpTeacher(
-    [np.array([[2.0, 0.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [3.0, 0.0]])],
-    np.array([1.0, 1.0]),
-).to_tensor_train()
+# a two-core train on binary legs (x_i, 1): bond channel 0 carries 2 x1 into
+# x2's constant read, channel 1 carries x1's constant read into 3 x2
+additive = TensorNetworkModel(TnTopology(TT, 2, (2, 2), (2,)), [
+    np.array([[[2.0, 0.0], [0.0, 1.0]]]),        # (1, 2, 2): [0, leg, bond]
+    np.array([[[0.0], [1.0]], [[3.0], [0.0]]]),  # (2, 2, 1): [bond, leg, 0]
+])
 pairs = explain(additive, LiftSpec.binary(2), [1.0, 1.0], 2)
 print(f"  f(x) = 2 x1 + 3 x2, interaction(1,2) = {pairs.values[0]:+.2e}")

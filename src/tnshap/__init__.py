@@ -21,7 +21,6 @@ from .attribute import (
     write_attribution_csv,
 )
 from .fit import (
-    CpTeacher,
     FitConfig,
     FitReport,
     build_training_set,
@@ -59,7 +58,6 @@ __all__ = [
     "BINARY",
     "BTREE",
     "CoalitionTable",
-    "CpTeacher",
     "FOURIER",
     "FeatureMap",
     "FitConfig",

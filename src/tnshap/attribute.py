@@ -32,8 +32,7 @@ contracting every probe from scratch; a tree evaluates a node with s real
 leaves below it at s + 1 points (``tensor_net``'s tree section gives the
 cost). An explicit list toggles only the legs it names, so it costs at most
 the all-subsets request over them.
-Only a ``TensorNetworkModel`` is explained: a ``CpTeacher`` is converted
-first with its ``to_tensor_train()``.
+Only a ``TensorNetworkModel`` is explained; any other object is a TypeError.
 ``oracle.flat_probes`` is the 2^k-configuration reference the engine is
 tested against.
 
@@ -84,7 +83,7 @@ def quadrature_weights(m: int) -> np.ndarray:
     int_0^1 Q(t) dt for probe values q = Q(chebyshev_nodes(m)). Built once
     per m and shared read-only.
     """
-    if m < 1:
+    if tensor_net.as_int(m, "node count") < 1:
         raise ValueError("need at least one node")
     ell = np.arange(1, m // 2 + 1)
     weights = np.empty(m)
@@ -124,12 +123,12 @@ class AttributionSet:
 
 
 def _feature_indices(subset) -> tuple:
-    """The subset's feature indices, sorted. A boolean is a ValueError, though
-    ``operator.index(True)`` is 1; any other non-integer a TypeError."""
-    items = tuple(subset)
-    if any(isinstance(i, bool) for i in items):
-        raise ValueError(f"subset {subset} has a feature index that is not an integer")
-    return tuple(sorted(map(operator.index, items)))
+    """The subset's feature indices, sorted; one that ``tensor_net.as_int``
+    refuses, a bool or 3.5, is a ValueError."""
+    try:
+        return tuple(sorted(tensor_net.as_int(i, "feature index") for i in subset))
+    except ValueError:
+        raise ValueError(f"subset {subset} has a feature index that is not an integer") from None
 
 
 def _check_order(k, n: int) -> int:
@@ -152,10 +151,7 @@ def _normalize_subsets(n: int, k: int, subsets):
     for s in subsets:
         if not hasattr(s, "__iter__"):
             raise ValueError(f"subset {s!r} is not a sequence of feature indices")
-        try:
-            t = _feature_indices(s)
-        except TypeError:
-            raise ValueError(f"subset {s} has a feature index that is not an integer") from None
+        t = _feature_indices(s)
         if not t:
             raise ValueError("empty subset: need at least one feature")
         if len(t) != k or len(set(t)) != k:
@@ -178,8 +174,7 @@ def _resolve_mode(k: int, mode) -> str:
 
 def _check_model_lifts(model, lifts: LiftSpec) -> None:
     if not isinstance(model, tensor_net.TensorNetworkModel):
-        raise TypeError(f"cannot explain a {type(model).__name__}: need a TensorNetworkModel; "
-                        "convert the model first with its to_tensor_train()")
+        raise TypeError(f"cannot explain a {type(model).__name__}: need a TensorNetworkModel")
     if lifts.n != model.n:
         raise ValueError(f"lift spec covers {lifts.n} features, model has {model.n}")
     for i, (dl, dm) in enumerate(zip(lifts.dims, model.phys_dims)):
@@ -230,8 +225,7 @@ def explain(model, lifts: LiftSpec, x, k: int, subsets="all", mode=None) -> Attr
 
     Parameters
     ----------
-    model : TensorNetworkModel (convert a ``CpTeacher`` first with its
-        ``to_tensor_train()``)
+    model : TensorNetworkModel (any other object is a TypeError)
     lifts : LiftSpec matching the model's physical dimensions
     x : raw instance of length n, all values finite
     k : interaction order (k = 1 gives Shapley values)

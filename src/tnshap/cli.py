@@ -267,12 +267,9 @@ class _Run:
 
 def cmd_gen(run) -> int:
     args = run.args
+    gen = fit.gen_cp_teacher if args.kind == "cp" else fit.gen_tree_teacher
     with run.phase("generate"):
-        if args.kind == "cp":
-            teacher, lifts = fit.gen_cp_teacher(args.n, args.rank, args.seed)
-            model = teacher.to_tensor_train()
-        else:
-            model, lifts = fit.gen_tree_teacher(args.n, args.rank, args.seed)
+        model, lifts = gen(args.n, args.rank, args.seed)
     with run.phase("emit"):
         model_io.save_model(args.out, model, lifts)
     run.write_manifest([], [args.out], {"generation": model.forward_count})

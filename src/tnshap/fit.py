@@ -1,9 +1,9 @@
 """Synthetic multilinear teachers and alternating-least-squares students.
 
-Teachers come in two flavors: rank-R CP models (weighted sums of per-feature
-linear reads, convertible to an equivalent tensor train) and random tree
-tensor networks. Both are output-normalized so random draws have unit-order
-magnitude on the [-1, 1]^n cube.
+Teachers are tensor network models of two kinds: rank-R CP maps (weighted
+sums of products of per-feature linear reads) built as their diagonal tensor
+train, and random tree tensor networks. Both are output-normalized by one
+rule so random draws have unit-order magnitude on the [-1, 1]^n cube.
 
 Students are fit by deterministic ALS sweeps: each core is re-solved as an
 exact linear least-squares problem against its contracted environment, with
@@ -52,7 +52,6 @@ from .lift import LiftSpec
 from .tensor_net import (
     BTREE,
     TT,
-    ForwardCounter,
     TensorNetworkModel,
     TnTopology,
     _contract_batch,
@@ -79,82 +78,42 @@ CONFIG_VERSION = 1
 REPORT_VERSION = 1
 
 
-class CpTeacher:
-    """Rank-R CP multilinear map on lifted inputs.
+def _diagonal_train(factors, weights) -> TensorNetworkModel:
+    """The tensor train of the rank-R CP map sum_r w_r prod_i <factors[i][r], x_i>
+    on lifted inputs, for (R, d_i) factors: diagonal (R, d, R) cores, the last
+    one's right leg summed, the weights contracted into the first one's left."""
+    rank = len(weights)
+    cores = [np.zeros((rank, f.shape[1], rank)) for f in factors]
+    for core, f in zip(cores, factors):
+        core[np.arange(rank), :, np.arange(rank)] = f
+    cores[-1] = cores[-1].sum(axis=2, keepdims=True)
+    cores[0] = (weights @ cores[0].reshape(rank, -1)).reshape(1, -1, cores[0].shape[2])
+    dims = tuple(f.shape[1] for f in factors)
+    return TensorNetworkModel(TnTopology(TT, len(dims), dims, (rank,) * (len(dims) - 1)), cores)
 
-    Evaluates sum_r w_r prod_i <factor[i][r], x_i>; multilinear in every leg
-    by construction. Exposes the same forward protocol as a network model.
-    """
 
-    def __init__(self, factors, weights) -> None:
-        self.factors = tuple(np.ascontiguousarray(f, dtype=np.float64) for f in factors)
-        self.weights = np.ascontiguousarray(weights, dtype=np.float64)
-        rank = self.weights.shape[0]
-        if any(f.shape[0] != rank for f in self.factors):
-            raise ValueError("every factor matrix must have `rank` rows")
-        self.counter = ForwardCounter()
-
-    @property
-    def n(self) -> int:
-        return len(self.factors)
-
-    @property
-    def rank(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def phys_dims(self) -> tuple:
-        return tuple(f.shape[1] for f in self.factors)
-
-    @property
-    def forward_count(self) -> int:
-        return self.counter.count
-
-    def forward(self, legs) -> float:
-        return float(self.forward_batch([np.asarray(x).reshape(1, -1) for x in legs])[0])
-
-    def forward_batch(self, legs) -> np.ndarray:
-        legs = [np.asarray(x, dtype=np.float64) for x in legs]
-        if len(legs) != self.n:
-            raise ValueError(f"expected {self.n} input legs, got {len(legs)}")
-        prod = None
-        for i, (x, f) in enumerate(zip(legs, self.factors)):
-            if x.shape[1] != f.shape[1]:
-                raise ValueError(f"mode {i + 1}: expected length {f.shape[1]}")
-            reads = x @ f.T
-            prod = reads if prod is None else prod * reads
-        self.counter.add(legs[0].shape[0])
-        return prod @ self.weights
-
-    def to_tensor_train(self) -> TensorNetworkModel:
-        """Equivalent tensor train: diagonal (R, d, R) cores, the last one's
-        right leg summed, the weights contracted into the first one's left."""
-        rank = self.rank
-        cores = [np.zeros((rank, f.shape[1], rank)) for f in self.factors]
-        for core, f in zip(cores, self.factors):
-            core[np.arange(rank), :, np.arange(rank)] = f
-        cores[-1] = cores[-1].sum(axis=2, keepdims=True)
-        cores[0] = (self.weights @ cores[0].reshape(rank, -1)).reshape(1, -1, cores[0].shape[2])
-        topo = TnTopology(TT, self.n, self.phys_dims, (rank,) * (self.n - 1))
-        return TensorNetworkModel(topo, cores)
+def _output_normalized(model: TensorNetworkModel, lifts: LiftSpec, rng) -> TensorNetworkModel:
+    """``model`` with its first core divided by its output standard deviation
+    over ``NORMALIZATION_SAMPLES`` uniform rows of [-1, 1]^n drawn from
+    ``rng``; unscaled when that deviation is at most 1e-12."""
+    legs = lifts.lift_rows(rng.uniform(-1.0, 1.0, size=(NORMALIZATION_SAMPLES, lifts.n)))
+    std = float(np.std(_contract_batch(model.topology, model.cores, legs)))
+    if not std > 1e-12:
+        return model
+    return TensorNetworkModel(model.topology, [model.cores[0] / std, *model.cores[1:]])
 
 
 def gen_cp_teacher(n: int, rank: int, seed: int, lifts: LiftSpec | None = None):
-    """Random CP teacher with factors ~ N(0,1), output-normalized to unit
-    standard deviation over uniform samples of [-1, 1]^n.
-    """
+    """Random rank-R CP teacher with factors ~ N(0,1), as its diagonal tensor
+    train, output-normalized to unit standard deviation over uniform samples
+    of [-1, 1]^n."""
     rank = as_int(rank, "rank")
     if rank < 1:
         raise ValueError("rank must be >= 1")
     lifts = lifts or LiftSpec.binary(n)
     rng = np.random.default_rng(as_int(seed, "seed"))
     factors = [rng.standard_normal((rank, d)) for d in lifts.dims]
-    teacher = CpTeacher(factors, np.ones(rank))
-    legs = lifts.lift_rows(rng.uniform(-1.0, 1.0, size=(NORMALIZATION_SAMPLES, lifts.n)))
-    std = float(np.std(teacher.forward_batch(legs)))
-    if std > 1e-12:
-        teacher = CpTeacher(factors, teacher.weights / std)
-    return teacher, lifts
+    return _output_normalized(_diagonal_train(factors, np.ones(rank)), lifts, rng), lifts
 
 
 def gen_tree_teacher(n: int, bond_dim: int, seed: int, lifts: LiftSpec | None = None):
@@ -164,12 +123,7 @@ def gen_tree_teacher(n: int, bond_dim: int, seed: int, lifts: LiftSpec | None = 
     rng = np.random.default_rng(as_int(seed, "seed"))
     topo = TnTopology(BTREE, n, lifts.dims, capped_uniform_bonds(BTREE, lifts.dims, bond_dim))
     cores = _init_cores(topo, rng, lambda shape: np.sqrt(shape[-1]))
-    legs = lifts.lift_rows(rng.uniform(-1.0, 1.0, size=(NORMALIZATION_SAMPLES, lifts.n)))
-    out = _contract_batch(topo, cores, legs)
-    std = float(np.std(out))
-    if std > 1e-12:
-        cores[0] = cores[0] / std
-    return TensorNetworkModel(topo, cores), lifts
+    return _output_normalized(TensorNetworkModel(topo, cores), lifts, rng), lifts
 
 
 def _init_cores(topo: TnTopology, rng, scale) -> list:

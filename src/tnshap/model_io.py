@@ -14,7 +14,6 @@ always writes version 2.
 from __future__ import annotations
 
 import base64
-import binascii
 import json
 import math
 
@@ -66,7 +65,7 @@ def _core_from_json(idx: int, entry, version: int) -> np.ndarray:
         raise ValueError(f"core {idx}: data must be a base64 string, got {type(data).__name__}")
     try:
         raw = base64.b64decode(data, validate=True)
-    except binascii.Error as exc:
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
         raise ValueError(f"core {idx}: data is not valid base64: {exc}") from None
     want = _CORE_DTYPE.itemsize * math.prod(shape)
     if len(raw) != want:

@@ -17,7 +17,6 @@ import pytest
 from tnshap import (
     INCLUSION_EXCLUSION,
     SIGNED_TOGGLE,
-    CpTeacher,
     FitConfig,
     LiftSpec,
     TensorNetworkModel,
@@ -37,6 +36,7 @@ from tnshap import (
     size_grouped_sums,
 )
 from tnshap.cli import main as cli_main
+from tnshap.fit import _diagonal_train
 from tnshap.oracle import flat_probes
 
 VERIFY_TOL = 1e-7
@@ -62,8 +62,7 @@ def _suite_teachers():
         n, rank, kind = combos[idx % len(combos)]
         seed = 100 + idx
         if kind == "cp":
-            teacher, lifts = gen_cp_teacher(n, rank, seed=seed)
-            model = teacher.to_tensor_train()
+            model, lifts = gen_cp_teacher(n, rank, seed=seed)
         else:
             model, lifts = gen_tree_teacher(n, rank, seed=seed)
         instances = np.random.default_rng(seed + 5000).uniform(-1.0, 1.0, (10, n))
@@ -175,8 +174,7 @@ class TestCriterion4SurrogateErrorBound:
             if trial % 2:
                 f_model, lifts = gen_tree_teacher(n, 3, seed=3000 + trial)
             else:
-                teacher, lifts = gen_cp_teacher(n, 3, seed=3000 + trial)
-                f_model = teacher.to_tensor_train()
+                f_model, lifts = gen_cp_teacher(n, 3, seed=3000 + trial)
             cores = [np.array(c) for c in f_model.cores]
             which = int(rng.integers(0, len(cores)))
             delta = float(rng.uniform(1e-3, 0.3))
@@ -262,13 +260,14 @@ class TestCriterion5GameAxioms:
         # 250 symmetry cases: swapping two features' roles permutes values
         for trial in range(250):
             n = int(rng.integers(3, 7))
-            teacher, lifts = gen_cp_teacher(n, 3, seed=5000 + trial)
+            lifts = LiftSpec.binary(n)
+            draw = np.random.default_rng(5000 + trial)
+            factors = [draw.standard_normal((3, 2)) for _ in range(n)]
             i, j = sorted(rng.choice(n, size=2, replace=False))
-            factors = [np.array(f) for f in teacher.factors]
             swapped = list(factors)
             swapped[i], swapped[j] = factors[j], factors[i]
-            model = CpTeacher(factors, teacher.weights).to_tensor_train()
-            perm_model = CpTeacher(swapped, teacher.weights).to_tensor_train()
+            model = _diagonal_train(factors, np.ones(3))
+            perm_model = _diagonal_train(swapped, np.ones(3))
             x = rng.uniform(-1, 1, n)
             x_perm = np.array(x)
             x_perm[[i, j]] = x_perm[[j, i]]
@@ -369,8 +368,7 @@ class TestCriterion8DiagonalProbeCrossCheck:
             if trial % 2:
                 model, lifts = gen_tree_teacher(n, 3, seed=6000 + trial)
             else:
-                teacher, lifts = gen_cp_teacher(n, 3, seed=6000 + trial)
-                model = teacher.to_tensor_train()
+                model, lifts = gen_cp_teacher(n, 3, seed=6000 + trial)
             x = rng.uniform(-1, 1, n)
             probed = diagonal_coefficient_probe(model, lifts, x)
             grouped = size_grouped_sums(mobius_coefficients(enumerate_game(model, lifts, x)))

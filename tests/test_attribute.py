@@ -126,6 +126,15 @@ class TestQuadratureWeights:
         with pytest.raises(ValueError):
             quadrature_weights(0)
 
+    @pytest.mark.parametrize("m", [2.0, 2.5, True], ids=["2.0", "2.5", "True"])
+    def test_node_count_that_is_not_an_integer_rejected(self, m):
+        """Weights and nodes share one integer rule, cached counts included:
+        2.0 and True are not read as 2 and 1."""
+        quadrature_weights(2), quadrature_weights(1)
+        for build in (quadrature_weights, chebyshev_nodes):
+            with pytest.raises(ValueError, match=f"^node count must be an integer, got {m!r}$"):
+                build(m)
+
 
 class TestProbeValue:
     def test_product_game_single_feature_at_zero(self):
@@ -331,7 +340,7 @@ class TestAxioms:
         phi = explain(dummy, lifts, x, 1)
         assert abs(phi.value((3,))) < 1e-9
         assert phi.value((np.int64(3),)) == phi.value((3,))
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="has a feature index that is not an integer"):
             phi.value((3.5,))  # not read as feature 3
         pairs = explain(dummy, lifts, x, 2)
         for subset, val in pairs.entries():
@@ -339,12 +348,12 @@ class TestAxioms:
                 assert abs(val) < 1e-9
 
     def test_symmetry_between_equal_features(self, rng):
-        teacher, lifts = gen_cp_teacher(4, 3, seed=5)
-        factors = [np.array(f) for f in teacher.factors]
-        factors[2] = factors[1].copy()  # features 2 and 3 play the same role
-        from tnshap import CpTeacher
+        from tnshap.fit import _diagonal_train
 
-        sym = CpTeacher(factors, teacher.weights).to_tensor_train()
+        lifts = LiftSpec.binary(4)
+        factors = [rng.standard_normal((3, 2)) for _ in range(4)]
+        factors[2] = factors[1].copy()  # features 2 and 3 play the same role
+        sym = _diagonal_train(factors, rng.standard_normal(3))
         x = np.array([0.4, 0.8, 0.8, -0.3])
         phi = explain(sym, lifts, x, 1)
         assert phi.value((2,)) == pytest.approx(phi.value((3,)), rel=1e-9, abs=1e-12)
@@ -791,11 +800,8 @@ class TestCsv:
 
 
 def _random_model(kind, n, bond, seed, lifts=None):
-    """A random TT (CP teacher as a train) or btree model over n features."""
-    if kind == "tt":
-        teacher, lifts = gen_cp_teacher(n, bond, seed, lifts)
-        return teacher.to_tensor_train(), lifts
-    return gen_tree_teacher(n, bond, seed, lifts)
+    """A random TT (CP teacher) or btree model over n features."""
+    return (gen_cp_teacher if kind == "tt" else gen_tree_teacher)(n, bond, seed, lifts)
 
 
 class TestSharedProbes:
@@ -983,23 +989,30 @@ class TestExplicitLists:
         contract = 3 * 6 * 2 + 5 * 35 + 3 * 2 * n * n + 4 + 1
         assert model.forward_count - before == contract
 
-    def test_cp_teacher_must_be_converted_first(self, rng):
-        """A ``CpTeacher`` is refused by every entry point with a TypeError
-        that names ``to_tensor_train()``, and its counter does not move."""
+    def test_counting_non_model_refused_by_every_entry_point(self, rng):
+        """An object that is not a ``TensorNetworkModel`` is refused with a
+        TypeError by every entry point, though it has a model's ``n``,
+        ``phys_dims`` and forward counter, and its count does not move."""
+        from types import SimpleNamespace
+
+        from tnshap.tensor_net import ForwardCounter
+
         n = 4
-        teacher, lifts = gen_cp_teacher(n, 3, seed=2)
+        lifts = LiftSpec.binary(n)
+        other = SimpleNamespace(n=n, phys_dims=lifts.dims, counter=ForwardCounter())
         x = rng.uniform(-1, 1, n)
-        match = r"cannot explain a CpTeacher:.*to_tensor_train\(\)"
-        for call in (lambda: explain(teacher, lifts, x, 1),
-                     lambda: probe_value(teacher, lifts, x, (1,), 0.5),
-                     lambda: oracle.diagonal_coefficient_probe(teacher, lifts, x)):
+        match = "^cannot explain a SimpleNamespace: need a TensorNetworkModel$"
+        for call in (lambda: explain(other, lifts, x, 1),
+                     lambda: probe_value(other, lifts, x, (1,), 0.5),
+                     lambda: oracle.diagonal_coefficient_probe(other, lifts, x)):
             with pytest.raises(TypeError, match=match):
                 call()
-        slots = explain_batch(teacher, lifts, [x, x], 2)
-        assert len(slots) == 2
+        slots = explain_batch(other, lifts, [x, x, x], 2)
+        assert len(slots) == 3
         for slot in slots:
-            assert isinstance(slot, TypeError) and "to_tensor_train()" in str(slot)
-        assert teacher.forward_count == 0
+            assert isinstance(slot, TypeError)
+            assert str(slot) == "cannot explain a SimpleNamespace: need a TensorNetworkModel"
+        assert other.counter.count == 0
 
     def test_boolean_feature_indices_refused(self, rng):
         """``True`` is not read as feature 1 by a subset list, a single probe

@@ -7,7 +7,6 @@ import pytest
 
 from conftest import tree_down_messages, tt_left_states
 from tnshap import (
-    CpTeacher,
     FitConfig,
     LiftSpec,
     build_training_set,
@@ -24,6 +23,7 @@ from tnshap.fit import (
     FitReport,
     OrderQuality,
     _chol_inv,
+    _diagonal_train,
     _khatri_rao,
     _normal_equations,
     _solve_core,
@@ -101,31 +101,34 @@ def _conditioned(rng, rows, width, cond):
     return (u * np.logspace(0, -np.log10(cond), width)) @ v.T
 
 
-class TestCpTeacher:
-    def test_seed_determinism(self):
-        a, _ = gen_cp_teacher(6, 4, seed=9)
-        b, _ = gen_cp_teacher(6, 4, seed=9)
-        for fa, fb in zip(a.factors, b.factors):
-            np.testing.assert_array_equal(fa, fb)
-        np.testing.assert_array_equal(a.weights, b.weights)
-
+class TestDiagonalTrain:
     def test_bias_only_factors_give_constant(self):
         factors = [np.array([[0.0, 2.0]]), np.array([[0.0, 0.5]])]
-        teacher = CpTeacher(factors, np.array([1.0]))
+        model = _diagonal_train(factors, np.array([1.0]))
         lifts = LiftSpec.binary(2)
         for x in ([0.0, 0.0], [3.0, -1.0]):
-            assert teacher.forward(lifts.lift_instance(x)) == pytest.approx(1.0)
+            assert model.forward(lifts.lift_instance(x)) == pytest.approx(1.0)
 
-    def test_matches_dense_expansion(self, rng):
-        """CP output equals the dense mode product of its train conversion."""
-        teacher, lifts = gen_cp_teacher(3, 4, seed=2)
-        dense = materialize_full(teacher.to_tensor_train())
-        x = rng.uniform(-1, 1, 3)
-        lifted = lifts.lift_instance(x)
-        ref = dense
-        for v in lifted:
-            ref = np.tensordot(ref, v, axes=([0], [0]))
-        assert teacher.forward(lifted) == pytest.approx(float(ref), abs=1e-10)
+    @pytest.mark.parametrize("rank", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_matches_cp_sum(self, rng, n, rank):
+        """The train computes sum_r w_r prod_i <f_i[r], x_i> on lifted rows."""
+        lifts = LiftSpec.binary(n)
+        factors = [rng.standard_normal((rank, d)) for d in lifts.dims]
+        weights = rng.standard_normal(rank)
+        model = _diagonal_train(factors, weights)
+        legs = lifts.lift_rows(rng.uniform(-1, 1, (10, n)))
+        reads = np.stack([np.einsum("rd,bd->br", f, x) for f, x in zip(factors, legs)])
+        want = np.einsum("r,br->b", weights, reads.prod(axis=0))
+        np.testing.assert_allclose(model.forward_batch(legs), want, rtol=1e-12)
+
+
+class TestTeacherGenerators:
+    @pytest.mark.parametrize("gen", [gen_cp_teacher, gen_tree_teacher], ids=["cp", "tree"])
+    def test_seed_determinism(self, gen):
+        a, _ = gen(6, 4, seed=9)
+        b, _ = gen(6, 4, seed=9)
+        assert [c.tobytes() for c in a.cores] == [c.tobytes() for c in b.cores]
 
     @pytest.mark.parametrize("gen,rank,seed,needle", [
         (gen_cp_teacher, 2.5, 0, "rank must be an integer, got 2.5"),
@@ -136,16 +139,9 @@ class TestCpTeacher:
         with pytest.raises(ValueError, match=f"^{needle}$"):
             gen(4, rank, seed=seed)
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_train_conversion_pointwise(self, rng, n):
-        teacher, lifts = gen_cp_teacher(n, 3, seed=4)
-        tt = teacher.to_tensor_train()
-        for _ in range(10):
-            legs = lifts.lift_instance(rng.uniform(-1, 1, n))
-            assert tt.forward(legs) == pytest.approx(teacher.forward(legs), rel=1e-12)
-
-    def test_output_scale_normalized(self, rng):
-        teacher, lifts = gen_cp_teacher(6, 4, seed=1)
+    @pytest.mark.parametrize("gen", [gen_cp_teacher, gen_tree_teacher], ids=["cp", "tree"])
+    def test_output_scale_normalized(self, rng, gen):
+        teacher, lifts = gen(6, 4, seed=1)
         raw = rng.uniform(-1, 1, (2000, 6))
         legs = [m.apply_batch(raw[:, i]) for i, m in enumerate(lifts.maps)]
         assert 0.5 < np.std(teacher.forward_batch(legs)) < 2.0
@@ -158,12 +154,6 @@ class TestTreeTeacher:
         dense = materialize_full(teacher).reshape(4, 4)
         s = np.linalg.svd(dense, compute_uv=False)
         assert s[1] < 1e-12 * s[0]
-
-    def test_seed_determinism(self):
-        a, _ = gen_tree_teacher(5, 3, seed=7)
-        b, _ = gen_tree_teacher(5, 3, seed=7)
-        for ca, cb in zip(a.cores, b.cores):
-            np.testing.assert_array_equal(ca, cb)
 
     def test_cut_rank_equals_requested_bond(self):
         teacher, _ = gen_tree_teacher(4, 3, seed=1)
@@ -203,7 +193,7 @@ class TestTrainingSet:
     def test_structured_block_bitwise_matches_loop(self, rng, maps):
         lifts = LiftSpec(maps)
         n = lifts.n
-        teacher = CpTeacher([rng.standard_normal((3, d)) for d in lifts.dims], np.ones(3))
+        teacher = _diagonal_train([rng.standard_normal((3, d)) for d in lifts.dims], np.ones(3))
         config = FitConfig(neighborhood=7, seed=4)
         center = rng.uniform(-1, 1, n)
         training = build_training_set(teacher, lifts, center, config)
@@ -242,7 +232,7 @@ class TestFitStudent:
 
     def test_constant_teacher_r2_one_by_convention(self):
         factors = [np.array([[0.0, 1.0]])] * 3
-        teacher = CpTeacher(factors, np.array([2.0]))
+        teacher = _diagonal_train(factors, np.array([2.0]))
         lifts = LiftSpec.binary(3)
         (student, report), _ = self._fit(teacher, lifts, rank=2, neighborhood=64)
         assert report.train_r2 == 1.0
@@ -528,9 +518,9 @@ class TestEvalQuality:
 
     def test_zero_variance_truth_flagged(self, rng):
         factors = [np.array([[0.0, 1.0]])] * 3
-        teacher = CpTeacher(factors, np.array([5.0]))
+        teacher = _diagonal_train(factors, np.array([5.0]))
         lifts = LiftSpec.binary(3)
-        report = eval_quality(teacher.to_tensor_train(), teacher, lifts,
+        report = eval_quality(teacher, teacher, lifts,
                               rng.uniform(-1, 1, (3, 3)), orders=(1,))
         assert report.orders[1].r2 is None
         assert not report.orders[1].r2_defined

@@ -262,8 +262,7 @@ class TestDiagonalProbeConditioning:
         """At the oracle's largest sizes the probe's sums agree with grouped
         Moebius coefficients to 1e-9 of the largest sum."""
         if kind == "tt":
-            teacher, lifts = gen_cp_teacher(n, 3, seed=n)
-            model = teacher.to_tensor_train()
+            model, lifts = gen_cp_teacher(n, 3, seed=n)
         else:
             model, lifts = gen_tree_teacher(n, 3, seed=n)
         x = np.random.default_rng(n).uniform(-1, 1, n)

@@ -8,7 +8,6 @@ PUBLIC_NAMES = [
     "BINARY",
     "BTREE",
     "CoalitionTable",
-    "CpTeacher",
     "FOURIER",
     "FeatureMap",
     "FitConfig",

@@ -413,6 +413,17 @@ class TestModelJson:
             model_io._core_from_json(3, {"shape": [1], "data": data}, 2)
         assert str(info.value) == f"core 3: data is not valid base64: {reason}"
 
+    @pytest.mark.parametrize("data", ["AAAAAAAA8D8\u00e9", "\u00e9AAAAAAAA8D8="])
+    def test_core_data_with_non_ascii_names_the_core(self, data):
+        """b64decode refuses a non-ASCII string with a plain ValueError, on
+        every Python version; the message still names the core."""
+        from tnshap import model_io
+
+        with pytest.raises(ValueError) as info:
+            model_io._core_from_json(3, {"shape": [1], "data": data}, 2)
+        assert str(info.value) == ("core 3: data is not valid base64: "
+                                   "string argument should contain only ASCII characters")
+
     @pytest.mark.parametrize("change", [1, -1])
     def test_rejects_core_count_mismatch(self, change):
         model, lifts = gen_tree_teacher(5, 3, seed=11)
