@@ -20,9 +20,10 @@ node t is the affine matrix ``core[:, -1, :] + t * (toggled @ core)``, the
 nodes, their weights, the order and the legs. ``tt_probes`` runs every leg
 of a train at all m quadrature nodes; ``tree_probes`` runs a node with s
 real leaves below it at only s + 1 points (its section comment gives the
-cost); ``probe_entries`` counts the float64 state one instance adds to
-either sweep. The integers of a topology, a lift, an order and a fit config
-pass one rule, ``as_int``.
+cost), and at k >= 2 merges and closes the same-shape nodes of a tree level
+in one batched call; ``probe_entries`` counts the float64 state one instance
+adds to either sweep. The integers of a topology, a lift, an order and a fit
+config pass one rule, ``as_int``.
 """
 
 from __future__ import annotations
@@ -432,15 +433,17 @@ def tt_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
             elif grow:
                 parts[o + 1].append(on)
             if keep:
-                parts[o].append((state.reshape(-1, r) @ bias).reshape(b, rows, m, l) + t * on)
+                kept = (state.reshape(-1, r) @ bias).reshape(b, rows, m, l)
+                kept += t * on
+                parts[o].append(kept)
         stacks = [_stack(p) for p in parts]
     return _stack(closed[::-1])
 
 
-def _stack(blocks):
+def _stack(blocks, axis=1):
     if not blocks:
         return None
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=axis)
 
 
 # -- order-k probes on a tree, on per-node point sets ------------------------
@@ -462,9 +465,17 @@ def _stack(blocks):
 # closed against the message with its legs toggled: at its leaf for k = 1,
 # else where its two parts meet (``_toggle_close``). Up to order k - 1 the
 # toggled messages are stacked per choice of legs and ride the same
-# interpolation GEMMs as the order-0 ones, as ``_tree_schedule`` lists. A node
-# costs its point count times chi^3 per stacked row, about sum_v (s_v + 1)
-# chi^3 per instance at k = 1, plus the interpolation GEMMs.
+# interpolation maps as the order-0 ones, as ``_tree_schedule`` lists. The
+# order-0 up and down passes visit the nodes one by one; the stacked pass
+# visits level groups: a run of nodes on one level with one core shape, one
+# point set and one schedule entry (in a balanced tree, the nodes of a level
+# with only real leaves below them, cut where the group's temporaries would
+# outgrow the widest one node builds; the node that straddles the pads, a
+# folded node and the root run alone). A group's stacks carry a leading
+# group axis, so each merge, close and interpolation is one batched call for
+# all its nodes. A node costs its point count times chi^3 per
+# stacked row, about sum_v (s_v + 1) chi^3 per instance at k = 1, plus the
+# interpolation GEMMs.
 
 
 def chebyshev_nodes(m: int) -> np.ndarray:
@@ -520,10 +531,10 @@ class _Interpolation:
             yield i, chebyshev_interpolation(self.size, self.targets[i : i + self.step])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """(size, cols) values at the nodes -> (len(targets), cols)."""
+        """(..., size, cols) values at the nodes -> (..., len(targets), cols)."""
         if self.mat is not None:
             return self.mat @ x
-        return np.concatenate([mat @ x for _, mat in self._blocks()])
+        return np.concatenate([mat @ x for _, mat in self._blocks()], axis=-2)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """The transpose: (len(targets), cols) -> (size, cols)."""
@@ -541,11 +552,15 @@ def _tree_plan(n: int, key: bytes) -> tuple:
     ``_Interpolation`` from them to its parent's, or None where v shares its
     parent's points, and ``total`` is the number of points over all nodes
     (``probe_entries`` reads it). A subtree of pad leaves only is constant
-    and has no points (None)."""
+    and has no points (None). Nodes with equal point sets and maps share one
+    object, so ``_tree_schedule`` groups nodes by identity."""
     L = _tree_leaf_count(n)
     points = [None] * (2 * L)
     maps = [None] * (2 * L)
     points[1] = np.frombuffer(key)[:, None, None]
+    # below the root a point set is chebyshev_nodes(size), one array per size;
+    # a map is one object per (size, id of the parent's points)
+    own, shared = {}, {}
     for v in range(2, 2 * L):
         lo, hi = _subtree_leaf_range(v, L)
         if lo >= n:
@@ -553,9 +568,12 @@ def _tree_plan(n: int, key: bytes) -> tuple:
         parent = points[v // 2]
         size = min(hi, n) - lo + 1
         if v < L and size < parent.shape[0]:
-            points[v] = chebyshev_nodes(size)[:, None, None]
-            points[v].setflags(write=False)
-            maps[v] = _Interpolation(size, parent.ravel())
+            if size not in own:
+                own[size] = chebyshev_nodes(size)[:, None, None]
+                own[size].setflags(write=False)
+            if (size, id(parent)) not in shared:
+                shared[size, id(parent)] = _Interpolation(size, parent.ravel())
+            points[v], maps[v] = own[size], shared[size, id(parent)]
         else:
             points[v] = parent
     return tuple(points), tuple(maps), sum(p.shape[0] for p in points if p is not None)
@@ -582,17 +600,21 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     weight 1. No (B * m)-row selector-scaled input is built.
 
     Messages are point-major, (points, B, bond) arrays, so one GEMM takes a
-    message to another point set; the order-o stacks of the stacked pass are
-    (points * B, C(toggleable leaves under v, o), bond) arrays. Which orders
-    a node keeps, merges and closes, and the permutation to lexicographic
-    order, come from ``_tree_schedule``; this pass only runs it. A subtree of
-    pads only sends a constant (bond,) vector, which its parent folds into
-    its core once per call. Order-1 subsets close at their leaves in
-    ``legs`` order.
+    message to another point set. The up and down passes visit the nodes one
+    by one; the stacked pass runs once per level group of ``_tree_schedule``
+    (same-shape nodes of a level), whose order-o stacks are
+    (G, points * B, C(toggleable leaves under a node, o), bond) arrays, so
+    each merge, close and interpolation is one call for the G nodes. Which
+    orders a group keeps, merges and closes, and the permutation to
+    lexicographic order, come from the schedule; this pass only runs it. A
+    subtree of pads only sends a constant (bond,) vector, which its parent
+    folds into its core once per call. Order-1 subsets close at their leaves
+    in ``legs`` order.
     """
     n, b = len(toggled), toggled[0].shape[0]
     L = _tree_leaf_count(n)
-    points, maps, _ = _tree_plan(n, _plan_key(nodes))
+    key = _plan_key(nodes)
+    points, maps, _ = _tree_plan(n, key)
     ons = [toggled[j] @ _node_core(cores, L + j) for j in range(n)]
     # entry v: node v's up message at its parent's points
     up = [None] * (2 * L)
@@ -619,7 +641,7 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
         if maps[v] is not None:
             msg = maps[v].forward(msg.reshape(t.shape[0], -1)).reshape(-1, b, msg.shape[2])
         up[v] = msg
-    inside, keep, ups, closes, perm = _tree_schedule(legs, L, k)
+    inside, closes, levels, perm = _tree_schedule(legs, n, k, tuple(c.shape for c in cores), key)
     # entry v: the weighted adjoint of node v's up message, at v's points. It
     # is built where at least k toggleable leaves lie below v (the nodes where
     # subsets close, and their ancestors) and kept only where subsets close:
@@ -652,86 +674,137 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
         for s_idx, j in enumerate(legs):
             out[:, s_idx] = np.einsum("fbr,br->b", down[L + j], ons[j])
         return out
-    # entry v: node v's stacked messages by order, at its parent's points
-    msgs = [None] * (2 * L)
-    closed = []
-    for v in range(2 * L - 1, 0, -1):
-        if points[v] is None:
-            continue
+
+    def step(below, grp, keep, ups, pairs, left, right, blocks) -> list:
+        """One group's stacked messages by order, as one dict per block (a
+        run of the group with one map) at the parents' points; its closed
+        blocks go to ``closed``."""
+        v, g, p = grp[0], len(grp), points[grp[0]].shape[0]
         if v >= L:
-            msg = {1: np.tile(ons[v - L], (points[v].shape[0], 1))[:, None]} if inside[v] else {}
+            msg = {}
+            if inside[v]:
+                on = _stacked([ons[u - L] for u in grp])[:, None]
+                msg[1] = np.repeat(on, p, axis=1).reshape(g, -1, 1, on.shape[3])
+        elif v in folded:
+            fold = _stacked([folded[u] for u in grp])
+            msg = {o: (x.reshape(g, -1, x.shape[3]) @ fold).reshape(*x.shape[:3], -1)
+                   for o, x in _gather(below, left).items() if o}
         else:
-            core = _node_core(cores, v)
-            lchild, rchild = msgs[2 * v], msgs[2 * v + 1]
-            msgs[2 * v] = msgs[2 * v + 1] = None
-            if v in folded:
-                msg = {o: (x.reshape(-1, x.shape[2]) @ folded[v]).reshape(*x.shape[:2], -1)
-                       for o, x in lchild.items() if o}
-            else:
-                closed += [_toggle_close(core, lchild[i], rchild[j], down[v])
-                           for i, j in closes[v]]
-                msg = {o: _stack([_toggle_merge(core, lchild[i], rchild[j]) for i, j in merges])
-                       for o, merges in ups[v]}
-            if maps[v] is not None:
-                p = points[v].shape[0]
-                msg = {o: maps[v].forward(x.reshape(p, -1)).reshape(-1, *x.shape[1:])
-                       for o, x in msg.items()}
-        if keep[v]:
-            msg[0] = up[v].reshape(-1, 1, up[v].shape[2])
-        msgs[v] = msg
+            group_cores = [_node_core(cores, u) for u in grp]
+            lchild, rchild = _gather(below, left), _gather(below, right)
+            if pairs:
+                env = _stacked([down[u] for u in grp])
+                closed.extend(_toggle_close(group_cores, lchild[i], rchild[j], env)
+                              for i, j in pairs)
+            msg = {o: _stack([_toggle_merge(group_cores, lchild[i], rchild[j])
+                              for i, j in merges], axis=2)
+                   for o, merges in ups}
+        parts = []
+        for lo, hi in blocks:
+            block, to_parent = grp[lo:hi], maps[grp[lo]]
+            part = {o: x[lo:hi] for o, x in msg.items()}
+            if to_parent is not None:
+                part = {o: to_parent.forward(x.reshape(len(block), p, -1))
+                        .reshape(len(block), -1, *x.shape[2:]) for o, x in part.items()}
+            elif len(blocks) > 1:  # a view would keep the other blocks' own-point stacks
+                part = {o: x.copy() for o, x in part.items()}
+            if keep:
+                part[0] = _stacked([up[u] for u in block]).reshape(len(block), -1, 1,
+                                                                    up[v].shape[2])
+            parts.append(part)
+        return parts
+
+    # each level's blocks of stacked messages, read by the level above
+    below, closed = [], []
+    for level in levels:
+        below = [part for group in level for part in step(below, *group)]
     return np.concatenate(closed, axis=1)[:, perm]
 
 
-def _toggle_merge(core, left, right) -> np.ndarray:
-    """Contract row-aligned stacks (N, a, p) and (N, c, q) through a (p, q, r)
-    core into (N, a * c, r), left choices major. The smaller stack goes
-    through the core GEMM, so the 4-D intermediate stays small."""
-    rows, a, p = left.shape
-    c, q = right.shape[1:]
-    r = core.shape[2]
+def _stacked(arrays) -> np.ndarray:
+    """Same-shape arrays along a new leading group axis; one array is a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _gather(blocks, src) -> dict:
+    """A group's left or right children's (G, rows, choices, bond) stacks by
+    order, from the level below's ``blocks`` at the (block index, slice)
+    pairs ``src``: a view when one block holds them all."""
+    return {o: _stack([blocks[i][o][part] for i, part in src], axis=0)
+            for o in blocks[src[0][0]]}
+
+
+def _toggle_merge(cores, left, right) -> np.ndarray:
+    """Contract row-aligned stacks (G, N, a, p) and (G, N, c, q) through the
+    G (p, q, r) ``cores`` into (G, N, a * c, r), left choices major. The
+    smaller stack goes through the core GEMM, so the 5-D intermediate stays
+    small; the cores are stacked in the layout that GEMM reads."""
+    g, rows, a, p = left.shape
+    c, q = right.shape[2:]
+    r = cores[0].shape[2]
     if a <= c:
-        tmp = (left.reshape(rows * a, p) @ core.reshape(p, q * r)).reshape(rows, a, q, r)
-        out = tmp.transpose(0, 1, 3, 2).reshape(rows, a * r, q) @ right.transpose(0, 2, 1)
-        return out.reshape(rows, a, r, c).transpose(0, 1, 3, 2).reshape(rows, a * c, r)
-    tmp = right.reshape(rows * c, q) @ core.transpose(1, 0, 2).reshape(q, p * r)
-    tmp = tmp.reshape(rows, c, p, r).transpose(0, 2, 1, 3).reshape(rows, p, c * r)
-    return (left @ tmp).reshape(rows, a * c, r)
+        core = _stacked(cores).reshape(g, p, q * r)
+        tmp = (left.reshape(g, rows * a, p) @ core).reshape(g, rows, a, q, r)
+        out = tmp.transpose(0, 1, 2, 4, 3).reshape(g, rows, a * r, q) @ right.transpose(0, 1, 3, 2)
+        return out.reshape(g, rows, a, r, c).transpose(0, 1, 2, 4, 3).reshape(g, rows, a * c, r)
+    core = _stacked([x.transpose(1, 0, 2) for x in cores]).reshape(g, q, p * r)
+    tmp = (right.reshape(g, rows * c, q) @ core).reshape(g, rows, c, p, r)
+    tmp = tmp.transpose(0, 1, 3, 2, 4).reshape(g, rows, p, c * r)
+    return (left @ tmp).reshape(g, rows, a * c, r)
 
 
-def _toggle_close(core, left, right, env) -> np.ndarray:
-    """Close stacks (P * B, a, p) and (P * B, c, q), point-major, through a
-    (p, q, r) core against the node's weighted (P, B, r) adjoint, summed over
-    the P points; returns (B, a * c), left choices major. The adjoint goes
-    into the core first, so no (P * B, a * c, r) block is built, and the
-    smaller stack meets it first."""
-    rows, a, p = left.shape
-    c, q = right.shape[1:]
-    b = env.shape[1]
+def _toggle_close(cores, left, right, env) -> np.ndarray:
+    """Close stacks (G, P * B, a, p) and (G, P * B, c, q), point-major,
+    through the G (p, q, r) ``cores`` against the nodes' weighted
+    (G, P, B, r) adjoints, summed over the P points; returns (B, G * a * c),
+    node-major, then left choices major. The adjoint goes into the core
+    first, so no (P * B, a * c, r) block is built, and the smaller stack
+    meets it first."""
+    g, rows, a, p = left.shape
+    c, q = right.shape[2:]
+    b = env.shape[2]
     if a > c:
-        out = _toggle_close(core.transpose(1, 0, 2), right, left, env)
-        return out.reshape(b, c, a).transpose(0, 2, 1).reshape(b, a * c)
-    g = (env.reshape(rows, -1) @ core.reshape(p * q, -1).T).reshape(rows, p, q)
-    tmp = (left @ g).reshape(-1, b, a, q).transpose(1, 2, 0, 3).reshape(b, a, -1)
-    right = right.reshape(-1, b, c, q).transpose(1, 0, 3, 2).reshape(b, -1, c)
-    return (tmp @ right).reshape(b, a * c)
+        out = _toggle_close([x.transpose(1, 0, 2) for x in cores], right, left, env)
+        return out.reshape(b, g, c, a).transpose(0, 1, 3, 2).reshape(b, -1)
+    core = _stacked(cores).reshape(g, p * q, -1)
+    adj = (env.reshape(g, rows, -1) @ core.transpose(0, 2, 1)).reshape(g, rows, p, q)
+    tmp = (left @ adj).reshape(g, -1, b, a, q).transpose(2, 0, 3, 1, 4).reshape(b, g, a, -1)
+    right = right.reshape(g, -1, b, c, q).transpose(2, 0, 1, 4, 3).reshape(b, g, -1, c)
+    return (tmp @ right).reshape(b, -1)
 
 
 # bounded: an explicit subset list adds one entry per distinct leg set
 @functools.lru_cache(maxsize=64)
-def _tree_schedule(legs, leaf_count: int, k: int) -> tuple:
-    """``tree_probes``' stacked pass over the k-subsets of ``legs``: (inside,
-    keep, ups, closes, perm). Node v has ``inside[v]`` of the ``legs`` below
-    it and keeps only the orders below k that the legs outside it can
-    complete (else k near ``len(legs)`` stacks about 2^inside choices): 0 if
-    ``keep[v]``, and each o of ``ups[v]``'s (o, (left, right) order pairs
-    merged into o). It closes the order-k pairs ``closes[v]``; at k = 1 a
-    leaf closes itself. ``perm`` takes that closing order to lexicographic
-    order: it sorts the leg-index rows built from the same pairs."""
-    L = leaf_count
+def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
+    """``tree_probes``' stacked pass over the k-subsets of ``legs`` on a tree
+    over n features with core ``shapes``, at the point sets of
+    ``_tree_plan(n, key)``: (inside, closes, levels, perm).
+
+    Node v has ``inside[v]`` of the ``legs`` below it and closes the order-k
+    (left, right) order pairs ``closes[v]``; at k = 1 a leaf closes itself.
+    ``levels`` lists the tree's levels, leaves first, each as a tuple of
+    groups (nodes, keep, ups, closes, left, right, blocks). A group is a run
+    of nodes with points on one level that share a core shape, a point set,
+    being folded or not, their stacks' (order, choices) and their
+    children's, and these entries. It keeps only the orders below k that the
+    legs outside each node can complete (else k near ``len(legs)`` stacks
+    about 2^inside choices): 0 if ``keep``, and each o of ``ups``' (o,
+    (left, right) order pairs merged into o). ``blocks`` cuts the run where
+    its map to the parents' points changes, as (start, stop) positions; the
+    level above reads a level by block. ``left`` and ``right`` are the
+    (block index, slice) pairs of the level below that hold the group's left
+    and right children, in order (None on a leaf, and ``right`` on a folded
+    group). A run is cut where the widest temporary per instance of its
+    nodes' steps (``_step_width``), summed over the group, would pass the
+    widest of any one node, so a group builds no array wider than one node
+    of the request does. ``perm`` takes the closing order (groups in turn,
+    each close pair over the group's nodes) to lexicographic order: it sorts
+    the leg-index rows built from the same pairs."""
+    L = _tree_leaf_count(n)
+    points, maps, _ = _tree_plan(n, key)
     toggleable = set(legs)
-    inside, keep, ups, closes = [0] * (2 * L), [False] * (2 * L), [()] * (2 * L), [()] * (2 * L)
-    labels = [None] * (2 * L)
-    closed = []
+    inside, closes = [0] * (2 * L), [()] * (2 * L)
+    labels, entry, width = [None] * (2 * L), [None] * (2 * L), [0] * (2 * L)
 
     def merged(a, b):  # two label blocks' rows, left choices major
         return np.concatenate([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))], axis=1)
@@ -739,25 +812,100 @@ def _tree_schedule(legs, leaf_count: int, k: int) -> tuple:
     for v in range(2 * L - 1, 0, -1):
         inside[v] = int(v - L in toggleable) if v >= L else inside[2 * v] + inside[2 * v + 1]
         lo, hi = max(0, k - (len(legs) - inside[v])), min(k - 1, inside[v])
-        keep[v] = lo == 0
-        lab = {0: np.empty((1, 0), dtype=np.intp)} if keep[v] else {}
-        if v >= L and inside[v]:
+        keep, ups = lo == 0, ()
+        lab = {0: np.empty((1, 0), dtype=np.intp)} if keep else {}
+        if v >= L and inside[v] and k > 1:
             lab[1] = np.array([[v - L]], dtype=np.intp)
         elif v < L:
             left, right = labels[2 * v], labels[2 * v + 1]
             pairs = {o: tuple((i, o - i) for i in sorted(left) if o - i in right)
                      for o in [*range(max(lo, 1), hi + 1), k]}
             closes[v] = pairs.pop(k)
-            ups[v] = tuple(pairs.items())
-            for o, merges in ups[v]:
+            ups = tuple(pairs.items())
+            for o, merges in ups:
                 lab[o] = np.concatenate([merged(left[i], right[j]) for i, j in merges])
-            closed += [merged(left[i], right[j]) for i, j in closes[v]]
-        if k in lab:
-            closed.append(lab.pop(k))
         labels[v] = lab
-    perm = np.lexsort(np.concatenate(closed).T[::-1])
-    perm.setflags(write=False)
-    return tuple(inside), tuple(keep), tuple(ups), tuple(closes), perm
+        if points[v] is None:
+            continue
+        shape = shapes[v - 1] + (1,) if v == 1 else shapes[v - 1]
+        kids = None if v >= L else tuple(_widths(labels[c]) for c in (2 * v, 2 * v + 1))
+        entry[v] = (shape, id(points[v]), kids, _widths(lab), v < L and points[2 * v + 1] is None,
+                    (keep, ups, closes[v]))
+        width[v] = _step_width(shape, points[v].shape[0], maps[v], kids, ups, closes[v])
+    widest = max(width)
+    levels, where = [], {}
+    for depth in range(L.bit_length() - 1, -1, -1):
+        runs = []  # [first node, count, summed width]
+        for v in range(1 << depth, 2 << depth):
+            if entry[v] is None:
+                continue
+            if (runs and runs[-1][0] + runs[-1][1] == v and entry[runs[-1][0]] == entry[v]
+                    and runs[-1][2] + width[v] <= widest):
+                runs[-1][1] += 1
+                runs[-1][2] += width[v]
+            else:
+                runs.append([v, 1, width[v]])
+        level, blocks = [], []
+        for first, count, _ in runs:
+            grp = range(first, first + count)
+            cuts = [i for i in range(1, count) if maps[first + i] is not maps[first + i - 1]]
+            bounds = tuple(zip([0, *cuts], [*cuts, count]))
+            kids = [_sources(where, range(2 * first + s, 2 * grp.stop, 2)) if first < L else None
+                    for s in (0, 1)]
+            level.append((grp, *entry[first][-1], *kids, bounds))
+            blocks += [grp[lo:hi] for lo, hi in bounds]
+        levels.append(tuple(level))
+        where = {v: (i, pos) for i, block in enumerate(blocks) for pos, v in enumerate(block)}
+    closed = [merged(labels[2 * v][i], labels[2 * v + 1][j])
+              for level in levels for grp, _, _, pairs, *_ in level for i, j in pairs for v in grp]
+    perm = np.lexsort(np.concatenate(closed).T[::-1]) if closed else None
+    if perm is not None:
+        perm.setflags(write=False)
+    return tuple(inside), tuple(closes), tuple(levels), perm
+
+
+def _widths(labels) -> tuple:
+    """(order, choices) of a node's stacks, from its label blocks."""
+    return tuple((o, len(x)) for o, x in labels.items())
+
+
+def _sources(where, kids):
+    """(block index, slice) pairs of the level below that hold ``kids`` in
+    order, from ``where``'s node -> (block index, position) map; None when
+    the kids are pads only."""
+    runs = []
+    for c in kids:
+        if c not in where:
+            return None
+        i, pos = where[c]
+        if runs and runs[-1][0] == i:
+            runs[-1][2] = pos + 1
+        else:
+            runs.append([i, pos, pos + 1])
+    return tuple((i, slice(start, stop, 2)) for i, start, stop in runs)
+
+
+def _step_width(shape, points: int, to_parent, kids, ups, closes) -> int:
+    """Float64 entries per instance of the widest array one node's step of
+    the stacked pass builds: a leaf's order-1 stack, else its inputs, the
+    merge and close products of ``_toggle_merge`` and ``_toggle_close``, and
+    its stacks at its own and its parent's points (``to_parent`` is its
+    map, or None). ``kids`` gives the (order, choices) of the children's
+    stacks. A folded node's one GEMM per order is bounded by its merges'."""
+    P, r = points, shape[-1]
+    P_up = P if to_parent is None else to_parent.targets.shape[0]
+    if kids is None:
+        return P_up * r
+    p, q = shape[:2]
+    wl, wr = dict(kids[0]), dict(kids[1])
+    sizes = [P * p * max(wl.values(), default=0), P * q * max(wr.values(), default=0)]
+    for _, merges in ups:
+        sizes.append(P_up * r * sum(wl[i] * wr[j] for i, j in merges))
+        sizes += [P * r * (a * max(q, c) if a <= c else c * max(p, a))
+                  for a, c in ((wl[i], wr[j]) for i, j in merges)]
+    sizes += [max(P * p * q, P * max(a, c) * (q if a <= c else p), a * c)
+              for a, c in ((wl[i], wr[j]) for i, j in closes)]
+    return max(sizes)
 
 
 def probe_entries(topology: TnTopology, nodes, k: int, legs) -> int:
@@ -808,5 +956,5 @@ def _tree_materialize(topo: TnTopology, cores, v: int) -> np.ndarray:
         return _node_core(cores, v)
     ml = _tree_materialize(topo, cores, 2 * v)
     mr = _tree_materialize(topo, cores, 2 * v + 1)
-    merged = _toggle_merge(_node_core(cores, v), ml[None], mr[None])
+    merged = _toggle_merge([_node_core(cores, v)], ml[None, None], mr[None, None])
     return merged.reshape(ml.shape[0] * mr.shape[0], -1)

@@ -1295,7 +1295,7 @@ class TestTreePoints:
     @pytest.mark.parametrize("k", [2, 3])
     def test_reversed_schedule_pairs_keep_values_on_their_subsets(self, rng, monkeypatch, k, n):
         """The stacked pass and the permutation read one schedule: with every
-        node's merge and close pairs listed in reverse (the schedule's one
+        group's merge and close pairs listed in reverse (the schedule's one
         ``sorted`` made descending), the closing order changes and every
         value still lands on its subset, for all subsets and for a list,
         whose values also match the flat reference."""
@@ -1303,19 +1303,25 @@ class TestTreePoints:
         model, lifts = _random_model("btree", n, 3, seed=n + k + 3)
         x = rng.uniform(-1, 1, n)
         subsets = sorted({tuple(sorted(rng.choice(n, k, replace=False) + 1)) for _ in range(5)})
-        key = (tuple(range(n)), tensor_net._tree_leaf_count(n), k)
-        ups, closes, perm = tensor_net._tree_schedule(*key)[2:]
+        key = (tuple(range(n)), n, k, tuple(c.shape for c in model.cores),
+               tensor_net._plan_key(chebyshev_nodes(n - k + 1)))
+        closes, levels, perm = tensor_net._tree_schedule(*key)[1:]
         want = [explain(model, lifts, x, k), explain(model, lifts, x, k, subsets=subsets)]
         tensor_net._tree_schedule.cache_clear()
         monkeypatch.setattr(tensor_net, "sorted", lambda xs: sorted(xs, reverse=True),
                             raising=False)
         try:
-            got_ups, got_closes, got_perm = tensor_net._tree_schedule(*key)[2:]
+            got_closes, got_levels, got_perm = tensor_net._tree_schedule(*key)[1:]
             got = [explain(model, lifts, x, k), explain(model, lifts, x, k, subsets=subsets)]
         finally:
             tensor_net._tree_schedule.cache_clear()
+
+        def listed(levels, step):  # each group's nodes, merge pairs and close pairs
+            return [[(grp, tuple((o, merges[::step]) for o, merges in ups), closed[::step])
+                     for grp, _, ups, closed, *_ in level] for level in levels]
+
         assert got_closes == tuple(pairs[::-1] for pairs in closes)
-        assert got_ups == tuple(tuple((o, pairs[::-1]) for o, pairs in up) for up in ups)
+        assert listed(got_levels, 1) == listed(levels, -1)
         assert not np.array_equal(got_perm, perm)
         for g, w in zip(got, want):
             assert g.subsets == w.subsets == tuple(sorted(w.subsets))
@@ -1324,6 +1330,80 @@ class TestTreePoints:
         m = n - k + 1
         _assert_close(got[1].values, _flat_indices(model, lifts, x, subsets, chebyshev_nodes(m),
                                                    quadrature_weights(m)))
+
+    @staticmethod
+    def _uneven_model(name):
+        """``mixed-<n>``: btree over n features lifted binary, poly (k = 2)
+        and Fourier in turn, so leaf and node shapes change along a level;
+        ``uneven-8``: btree n = 8 whose bonds differ within every level."""
+        from tnshap import FeatureMap
+        from tnshap.fit import _init_cores
+
+        kind, n = name.split("-")
+        n = int(n)
+        if kind == "mixed":
+            maps = [FeatureMap("binary"), FeatureMap("poly", k=2),
+                    FeatureMap("fourier", k=1, omega=np.pi)]
+            return gen_tree_teacher(n, 4, n, LiftSpec([maps[i % 3] for i in range(n)]))
+        lifts = LiftSpec.binary(n)
+        topo = TnTopology("btree", n, lifts.dims, (3, 2, 4, 1, 3, 2, 2, 1, 2, 2, 1, 2, 2, 1))
+        cores = _init_cores(topo, np.random.default_rng(n), lambda shape: np.sqrt(shape[-1]))
+        return TensorNetworkModel(topo, cores), lifts
+
+    @pytest.mark.parametrize("b", [1, 17])
+    @pytest.mark.parametrize("name", ["mixed-8", "mixed-24", "mixed-33", "uneven-8"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_same_level_nodes_of_different_shapes(self, rng, k, name, b):
+        """Nodes of one level whose core shapes differ run in different
+        groups of the stacked pass; all subsets and an explicit list still
+        match the flat reference."""
+        tensor_net = attribute.tensor_net
+        model, lifts = self._uneven_model(name)
+        n, L = model.n, model.topology.leaf_count
+        real = [v for v in range(L // 2, L) if v - L // 2 < math.ceil(n / 2)]
+        assert len({model.cores[v - 1].shape for v in real}) > 1
+        xs = rng.uniform(-1, 1, (b, n))
+        m = n - k + 1
+        nodes, weights = chebyshev_nodes(m), quadrature_weights(m)
+        levels = tensor_net._tree_schedule(tuple(range(n)), n, k,
+                                           tuple(c.shape for c in model.cores),
+                                           tensor_net._plan_key(nodes))[2]
+        assert len(levels[1]) > 1  # the level above the leaves
+        values, _ = attribute._probe_values(model, lifts.lift_rows(xs), nodes, weights, k,
+                                            SIGNED_TOGGLE, tuple(range(n)))
+        _assert_sampled_subsets(rng, model, lifts, xs, values, k, nodes, weights)
+        subsets = sorted({tuple(sorted(rng.choice(n, k, replace=False) + 1)) for _ in range(6)})
+        got = explain(model, lifts, xs[0], k, subsets=subsets)
+        _assert_close(got.values, _flat_indices(model, lifts, xs[0], subsets, nodes, weights))
+
+    def test_stacked_pass_calls_once_per_group(self, rng, monkeypatch):
+        """On btree n = 24, r16, k = 3 (the triples-k3 shape) the stacked pass
+        merges and closes once per level group and pair: 26 by the schedule,
+        where one call per node made 86 merges and 22 closes."""
+        tensor_net = attribute.tensor_net
+        model, lifts = _random_model("btree", 24, 16, seed=1)
+        x = rng.uniform(-1, 1, 24)
+        want = explain(model, lifts, x, 3).values
+        calls, depth = [], [0]
+
+        def counted(name):
+            original = getattr(tensor_net, name)
+
+            def wrapper(*args):
+                if depth[0] == 0:
+                    calls.append(name)
+                depth[0] += 1
+                try:
+                    return original(*args)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        for name in ("_toggle_merge", "_toggle_close"):
+            monkeypatch.setattr(tensor_net, name, counted(name))
+        got = explain(model, lifts, x, 3).values
+        assert np.array_equal(got, want)
+        assert 0 < len(calls) <= 32
 
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     @pytest.mark.parametrize("n", [5, 7, 24, 33])
