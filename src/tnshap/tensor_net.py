@@ -20,10 +20,10 @@ node t is the affine matrix ``core[:, -1, :] + t * (toggled @ core)``, the
 nodes, their weights, the order and the legs. ``tt_probes`` runs every leg
 of a train at all m quadrature nodes; ``tree_probes`` runs a node with s
 real leaves below it at only s + 1 points (its section comment gives the
-cost), and at k >= 2 merges and closes the same-shape nodes of a tree level
-in one batched call; ``probe_entries`` counts the float64 state one instance
-adds to either sweep. The integers of a topology, a lift, an order and a fit
-config pass one rule, ``as_int``.
+cost), and runs each of its passes over the same-shape nodes of a tree level
+in one batched call (at k = 1 over the leaves' only); ``probe_entries``
+counts the float64 state one instance adds to either sweep. The integers of
+a topology, a lift, an order and a fit config pass one rule, ``as_int``.
 """
 
 from __future__ import annotations
@@ -465,17 +465,20 @@ def _stack(blocks, axis=1):
 # closed against the message with its legs toggled: at its leaf for k = 1,
 # else where its two parts meet (``_toggle_close``). Up to order k - 1 the
 # toggled messages are stacked per choice of legs and ride the same
-# interpolation maps as the order-0 ones, as ``_tree_schedule`` lists. The
-# order-0 up and down passes visit the nodes one by one; the stacked pass
-# visits level groups: a run of nodes on one level with one core shape, one
-# point set and one schedule entry (in a balanced tree, the nodes of a level
-# with only real leaves below them, cut where the group's temporaries would
-# outgrow the widest one node builds; the node that straddles the pads, a
-# folded node and the root run alone). A group's stacks carry a leading
-# group axis, so each merge, close and interpolation is one batched call for
-# all its nodes. A node costs its point count times chi^3 per
-# stacked row, about sum_v (s_v + 1) chi^3 per instance at k = 1, plus the
-# interpolation GEMMs.
+# interpolation maps as the order-0 ones, as ``_tree_schedule`` lists. Every
+# pass -- the order-0 up pass, the adjoint down pass and the stacked pass --
+# visits the same level groups: a run of nodes on one level with one core
+# shape, one point set and one schedule entry (in a balanced tree, the nodes
+# of a level with only real leaves below them, cut where the group's
+# temporaries would outgrow the widest one node builds; the node that
+# straddles the pads, a folded node and the root run alone). A group's
+# cores are stacked once per call and its messages, adjoints and stacks
+# carry a leading group axis, so each step, merge, close and interpolation
+# is one batched call for all its nodes. At k = 1 only leaves group: with
+# its internal levels grouped as well, a small tree's request time grew
+# well below linearly in n (see ``_tree_schedule``). A node costs its point
+# count times chi^3 per stacked row, about sum_v (s_v + 1) chi^3 per
+# instance at k = 1, plus the interpolation GEMMs.
 
 
 def chebyshev_nodes(m: int) -> np.ndarray:
@@ -537,10 +540,10 @@ class _Interpolation:
         return np.concatenate([mat @ x for _, mat in self._blocks()], axis=-2)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """The transpose: (len(targets), cols) -> (size, cols)."""
+        """The transpose: (..., len(targets), cols) -> (..., size, cols)."""
         if self.mat is not None:
             return self.mat.T @ y
-        return sum(mat.T @ y[i : i + mat.shape[0]] for i, mat in self._blocks())
+        return sum(mat.T @ y[..., i : i + mat.shape[0], :] for i, mat in self._blocks())
 
 
 # bounded: one entry per (n, root nodes) pair a process explains
@@ -599,163 +602,264 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     index itself under quadrature weights, the raw probe at one node of
     weight 1. No (B * m)-row selector-scaled input is built.
 
-    Messages are point-major, (points, B, bond) arrays, so one GEMM takes a
-    message to another point set. The up and down passes visit the nodes one
-    by one; the stacked pass runs once per level group of ``_tree_schedule``
-    (same-shape nodes of a level), whose order-o stacks are
+    Every pass runs once per level group of ``_tree_schedule`` (same-shape
+    nodes of a level), whose cores are stacked once per call as a
+    (G, p, q, r) array that the group's up step, down step, merges and
+    closes all read. Messages are point-major: a group's order-0 up messages
+    and adjoints are (G, points * B, bond) arrays, its order-o stacks
     (G, points * B, C(toggleable leaves under a node, o), bond) arrays, so
-    each merge, close and interpolation is one call for the G nodes. Which
-    orders a group keeps, merges and closes, and the permutation to
-    lexicographic order, come from the schedule; this pass only runs it. A
-    subtree of pads only sends a constant (bond,) vector, which its parent
-    folds into its core once per call. Order-1 subsets close at their leaves
-    in ``legs`` order.
+    one GEMM takes a block of them to another point set. Which orders a
+    group keeps, merges and closes, where the adjoint descends, and the
+    permutation to lexicographic order, come from the schedule; this pass
+    only runs it. A subtree of pads only sends a constant (bond,) vector,
+    which its parent folds into its core once per call. Order-1 subsets
+    close at their leaves, one call per leaf group, in ``legs`` order.
     """
     n, b = len(toggled), toggled[0].shape[0]
     L = _tree_leaf_count(n)
     key = _plan_key(nodes)
     points, maps, _ = _tree_plan(n, key)
-    ons = [toggled[j] @ _node_core(cores, L + j) for j in range(n)]
-    # entry v: node v's up message at its parent's points
-    up = [None] * (2 * L)
-    # node v -> its core with the constant right child contracted, (p, r)
-    folded = {}
-    for v in range(2 * L - 1, 1, -1):
-        core = _node_core(cores, v)
-        t = points[v]
-        if t is None:
-            up[v] = core[0] if v >= L else np.einsum("p,q,pqr->r", up[2 * v], up[2 * v + 1],
-                                                     core)
-            continue
-        if v >= L:
-            msg = core[-1] + t * ons[v - L]
+    levels, pads, perm = _tree_schedule(legs, n, k, tuple(c.shape for c in cores), key)
+    # node v of a subtree of pads only -> the constant (bond,) vector it sends up
+    const = {}
+    for run in pads:
+        core = _stacked([_node_core(cores, v) for v in run])
+        if run[0] >= L:
+            const.update(zip(run, core[:, 0]))
         else:
-            rows = t.shape[0] * b
-            left = up[2 * v].reshape(rows, -1)
-            if points[2 * v + 1] is None:
-                folded[v] = np.einsum("pqr,q->pr", core, up[2 * v + 1])
-                msg = left @ folded[v]
+            const.update(zip(run, np.einsum("gp,gq,gpqr->gr", _stacked([const[2 * v] for v in run]),
+                                            _stacked([const[2 * v + 1] for v in run]), core)))
+    stacked = [[_stacked([_node_core(cores, v) for v in grp[0]]) for grp in level]
+               for level in levels]
+    # each leaf group's toggled leaf messages, (G, B, bond)
+    ons = [_stacked([toggled[v - L] for v in grp[0]]) @ core
+           for grp, core in zip(levels[0], stacked[0])]
+    # a folded group's cores with the constant right children contracted, (G, p, r)
+    folds = {}
+    # up[d][j]: block j of level d's order-0 up messages at the parents'
+    # points, (G, points * B, bond); the root sends none
+    up = []
+    for d, level in enumerate(levels[:-1]):
+        blocks = []
+        for i, (grp, *_, left, right, bounds, _) in enumerate(level):
+            core, t = stacked[d][i], points[grp[0]]
+            if left is None:
+                msg = core[:, -1, None, None] + t * ons[i][:, None]
+                msg = msg.reshape(len(grp), -1, core.shape[2])
+            elif right is None:
+                folds[d, i] = np.einsum("gpqr,gq->gpr", core,
+                                        _stacked([const[2 * v + 1] for v in grp]))
+                msg = _take(up[d - 1], left) @ folds[d, i]
             else:
-                msg = _open_leg2(core, left, up[2 * v + 1].reshape(rows, -1))
-            msg = msg.reshape(t.shape[0], b, -1)
-        if maps[v] is not None:
-            msg = maps[v].forward(msg.reshape(t.shape[0], -1)).reshape(-1, b, msg.shape[2])
-        up[v] = msg
-    inside, closes, levels, perm = _tree_schedule(legs, n, k, tuple(c.shape for c in cores), key)
-    # entry v: the weighted adjoint of node v's up message, at v's points. It
-    # is built where at least k toggleable leaves lie below v (the nodes where
-    # subsets close, and their ancestors) and kept only where subsets close:
-    # the toggleable leaves at k = 1, else the nodes the schedule closes at
-    down = [None] * (2 * L)
-    down[1] = np.repeat(weights[:, None, None], b, axis=1)
-    for v in range(1, L):
-        if inside[v] < k:
-            continue
-        core = _node_core(cores, v)
-        p = down[v].shape[0]
-        env = down[v].reshape(p * b, -1)
-        if not closes[v]:
-            down[v] = None
-        for c in (2 * v, 2 * v + 1):
-            if inside[c] < k:
+                msg = _merge(core, _take(up[d - 1], left), _take(up[d - 1], right))
+            blocks += [_at_parents(msg[lo:hi], t.shape[0], maps[grp[lo]], len(bounds) == 1)
+                       for lo, hi, _ in bounds]
+            del msg  # freed before the next group's arrays are built
+        up.append(blocks)
+    # down[d][i]: the weighted adjoint of level d's group i, (G, points * B,
+    # bond) at its points. It is built where at least k toggleable leaves lie
+    # below the group's nodes and kept only where they close: the toggleable
+    # leaves at k = 1, else the groups the schedule closes at
+    down = [[None] * len(level) for level in levels]
+    down[-1][0] = np.repeat(weights, b)[None, :, None]
+    closed = []
+    for d in range(len(levels) - 1, -1, -1):
+        # the level below's messages, and its adjoints by block at the parents' points
+        below = up[d - 1] if d else None
+        staged = [None] * len(below) if d else None
+        for i, (grp, keep, ups, closes, left, right, bounds, toggles) in enumerate(levels[d]):
+            env = down[d][i]
+            if env is None:
                 continue
-            if v in folded:
-                adj = env @ folded[v].T
-            elif c == 2 * v:
-                adj = _open_leg1(core.transpose(1, 0, 2), up[c + 1].reshape(p * b, -1), env)
+            if left is None:
+                if k == 1:
+                    closed.append(np.einsum("gfbr,gbr->bg",
+                                            env.reshape(len(grp), -1, b, env.shape[2]), ons[i]))
+                continue
+            if not closes:
+                down[d][i] = None
+            if not any(toggles):
+                continue
+            outs = [_slot(staged, below, src, len(grp)) if need else None
+                    for src, need in zip((left, right), toggles)]
+            if right is None:
+                np.matmul(env, folds[d, i].transpose(0, 2, 1), out=outs[0])
             else:
-                adj = _open_leg1(core, up[c - 1].reshape(p * b, -1), env)
-            bond = adj.shape[1]
-            if maps[c] is not None:
-                adj = maps[c].adjoint(adj.reshape(p, -1))
-            down[c] = adj.reshape(-1, b, bond)
+                _descend(stacked[d][i], env, _take(below, left), _take(below, right), outs)
+            for src, out in zip((left, right), outs):
+                if out is not None and len(src) > 1:
+                    _put(staged, src, out)
+            del env, outs, out
+        if not d:
+            break
+        for i, (grp, *_, bounds, _) in enumerate(levels[d - 1]):
+            parts = [staged[j] for *_, j in bounds]
+            if parts[0] is not None:
+                down[d - 1][i] = _stack([_at_children(x, maps[grp[lo]])
+                                         for x, (lo, *_) in zip(parts, bounds)], axis=0)
+        if k == 1:  # the last use of the level's cores and of its children's messages
+            stacked[d] = up[d - 1] = None
     if k == 1:
-        out = np.empty((b, len(legs)))
-        for s_idx, j in enumerate(legs):
-            out[:, s_idx] = np.einsum("fbr,br->b", down[L + j], ons[j])
-        return out
+        return np.concatenate(closed, axis=1)
 
-    def step(below, grp, keep, ups, pairs, left, right, blocks) -> list:
+    def step(below, d, i, grp, keep, ups, pairs, left, right, bounds, toggles) -> list:
         """One group's stacked messages by order, as one dict per block (a
         run of the group with one map) at the parents' points; its closed
         blocks go to ``closed``."""
-        v, g, p = grp[0], len(grp), points[grp[0]].shape[0]
-        if v >= L:
+        core, g, p = stacked[d][i], len(grp), points[grp[0]].shape[0]
+        if left is None:
             msg = {}
-            if inside[v]:
-                on = _stacked([ons[u - L] for u in grp])[:, None]
+            if toggles:
+                on = ons[i][:, None]
                 msg[1] = np.repeat(on, p, axis=1).reshape(g, -1, 1, on.shape[3])
-        elif v in folded:
-            fold = _stacked([folded[u] for u in grp])
-            msg = {o: (x.reshape(g, -1, x.shape[3]) @ fold).reshape(*x.shape[:3], -1)
+        elif right is None:
+            msg = {o: (x.reshape(g, -1, x.shape[3]) @ folds[d, i]).reshape(*x.shape[:3], -1)
                    for o, x in _gather(below, left).items() if o}
         else:
-            group_cores = [_node_core(cores, u) for u in grp]
             lchild, rchild = _gather(below, left), _gather(below, right)
             if pairs:
-                env = _stacked([down[u] for u in grp])
-                closed.extend(_toggle_close(group_cores, lchild[i], rchild[j], env)
-                              for i, j in pairs)
-            msg = {o: _stack([_toggle_merge(group_cores, lchild[i], rchild[j])
-                              for i, j in merges], axis=2)
+                env = down[d][i].reshape(g, p, b, -1)
+                closed.extend(_toggle_close(core, lchild[a], rchild[c], env) for a, c in pairs)
+            flipped = None
+            if any(lchild[a].shape[2] > rchild[c].shape[2] for _, merges in ups for a, c in merges):
+                flipped = np.ascontiguousarray(core.transpose(0, 2, 1, 3))
+            msg = {o: _stack([_toggle_merge(core, flipped, lchild[a], rchild[c])
+                              for a, c in merges], axis=2)
                    for o, merges in ups}
         parts = []
-        for lo, hi in blocks:
-            block, to_parent = grp[lo:hi], maps[grp[lo]]
-            part = {o: x[lo:hi] for o, x in msg.items()}
-            if to_parent is not None:
-                part = {o: to_parent.forward(x.reshape(len(block), p, -1))
-                        .reshape(len(block), -1, *x.shape[2:]) for o, x in part.items()}
-            elif len(blocks) > 1:  # a view would keep the other blocks' own-point stacks
-                part = {o: x.copy() for o, x in part.items()}
+        for lo, hi, j in bounds:
+            part = {o: _at_parents(x[lo:hi], p, maps[grp[lo]], len(bounds) == 1)
+                    for o, x in msg.items()}
             if keep:
-                part[0] = _stacked([up[u] for u in block]).reshape(len(block), -1, 1,
-                                                                    up[v].shape[2])
+                part[0] = up[d][j].reshape(hi - lo, -1, 1, up[d][j].shape[2])
             parts.append(part)
         return parts
 
     # each level's blocks of stacked messages, read by the level above
-    below, closed = [], []
-    for level in levels:
-        below = [part for group in level for part in step(below, *group)]
+    below = []
+    for d, level in enumerate(levels):
+        below = [part for i, group in enumerate(level) for part in step(below, d, i, *group)]
+        stacked[d] = down[d] = None  # ``below`` holds the views the level above reads
+        if d < len(up):
+            up[d] = None
     return np.concatenate(closed, axis=1)[:, perm]
 
 
 def _stacked(arrays) -> np.ndarray:
     """Same-shape arrays along a new leading group axis; one array is a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _merge(core, left, right) -> np.ndarray:
+    """Contract row-aligned (G, N, p) and (G, N, q) messages through the
+    (G, p, q, r) stacked ``core`` into (G, N, r): the order-0 up step."""
+    g, rows, p = left.shape
+    q, r = core.shape[2:]
+    tmp = (left @ core.reshape(g, p, q * r)).reshape(g, rows, q, r)
+    return np.einsum("gnqr,gnq->gnr", tmp, right)
+
+
+def _descend(core, env, left, right, outs) -> None:
+    """Write into ``outs`` the (G, N, p) and (G, N, q) adjoints of the left
+    and right children's up messages ``left`` and ``right`` from the
+    (G, N, r) adjoint ``env`` of the (G, p, q, r) stacked ``core``'s output;
+    a child whose out is None is skipped. The adjoint goes into the core
+    first, one GEMM for both children, unless r = 1 (the root), where each
+    child's is one GEMV."""
+    g, rows, r = env.shape
+    p, q = core.shape[1:3]
+    if r == 1:
+        mat = core[..., 0]
+        if outs[0] is not None:
+            np.multiply(right @ mat.transpose(0, 2, 1), env, out=outs[0])
+        if outs[1] is not None:
+            np.multiply(left @ mat, env, out=outs[1])
+        return
+    adj = (env @ core.reshape(g, p * q, r).transpose(0, 2, 1)).reshape(g, rows, p, q)
+    if outs[0] is not None:
+        np.einsum("gnpq,gnq->gnp", adj, right, out=outs[0])
+    if outs[1] is not None:
+        np.einsum("gnpq,gnp->gnq", adj, left, out=outs[1])
+
+
+def _take(blocks, src) -> np.ndarray:
+    """A group's left or right children's (G, ...) arrays, from the level
+    below's ``blocks`` at the (block index, slice) pairs ``src``: a view when
+    one block holds them all."""
+    if len(src) == 1:
+        return blocks[src[0][0]][src[0][1]]
+    return np.concatenate([blocks[i][part] for i, part in src])
+
+
+def _slot(staged, blocks, src, g: int) -> np.ndarray:
+    """Where a group's G children's adjoints are written: where ``_take``
+    reads their messages, in the level below's ``staged`` blocks (allocated
+    like ``blocks``' on first use) when one block holds them all, else a new
+    array for ``_put``."""
+    for i, _ in src:
+        if staged[i] is None:
+            staged[i] = np.empty_like(blocks[i])
+    if len(src) == 1:
+        return staged[src[0][0]][src[0][1]]
+    return np.empty((g, *blocks[src[0][0]].shape[1:]))
+
+
+def _put(staged, src, x) -> None:
+    """Scatter a group's children's (G, ...) arrays ``x`` to the ``staged``
+    blocks at the (block index, slice) pairs ``src``."""
+    at = 0
+    for i, part in src:
+        dest = staged[i][part]
+        dest[...] = x[at : at + dest.shape[0]]
+        at += dest.shape[0]
 
 
 def _gather(blocks, src) -> dict:
-    """A group's left or right children's (G, rows, choices, bond) stacks by
-    order, from the level below's ``blocks`` at the (block index, slice)
-    pairs ``src``: a view when one block holds them all."""
-    return {o: _stack([blocks[i][o][part] for i, part in src], axis=0)
-            for o in blocks[src[0][0]]}
+    """``_take`` by order, from the level below's blocks of stacks by order."""
+    return {o: _take({i: blocks[i][o] for i, _ in src}, src) for o in blocks[src[0][0]]}
 
 
-def _toggle_merge(cores, left, right) -> np.ndarray:
+def _at_parents(x, points: int, to_parent, alone: bool) -> np.ndarray:
+    """A block's (G, points * B, ...) arrays at its parents' points, through
+    its map ``to_parent`` (None: the parents share its points). A block cut
+    from a group of several is copied, as a view would keep the others'
+    own-point arrays."""
+    if to_parent is not None:
+        return to_parent.forward(x.reshape(len(x), points, -1)).reshape(len(x), -1, *x.shape[2:])
+    return x if alone else x.copy()
+
+
+def _at_children(x, to_parent) -> np.ndarray:
+    """The transpose of ``_at_parents``: a block's (G, parents' points * B,
+    bond) adjoints at its own points."""
+    if to_parent is None:
+        return x
+    g = len(x)
+    y = to_parent.adjoint(x.reshape(g, to_parent.targets.shape[0], -1))
+    return y.reshape(g, -1, x.shape[2])
+
+
+def _toggle_merge(core, flipped, left, right) -> np.ndarray:
     """Contract row-aligned stacks (G, N, a, p) and (G, N, c, q) through the
-    G (p, q, r) ``cores`` into (G, N, a * c, r), left choices major. The
-    smaller stack goes through the core GEMM, so the 5-D intermediate stays
-    small; the cores are stacked in the layout that GEMM reads."""
+    (G, p, q, r) stacked ``core`` into (G, N, a * c, r), left choices major.
+    The smaller stack goes through the core GEMM, so the 5-D intermediate
+    stays small; a larger left stack reads ``flipped``, the core as
+    (G, q, p, r), which the caller builds once per group."""
     g, rows, a, p = left.shape
     c, q = right.shape[2:]
-    r = cores[0].shape[2]
+    r = core.shape[3]
     if a <= c:
-        core = _stacked(cores).reshape(g, p, q * r)
-        tmp = (left.reshape(g, rows * a, p) @ core).reshape(g, rows, a, q, r)
+        tmp = (left.reshape(g, rows * a, p) @ core.reshape(g, p, q * r)).reshape(g, rows, a, q, r)
         out = tmp.transpose(0, 1, 2, 4, 3).reshape(g, rows, a * r, q) @ right.transpose(0, 1, 3, 2)
         return out.reshape(g, rows, a, r, c).transpose(0, 1, 2, 4, 3).reshape(g, rows, a * c, r)
-    core = _stacked([x.transpose(1, 0, 2) for x in cores]).reshape(g, q, p * r)
-    tmp = (right.reshape(g, rows * c, q) @ core).reshape(g, rows, c, p, r)
+    tmp = (right.reshape(g, rows * c, q) @ flipped.reshape(g, q, p * r)).reshape(g, rows, c, p, r)
     tmp = tmp.transpose(0, 1, 3, 2, 4).reshape(g, rows, p, c * r)
     return (left @ tmp).reshape(g, rows, a * c, r)
 
 
-def _toggle_close(cores, left, right, env) -> np.ndarray:
+def _toggle_close(core, left, right, env) -> np.ndarray:
     """Close stacks (G, P * B, a, p) and (G, P * B, c, q), point-major,
-    through the G (p, q, r) ``cores`` against the nodes' weighted
+    through the (G, p, q, r) stacked ``core`` against the nodes' weighted
     (G, P, B, r) adjoints, summed over the P points; returns (B, G * a * c),
     node-major, then left choices major. The adjoint goes into the core
     first, so no (P * B, a * c, r) block is built, and the smaller stack
@@ -763,43 +867,56 @@ def _toggle_close(cores, left, right, env) -> np.ndarray:
     g, rows, a, p = left.shape
     c, q = right.shape[2:]
     b = env.shape[2]
-    if a > c:
-        out = _toggle_close([x.transpose(1, 0, 2) for x in cores], right, left, env)
-        return out.reshape(b, g, c, a).transpose(0, 1, 3, 2).reshape(b, -1)
-    core = _stacked(cores).reshape(g, p * q, -1)
-    adj = (env.reshape(g, rows, -1) @ core.transpose(0, 2, 1)).reshape(g, rows, p, q)
+    adj = (env.reshape(g, rows, -1) @ core.reshape(g, p * q, -1).transpose(0, 2, 1))
+    adj = adj.reshape(g, rows, p, q)
+    swap = a > c
+    if swap:
+        left, right, adj, a, c, q = right, left, adj.transpose(0, 1, 3, 2), c, a, p
     tmp = (left @ adj).reshape(g, -1, b, a, q).transpose(2, 0, 3, 1, 4).reshape(b, g, a, -1)
     right = right.reshape(g, -1, b, c, q).transpose(2, 0, 1, 4, 3).reshape(b, g, -1, c)
-    return (tmp @ right).reshape(b, -1)
+    out = tmp @ right
+    return (out.transpose(0, 1, 3, 2) if swap else out).reshape(b, -1)
 
 
 # bounded: an explicit subset list adds one entry per distinct leg set
 @functools.lru_cache(maxsize=64)
 def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
-    """``tree_probes``' stacked pass over the k-subsets of ``legs`` on a tree
-    over n features with core ``shapes``, at the point sets of
-    ``_tree_plan(n, key)``: (inside, closes, levels, perm).
+    """``tree_probes``' passes over the k-subsets of ``legs`` on a tree over
+    n features with core ``shapes``, at the point sets of
+    ``_tree_plan(n, key)``: (levels, pads, perm).
 
-    Node v has ``inside[v]`` of the ``legs`` below it and closes the order-k
-    (left, right) order pairs ``closes[v]``; at k = 1 a leaf closes itself.
     ``levels`` lists the tree's levels, leaves first, each as a tuple of
-    groups (nodes, keep, ups, closes, left, right, blocks). A group is a run
-    of nodes with points on one level that share a core shape, a point set,
-    being folded or not, their stacks' (order, choices) and their
-    children's, and these entries. It keeps only the orders below k that the
-    legs outside each node can complete (else k near ``len(legs)`` stacks
-    about 2^inside choices): 0 if ``keep``, and each o of ``ups``' (o,
-    (left, right) order pairs merged into o). ``blocks`` cuts the run where
-    its map to the parents' points changes, as (start, stop) positions; the
-    level above reads a level by block. ``left`` and ``right`` are the
-    (block index, slice) pairs of the level below that hold the group's left
-    and right children, in order (None on a leaf, and ``right`` on a folded
-    group). A run is cut where the widest temporary per instance of its
-    nodes' steps (``_step_width``), summed over the group, would pass the
+    groups (nodes, keep, ups, closes, left, right, blocks, toggles). A group
+    is a run of nodes with points on one level that share a core shape, a
+    point set, being folded or not, their stacks' (order, choices) and their
+    children's, whether k of the legs lie below them, and these entries.
+    ``toggles`` is, on a leaf, whether it is one of the legs (it closes at
+    k = 1 and stacks order 1 above), else whether the down pass descends to
+    the (left, right) children: k of the legs lie below each. Up to order
+    k - 1 a group keeps only the orders that the legs outside each node can
+    complete (else k near ``len(legs)`` stacks about 2^inside choices): 0 if
+    ``keep``, and each o of ``ups``' (o, (left, right) order pairs merged
+    into o); ``closes`` lists the order-k (left, right) order pairs it
+    closes. ``blocks`` cuts the run where its map to the parents' points
+    changes, as (start, stop, block index) triples, the index counting the
+    level's blocks; the level above reads a level by block. ``left`` and
+    ``right`` are the (block index, slice) pairs of the level below that
+    hold the group's left and right children, in order (None on a leaf, and
+    ``right`` on a folded group).
+
+    A run is cut where the widest temporary per instance of its nodes' steps
+    in any pass (``_step_width``), summed over the group, would pass the
     widest of any one node, so a group builds no array wider than one node
-    of the request does. ``perm`` takes the closing order (groups in turn,
-    each close pair over the group's nodes) to lexicographic order: it sorts
-    the leg-index rows built from the same pairs."""
+    of the request does. At k = 1, where the order-0 passes are the whole
+    request, only leaves group: a group step costs about the same at any
+    group size, so grouped internal levels made a small tree's request time
+    grow well below linearly in n (log-log slope 0.61-0.73 over btree
+    n = 10..50, r16, one instance, against about 1.0 with one internal node
+    per group). ``pads`` lists the runs of a level's nodes with no real leaf
+    below them that share a core shape, leaves first. ``perm`` takes the
+    closing order (groups in turn, each close pair over the group's nodes)
+    to lexicographic order: it sorts the leg-index rows built from the same
+    pairs."""
     L = _tree_leaf_count(n)
     points, maps, _ = _tree_plan(n, key)
     toggleable = set(legs)
@@ -808,6 +925,9 @@ def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
 
     def merged(a, b):  # two label blocks' rows, left choices major
         return np.concatenate([np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1))], axis=1)
+
+    def shape(v):
+        return shapes[v - 1] + (1,) if v == 1 else shapes[v - 1]
 
     for v in range(2 * L - 1, 0, -1):
         inside[v] = int(v - L in toggleable) if v >= L else inside[2 * v] + inside[2 * v + 1]
@@ -827,20 +947,29 @@ def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
         labels[v] = lab
         if points[v] is None:
             continue
-        shape = shapes[v - 1] + (1,) if v == 1 else shapes[v - 1]
-        kids = None if v >= L else tuple(_widths(labels[c]) for c in (2 * v, 2 * v + 1))
-        entry[v] = (shape, id(points[v]), kids, _widths(lab), v < L and points[2 * v + 1] is None,
+        kids = toggles = folded = None
+        if v >= L:
+            toggles = inside[v] > 0
+        else:
+            kids = tuple(_widths(labels[c]) for c in (2 * v, 2 * v + 1))
+            toggles = (inside[2 * v] >= k, inside[2 * v + 1] >= k)
+            folded = points[2 * v + 1] is None
+        entry[v] = (shape(v), id(points[v]), kids, _widths(lab), folded, inside[v] >= k, toggles,
                     (keep, ups, closes[v]))
-        width[v] = _step_width(shape, points[v].shape[0], maps[v], kids, ups, closes[v])
+        width[v] = _step_width(shape(v), points[v].shape[0], maps[v], kids, ups, closes[v],
+                               folded, toggles)
     widest = max(width)
-    levels, where = [], {}
+    levels, pads, where = [], [], {}
     for depth in range(L.bit_length() - 1, -1, -1):
         runs = []  # [first node, count, summed width]
         for v in range(1 << depth, 2 << depth):
             if entry[v] is None:
-                continue
-            if (runs and runs[-1][0] + runs[-1][1] == v and entry[runs[-1][0]] == entry[v]
-                    and runs[-1][2] + width[v] <= widest):
+                if pads and pads[-1].stop == v and shape(v) == shape(pads[-1].start):
+                    pads[-1] = range(pads[-1].start, v + 1)
+                else:
+                    pads.append(range(v, v + 1))
+            elif (runs and runs[-1][0] + runs[-1][1] == v and entry[runs[-1][0]] == entry[v]
+                    and runs[-1][2] + width[v] <= widest and (k > 1 or v >= L)):
                 runs[-1][1] += 1
                 runs[-1][2] += width[v]
             else:
@@ -849,11 +978,12 @@ def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
         for first, count, _ in runs:
             grp = range(first, first + count)
             cuts = [i for i in range(1, count) if maps[first + i] is not maps[first + i - 1]]
-            bounds = tuple(zip([0, *cuts], [*cuts, count]))
+            bounds = tuple((lo, hi, len(blocks) + j)
+                           for j, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, count])))
             kids = [_sources(where, range(2 * first + s, 2 * grp.stop, 2)) if first < L else None
                     for s in (0, 1)]
-            level.append((grp, *entry[first][-1], *kids, bounds))
-            blocks += [grp[lo:hi] for lo, hi in bounds]
+            level.append((grp, *entry[first][-1], *kids, bounds, entry[first][-2]))
+            blocks += [grp[lo:hi] for lo, hi, _ in bounds]
         levels.append(tuple(level))
         where = {v: (i, pos) for i, block in enumerate(blocks) for pos, v in enumerate(block)}
     closed = [merged(labels[2 * v][i], labels[2 * v + 1][j])
@@ -861,7 +991,7 @@ def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
     perm = np.lexsort(np.concatenate(closed).T[::-1]) if closed else None
     if perm is not None:
         perm.setflags(write=False)
-    return tuple(inside), tuple(closes), tuple(levels), perm
+    return tuple(levels), tuple(pads), perm
 
 
 def _widths(labels) -> tuple:
@@ -885,20 +1015,26 @@ def _sources(where, kids):
     return tuple((i, slice(start, stop, 2)) for i, start, stop in runs)
 
 
-def _step_width(shape, points: int, to_parent, kids, ups, closes) -> int:
-    """Float64 entries per instance of the widest array one node's step of
-    the stacked pass builds: a leaf's order-1 stack, else its inputs, the
-    merge and close products of ``_toggle_merge`` and ``_toggle_close``, and
-    its stacks at its own and its parent's points (``to_parent`` is its
-    map, or None). ``kids`` gives the (order, choices) of the children's
-    stacks. A folded node's one GEMM per order is bounded by its merges'."""
+def _step_width(shape, points: int, to_parent, kids, ups, closes, folded, toggles) -> int:
+    """Float64 entries per instance of the widest array one node's steps in
+    ``tree_probes``' passes build. A leaf's is its message, or order-1
+    stack, at its parent's points. Another node's are its inputs, its up
+    message at its own and its parent's points (``to_parent`` is its map, or
+    None) with the up GEMM's (q, r) product, the down step's (p, q) adjoint
+    where it descends to a child (``toggles``) and r > 1, and the merge and
+    close products of ``_toggle_merge`` and ``_toggle_close``. ``kids`` gives
+    the (order, choices) of the children's stacks. A ``folded`` node's one
+    GEMM per order is bounded by its merges'."""
     P, r = points, shape[-1]
     P_up = P if to_parent is None else to_parent.targets.shape[0]
     if kids is None:
         return P_up * r
     p, q = shape[:2]
     wl, wr = dict(kids[0]), dict(kids[1])
-    sizes = [P * p * max(wl.values(), default=0), P * q * max(wr.values(), default=0)]
+    sizes = [P * p * max(wl.values(), default=1), P * q * max(wr.values(), default=1),
+             P * r * (1 if folded else q), P_up * r]
+    if any(toggles):
+        sizes.append(P * (p if folded else max(p, q) if r == 1 else p * q))
     for _, merges in ups:
         sizes.append(P_up * r * sum(wl[i] * wr[j] for i, j in merges))
         sizes += [P * r * (a * max(q, c) if a <= c else c * max(p, a))
@@ -956,5 +1092,7 @@ def _tree_materialize(topo: TnTopology, cores, v: int) -> np.ndarray:
         return _node_core(cores, v)
     ml = _tree_materialize(topo, cores, 2 * v)
     mr = _tree_materialize(topo, cores, 2 * v + 1)
-    merged = _toggle_merge([_node_core(cores, v)], ml[None, None], mr[None, None])
+    core = _node_core(cores, v)
+    merged = _toggle_merge(core[None], core.transpose(1, 0, 2)[None], ml[None, None],
+                           mr[None, None])
     return merged.reshape(ml.shape[0] * mr.shape[0], -1)

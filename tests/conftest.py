@@ -20,9 +20,9 @@ except ImportError:  # running from a checkout without installation
     sys.path.insert(0, str(_SRC))
     import tnshap  # noqa: F401
 
-from tnshap import LiftSpec, TensorNetworkModel, TnTopology, off_state
+from tnshap import LiftSpec, TensorNetworkModel, TnTopology, off_state, signed_toggle
 from tnshap.attribute import CSV_HEADER
-from tnshap.tensor_net import _node_core, _open_leg1, _open_leg2
+from tnshap.tensor_net import _node_core, _open_leg1, _open_leg2, tree_up_messages
 
 
 def powerset(items):
@@ -99,6 +99,25 @@ def tree_down_messages(topology, cores, msgs) -> list:
         down[2 * v] = _open_leg1(core.transpose(1, 0, 2), msgs[2 * v + 1], down[v])
         down[2 * v + 1] = _open_leg1(core, msgs[2 * v], down[v])
     return down
+
+
+def tree_order1_reference(model, lifts, xs, nodes, weights) -> np.ndarray:
+    """(B, n) node-weighted order-1 probes of the rows ``xs`` on a tree, one
+    node at a time: at each node t every leg carries its selector-scaled
+    input ``off + t * toggled``, ``tree_up_messages`` and
+    ``tree_down_messages`` run over all nodes, and leg j's probe closes its
+    leaf's down message against its toggled leaf message. The per-node
+    reference for ``tree_probes``' grouped passes at k = 1."""
+    topo, cores = model.topology, model.cores
+    toggled = [signed_toggle(v) for v in lifts.lift_rows(xs)]
+    out = np.zeros((xs.shape[0], model.n))
+    for t, w in zip(nodes, weights):
+        legs = [off_state(x.shape[1])[None] + t * x for x in toggled]
+        down = tree_down_messages(topo, cores, tree_up_messages(topo, cores, legs))
+        for j, x in enumerate(toggled):
+            leaf = topo.leaf_count + j
+            out[:, j] += w * np.einsum("br,br->b", down[leaf], x @ _node_core(cores, leaf))
+    return out
 
 
 def tt_left_states(cores, batch) -> list:

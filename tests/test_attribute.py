@@ -15,6 +15,7 @@ from conftest import (
     coalition_value_fn,
     product_model,
     random_tt_model,
+    tree_order1_reference,
 )
 from tnshap import (
     INCLUSION_EXCLUSION,
@@ -1259,20 +1260,38 @@ class TestTreePoints:
         for x, row in zip(xs, values):
             _assert_close(row, _flat_indices(model, lifts, x, subsets, nodes, weights))
 
-    @pytest.mark.parametrize("b", [1, 17])
-    @pytest.mark.parametrize("n", [5, 7, 24, 33])
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("b", [1, 17, 48])
+    @pytest.mark.parametrize("k,n", [(k, n) for k in (2, 3, 4)
+                                     for n in (2, 3, 5, 7, 16, 24, 30, 33, 64, 100) if n >= k])
     def test_higher_orders_match_flat_probes(self, rng, k, n, b):
         """Order-o stacks ride the order-0 interpolation GEMMs and close at
-        their lowest common node, for B stacked instances."""
+        their lowest common node, for B stacked instances, at k = 2-4 and
+        every size: all subsets where the (B, C(n, k)) result stays below 3
+        million entries, else a list of 12 subsets, sampled against the
+        from-scratch reference to 1e-13 of max |value| (plus 1e-15). The
+        mode only changes the forwards charged."""
         model, lifts = _random_model("btree", n, 3, seed=n + k)
         xs = rng.uniform(-1, 1, (b, n))
         m = n - k + 1
         nodes, weights = chebyshev_nodes(m), quadrature_weights(m)
-        values, forwards = attribute._probe_values(model, lifts.lift_rows(xs), nodes, weights, k,
-                                                   SIGNED_TOGGLE, tuple(range(n)))
-        assert values.shape == (b, math.comb(n, k)) and forwards == b * m * math.comb(n, k)
-        _assert_sampled_subsets(rng, model, lifts, xs, values, k, nodes, weights)
+        mode, per = (INCLUSION_EXCLUSION, 1 << k) if b == 17 else (SIGNED_TOGGLE, 1)
+        if math.comb(n, k) * b <= 3 * 10**6:
+            got = explain_batch(model, lifts, xs, k, mode=mode)
+            subsets = list(itertools.combinations(range(1, n + 1), k))
+            picks = sorted({0, len(subsets) - 1,
+                            *rng.choice(len(subsets), min(len(subsets), 10), replace=False)})
+            subsets = [subsets[i] for i in picks]
+        else:
+            subsets = sorted({tuple(sorted(rng.choice(n, k, replace=False) + 1))
+                              for _ in range(12)})
+            got = explain_batch(model, lifts, xs, k, mode=mode, subsets=subsets)
+            picks = list(range(len(subsets)))
+        assert all(g.forwards_used == per * m * len(g.subsets) for g in got)
+        for x, g in zip(xs[[0, -1]], [got[0], got[-1]]):
+            want = _flat_indices(model, lifts, x, subsets, nodes, weights)
+            # the probes are of unit scale, so a lone k = n value may cancel
+            # to far below it: 1e-15 absolute stands for their rounding
+            assert np.max(np.abs(g.values[picks] - want)) <= 1e-13 * np.max(np.abs(want)) + 1e-15
 
     @pytest.mark.parametrize("n", [5, 7, 24, 33])
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -1305,13 +1324,13 @@ class TestTreePoints:
         subsets = sorted({tuple(sorted(rng.choice(n, k, replace=False) + 1)) for _ in range(5)})
         key = (tuple(range(n)), n, k, tuple(c.shape for c in model.cores),
                tensor_net._plan_key(chebyshev_nodes(n - k + 1)))
-        closes, levels, perm = tensor_net._tree_schedule(*key)[1:]
+        levels, _, perm = tensor_net._tree_schedule(*key)
         want = [explain(model, lifts, x, k), explain(model, lifts, x, k, subsets=subsets)]
         tensor_net._tree_schedule.cache_clear()
         monkeypatch.setattr(tensor_net, "sorted", lambda xs: sorted(xs, reverse=True),
                             raising=False)
         try:
-            got_closes, got_levels, got_perm = tensor_net._tree_schedule(*key)[1:]
+            got_levels, _, got_perm = tensor_net._tree_schedule(*key)
             got = [explain(model, lifts, x, k), explain(model, lifts, x, k, subsets=subsets)]
         finally:
             tensor_net._tree_schedule.cache_clear()
@@ -1320,7 +1339,6 @@ class TestTreePoints:
             return [[(grp, tuple((o, merges[::step]) for o, merges in ups), closed[::step])
                      for grp, _, ups, closed, *_ in level] for level in levels]
 
-        assert got_closes == tuple(pairs[::-1] for pairs in closes)
         assert listed(got_levels, 1) == listed(levels, -1)
         assert not np.array_equal(got_perm, perm)
         for g, w in zip(got, want):
@@ -1352,29 +1370,135 @@ class TestTreePoints:
 
     @pytest.mark.parametrize("b", [1, 17])
     @pytest.mark.parametrize("name", ["mixed-8", "mixed-24", "mixed-33", "uneven-8"])
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_same_level_nodes_of_different_shapes(self, rng, k, name, b):
         """Nodes of one level whose core shapes differ run in different
-        groups of the stacked pass; all subsets and an explicit list still
-        match the flat reference."""
+        groups of every pass; all subsets and an explicit list still match
+        the flat reference."""
         tensor_net = attribute.tensor_net
         model, lifts = self._uneven_model(name)
         n, L = model.n, model.topology.leaf_count
-        real = [v for v in range(L // 2, L) if v - L // 2 < math.ceil(n / 2)]
-        assert len({model.cores[v - 1].shape for v in real}) > 1
+        for level in (L // 2, L):  # the level above the leaves, and the leaves
+            real = [v for v in range(level, 2 * level) if v - level < math.ceil(n * level / L)]
+            assert len({model.cores[v - 1].shape for v in real}) > 1
         xs = rng.uniform(-1, 1, (b, n))
         m = n - k + 1
         nodes, weights = chebyshev_nodes(m), quadrature_weights(m)
         levels = tensor_net._tree_schedule(tuple(range(n)), n, k,
                                            tuple(c.shape for c in model.cores),
-                                           tensor_net._plan_key(nodes))[2]
-        assert len(levels[1]) > 1  # the level above the leaves
+                                           tensor_net._plan_key(nodes))[0]
+        assert len(levels[0]) > 1 and len(levels[1]) > 1
         values, _ = attribute._probe_values(model, lifts.lift_rows(xs), nodes, weights, k,
                                             SIGNED_TOGGLE, tuple(range(n)))
         _assert_sampled_subsets(rng, model, lifts, xs, values, k, nodes, weights)
         subsets = sorted({tuple(sorted(rng.choice(n, k, replace=False) + 1)) for _ in range(6)})
         got = explain(model, lifts, xs[0], k, subsets=subsets)
         _assert_close(got.values, _flat_indices(model, lifts, xs[0], subsets, nodes, weights))
+
+    @pytest.mark.parametrize("b", [1, 17, 48])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 16, 24, 30, 33, 64, 100])
+    def test_order1_matches_per_node_reference(self, rng, n, b):
+        """k = 1 through the level loop: in both modes, and for an explicit
+        list, the values equal to 1e-13 of max |value| those of a reference
+        that runs the up and down passes node by node at each quadrature
+        node."""
+        model, lifts = _random_model("btree", n, 3, seed=n + b)
+        xs = rng.uniform(-1, 1, (b, n))
+        want = tree_order1_reference(model, lifts, xs, chebyshev_nodes(n), quadrature_weights(n))
+        for mode, per in ((INCLUSION_EXCLUSION, 2), (SIGNED_TOGGLE, 1)):
+            got = explain_batch(model, lifts, xs, 1, mode=mode)
+            assert all(g.forwards_used == per * n * n for g in got)
+            _assert_close(np.array([g.values for g in got]), want, rtol=1e-13)
+        subsets = sorted({(1,), ((n + 1) // 2,), (n,)})
+        got = explain_batch(model, lifts, xs, 1, subsets=subsets)
+        _assert_close(np.array([g.values for g in got]), want[:, [s[0] - 1 for s in subsets]],
+                      rtol=1e-13)
+
+    def test_order0_passes_call_once_per_group(self, rng, monkeypatch):
+        """On btree n = 24, r16, k = 3 (the triples-k3 shape) the order-0 up
+        pass makes one contraction per group, the down pass one per group
+        and one map per block, and each group's cores are stacked once per
+        request, not once per merge or close pair."""
+        tensor_net = attribute.tensor_net
+        model, lifts = _random_model("btree", 24, 16, seed=1)
+        x = rng.uniform(-1, 1, 24)
+        want = explain(model, lifts, x, 3).values
+        nodes = chebyshev_nodes(22)
+        levels, pads, _ = tensor_net._tree_schedule(tuple(range(24)), 24, 3,
+                                                    tuple(c.shape for c in model.cores),
+                                                    tensor_net._plan_key(nodes))
+        points, maps, _ = tensor_net._tree_plan(24, tensor_net._plan_key(nodes))
+        calls = {"_merge": 0, "_descend": 0, "adjoint": 0, "cores": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        def stacked(arrays):
+            calls["cores"] += any(arrays[0] is c or arrays[0].base is c for c in model.cores)
+            return original_stacked(arrays)
+
+        original_stacked = tensor_net._stacked
+        for name in ("_merge", "_descend"):
+            monkeypatch.setattr(tensor_net, name, counted(name, getattr(tensor_net, name)))
+        monkeypatch.setattr(tensor_net._Interpolation, "adjoint",
+                            counted("adjoint", tensor_net._Interpolation.adjoint))
+        monkeypatch.setattr(tensor_net, "_stacked", stacked)
+        assert np.array_equal(explain(model, lifts, x, 3).values, want)
+        groups = [grp for level in levels for grp in level]
+        merging = [g for g in groups if g[4] is not None and g[5] is not None]
+        descending = [g for g in merging if any(g[7])]
+        # a block below a descending group gets its adjoint through its map
+        mapped = {(d, j) for d, (level, above) in enumerate(zip(levels, levels[1:]))
+                  for grp in level for lo, _, j in grp[6] if maps[grp[0][lo]] is not None
+                  and any(need and j in {i for i, _ in src} for g in above if g[4]
+                          for src, need in zip(g[4:6], g[7]))}
+        assert calls["_merge"] == len(merging) - 1  # the root sends no message
+        assert calls["_descend"] == len(descending) < 10
+        assert calls["adjoint"] == len(mapped)
+        assert calls["cores"] == len(groups) + len(pads)
+        pairs = sum(len(merges) for grp in groups for _, merges in grp[2]) + sum(
+            len(grp[3]) for grp in groups)
+        assert calls["cores"] < pairs
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in (24, 30, 64, 100, 2000) for k in (1, 2, 3)
+                                     if (n, k) != (2000, 3)])
+    def test_group_cut_keeps_temporaries_within_widest_node(self, rng, n, k):
+        """Schedule only: no group's temporaries per instance, summed over
+        its nodes by ``_step_width`` (order-0 and stacked steps alike), pass
+        the widest of any one node of the request. (n = 2000 stops at k = 2:
+        the schedule's permutation there would sort C(2000, 3) subsets.)"""
+        tensor_net = attribute.tensor_net
+        model, _ = _random_model("btree", n, 8, seed=n)
+        key = tensor_net._plan_key(chebyshev_nodes(n - k + 1))
+        levels, _, _ = tensor_net._tree_schedule(tuple(range(n)), n, k,
+                                                 tuple(c.shape for c in model.cores), key)
+        points, maps, _ = tensor_net._tree_plan(n, key)
+        L = model.topology.leaf_count
+        stacks = {}  # node -> {order: choices}; pads keep order 0 only
+        width = {}
+        for level in levels:
+            for grp, keep, ups, closes, left, right, _, toggles in level:
+                for v in grp:
+                    own = {0: 1} if keep else {}
+                    shape = tensor_net._node_core(model.cores, v).shape
+                    if left is None:
+                        own.update({1: 1} if toggles and k > 1 else {})
+                        kids = None
+                    else:
+                        wl, wr = (stacks.get(c, {0: 1}) for c in (2 * v, 2 * v + 1))
+                        own.update({o: sum(wl[i] * wr[j] for i, j in merges) for o, merges in ups})
+                        kids = (tuple(wl.items()), tuple(wr.items()))
+                    stacks[v] = own
+                    width[v] = tensor_net._step_width(shape, points[v].shape[0], maps[v], kids,
+                                                      ups, closes, right is None and v < L,
+                                                      toggles)
+        widest = max(width.values())
+        for level in levels:
+            for grp, *_ in level:
+                assert sum(width[v] for v in grp) <= widest
 
     def test_stacked_pass_calls_once_per_group(self, rng, monkeypatch):
         """On btree n = 24, r16, k = 3 (the triples-k3 shape) the stacked pass
