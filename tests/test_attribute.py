@@ -1267,9 +1267,10 @@ class TestTreePoints:
         """Order-o stacks ride the order-0 interpolation GEMMs and close at
         their lowest common node, for B stacked instances, at k = 2-4 and
         every size: all subsets where the (B, C(n, k)) result stays below 3
-        million entries, else a list of 12 subsets, sampled against the
-        from-scratch reference to 1e-13 of max |value| (plus 1e-15). The
-        mode only changes the forwards charged."""
+        million entries, else a list of up to 40 random subsets. Up to 40 of
+        them, the first and last included, match the from-scratch reference
+        to 1e-13 of max |value| (plus 1e-15). The mode only changes the
+        forwards charged."""
         model, lifts = _random_model("btree", n, 3, seed=n + k)
         xs = rng.uniform(-1, 1, (b, n))
         m = n - k + 1
@@ -1279,11 +1280,11 @@ class TestTreePoints:
             got = explain_batch(model, lifts, xs, k, mode=mode)
             subsets = list(itertools.combinations(range(1, n + 1), k))
             picks = sorted({0, len(subsets) - 1,
-                            *rng.choice(len(subsets), min(len(subsets), 10), replace=False)})
+                            *rng.choice(len(subsets), min(len(subsets), 38), replace=False)})
             subsets = [subsets[i] for i in picks]
         else:
             subsets = sorted({tuple(sorted(rng.choice(n, k, replace=False) + 1))
-                              for _ in range(12)})
+                              for _ in range(40)})
             got = explain_batch(model, lifts, xs, k, mode=mode, subsets=subsets)
             picks = list(range(len(subsets)))
         assert all(g.forwards_used == per * m * len(g.subsets) for g in got)
@@ -1427,8 +1428,7 @@ class TestTreePoints:
         levels, pads, _ = tensor_net._tree_schedule(tuple(range(24)), 24, 3,
                                                     tuple(c.shape for c in model.cores),
                                                     tensor_net._plan_key(nodes))
-        points, maps, _ = tensor_net._tree_plan(24, tensor_net._plan_key(nodes))
-        calls = {"_merge": 0, "_descend": 0, "adjoint": 0, "cores": 0}
+        calls = {"_merge": 0, "_descend": 0, "adjoint": 0, "_group_cores": 0, "restacked": 0}
 
         def counted(name, original):
             def wrapper(*args):
@@ -1437,11 +1437,11 @@ class TestTreePoints:
             return wrapper
 
         def stacked(arrays):
-            calls["cores"] += any(arrays[0] is c or arrays[0].base is c for c in model.cores)
+            calls["restacked"] += any(arrays[0] is c or arrays[0].base is c for c in model.cores)
             return original_stacked(arrays)
 
         original_stacked = tensor_net._stacked
-        for name in ("_merge", "_descend"):
+        for name in ("_merge", "_descend", "_group_cores"):
             monkeypatch.setattr(tensor_net, name, counted(name, getattr(tensor_net, name)))
         monkeypatch.setattr(tensor_net._Interpolation, "adjoint",
                             counted("adjoint", tensor_net._Interpolation.adjoint))
@@ -1449,19 +1449,19 @@ class TestTreePoints:
         assert np.array_equal(explain(model, lifts, x, 3).values, want)
         groups = [grp for level in levels for grp in level]
         merging = [g for g in groups if g[4] is not None and g[5] is not None]
-        descending = [g for g in merging if any(g[7])]
+        descending = [g for g in groups if g[4] is not None and any(g[7])]
         # a block below a descending group gets its adjoint through its map
         mapped = {(d, j) for d, (level, above) in enumerate(zip(levels, levels[1:]))
-                  for grp in level for lo, _, j in grp[6] if maps[grp[0][lo]] is not None
+                  for grp in level for _, _, j, to in grp[6] if to is not None
                   and any(need and j in {i for i, _ in src} for g in above if g[4]
                           for src, need in zip(g[4:6], g[7]))}
         assert calls["_merge"] == len(merging) - 1  # the root sends no message
         assert calls["_descend"] == len(descending) < 10
         assert calls["adjoint"] == len(mapped)
-        assert calls["cores"] == len(groups) + len(pads)
+        assert calls["_group_cores"] == len(groups) + len(pads)
         pairs = sum(len(merges) for grp in groups for _, merges in grp[2]) + sum(
             len(grp[3]) for grp in groups)
-        assert calls["cores"] < pairs
+        assert calls["_group_cores"] < pairs and calls["restacked"] == 0
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in (24, 30, 64, 100, 2000) for k in (1, 2, 3)
                                      if (n, k) != (2000, 3)])
