@@ -20,7 +20,9 @@ counter reports one forward per evaluated input configuration whichever
 arithmetic computes it. Every request -- all subsets, an explicit subset
 list, a ``probe_value`` -- goes through one value helper, ``_probe_values``:
 one sweep over B stacked instances, with no ``forward_batch`` call. Both
-modes share its arithmetic, since ``on - off_state == signed_toggle(on)``.
+modes share its arithmetic, since ``on - off_state == signed_toggle(on)``:
+the helper zeroes the bias channel of the request's own lifted rows in
+place, so no leg is copied to toggle it.
 It returns node-weighted sums -- the index itself at the m = n - k + 1
 nodes, the raw probe at one node of weight 1. The sweep is
 ``tensor_net.tt_probes`` on a train and ``tensor_net.tree_probes`` on a tree,
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_net
-from .lift import LiftSpec, signed_toggle
+from .lift import LiftSpec
 from .tensor_net import chebyshev_nodes
 
 INCLUSION_EXCLUSION = "inclusion-exclusion"
@@ -191,7 +193,7 @@ def probe_value(model, lifts: LiftSpec, x, subset, t: float, mode=INCLUSION_EXCL
     s = _normalize_subsets(model.n, len(tuple(subset)), [subset])[0]
     if not math.isfinite(t):
         raise ValueError(f"selector value t must be finite, got {t}")
-    lifted = [v[None] for v in lifts.lift_instance(x)]
+    lifted = lifts.lift_rows(lifts.check_instance(x)[None])
     values, forwards = _probe_values(model, lifted, np.array([float(t)]), np.ones(1), len(s),
                                      _resolve_mode(len(s), mode), tuple(i - 1 for i in s))
     model.counter.add(forwards)
@@ -205,15 +207,18 @@ def _probe_values(net, lifted, nodes, weights, k: int, mode, legs, columns=None)
     arguments, to ``tensor_net.tt_probes`` on a train or
     ``tensor_net.tree_probes`` on a tree.
 
-    ``lifted[i]`` holds feature i's (B, d_i) lifted rows. ``columns`` keeps
+    ``lifted[i]`` holds feature i's (B, d_i) lifted rows, which the request
+    owns: their bias channel is zeroed in place, which toggles them
+    (``lift.signed_toggle`` without the copy). ``columns`` keeps
     the subsets of those lexicographic ranks (None keeps all). Returns
     ((B, kept) values, the forwards the caller charges to the model
     explained: one per evaluated configuration of each kept subset, by
     ``mode``'s contract).
     """
-    toggled = [signed_toggle(v) for v in lifted]
+    for v in lifted:
+        v[:, -1] = 0.0
     probes = tensor_net.tt_probes if net.topology.kind == tensor_net.TT else tensor_net.tree_probes
-    values = probes(net.cores, toggled, nodes, weights, k, legs)
+    values = probes(net, lifted, nodes, weights, k, legs)
     if columns is not None:
         values = values[:, columns]
     patterns = 1 << k if mode == INCLUSION_EXCLUSION else 1
@@ -250,7 +255,7 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
     threads.
 
     Each chunk of up to ``STACK_ENTRY_BUDGET // e`` instances (at least
-    one) is lifted one feature column at a time and shares one
+    one) is lifted in one call per distinct feature map and shares one
     ``_probe_values`` sweep over the N legs the request toggles (N = n for
     all subsets, else the number of features an explicit list names), which
     costs at most the all-subsets request over them; a list keeps its own

@@ -99,6 +99,11 @@ class LiftSpec:
         self.maps = tuple(maps)
         if not self.maps:
             raise ValueError("need at least one feature map")
+        # each distinct map with the features it lifts, for ``lift_rows``
+        features = {}
+        for i, m in enumerate(self.maps):
+            features.setdefault(m, []).append(i)
+        self._features = tuple(features.items())
 
     @staticmethod
     def binary(n: int) -> "LiftSpec":
@@ -134,9 +139,17 @@ class LiftSpec:
         return [v[0] for v in self.lift_rows(self.check_instance(x)[None])]
 
     def lift_rows(self, xs: np.ndarray) -> list:
-        """Lift stacked instances column by column: one (B, d_i) array per
-        feature for a (B, n) array of rows that passed ``check_instance``."""
-        return [m.apply_batch(xs[:, i]) for i, m in enumerate(self.maps)]
+        """Lift stacked instances: one (B, d_i) array per feature for a
+        (B, n) array of rows that passed ``check_instance``. Each distinct
+        map lifts the columns of all its features in one ``apply_batch``
+        call, feature-major, so feature i's rows are a contiguous view of
+        that call's output; the views are the caller's to modify."""
+        out = [None] * self.n
+        for m, features in self._features:
+            lifted = m.apply_batch(xs.T[features].ravel())
+            for i, rows in zip(features, lifted.reshape(len(features), xs.shape[0], m.dim)):
+                out[i] = rows
+        return out
 
     def to_json_list(self) -> list:
         return [m.to_json_dict() for m in self.maps]

@@ -14,20 +14,23 @@ contraction of one input configuration.
 
 Forward passes, environments and the ALS updates of ``tnshap.fit`` go
 through the two row-wise helpers of the "row-wise contractions" section.
-Node-weighted probes take one argument list on both topologies: the cores,
+Node-weighted probes take one argument list on both topologies: the model,
 the (B, d) signed-toggled rows, from which each leg under the selector at
 node t is the affine matrix ``core[:, -1, :] + t * (toggled @ core)``, the
 nodes, their weights, the order and the legs. ``tt_probes`` runs every leg
 of a train at all m quadrature nodes; ``tree_probes`` runs a node with s
 real leaves below it at only s + 1 points (its section comment gives the
 cost), and runs each of its passes over the same-shape nodes of a tree level
-in one batched call (at k = 1 over the leaves' only); ``probe_entries``
-counts the float64 state one instance adds to either sweep. The integers of
-a topology, a lift, an order and a fit config pass one rule, ``as_int``.
+in one batched call (at k = 1 over the leaves' only), on what the model's
+first request of a shape derives from its cores (``_tree_inputs``);
+``probe_entries`` counts the float64 state one instance adds to either
+sweep. The integers of a topology, a lift, an order and a fit config pass
+one rule, ``as_int``.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -224,6 +227,10 @@ class TensorNetworkModel:
     cores : sequence of array-like
         Cores in the topology's serialization order; shapes must match
         ``topology.core_shapes()`` exactly.
+
+    The cores are kept read-only. A tree model also keeps what
+    ``tree_probes`` derives from its cores alone, per request shape
+    (``_tree_inputs``), so a repeated request pays only for its instances.
     """
 
     def __init__(self, topology: TnTopology, cores) -> None:
@@ -242,6 +249,9 @@ class TensorNetworkModel:
             frozen.append(arr)
         self.cores = tuple(frozen)
         self.counter = ForwardCounter()
+        # ``_tree_inputs``' plans by request shape, oldest first
+        self._plans = {}
+        self._plans_lock = threading.Lock()
 
     @property
     def n(self) -> int:
@@ -385,7 +395,7 @@ def tt_right_states(cores, batch) -> list:
 # (m, C(n, k)) probe matrix is ever built.
 
 
-def tt_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
+def tt_probes(model, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     """Node-weighted signed-toggle probes of every k-subset of ``legs`` (the
     sorted 0-based legs a request may toggle) on a train: ``tree_probes``'
     arguments and (B, C(len(legs), k)) output, from one weighted prefix pass
@@ -398,6 +408,7 @@ def tt_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     induction every stack is in lexicographic order, and so is the reversed
     list of closed blocks.
     """
+    cores = model.cores
     n = len(cores)
     b = toggled[0].shape[0]
     m = nodes.shape[0]
@@ -472,12 +483,12 @@ def _stack(blocks, axis=1):
 # of a level with only real leaves below them, cut where the group's
 # temporaries would outgrow the widest one node builds; the node that
 # straddles the pads, a folded node and the root run alone). A group's
-# cores are stacked once per call and its messages, adjoints and stacks
-# carry a leading group axis, so each step, merge, close and interpolation
-# is one batched call for all its nodes. At k = 1 only leaves group (see
-# ``_tree_schedule`` for why). A node costs its point count times chi^3 per
-# stacked row, about sum_v (s_v + 1) chi^3 per instance at k = 1, plus the
-# interpolation GEMMs.
+# cores are stacked once per model and request shape (``_tree_inputs``),
+# and its messages, adjoints and stacks carry a leading group axis, so each
+# step, merge, close and interpolation is one batched call for all its
+# nodes. At k = 1 only leaves group (see ``_tree_schedule`` for why). A node
+# costs its point count times chi^3 per stacked row, about
+# sum_v (s_v + 1) chi^3 per instance at k = 1, plus the interpolation GEMMs.
 
 
 def chebyshev_nodes(m: int) -> np.ndarray:
@@ -585,16 +596,15 @@ def _plan_key(nodes) -> bytes:
     return np.ascontiguousarray(nodes, dtype=np.float64).tobytes()
 
 
-def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
+def tree_probes(model, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     """Node-weighted signed-toggle probes of every k-subset of ``legs`` (the
-    sorted 0-based legs a request may toggle) on a binary tree over
-    n = ``len(toggled)`` features, with ``tt_probes``' arguments, from one up
-    pass, one adjoint down pass and, for k >= 2, one stacked up pass on
-    per-node point sets (see the section comment).
+    sorted 0-based legs a request may toggle) on a binary tree ``model``
+    over n features, with ``tt_probes``' arguments, from one up pass, one
+    adjoint down pass and, for k >= 2, one stacked up pass on per-node
+    point sets (see the section comment).
 
-    ``cores`` are in serialization order, over ``_tree_leaf_count(n)`` leaf
-    slots. ``toggled[i]`` is the (B, d_i) signed toggle of leg i's lifted
-    rows, whose bias channel is 1. Entry (b, s) of the returned
+    ``toggled[i]`` is the (B, d_i) signed toggle of leg i's lifted rows,
+    whose bias channel is 1. Entry (b, s) of the returned
     (B, C(len(legs), k)) array is the ``weights``-weighted sum over l of
     instance b's contraction with the legs of the s-th subset (lexicographic
     order) toggled and every other leg selector-scaled at ``nodes[l]``: the
@@ -602,38 +612,28 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     weight 1. No (B * m)-row selector-scaled input is built.
 
     Every pass runs once per level group of ``_tree_schedule`` (same-shape
-    nodes of a level), whose cores are stacked once per call as a
-    (G, p, q, r) array that the group's up step, down step, merges and
-    closes all read. Messages are point-major: a group's order-0 up messages
-    and adjoints are (G, points * B, bond) arrays, its order-o stacks
-    (G, points * B, C(toggleable leaves under a node, o), bond) arrays, so
-    one GEMM takes a block of them to another point set. Which orders a
-    group keeps, merges and closes, where the adjoint descends, and the
-    permutation to lexicographic order, come from the schedule; this pass
-    only runs it. A subtree of pads only sends a constant (bond,) vector,
-    which its parent folds into its core once per call. Order-1 subsets
-    close at their leaves, one call per leaf group, in ``legs`` order.
+    nodes of a level), whose cores, stacked as a (G, p, q, r) array that
+    the group's up step, down step, merges and closes all read, come from
+    ``_tree_inputs``: built on the model's first request of this shape and
+    reused by every later one. Messages are point-major: a group's order-0
+    up messages and adjoints are (G, points * B, bond) arrays, its order-o
+    stacks (G, points * B, C(toggleable leaves under a node, o), bond)
+    arrays, so one GEMM takes a block of them to another point set. Which
+    orders a group keeps, merges and closes, where the adjoint descends,
+    and the permutation to lexicographic order, come from the schedule;
+    this pass only runs it. A subtree of pads only sends a constant (bond,)
+    vector, which ``_tree_inputs`` folds into its parent's cores. Order-1
+    subsets close at their leaves, one call per leaf group, in ``legs``
+    order.
     """
-    n, b = len(toggled), toggled[0].shape[0]
-    L = _tree_leaf_count(n)
+    b = toggled[0].shape[0]
+    L = _tree_leaf_count(model.n)
     key = _plan_key(nodes)
-    points = _tree_plan(n, key)[0]
-    levels, pads, perm = _tree_schedule(legs, n, k, tuple(c.shape for c in cores), key)
-    # node v of a subtree of pads only -> the constant (bond,) vector it sends up
-    const = {}
-    for run in pads:
-        core = _group_cores(cores, run)
-        if run[0] >= L:
-            const.update(zip(run, core[:, 0]))
-        else:
-            const.update(zip(run, np.einsum("gp,gq,gpqr->gr", _stacked([const[2 * v] for v in run]),
-                                            _stacked([const[2 * v + 1] for v in run]), core)))
-    stacked = [[_group_cores(cores, grp[0]) for grp in level] for level in levels]
+    points = _tree_plan(model.n, key)[0]
+    (levels, _, perm), stacked, folds, flips = _tree_inputs(model, legs, k, key)
     # each leaf group's toggled leaf messages, (G, B, bond)
     ons = [_stacked([toggled[v - L] for v in grp[0]]) @ core
            for grp, core in zip(levels[0], stacked[0])]
-    # a folded group's cores with the constant right children contracted, (G, p, r)
-    folds = {}
     # up[d][j]: block j of level d's order-0 up messages at the parents'
     # points, (G, points * B, bond); the root sends none
     up = []
@@ -645,8 +645,6 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
                 msg = core[:, -1, None, None] + t * ons[i][:, None]
                 msg = msg.reshape(len(grp), -1, core.shape[2])
             elif right is None:
-                folds[d, i] = np.einsum("gpqr,gq->gpr", core,
-                                        _stacked([const[2 * v + 1] for v in grp]))
                 msg = _take(up[d - 1], left) @ folds[d, i]
             else:
                 msg = _merge(core, _take(up[d - 1], left), _take(up[d - 1], right))
@@ -665,11 +663,7 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
         # the level below's messages, and its adjoints by block at the parents' points
         below, staged = up[d - 1], [None] * len(up[d - 1])
         for i, (grp, _, _, closes, left, right, _, toggles) in enumerate(levels[d]):
-            if i not in down[d]:
-                continue
-            if not any(toggles):
-                if not closes:
-                    del down[d][i]
+            if i not in down[d] or not any(toggles):
                 continue
             adjs = _descend(folds[d, i] if right is None else stacked[d][i],
                             down[d][i] if closes else down[d].pop(i), _take(below, left),
@@ -682,8 +676,8 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
             if staged[bounds[0][2]] is not None:
                 down[d - 1][i] = _at_children(staged, bounds)
         below = staged = None
-        if k == 1:  # the last use of the level's cores and of its children's messages
-            stacked[d] = up[d - 1] = None
+        if k == 1:  # the last use of the level's children's messages
+            up[d - 1] = None
     if k == 1:
         return np.concatenate([np.einsum("gfbr,gbr->bg", x.reshape(len(x), -1, b, x.shape[2]),
                                          ons[i]) for i, x in down[0].items()], axis=1)
@@ -706,10 +700,7 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
             if pairs:
                 env = down[d][i].reshape(g, p, b, -1)
                 closed.extend(_toggle_close(core, lchild[a], rchild[c], env) for a, c in pairs)
-            flipped = None
-            if any(lchild[a].shape[2] > rchild[c].shape[2] for _, merges in ups for a, c in merges):
-                flipped = np.ascontiguousarray(core.transpose(0, 2, 1, 3))
-            msg = {o: _stack([_toggle_merge(core, flipped, lchild[a], rchild[c])
+            msg = {o: _stack([_toggle_merge(core, flips.get((d, i)), lchild[a], rchild[c])
                               for a, c in merges], axis=2)
                    for o, merges in ups}
         msg = {o: _at_parents(x, p, bounds) for o, x in msg.items()}
@@ -725,10 +716,69 @@ def tree_probes(cores, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     below, closed = [], []
     for d, level in enumerate(levels):
         below = [part for i, group in enumerate(level) for part in step(below, d, i, *group)]
-        stacked[d] = down[d] = None  # ``below`` holds the views the level above reads
+        down[d] = None  # ``below`` holds the views the level above reads
         if d < len(up):
             up[d] = None
     return np.concatenate(closed, axis=1)[:, perm]
+
+
+def _tree_inputs(model, legs, k: int, key: bytes) -> tuple:
+    """``tree_probes``' inputs that depend on the ``model`` and the request
+    shape (``legs``, k, root nodes of bytes ``key``) alone: (schedule,
+    stacked, folds, flips). ``schedule`` is ``_tree_schedule``'s;
+    ``stacked[d][i]`` is level d's group i's cores, (G, p, q, r) by
+    ``_group_cores``; ``folds`` maps a folded group's (d, i) to its cores
+    with the pad-only right children's constant messages contracted,
+    (G, p, r); ``flips`` maps a group whose left stacks outgrow the right
+    ones in a merge to its cores as (G, q, p, r), which ``_toggle_merge``
+    reads. A stack of order o under a node with s toggleable leaves holds
+    all C(s, o) choices, so the legs give the widths.
+
+    Built, read-only, on the model's first request of the shape and kept
+    with the model for every later one, at most as many shapes as
+    ``_tree_schedule`` keeps, the oldest dropped first."""
+    request = (legs, k, key)
+    plan = model._plans.get(request)
+    if plan is not None:
+        return plan
+    schedule = _tree_schedule(legs, model.n, k, tuple(c.shape for c in model.cores), key)
+    levels, pads, _ = schedule
+    cores, L = model.cores, _tree_leaf_count(model.n)
+    # node v of a subtree of pads only -> the constant (bond,) vector it sends up
+    const = {}
+    for run in pads:
+        core = _group_cores(cores, run)
+        if run[0] >= L:
+            const.update(zip(run, core[:, 0]))
+        else:
+            const.update(zip(run, np.einsum("gp,gq,gpqr->gr", _stacked([const[2 * v] for v in run]),
+                                            _stacked([const[2 * v + 1] for v in run]), core)))
+
+    def inside(v):  # toggleable leaves below node v
+        lo, hi = _subtree_leaf_range(v, L)
+        return bisect.bisect_left(legs, hi) - bisect.bisect_left(legs, lo)
+
+    stacked = tuple(tuple(_group_cores(cores, grp[0]) for grp in level) for level in levels)
+    folds, flips = {}, {}
+    for d, level in enumerate(levels):
+        for i, (grp, _, ups, _, left, right, *_) in enumerate(level):
+            if left is None:
+                continue
+            if right is None:
+                folds[d, i] = np.einsum("gpqr,gq->gpr", stacked[d][i],
+                                        _stacked([const[2 * v + 1] for v in grp]))
+            elif any(math.comb(inside(2 * grp[0]), a) > math.comb(inside(2 * grp[0] + 1), c)
+                     for _, merges in ups for a, c in merges):
+                flips[d, i] = np.ascontiguousarray(stacked[d][i].transpose(0, 2, 1, 3))
+    for x in (*(c for level in stacked for c in level), *folds.values(), *flips.values()):
+        x.setflags(write=False)
+    plan = (schedule, stacked, folds, flips)
+    with model._plans_lock:
+        model._plans.pop(request, None)
+        while len(model._plans) >= _tree_schedule.cache_parameters()["maxsize"]:
+            del model._plans[next(iter(model._plans))]
+        model._plans[request] = plan
+    return plan
 
 
 def _group_cores(cores, grp) -> np.ndarray:
@@ -838,7 +888,8 @@ def _toggle_merge(core, flipped, left, right) -> np.ndarray:
     (G, p, q, r) stacked ``core`` into (G, N, a * c, r), left choices major.
     The smaller stack goes through the core GEMM, so the 5-D intermediate
     stays small; a larger left stack reads ``flipped``, the core as
-    (G, q, p, r), which the caller builds once per group."""
+    (G, q, p, r), which ``_tree_inputs`` builds once per model and request
+    shape."""
     g, rows, a, p = left.shape
     c, q = right.shape[2:]
     r = core.shape[3]

@@ -785,6 +785,13 @@ class TestCsv:
         with pytest.raises(ValueError, match=r"^line 3: "):
             read_attribution_csv(io.StringIO(text))
 
+    def test_reader_skips_blank_lines(self):
+        from tnshap import read_attribution_csv
+
+        text = f"{attribute.CSV_HEADER}\n0,1,1,0.25,\n\n0,1,2,-0.5,\n\n"
+        assert read_attribution_csv(io.StringIO(text)) == [(0, 1, (1,), 0.25, ""),
+                                                           (0, 1, (2,), -0.5, "")]
+
     def test_row_order_instance_then_order_then_subset(self, rng):
         model, lifts = random_tt_model(rng, 3)
         x = [0.2, 0.4, 0.6]
@@ -1327,6 +1334,7 @@ class TestTreePoints:
                tensor_net._plan_key(chebyshev_nodes(n - k + 1)))
         levels, _, perm = tensor_net._tree_schedule(*key)
         want = [explain(model, lifts, x, k), explain(model, lifts, x, k, subsets=subsets)]
+        model, lifts = _random_model("btree", n, 3, seed=n + k + 3)  # no plan of the old schedule
         tensor_net._tree_schedule.cache_clear()
         monkeypatch.setattr(tensor_net, "sorted", lambda xs: sorted(xs, reverse=True),
                             raising=False)
@@ -1418,12 +1426,14 @@ class TestTreePoints:
     def test_order0_passes_call_once_per_group(self, rng, monkeypatch):
         """On btree n = 24, r16, k = 3 (the triples-k3 shape) the order-0 up
         pass makes one contraction per group, the down pass one per group
-        and one map per block, and each group's cores are stacked once per
-        request, not once per merge or close pair."""
+        and one map per block. A model's first request stacks each group's
+        cores once, not once per merge or close pair, and its second stacks
+        none."""
         tensor_net = attribute.tensor_net
         model, lifts = _random_model("btree", 24, 16, seed=1)
         x = rng.uniform(-1, 1, 24)
         want = explain(model, lifts, x, 3).values
+        model, lifts = _random_model("btree", 24, 16, seed=1)  # the same cores, no plan yet
         nodes = chebyshev_nodes(22)
         levels, pads, _ = tensor_net._tree_schedule(tuple(range(24)), 24, 3,
                                                     tuple(c.shape for c in model.cores),
@@ -1462,6 +1472,9 @@ class TestTreePoints:
         pairs = sum(len(merges) for grp in groups for _, merges in grp[2]) + sum(
             len(grp[3]) for grp in groups)
         assert calls["_group_cores"] < pairs and calls["restacked"] == 0
+        calls["_group_cores"] = 0
+        assert np.array_equal(explain(model, lifts, x, 3).values, want)
+        assert calls["_group_cores"] == calls["restacked"] == 0
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in (24, 30, 64, 100, 2000) for k in (1, 2, 3)
                                      if (n, k) != (2000, 3)])
@@ -1587,3 +1600,126 @@ class TestTreePoints:
         on = model.forward(lifts.lift_instance(x))
         off = model.forward([off_state(d) for d in lifts.dims])
         assert abs(phi.sum() - (on - off)) <= 1e-10 * np.abs(phi).sum()
+
+
+class TestTreeInputs:
+    """A tree model keeps what ``tree_probes`` derives from its cores alone
+    (each level group's stacked cores, the pad-only subtrees folded into
+    their parents' cores, the flipped cores) per request shape: its first
+    request builds them, later ones reuse them, and they go with the model.
+    A request lifts each distinct map once and toggles its own rows in
+    place."""
+
+    @staticmethod
+    def _plan_arrays(model):
+        return [a for _, stacked, folds, flips in model._plans.values()
+                for a in (*(c for level in stacked for c in level), *folds.values(),
+                          *flips.values())]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_second_request_stacks_no_cores(self, rng, monkeypatch, k):
+        tensor_net = attribute.tensor_net
+        model, lifts = _random_model("btree", 24, 4, seed=k)
+        xs = rng.uniform(-1, 1, (3, 24))
+        subsets = [tuple(range(1, k + 1)), tuple(range(25 - k, 25))]
+
+        def requests():
+            return [r.values for r in (*explain_batch(model, lifts, xs, k),
+                                       *explain_batch(model, lifts, xs, k, subsets=subsets))]
+
+        first = requests()
+        calls = []
+        original = tensor_net._group_cores
+        monkeypatch.setattr(tensor_net, "_group_cores", lambda *a: calls.append(a) or original(*a))
+        again = requests()
+        assert calls == []
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+
+    def test_models_of_one_topology_keep_their_own_plans(self, rng):
+        one, lifts = _random_model("btree", 11, 3, seed=1)
+        two, _ = _random_model("btree", 11, 3, seed=2)
+        assert one.topology == two.topology
+        x = rng.uniform(-1, 1, 11)
+        subsets = list(itertools.combinations(range(1, 12), 2))
+        nodes, weights = chebyshev_nodes(10), quadrature_weights(10)
+        for model in (one, two, one, two):
+            _assert_close(explain(model, lifts, x, 2).values,
+                          _flat_indices(model, lifts, x, subsets, nodes, weights))
+        assert not any(np.shares_memory(a, b) for a in self._plan_arrays(one)
+                       for b in self._plan_arrays(two))
+
+    def test_plan_goes_with_its_model(self, rng):
+        import gc
+        import weakref
+
+        model, lifts = _random_model("btree", 24, 4, seed=3)
+        explain(model, lifts, rng.uniform(-1, 1, 24), 2)
+        assert model._plans
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
+
+    def test_plan_arrays_read_only(self, rng):
+        """btree n = 24, k = 3 has folded groups (node 3's right child holds
+        pads only) and flipped ones (the root's left stacks outgrow its
+        right ones)."""
+        model, lifts = _random_model("btree", 24, 4, seed=4)
+        explain(model, lifts, rng.uniform(-1, 1, 24), 3)
+        ((_, _, folds, flips),) = model._plans.values()
+        assert folds and flips
+        assert not any(a.flags.writeable for a in self._plan_arrays(model))
+
+    def test_plans_bounded_like_the_schedule_cache(self, rng):
+        model, lifts = _random_model("btree", 9, 2, seed=5)
+        x = rng.uniform(-1, 1, 9)
+        bound = attribute.tensor_net._tree_schedule.cache_parameters()["maxsize"]
+        # each list toggles its own three legs: one request shape apiece
+        for features in itertools.islice(itertools.combinations(range(1, 10), 3), bound + 6):
+            explain(model, lifts, x, 1, subsets=[(i,) for i in features])
+        assert len(model._plans) == bound
+
+    @pytest.mark.parametrize("kind", ["tt", "btree"])
+    def test_requests_call_no_signed_toggle(self, rng, monkeypatch, kind):
+        from tnshap import lift
+
+        def refuse(v):
+            raise AssertionError("signed_toggle called")
+
+        model, lifts = _random_model(kind, 6, 3, seed=6)
+        xs = rng.uniform(-1, 1, (4, 6))
+        for module in (lift, attribute):
+            monkeypatch.setattr(module, "signed_toggle", refuse, raising=False)
+        for k in (1, 2):
+            assert all(not isinstance(r, Exception) for r in explain_batch(model, lifts, xs, k))
+        probe_value(model, lifts, xs[0], (1, 2), 0.37)
+
+    @pytest.mark.parametrize("b", [1, 17])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind,n,mixed", [("tt", 7, True), ("tt", 24, False),
+                                              ("btree", 5, False), ("btree", 24, True),
+                                              ("btree", 33, False)])
+    def test_values_equal_the_engine_on_copied_toggles(self, rng, monkeypatch, kind, n, mixed,
+                                                       k, b):
+        """``explain_batch``, the first request on its model and the second,
+        gives bitwise the engine's values on a fresh model whose every leg
+        is lifted alone and copied through ``signed_toggle``."""
+        from tnshap import FeatureMap
+
+        tensor_net = attribute.tensor_net
+        maps = [FeatureMap("binary"), FeatureMap("poly", k=2),
+                FeatureMap("fourier", k=2, omega=1.3)]
+        spec = LiftSpec([maps[i % 3] for i in range(n)]) if mixed else None
+        model, lifts = _random_model(kind, n, 3, seed=n + k, lifts=spec)
+        fresh, _ = _random_model(kind, n, 3, seed=n + k, lifts=spec)
+        xs = rng.uniform(-1, 1, (b, n))
+        m = n - k + 1
+        nodes, weights = chebyshev_nodes(m), quadrature_weights(m)
+        legs = tuple(range(n))
+        monkeypatch.setattr(attribute, "STACK_ENTRY_BUDGET", 1 << 30)  # one sweep, as ``engine``
+        toggled = [signed_toggle(fm.apply_batch(xs[:, i])) for i, fm in enumerate(lifts.maps)]
+        engine = tensor_net.tt_probes if kind == "tt" else tensor_net.tree_probes
+        want = engine(fresh, toggled, nodes, weights, k, legs)
+        for _ in range(2):
+            got = np.array([r.values for r in explain_batch(model, lifts, xs, k)])
+            assert got.tobytes() == want.tobytes()

@@ -235,6 +235,20 @@ class TestExplain:
         assert ((tmp_path / "marked.out.csv").read_bytes()
                 == (tmp_path / "plain.out.csv").read_bytes())
 
+    def test_blank_rows_skipped(self, tmp_path, teacher_path):
+        """Blank lines between and after the rows are not instances: the
+        attribution file is the one of the file without them."""
+        plain = tmp_path / "plain.csv"
+        write_instances(plain, [[1.0, 1.0, 1.0, 1.0], [0.5, -0.5, 0.25, 0.75]])
+        header, *rows = plain.read_text().splitlines()
+        blank = tmp_path / "blank.csv"
+        blank.write_text(header + "\n\n" + "\n\n".join(rows) + "\n\n")
+        for inst in (plain, blank):
+            assert run("explain", "--model", teacher_path, "--instances", inst,
+                       "--order", 1, "--out", tmp_path / f"{inst.stem}.out.csv") == 0
+        assert ((tmp_path / "blank.out.csv").read_bytes()
+                == (tmp_path / "plain.out.csv").read_bytes())
+
     def test_bad_header_rejected(self, tmp_path, teacher_path, capsys):
         inst = tmp_path / "inst.csv"
         inst.write_text("a,b,c,d\n0.0,0.0,0.0,0.0\n")
@@ -525,6 +539,21 @@ class TestFit:
         for k, (line, mse) in enumerate(zip(lines, report["sweep_train_mse"]), start=1):
             assert line.startswith(f"DEBUG tnshap.fit: sweep {k}: train MSE {mse:.6e}, R^2 ")
             assert "lstsq fallbacks" in line and line.endswith(" s")
+
+    def test_center_recorded_in_manifest(self, tmp_path, teacher_path):
+        """A valid ``--center`` is the fit's center: the manifest records
+        it, and the student differs from the one fitted at the origin."""
+        students = []
+        for center in ("0.5,-0.25,0,1", None):
+            out = tmp_path / f"student{len(students)}.json"
+            flags = [] if center is None else ["--center", center]
+            assert run("fit", "--teacher", teacher_path, "--bond-dim", 2, "--neighborhood", 16,
+                       "--max-sweeps", 2, "--out", out, *flags) == 0
+            students.append(out.read_bytes())
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            assert manifest["config"]["center"] == ([0.5, -0.25, 0.0, 1.0] if center
+                                                    else [0.0] * 4)
+        assert students[0] != students[1]
 
     @pytest.mark.parametrize("command,center", [
         ("fit", "nan,0,0,0"),

@@ -403,6 +403,41 @@ class TestSolveCore:
         np.testing.assert_array_equal(coef, ref.reshape(4, 4))
         assert (report.fast_solves, report.lstsq_fallbacks) == (0, 1)
 
+    def test_non_finite_lstsq_takes_the_tikhonov_solve(self, rng, monkeypatch):
+        """An lstsq solution that is not finite is replaced by the
+        Tikhonov-regularized normal-equation solve, and counted."""
+        factors = [rng.standard_normal((10, 4)), rng.standard_normal((10, 4))]
+        y = rng.standard_normal(10)
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond: (
+            np.full(a.shape[1], np.nan), *lstsq(a, b, rcond=rcond)[1:]))
+        report = FitReport()
+        coef = _solve_core(report, factors, y, (4, 4))
+        design = _khatri_rao(factors)
+        gram = design.T @ design
+        lam = fit_mod.TIKHONOV_SCALE * (np.trace(gram) / 16 + 1.0)
+        want = np.linalg.solve(gram + lam * np.eye(16), design.T @ y)
+        np.testing.assert_array_equal(coef, want.reshape(4, 4))
+        assert (report.fast_solves, report.lstsq_fallbacks, report.rank_deficient_solves,
+                report.tikhonov_fallbacks) == (0, 1, 1, 1)
+
+    def test_linear_algebra_error_falls_back_to_lstsq(self, rng, monkeypatch):
+        """A ``LinAlgError`` inside the certified solve leaves it uncertified
+        (None), so the core is solved by lstsq."""
+        factors = [_conditioned(rng, 200, 3, 10.0), _conditioned(rng, 200, 4, 10.0)]
+        y = rng.standard_normal(200)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("factorization failed")
+
+        monkeypatch.setattr(np.linalg, "qr", fail)
+        assert fit_mod._certified_solve(FitReport(), factors, y) is None
+        report = FitReport()
+        coef = _solve_core(report, factors, y, (3, 4))
+        ref = np.linalg.lstsq(_khatri_rao(factors), y, rcond=None)[0]
+        np.testing.assert_array_equal(coef, ref.reshape(3, 4))
+        assert (report.fast_solves, report.lstsq_fallbacks) == (0, 1)
+
     @pytest.mark.parametrize("topology,n", [("tt", 6), ("btree", 8), ("btree", 5)])
     def test_sweep_matches_from_scratch_reference(self, rng, topology, n):
         """Every core is solved against environments that reflect all the
@@ -500,6 +535,18 @@ class TestEvalQuality:
                               orders=(1,))
         assert report.orders[1].cosine == pytest.approx(1.0, abs=1e-10)
         assert report.orders[1].mse > 1e-6
+
+    def test_zero_student_cosine_zero(self, rng):
+        """A student whose every value is 0 against a teacher whose values
+        are not: cosine 0 rather than a division by a zero norm."""
+        teacher, lifts = gen_tree_teacher(4, 2, seed=3)
+        cores = [np.array(c) for c in teacher.cores]
+        cores[0] = cores[0] * 0.0
+        from tnshap import TensorNetworkModel
+
+        zero = TensorNetworkModel(teacher.topology, cores)
+        report = eval_quality(zero, teacher, lifts, rng.uniform(-1, 1, (4, 4)), orders=(1,))
+        assert report.orders[1].cosine == 0.0
 
     def test_teacher_table_enumerated_once_per_instance(self, rng):
         teacher, lifts = gen_tree_teacher(5, 3, seed=2)

@@ -79,6 +79,26 @@ class TestLifts:
             for col, v in zip(cols, spec.lift_instance(x)):
                 np.testing.assert_array_equal(col[b], v)
 
+    def test_lift_rows_one_call_per_distinct_map(self, rng, monkeypatch):
+        """A spec of binary, poly and Fourier maps, each on several features
+        and equal maps built apart: one ``apply_batch`` call per distinct
+        map, bitwise equal to lifting each feature's column alone, one
+        contiguous (B, d_i) array per feature."""
+        maps = [FeatureMap("binary"), FeatureMap("poly", k=3),
+                FeatureMap("fourier", k=2, omega=1.3)]
+        spec = LiftSpec.from_json_list([maps[i % 3].to_json_dict() for i in range(10)])
+        xs = rng.uniform(-1, 1, (17, 10))
+        want = [m.apply_batch(xs[:, i]) for i, m in enumerate(spec.maps)]
+        calls = []
+        original = FeatureMap.apply_batch
+        monkeypatch.setattr(FeatureMap, "apply_batch",
+                            lambda self, x: calls.append(self) or original(self, x))
+        got = spec.lift_rows(xs)
+        assert sorted(calls, key=maps.index) == maps
+        for g, w in zip(got, want):
+            assert g.flags.c_contiguous and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
     def test_spec_roundtrip(self):
         spec = LiftSpec(
             [FeatureMap("binary"), FeatureMap("poly", k=2), FeatureMap("fourier", k=1, omega=2.0)]
