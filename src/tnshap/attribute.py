@@ -80,23 +80,20 @@ def quadrature_weights(m: int) -> np.ndarray:
     """Fejer's first-rule weights on ``chebyshev_nodes(m)``, mapped to (0, 1).
 
     w_j = (1/m) (1 - 2 sum_{l=1}^{floor(m/2)} cos(2 l theta_j) / (4 l^2 - 1))
-    with theta_j = (2j + 1) pi / (2m). The weights are positive, sum to 1 and
-    integrate every polynomial of degree below m exactly, so ``w @ q`` is
-    int_0^1 Q(t) dt for probe values q = Q(chebyshev_nodes(m)). Built once
-    per m and shared read-only.
+    with theta_j = (2j + 1) pi / (2m), built by one inverse real FFT of the
+    Chebyshev moments v_l = 2 e^{i pi l / m} / (1 - 4 l^2), l = 0..floor(m/2),
+    extended conjugate-symmetrically to length m: w = Re(ifft(v)) / 2, in
+    the nodes' descending order (Waldvogel, "Fast construction of the Fejer
+    and Clenshaw-Curtis quadrature rules", BIT 46 (2006) 195-202). The weights
+    are positive, sum to 1 and integrate every polynomial of degree below m
+    exactly, so ``w @ q`` is int_0^1 Q(t) dt for probe values
+    q = Q(chebyshev_nodes(m)). Built once per m and shared read-only.
     """
     if tensor_net.as_int(m, "node count") < 1:
         raise ValueError("need at least one node")
-    ell = np.arange(1, m // 2 + 1)
-    weights = np.empty(m)
-    # rows of the (m, m / 2) cosine table in blocks, so its memory stays O(m)
-    step = max(1, tensor_net.BLOCK_ENTRIES // max(1, ell.shape[0]))
-    for j0 in range(0, m, step):
-        # 2 l theta_j = l (2j + 1) pi / m, reduced modulo 2 pi in integers so
-        # the cosine sees an argument below 2 pi
-        turns = np.outer(2 * np.arange(j0, min(m, j0 + step)) + 1, ell) % (2 * m)
-        terms = np.cos(turns * (np.pi / m)) / (4 * ell**2 - 1)
-        weights[j0 : j0 + step] = (1.0 - 2.0 * terms.sum(axis=1)) / m
+    ell = np.arange(m // 2 + 1)
+    moments = 2.0 / (1.0 - 4.0 * ell**2) * np.exp(1j * np.pi / m * ell)
+    weights = np.fft.irfft(moments, m) / 2.0
     weights.setflags(write=False)
     return weights
 

@@ -43,9 +43,9 @@ TT = "tt"
 BTREE = "btree"
 
 DEFAULT_MATERIALIZE_LIMIT = 2**20
-# entries of a dense table built at once: an order-1 tree plan keeps
-# interpolation matrices up to this size and builds larger ones in row blocks
-# of it at each use; the quadrature weights build their cosine table so too
+# entries of a dense interpolation map built at once: an order-1 tree plan
+# keeps maps up to this size and builds larger ones in row blocks of it at
+# each use
 BLOCK_ENTRIES = 1 << 16
 
 

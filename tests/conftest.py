@@ -22,7 +22,13 @@ except ImportError:  # running from a checkout without installation
 
 from tnshap import LiftSpec, TensorNetworkModel, TnTopology, off_state, signed_toggle
 from tnshap.attribute import CSV_HEADER
-from tnshap.tensor_net import _node_core, _open_leg1, _open_leg2, tree_up_messages
+from tnshap.tensor_net import (
+    BLOCK_ENTRIES,
+    _node_core,
+    _open_leg1,
+    _open_leg2,
+    tree_up_messages,
+)
 
 
 def powerset(items):
@@ -84,6 +90,27 @@ def write_attribution_rows(fh, rows) -> None:
     for iid, order, subset, value, flag in rows:
         subset_txt = ";".join(str(i) for i in subset)
         fh.write(f"{iid},{order},{subset_txt},{float(value)!r},{flag}\n")
+
+
+def quadrature_weights_reference(m: int) -> np.ndarray:
+    """Fejer's first-rule weights on ``chebyshev_nodes(m)``, mapped to (0, 1),
+    by the defining cosine sum
+
+        w_j = (1/m) (1 - 2 sum_{l=1}^{floor(m/2)} cos(2 l theta_j) / (4 l^2 - 1))
+
+    with theta_j = (2j + 1) pi / (2m): the O(m^2) reference that the FFT
+    construction of ``quadrature_weights`` is tested against."""
+    ell = np.arange(1, m // 2 + 1)
+    weights = np.empty(m)
+    # rows of the (m, m / 2) cosine table in blocks, so its memory stays O(m)
+    step = max(1, BLOCK_ENTRIES // max(1, ell.shape[0]))
+    for j0 in range(0, m, step):
+        # 2 l theta_j = l (2j + 1) pi / m, reduced modulo 2 pi in integers so
+        # the cosine sees an argument below 2 pi
+        turns = np.outer(2 * np.arange(j0, min(m, j0 + step)) + 1, ell) % (2 * m)
+        terms = np.cos(turns * (np.pi / m)) / (4 * ell**2 - 1)
+        weights[j0 : j0 + step] = (1.0 - 2.0 * terms.sum(axis=1)) / m
+    return weights
 
 
 def tree_down_messages(topology, cores, msgs) -> list:

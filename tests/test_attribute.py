@@ -14,6 +14,7 @@ from conftest import (
     brute_sii,
     coalition_value_fn,
     product_model,
+    quadrature_weights_reference,
     random_tt_model,
     tree_order1_reference,
 )
@@ -111,6 +112,22 @@ class TestQuadratureWeights:
             for j in range(m):
                 exact = 1.0 / (j + 1)
                 assert abs(w @ t**j - exact) <= 1e-14 * exact, (m, j)
+
+    def test_fft_matches_cosine_sum(self):
+        """The FFT construction moves the cosine sum's weights in the last
+        bits only, at both parities and around powers of two."""
+        for m in [*range(1, 257), 511, 512, 1000, 1001, 4095, 4096]:
+            gap = np.max(np.abs(quadrature_weights(m) - quadrature_weights_reference(m)))
+            assert gap <= 2e-16, (m, gap)
+
+    def test_large_node_count(self):
+        m = 2**14
+        w, t = quadrature_weights(m), chebyshev_nodes(m)
+        assert w.shape == (m,) and np.all(w > 0)
+        assert abs(w.sum() - 1.0) <= 1e-13
+        for j in range(12):
+            exact = 1.0 / (j + 1)
+            assert abs(w @ t**j - exact) <= 1e-13 * exact, j
 
     def test_single_node_weight_is_one(self):
         assert quadrature_weights(1).tolist() == [1.0]

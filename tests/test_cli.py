@@ -572,6 +572,48 @@ class TestFit:
         assert not out.exists()
 
 
+class TestHashSeedDeterminism:
+    def test_outputs_identical_across_hash_seeds(self, tmp_path):
+        """``gen``, ``explain --order 1``, ``explain --order 2`` and ``fit``
+        write the same bytes in two processes with different string-hash
+        seeds (the fit report up to its wall time), so no output depends on
+        the iteration order of hashed sets or keys."""
+        child = """
+import sys
+from tnshap.cli import main
+out, inst = sys.argv[1:]
+teacher = out + "/teacher.json"
+for argv in (
+    ["gen", "--kind", "tree", "--n", "6", "--rank", "3", "--seed", "7", "--out", teacher],
+    ["explain", "--model", teacher, "--instances", inst, "--order", "1", "--out", out + "/k1.csv"],
+    ["explain", "--model", teacher, "--instances", inst, "--order", "2", "--out", out + "/k2.csv"],
+    ["fit", "--teacher", teacher, "--bond-dim", "2", "--neighborhood", "96",
+     "--max-sweeps", "4", "--seed", "4", "--out", out + "/student.json"],
+):
+    assert main(argv) == 0, argv
+"""
+        inst = tmp_path / "inst.csv"
+        write_instances(inst, np.random.default_rng(5).uniform(-1, 1, (3, 6)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        outs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"hash{seed}"
+            out.mkdir()
+            proc = subprocess.run([sys.executable, "-c", child, str(out), str(inst)],
+                                  env=dict(env, PYTHONHASHSEED=seed),
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            fit_report = json.loads((out / "student.json.report.json").read_text())
+            del fit_report["wall_time_s"]
+            files = ("teacher.json", "k1.csv", "k2.csv", "student.json")
+            outs.append({name: (out / name).read_bytes() for name in files}
+                        | {"fit report": fit_report})
+        bad = [name for name in outs[0] if outs[0][name] != outs[1][name]]
+        assert not bad, f"differ across PYTHONHASHSEED 0 and 1: {bad}"
+
+
 class TestRankSweep:
     def test_single_cell_runs(self, tmp_path, teacher_path):
         out = tmp_path / "sweep.json"
