@@ -287,23 +287,40 @@ def explain_batch(model, lifts: LiftSpec, instances, k: int, mode=None, subsets=
                    for s in subset_list]
     nodes, weights = chebyshev_nodes(n - k + 1), quadrature_weights(n - k + 1)
     results = [None] * len(instances)
-    rows = []
-    for idx, x in enumerate(instances):
-        try:
-            rows.append((idx, lifts.check_instance(x)))
-        except Exception as exc:  # noqa: BLE001 - batch isolation is the contract
-            results[idx] = exc
-    if not rows:  # no sweep, so no engine state to count
+    good, xs = _checked_rows(lifts, instances, results)
+    if not good:  # no sweep, so no engine state to count
         return results
     step = max(1, STACK_ENTRY_BUDGET // tensor_net.probe_entries(model.topology, nodes, k, legs))
-    for c0 in range(0, len(rows), step):
-        chunk = rows[c0 : c0 + step]
-        lifted = lifts.lift_rows(np.stack([x for _, x in chunk]))
+    for c0 in range(0, len(good), step):
+        chunk = good[c0 : c0 + step]
+        lifted = lifts.lift_rows(xs[c0 : c0 + step])
         values, forwards = _probe_values(model, lifted, nodes, weights, k, mode, legs, columns)
         model.counter.add(forwards)
-        for (idx, _), vals in zip(chunk, values):
+        for idx, vals in zip(chunk, values):
             results[idx] = AttributionSet(k, subset_list, vals, forwards // len(chunk))
     return results
+
+
+def _checked_rows(lifts: LiftSpec, instances: list, results: list) -> tuple:
+    """The indices of the ``instances`` that pass ``lifts.check_instance``
+    and their rows as one (R, n) float64 array. The rows are stacked and
+    checked as one block; only a block that fails (a wrong length, a
+    non-numeric row or a non-finite value) is checked row by row, with each
+    bad row's ValueError left in its slot of ``results``."""
+    try:
+        xs = np.array(instances, dtype=np.float64)
+        if xs.shape == (len(instances), lifts.n) and np.isfinite(xs).all():
+            return range(len(instances)), xs
+    except (TypeError, ValueError):
+        pass
+    good, rows = [], []
+    for idx, x in enumerate(instances):
+        try:
+            rows.append(lifts.check_instance(x))
+            good.append(idx)
+        except Exception as exc:  # noqa: BLE001 - batch isolation is the contract
+            results[idx] = exc
+    return good, np.stack(rows) if rows else None
 
 
 CSV_HEADER = "instance_id,order,subset,value,flag"

@@ -24,6 +24,7 @@ import argparse
 import array
 import contextlib
 import csv
+import itertools
 import json
 import logging
 import math
@@ -45,7 +46,7 @@ ORACLE_MAX_FEATURES = 16
 MANIFEST_VERSION = 1
 # A bench repeat times ceil(BENCH_CALL_FEATURES / n) back-to-back explain calls
 # and reports their mean. Order-1 time grows about linearly in n, so every
-# repeat lasts about as long (11-15 ms at rank 16, n = 10..50, on a 2.0 GHz
+# repeat lasts about as long (2.4-4 ms at rank 16, n = 16..256, on a 2.0 GHz
 # Xeon core with one BLAS thread), well above timer and host noise; fixing
 # the count by n rather than by a timing probe keeps the bench JSON
 # reproducible apart from its times.
@@ -76,7 +77,8 @@ def _setup_logging() -> None:
 def _read_instances_csv(path, n: int) -> np.ndarray:
     """Instance CSV: header f1..fn, one raw instance per row, with or without
     the UTF-8 byte-order mark spreadsheets write. Values are parsed a row at a
-    time into one float64 buffer, 8 bytes each."""
+    time into one float64 buffer, 8 bytes each, and checked for finiteness in
+    one pass (``_check_finite``)."""
     try:
         fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
@@ -98,23 +100,37 @@ def _read_instances_csv(path, n: int) -> np.ndarray:
             if not row:
                 continue
             if len(row) != n:
+                _check_finite(path, values, n)
                 raise InputError(
                     f"{path} line {lineno}: expected {n} values, got {len(row)}"
                 )
             try:
-                parsed = [float(v) for v in row]
+                values.extend([float(v) for v in row])
             except ValueError as exc:
+                _check_finite(path, values, n)
                 raise InputError(f"{path} line {lineno}: {exc}") from exc
-            bad = [i for i, v in enumerate(parsed, start=1) if not math.isfinite(v)]
-            if bad:
-                raise InputError(
-                    f"{path} line {lineno}: non-finite value {row[bad[0] - 1].strip()!r} "
-                    f"in column f{bad[0]}"
-                )
-            values.extend(parsed)
+    _check_finite(path, values, n)
     if not values:
         raise InputError(f"{path}: no instance rows")
     return np.frombuffer(values, dtype=np.float64).reshape(-1, n)
+
+
+def _check_finite(path, values, n: int) -> None:
+    """Raise the InputError for the first non-finite value among the parsed
+    rows ``values`` (n per row), if any, checked in one pass; the file is
+    read again only then, to name the value's line and column and give its
+    text as written. Called before a malformed line's error too, as the rows
+    before it come first."""
+    bad = np.flatnonzero(~np.isfinite(np.frombuffer(values, dtype=np.float64)))
+    if not bad.size:
+        return
+    index, column = divmod(int(bad[0]), n)
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        rows = ((lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row)
+        next(rows)  # the header
+        lineno, row = next(itertools.islice(rows, index, None))
+    raise InputError(f"{path} line {lineno}: non-finite value {row[column].strip()!r} "
+                     f"in column f{column + 1}")
 
 
 def _load_model(path):

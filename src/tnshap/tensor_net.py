@@ -21,8 +21,8 @@ nodes, their weights, the order and the legs. ``tt_probes`` runs every leg
 of a train at all m quadrature nodes; ``tree_probes`` runs a node with s
 real leaves below it at only s + 1 points (its section comment gives the
 cost), and runs each of its passes over the same-shape nodes of a tree level
-in one batched call (at k = 1 over the leaves' only), on what the model's
-first request of a shape derives from its cores (``_tree_inputs``);
+in one batched call, on what the model's first request of a shape derives
+from its cores (``_tree_inputs``);
 ``probe_entries`` counts the float64 state one instance adds to either
 sweep. The integers of a topology, a lift, an order and a fit config pass
 one rule, ``as_int``.
@@ -43,9 +43,9 @@ TT = "tt"
 BTREE = "btree"
 
 DEFAULT_MATERIALIZE_LIMIT = 2**20
-# entries of a dense interpolation map built at once: an order-1 tree plan
-# keeps maps up to this size and builds larger ones in row blocks of it at
-# each use
+# entries of a dense interpolation map built at once: a tree plan keeps maps
+# up to this size; a larger map between Chebyshev point sets runs as a DCT
+# pair, any other is built in row blocks of this size at each use
 BLOCK_ENTRIES = 1 << 16
 
 
@@ -467,7 +467,8 @@ def _stack(blocks, axis=1):
 # ``chebyshev_nodes(s + 1)`` when that is fewer points than its parent has,
 # else its parent's; a real leaf always shares its parent's, where its affine
 # message is evaluated directly. An up message reaches its parent's points
-# through a barycentric interpolation matrix (``chebyshev_interpolation``),
+# through ``_Interpolation``: a barycentric matrix (``chebyshev_interpolation``)
+# up to ``BLOCK_ENTRIES`` entries, else a DCT pair at O(P log P) per column,
 # and the down pass carries the weighted adjoint back through the transpose,
 # so node v's adjoint is the linear map from v's message at v's points to
 # the weighted sum of root outputs. Toggling o leaves below v lowers the
@@ -486,9 +487,10 @@ def _stack(blocks, axis=1):
 # cores are stacked once per model and request shape (``_tree_inputs``),
 # and its messages, adjoints and stacks carry a leading group axis, so each
 # step, merge, close and interpolation is one batched call for all its
-# nodes. At k = 1 only leaves group (see ``_tree_schedule`` for why). A node
-# costs its point count times chi^3 per stacked row, about
-# sum_v (s_v + 1) chi^3 per instance at k = 1, plus the interpolation GEMMs.
+# nodes, at every order. A node costs its point count times chi^3 per
+# stacked row, about sum_v (s_v + 1) chi^3 per instance at k = 1, plus the
+# maps: one GEMM each up to ``BLOCK_ENTRIES`` entries, else two real FFTs per
+# column.
 
 
 def chebyshev_nodes(m: int) -> np.ndarray:
@@ -527,17 +529,31 @@ def chebyshev_interpolation(size: int, targets) -> np.ndarray:
 
 class _Interpolation:
     """``chebyshev_interpolation(size, targets)`` as a linear map on
-    (size, cols) arrays, with its transpose. The matrix is kept when it has
-    at most ``BLOCK_ENTRIES`` entries; a larger one is rebuilt in row
-    blocks of that many entries at each use, so memory stays O(n) at any n."""
+    (..., size, cols) arrays, with its transpose. The matrix is kept when it
+    has at most ``BLOCK_ENTRIES`` entries, where one GEMM is fastest. A
+    larger map onto ``chebyshev_nodes(len(targets))`` runs as a DCT pair:
+    the values' Chebyshev coefficients by a DCT-II, then a zero-padded
+    DCT-III at the targets, each one real FFT, O((size + P) log P) per
+    column for P targets with no matrix built; its transpose runs the
+    transposed pair (Trefethen, Approximation Theory and Approximation
+    Practice, 2013, ch. 3). Any other large map (a caller's root nodes that
+    are not Chebyshev nodes of their own count, such as Gauss-Legendre
+    nodes) is rebuilt in row blocks of ``BLOCK_ENTRIES`` entries at each
+    use, so memory stays O(n) at any n."""
 
     def __init__(self, size: int, targets: np.ndarray) -> None:
+        count = targets.shape[0]
         self.size, self.targets = size, targets
         self.step = max(1, BLOCK_ENTRIES // size)
-        self.mat = None
-        if targets.shape[0] <= self.step:
+        self.mat = self.dct = None
+        if count <= self.step:
             self.mat = chebyshev_interpolation(size, targets)
             self.mat.setflags(write=False)
+        elif np.array_equal(targets, chebyshev_nodes(count)):
+            # coefficient j of the interpolant is (2 - [j = 0]) / size times
+            # the values' DCT-II term j; both directions apply it on the way
+            # into the DCT-III
+            self.dct = (_dct_twiddles(size, size), _dct_twiddles(count, size))
 
     def _blocks(self):
         for i in range(0, self.targets.shape[0], self.step):
@@ -547,13 +563,75 @@ class _Interpolation:
         """(..., size, cols) values at the nodes -> (..., len(targets), cols)."""
         if self.mat is not None:
             return self.mat @ x
+        if self.dct is not None:
+            return _dct3(_dct2(x, self.dct[0], self.size), self.targets.shape[0])
         return np.concatenate([mat @ x for _, mat in self._blocks()], axis=-2)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """The transpose: (..., len(targets), cols) -> (..., size, cols)."""
         if self.mat is not None:
             return self.mat.T @ y
+        if self.dct is not None:
+            return _dct3(_dct2(y, self.dct[1], self.size), self.size)
         return sum(mat.T @ y[..., i : i + mat.shape[0], :] for i, mat in self._blocks())
+
+
+@functools.lru_cache(maxsize=64)
+def _dct_tables(n: int) -> tuple:
+    """A length-n DCT's read-only tables: the even entries of 0..n-1, then
+    the odd ones descending (Makhoul's order, which turns the DCT into one
+    length-n real FFT), its inverse, and ``_dct3``'s factors
+    n / 2 exp(i pi j / (2n)), j = 0..n//2, with n at j = 0 (irfft divides by
+    n and counts each j > 0 twice), as a column."""
+    order = np.concatenate([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]])
+    unwind = 0.5 * n * np.exp(0.5j * np.pi / n * np.arange(n // 2 + 1))
+    unwind[0] = n
+    tables = (order, np.argsort(order), unwind[:, None])
+    for x in tables:
+        x.setflags(write=False)
+    return tables
+
+
+def _dct_twiddles(n: int, size: int) -> np.ndarray:
+    """exp(-i pi j / (2n)) for j = 0..n//2, times ``_Interpolation``'s
+    coefficient weight 2 / size, halved at j = 0, as a (n//2 + 1, 1) column."""
+    tw = np.exp(-0.5j * np.pi / n * np.arange(n // 2 + 1)) * (2.0 / size)
+    tw[0] *= 0.5
+    tw = tw[:, None]
+    tw.setflags(write=False)
+    return tw
+
+
+def _dct2(x: np.ndarray, twiddles: np.ndarray, keep: int) -> np.ndarray:
+    """Terms j < ``keep`` of the DCT-II sum_l x_l cos(pi j (2l + 1) / (2n))
+    along axis -2 of the (..., n, cols) ``x``, each times the weight folded
+    into ``twiddles`` (``_dct_twiddles(n, ...)``): one real FFT of the
+    reordered values gives term j as Re z_j and term n - j as -Im z_j."""
+    n = x.shape[-2]
+    half = n // 2 + 1
+    z = np.fft.rfft(x[..., _dct_tables(n)[0], :], axis=-2)
+    z *= twiddles
+    out = np.empty((*x.shape[:-2], keep, x.shape[-1]))
+    out[..., : min(keep, half), :] = z.real[..., :keep, :]
+    if keep > half:
+        np.negative(z.imag[..., n - keep + 1 : (n + 1) // 2, :][..., ::-1, :], out=out[..., half:, :])
+    return out
+
+
+def _dct3(coef: np.ndarray, n: int) -> np.ndarray:
+    """The DCT-III y_l = sum_j c_j cos(pi j (2l + 1) / (2n)), l < n, of the
+    (..., s, cols) ``coef`` zero-padded to n >= s along axis -2: the
+    transpose of the DCT-II, as one inverse real FFT of
+    h_j = exp(i pi j / (2n)) (c_j - i c_{n-j}), read back in order."""
+    s, half = coef.shape[-2], n // 2 + 1
+    h = np.zeros((*coef.shape[:-2], half, coef.shape[-1]), dtype=np.complex128)
+    h.real[..., : min(s, half), :] = coef[..., :half, :]
+    lo = max(1, n - s + 1)
+    if lo < half:
+        np.negative(coef[..., n - half + 1 : n - lo + 1, :][..., ::-1, :], out=h.imag[..., lo:, :])
+    _, inverse, unwind = _dct_tables(n)
+    h *= unwind
+    return np.fft.irfft(h, n=n, axis=-2)[..., inverse, :]
 
 
 # bounded: one entry per (n, root nodes) pair a process explains
@@ -953,12 +1031,7 @@ def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
     A run is cut where the widest temporary per instance of its nodes' steps
     in any pass (``_step_width``), summed over the group, would pass the
     widest of any one node, so a group builds no array wider than one node
-    of the request does. At k = 1 only leaves group. This rule has no cost
-    basis: grouping k = 1's internal levels as well runs k = 1 ``explain``
-    on btree n = 10..50, r16, one instance, 1.15-1.7x faster, the more the
-    larger n, which takes its log-log slope to 0.66, below the 0.7 that the
-    scaling check of ``tests/test_acceptance.py`` (criterion 6) requires;
-    it goes once that check is measured another way. ``pads`` lists the
+    of the request does; one rule for every order. ``pads`` lists the
     runs of a level's nodes with no real leaf below them that share a core
     shape, leaves first. ``perm`` takes the
     closing order (groups in turn, each close pair over the group's nodes)
@@ -1016,7 +1089,7 @@ def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
                 else:
                     pads.append(range(v, v + 1))
             elif (runs and runs[-1][0] + runs[-1][1] == v and entry[runs[-1][0]] == entry[v]
-                    and runs[-1][2] + width[v] <= widest and (k > 1 or v >= L)):
+                    and runs[-1][2] + width[v] <= widest):
                 runs[-1][1] += 1
                 runs[-1][2] += width[v]
             else:

@@ -113,6 +113,24 @@ def quadrature_weights_reference(m: int) -> np.ndarray:
     return weights
 
 
+def chebyshev_map_reference(size: int, count: int) -> np.ndarray:
+    """The (count, size) map from a polynomial's values at
+    ``chebyshev_nodes(size)`` to its values at ``chebyshev_nodes(count)``,
+    count >= size, by the defining cosine sums: C3 diag(w) C2 with
+    C2[j, l] = cos(j (2l + 1) pi / (2 size)), the values' Chebyshev
+    coefficients, w = (1, 2, ..., 2) / size, and
+    C3[i, j] = cos(j (2i + 1) pi / (2 count)). Each angle is reduced modulo
+    2 pi in integers, so the cosine sees an argument below 2 pi; the O(n^3)
+    reference that the DCT pair of ``tensor_net._Interpolation`` is tested
+    against."""
+    j = np.arange(size)
+    c2 = np.cos((np.outer(j, 2 * np.arange(size) + 1) % (4 * size)) * (np.pi / (2 * size)))
+    c3 = np.cos((np.outer(2 * np.arange(count) + 1, j) % (4 * count)) * (np.pi / (2 * count)))
+    w = np.full(size, 2.0 / size)
+    w[0] = 1.0 / size
+    return (c3 * w) @ c2
+
+
 def tree_down_messages(topology, cores, msgs) -> list:
     """Root-to-leaf messages: entry ``v`` is the (B, bond) contraction of
     everything outside node ``v``'s subtree, dual to ``tree_up_messages``'

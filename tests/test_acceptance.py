@@ -298,7 +298,7 @@ class TestCriterion5GameAxioms:
 class TestCriterion6ScalingTrend:
     def test_bench_monotone_and_near_linear(self, tmp_path):
         out = tmp_path / "bench.json"
-        rc = cli_main(["bench", "--dims", "10,20,30,40,50", "--rank", "16",
+        rc = cli_main(["bench", "--dims", "16,32,64,128,256", "--rank", "16",
                        "--repeats", "11", "--seed", "0", "--out", str(out)])
         assert rc == 0
         rows = json.loads(out.read_text())["rows"]

@@ -457,6 +457,23 @@ class TestBatch:
         assert isinstance(results[1], Exception)
         np.testing.assert_allclose(results[0].values, results[2].values)
 
+    def test_bad_rows_keep_their_own_errors(self, rng):
+        """Rows are checked as one block; a block that fails is checked row
+        by row, so each bad row's slot holds ``check_instance``'s own
+        ValueError and the good rows match a batch without the bad ones."""
+        model, lifts = random_tt_model(rng, 4)
+        good = rng.uniform(-1, 1, (3, 4))
+        bad = [np.zeros(3), ["a", "b", "c", "d"], [0.0, np.nan, 1.0, np.inf], [[0.0] * 4]]
+        for row in bad:
+            batch = [good[0], row, good[1], good[2]]
+            results = explain_batch(model, lifts, batch, 1)
+            with pytest.raises(ValueError) as want:
+                lifts.check_instance(row)
+            assert type(results[1]) is ValueError and str(results[1]) == str(want.value)
+            clean = explain_batch(model, lifts, good, 1)
+            for got, ref in zip([results[0], *results[2:]], clean):
+                assert np.array_equal(got.values, ref.values)
+
     def test_empty_subset_list_rejected(self, rng):
         model, lifts = random_tt_model(rng, 4)
         xs = rng.uniform(-1, 1, (3, 4))
@@ -1492,6 +1509,84 @@ class TestTreePoints:
         calls["_group_cores"] = 0
         assert np.array_equal(explain(model, lifts, x, 3).values, want)
         assert calls["_group_cores"] == calls["restacked"] == 0
+
+    def test_order1_passes_call_once_per_group(self, rng, monkeypatch):
+        """On btree n = 30, r16, k = 1 (bulk-k1's shape), one instance, the
+        up pass makes one ``_merge`` per merging group below the root and the
+        down pass one ``_descend`` per internal group, and internal levels
+        group: fewer calls than internal nodes."""
+        tensor_net = attribute.tensor_net
+        model, lifts = _random_model("btree", 30, 16, seed=1)
+        x = rng.uniform(-1, 1, 30)
+        levels, _, _ = tensor_net._tree_schedule(tuple(range(30)), 30, 1,
+                                                 tuple(c.shape for c in model.cores),
+                                                 tensor_net._plan_key(chebyshev_nodes(30)))
+        calls = {"_merge": 0, "_descend": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(tensor_net, name, counted(name, getattr(tensor_net, name)))
+        explain(model, lifts, x, 1)
+        internal = [g for level in levels for g in level if g[4] is not None]
+        merging = [g for g in internal if g[5] is not None]
+        assert calls["_merge"] == len(merging) - 1  # the root sends no message
+        assert calls["_descend"] == len(internal)
+        nodes = sum(len(g[0]) for g in merging)
+        assert calls["_merge"] < nodes - 1 and calls["_descend"] < nodes
+
+    @pytest.mark.parametrize("b", [1, 17])
+    @pytest.mark.parametrize("n", [5, 7, 16, 30, 33, 50, 100])
+    def test_order1_groups_keep_per_node_values(self, rng, monkeypatch, n, b):
+        """k = 1 values with grouped internal levels are bitwise those of a
+        schedule that runs every internal node alone, as one step per node
+        did: a group's batched calls do each node's arithmetic unchanged."""
+        tensor_net = attribute.tensor_net
+        xs = rng.uniform(-1, 1, (b, n))
+        model, lifts = _random_model("btree", n, 8, seed=n)
+        grouped = np.array([r.values for r in explain_batch(model, lifts, xs, 1)])
+        width = tensor_net._step_width
+
+        def alone(shape, points, to_parent, kids, *rest):
+            # an internal node as wide as all leaves together cannot share a group
+            return width(shape, points, to_parent, kids, *rest) if kids is None else 1 << 40
+
+        tensor_net._tree_schedule.cache_clear()
+        monkeypatch.setattr(tensor_net, "_step_width", alone)
+        try:
+            model, lifts = _random_model("btree", n, 8, seed=n)  # no plan yet
+            key = tensor_net._plan_key(chebyshev_nodes(n))
+            levels, _, _ = tensor_net._tree_schedule(tuple(range(n)), n, 1,
+                                                     tuple(c.shape for c in model.cores), key)
+            assert all(len(g[0]) == 1 for level in levels[1:] for g in level)
+            single = np.array([r.values for r in explain_batch(model, lifts, xs, 1)])
+        finally:  # no later test may read a schedule cut this way
+            tensor_net._tree_schedule.cache_clear()
+        assert np.array_equal(grouped, single)
+
+    def test_order1_dct_maps_match_row_blocks(self, rng, monkeypatch):
+        """btree n = 1000, r8, k = 1: the DCT maps above ``BLOCK_ENTRIES``
+        give the values of the row-block maps, which rebuild the barycentric
+        matrix at each use, to 1e-12 relative. This teacher's values
+        underflow with n (max |phi| about 2e-122 here), so the check is
+        relative to that scale."""
+        tensor_net = attribute.tensor_net
+        n = 1000
+        model, lifts = _random_model("btree", n, 8, seed=1)
+        x = rng.uniform(-1, 1, n)
+        maps = [m for m in tensor_net._tree_plan(n, tensor_net._plan_key(chebyshev_nodes(n)))[1]
+                if m is not None and m.mat is None]
+        assert maps and all(m.dct is not None for m in maps)
+        got = explain(model, lifts, x, 1).values
+        for m in maps:
+            monkeypatch.setattr(m, "dct", None)
+        want = explain(model, lifts, x, 1).values
+        assert np.abs(want).max() > 0
+        _assert_close(got, want)
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in (24, 30, 64, 100, 2000) for k in (1, 2, 3)
                                      if (n, k) != (2000, 3)])

@@ -183,6 +183,33 @@ class TestExplain:
         assert "line 3" in err and "f3" in err and str(inst) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("body,message", [
+        ("0.0,0.0,0.0,0.0\n\n0.1, nan ,0.2,0.3\n", "line 4: non-finite value 'nan' in column f2"),
+        ("0.0,0.0,0.0,inf\n0.1,0.2\n", "line 2: non-finite value 'inf' in column f4"),
+        ("0.0,0.0,0.0,0.0\n0.1,0.2\n0.1,nan,0.2,0.3\n", "line 3: expected 4 values, got 2"),
+        ("0.0,0.0,0.0,-inf\n0.1,oops,0.2,0.3\n", "line 2: non-finite value '-inf' in column f4"),
+        ("0.0,0.0,0.0,0.0\nnan,oops,0.2,0.3\n", "line 3: could not convert string to float: 'oops'"),
+    ], ids=["blank-line", "before-short-row", "short-row-first", "before-bad-value", "same-row"])
+    def test_reader_names_the_first_bad_line(self, tmp_path, body, message):
+        """The file's finiteness is checked in one pass after parsing, and
+        the first bad line is still the one named, with its text as written:
+        a non-finite value before a malformed line is reported first."""
+        from tnshap import cli
+
+        inst = tmp_path / "inst.csv"
+        inst.write_text("f1,f2,f3,f4\n" + body)
+        with pytest.raises(cli.InputError) as info:
+            cli._read_instances_csv(inst, 4)
+        assert str(info.value) == f"{inst} {message}"
+
+    def test_reader_rejects_a_file_without_rows(self, tmp_path):
+        from tnshap import cli
+
+        inst = tmp_path / "inst.csv"
+        inst.write_text("f1,f2,f3,f4\n\n")
+        with pytest.raises(cli.InputError, match="no instance rows"):
+            cli._read_instances_csv(inst, 4)
+
     def test_manifest_numerical_health_and_debug_summaries(self, tmp_path, teacher_path,
                                                              monkeypatch, capsys):
         from tnshap.cli import _setup_logging

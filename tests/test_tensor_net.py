@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     additive_model,
+    chebyshev_map_reference,
     product_model,
     random_tt_model,
     tree_down_messages,
@@ -451,16 +452,76 @@ class TestChebyshevInterpolation:
         np.testing.assert_array_equal(mat[-size:], np.eye(size)[::-1])
 
     def test_row_blocks_match_the_whole_matrix(self, monkeypatch):
-        """Above ``BLOCK_ENTRIES`` entries the map is rebuilt in row blocks at
-        each use; both directions agree with the whole matrix."""
+        """Above ``BLOCK_ENTRIES`` entries a map onto targets that are not
+        Chebyshev nodes of their own count (here Gauss-Legendre nodes) is
+        rebuilt in row blocks at each use; both directions agree with the
+        whole matrix."""
         from tnshap import tensor_net
 
         rng = np.random.default_rng(0)
-        targets = chebyshev_nodes(40)
+        targets = (np.polynomial.legendre.leggauss(40)[0] + 1) / 2
         whole = chebyshev_interpolation(9, targets)
         x, y = rng.standard_normal((9, 3)), rng.standard_normal((40, 3))
         monkeypatch.setattr(tensor_net, "BLOCK_ENTRIES", 9 * 7)
         blocked = tensor_net._Interpolation(9, targets)
-        assert blocked.mat is None and blocked.step == 7
+        assert blocked.mat is None and blocked.dct is None and blocked.step == 7
         np.testing.assert_allclose(blocked.forward(x), whole @ x, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(blocked.adjoint(y), whole.T @ y, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("size,count", [(1, 2), (2, 3), (3, 5), (4, 8), (5, 9), (9, 16),
+                                            (10, 18), (9, 40), (16, 17)])
+    def test_small_dct_pairs_match_the_matrix(self, monkeypatch, size, count):
+        """The DCT pair at every small shape, odd and even lengths on both
+        sides, including a DCT-III whose padded coefficients reach past
+        half its length (9 -> 16, 10 -> 18)."""
+        from tnshap import tensor_net
+
+        monkeypatch.setattr(tensor_net, "BLOCK_ENTRIES", 1)
+        rng = np.random.default_rng(size * count)
+        mat = chebyshev_interpolation(size, chebyshev_nodes(count))
+        dct = tensor_net._Interpolation(size, chebyshev_nodes(count))
+        assert dct.mat is None and dct.dct is not None
+        x, y = rng.standard_normal((2, size, 3)), rng.standard_normal((2, count, 3))
+        np.testing.assert_allclose(dct.forward(x), mat @ x, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(dct.adjoint(y), mat.T @ y, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("cols", [1, 128])
+    @pytest.mark.parametrize("size,count", [(251, 501), (501, 1001), (1001, 2000)])
+    def test_large_maps_run_as_dct_pairs(self, size, count, cols):
+        """A map above ``BLOCK_ENTRIES`` entries between Chebyshev point sets
+        builds no matrix. Forward and adjoint agree with the exact map, the
+        cosine sums C3 diag(w) C2 with integer-reduced angles, to 1e-13
+        relative, closer than ``chebyshev_interpolation``'s matrix does: the
+        matrix interpolates through the float64-rounded nodes, which moves
+        it by about size^2 eps (2.8e-12 relative at size 1001, 128 columns).
+        Against that matrix the DCT pair agrees to 1e-12 relative up to
+        size 501."""
+        from tnshap import tensor_net
+
+        rng = np.random.default_rng(size + cols)
+        dct = tensor_net._Interpolation(size, chebyshev_nodes(count))
+        assert dct.mat is None and dct.dct is not None
+        exact = chebyshev_map_reference(size, count)
+        mat = chebyshev_interpolation(size, chebyshev_nodes(count))
+        x, y = rng.standard_normal((size, cols)), rng.standard_normal((count, cols))
+        for got, want, bary in ((dct.forward(x), exact @ x, mat @ x),
+                                (dct.adjoint(y), exact.T @ y, mat.T @ y)):
+            assert got.shape == want.shape
+            scale = np.linalg.norm(want)
+            assert np.linalg.norm(got - want) <= 1e-13 * scale
+            assert np.linalg.norm(got - want) < np.linalg.norm(bary - want)
+            if size <= 501:
+                assert np.linalg.norm(got - bary) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("size,count", [(251, 501), (1001, 2000)])
+    def test_dct_adjoint_is_the_transpose(self, size, count):
+        """<A x, y> = <x, A^T y> to 1e-13 of |A x| |y|, for several columns."""
+        from tnshap import tensor_net
+
+        rng = np.random.default_rng(count)
+        dct = tensor_net._Interpolation(size, chebyshev_nodes(count))
+        x, y = rng.standard_normal((size, 5)), rng.standard_normal((count, 5))
+        ax, aty = dct.forward(x), dct.adjoint(y)
+        lhs, rhs = np.sum(ax * y, axis=0), np.sum(x * aty, axis=0)
+        bound = 1e-13 * np.linalg.norm(ax, axis=0) * np.linalg.norm(y, axis=0)
+        assert np.all(np.abs(lhs - rhs) <= bound)
