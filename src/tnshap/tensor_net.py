@@ -21,11 +21,10 @@ nodes, their weights, the order and the legs. ``tt_probes`` runs every leg
 of a train at all m quadrature nodes; ``tree_probes`` runs a node with s
 real leaves below it at only s + 1 points (its section comment gives the
 cost), and runs each of its passes over the same-shape nodes of a tree level
-in one batched call, on what the model's first request of a shape derives
-from its cores (``_tree_inputs``);
-``probe_entries`` counts the float64 state one instance adds to either
-sweep. The integers of a topology, a lift, an order and a fit config pass
-one rule, ``as_int``.
+in one batched call, on views of the cores that a tree model stacks by
+level when it is built (``_tree_layout``); ``probe_entries`` counts the
+float64 state one instance adds to either sweep. The integers of a
+topology, a lift, an order and a fit config pass one rule, ``as_int``.
 """
 
 from __future__ import annotations
@@ -228,9 +227,11 @@ class TensorNetworkModel:
         Cores in the topology's serialization order; shapes must match
         ``topology.core_shapes()`` exactly.
 
-    The cores are kept read-only. A tree model also keeps what
-    ``tree_probes`` derives from its cores alone, per request shape
-    (``_tree_inputs``), so a repeated request pays only for its instances.
+    The cores are kept read-only. A tree model holds them once, by level
+    (``_tree_layout``): each level's runs of same-shape nodes are stacked,
+    its ``cores`` are views of those stacks, and it keeps with them what
+    ``tree_probes`` derives from the cores alone, so no request stacks,
+    folds or flips a core.
     """
 
     def __init__(self, topology: TnTopology, cores) -> None:
@@ -245,13 +246,14 @@ class TensorNetworkModel:
                 raise ValueError(
                     f"core {idx}: expected shape {tuple(shape)}, got {arr.shape}"
                 )
-            arr.setflags(write=False)
             frozen.append(arr)
+        if topology.kind == BTREE:
+            frozen, self._layout = _tree_layout(topology, frozen)
+        else:
+            for arr in frozen:
+                arr.setflags(write=False)
         self.cores = tuple(frozen)
         self.counter = ForwardCounter()
-        # ``_tree_inputs``' plans by request shape, oldest first
-        self._plans = {}
-        self._plans_lock = threading.Lock()
 
     @property
     def n(self) -> int:
@@ -483,8 +485,9 @@ def _stack(blocks, axis=1):
 # shape, one point set and one schedule entry (in a balanced tree, the nodes
 # of a level with only real leaves below them, cut where the group's
 # temporaries would outgrow the widest one node builds; the node that
-# straddles the pads, a folded node and the root run alone). A group's
-# cores are stacked once per model and request shape (``_tree_inputs``),
+# straddles the pads, a folded node and the root run alone). A group is a
+# slice of one of the runs of same-shape level nodes that a tree model
+# stacks once, when it is built (``_tree_layout``), so its cores are a view,
 # and its messages, adjoints and stacks carry a leading group axis, so each
 # step, merge, close and interpolation is one batched call for all its
 # nodes, at every order. A node costs its point count times chi^3 per
@@ -690,17 +693,17 @@ def tree_probes(model, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     weight 1. No (B * m)-row selector-scaled input is built.
 
     Every pass runs once per level group of ``_tree_schedule`` (same-shape
-    nodes of a level), whose cores, stacked as a (G, p, q, r) array that
-    the group's up step, down step, merges and closes all read, come from
-    ``_tree_inputs``: built on the model's first request of this shape and
-    reused by every later one. Messages are point-major: a group's order-0
+    nodes of a level). The group's cores, stacked as a (G, p, q, r) array
+    that its up step, down step, merges and closes all read, and their
+    flipped copy are views of the model's ``_tree_layout`` (``_group_views``),
+    so a request stacks no core. Messages are point-major: a group's order-0
     up messages and adjoints are (G, points * B, bond) arrays, its order-o
     stacks (G, points * B, C(toggleable leaves under a node, o), bond)
     arrays, so one GEMM takes a block of them to another point set. Which
     orders a group keeps, merges and closes, where the adjoint descends,
     and the permutation to lexicographic order, come from the schedule;
     this pass only runs it. A subtree of pads only sends a constant (bond,)
-    vector, which ``_tree_inputs`` folds into its parent's cores. Order-1
+    vector, which the layout folds into its parent's cores. Order-1
     subsets close at their leaves, one call per leaf group, in ``legs``
     order.
     """
@@ -708,22 +711,24 @@ def tree_probes(model, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     L = _tree_leaf_count(model.n)
     key = _plan_key(nodes)
     points = _tree_plan(model.n, key)[0]
-    (levels, _, perm), stacked, folds, flips = _tree_inputs(model, legs, k, key)
+    levels, perm = _tree_schedule(legs, model.topology, k, key)
+    # each group's (cores, flipped cores), views of the model's layout
+    views = [[_group_views(model._layout, grp[0]) for grp in level] for level in levels]
     # each leaf group's toggled leaf messages, (G, B, bond)
     ons = [_stacked([toggled[v - L] for v in grp[0]]) @ core
-           for grp, core in zip(levels[0], stacked[0])]
+           for grp, (core, _) in zip(levels[0], views[0])]
     # up[d][j]: block j of level d's order-0 up messages at the parents'
     # points, (G, points * B, bond); the root sends none
     up = []
     for d, level in enumerate(levels[:-1]):
         blocks = []
         for i, (grp, _, _, _, left, right, bounds, _) in enumerate(level):
-            core, t = stacked[d][i], points[grp[0]]
+            core, t = views[d][i][0], points[grp[0]]
             if left is None:
                 msg = core[:, -1, None, None] + t * ons[i][:, None]
                 msg = msg.reshape(len(grp), -1, core.shape[2])
             elif right is None:
-                msg = _take(up[d - 1], left) @ folds[d, i]
+                msg = _take(up[d - 1], left) @ core
             else:
                 msg = _merge(core, _take(up[d - 1], left), _take(up[d - 1], right))
             blocks += _at_parents(msg, t.shape[0], bounds)
@@ -743,9 +748,9 @@ def tree_probes(model, toggled, nodes, weights, k: int, legs) -> np.ndarray:
         for i, (grp, _, _, closes, left, right, _, toggles) in enumerate(levels[d]):
             if i not in down[d] or not any(toggles):
                 continue
-            adjs = _descend(folds[d, i] if right is None else stacked[d][i],
-                            down[d][i] if closes else down[d].pop(i), _take(below, left),
-                            None if right is None else _take(below, right), toggles)
+            adjs = _descend(views[d][i][0], down[d][i] if closes else down[d].pop(i),
+                            _take(below, left), None if right is None else _take(below, right),
+                            toggles)
             for src, x in zip((left, right), adjs):
                 if x is not None:
                     _put(staged, below, src, x)
@@ -764,21 +769,21 @@ def tree_probes(model, toggled, nodes, weights, k: int, legs) -> np.ndarray:
         """One group's stacked messages by order, as one dict per block (a
         run of the group with one map) at the parents' points; its closed
         blocks go to ``closed``."""
-        core, g, p = stacked[d][i], len(grp), points[grp[0]].shape[0]
+        (core, flipped), g, p = views[d][i], len(grp), points[grp[0]].shape[0]
         if left is None:
             msg = {}
             if toggles:
                 on = ons[i][:, None]
                 msg[1] = np.repeat(on, p, axis=1).reshape(g, -1, 1, on.shape[3])
         elif right is None:
-            msg = {o: (x.reshape(g, -1, x.shape[3]) @ folds[d, i]).reshape(*x.shape[:3], -1)
+            msg = {o: (x.reshape(g, -1, x.shape[3]) @ core).reshape(*x.shape[:3], -1)
                    for o, x in _gather(below, left).items() if o}
         else:
             lchild, rchild = _gather(below, left), _gather(below, right)
             if pairs:
                 env = down[d][i].reshape(g, p, b, -1)
                 closed.extend(_toggle_close(core, lchild[a], rchild[c], env) for a, c in pairs)
-            msg = {o: _stack([_toggle_merge(core, flips.get((d, i)), lchild[a], rchild[c])
+            msg = {o: _stack([_toggle_merge(core, flipped, lchild[a], rchild[c])
                               for a, c in merges], axis=2)
                    for o, merges in ups}
         msg = {o: _at_parents(x, p, bounds) for o, x in msg.items()}
@@ -800,71 +805,63 @@ def tree_probes(model, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     return np.concatenate(closed, axis=1)[:, perm]
 
 
-def _tree_inputs(model, legs, k: int, key: bytes) -> tuple:
-    """``tree_probes``' inputs that depend on the ``model`` and the request
-    shape (``legs``, k, root nodes of bytes ``key``) alone: (schedule,
-    stacked, folds, flips). ``schedule`` is ``_tree_schedule``'s;
-    ``stacked[d][i]`` is level d's group i's cores, (G, p, q, r) by
-    ``_group_cores``; ``folds`` maps a folded group's (d, i) to its cores
-    with the pad-only right children's constant messages contracted,
-    (G, p, r); ``flips`` maps a group whose left stacks outgrow the right
-    ones in a merge to its cores as (G, q, p, r), which ``_toggle_merge``
-    reads. A stack of order o under a node with s toggleable leaves holds
-    all C(s, o) choices, so the legs give the widths.
-
-    Built, read-only, on the model's first request of the shape and kept
-    with the model for every later one, at most as many shapes as
-    ``_tree_schedule`` keeps, the oldest dropped first."""
-    request = (legs, k, key)
-    plan = model._plans.get(request)
-    if plan is not None:
-        return plan
-    schedule = _tree_schedule(legs, model.n, k, tuple(c.shape for c in model.cores), key)
-    levels, pads, _ = schedule
-    cores, L = model.cores, _tree_leaf_count(model.n)
+def _tree_layout(topology: TnTopology, cores) -> tuple:
+    """A tree model's ``cores`` held once, by level: (views, layout). Each
+    level's runs of consecutive nodes with one core shape, as ``_node_core``
+    gives it, are stacked into one read-only (G, ...) array, and ``views``
+    are the cores as views of them. ``layout`` is (starts, runs, flipped,
+    folds): each run's first node, in node order; the runs; an internal
+    run's cores as (G, q, p, r), which ``_toggle_merge`` reads when the left
+    stack is larger (None on a leaf run); and, by node, the (1, p, r) cores
+    of a node whose right subtree holds pads only, with that subtree's
+    constant message contracted (one node per level at most, as pads are
+    the last leaf slots). ``_group_views`` reads a level group from it."""
+    L, n = topology.leaf_count, topology.n
+    # a run starts at each level's first node and wherever the shape changes
+    starts = [v for v in range(1, 2 * L)
+              if v & (v - 1) == 0 or cores[v - 1].shape != cores[v - 2].shape]
+    runs, flipped, views = [], [], []
+    for lo, hi in zip(starts, [*starts[1:], 2 * L]):
+        run = np.array([_node_core(cores, 1)] if lo == 1 else cores[lo - 1 : hi - 1])
+        run.setflags(write=False)
+        runs.append(run)
+        views += [run[0, ..., 0]] if lo == 1 else list(run)
+        flipped.append(None if lo >= L else np.ascontiguousarray(run.transpose(0, 2, 1, 3)))
+        if lo < L:
+            flipped[-1].setflags(write=False)
     # node v of a subtree of pads only -> the constant (bond,) vector it sends up
     const = {}
-    for run in pads:
-        core = _group_cores(cores, run)
-        if run[0] >= L:
-            const.update(zip(run, core[:, 0]))
+    for lo, run in zip(starts[::-1], runs[::-1]):
+        depth = lo.bit_length() - 1
+        # a level's nodes past its first ceil(n / leaves under one) are pads
+        at = max(0, (1 << depth) + -(-n // (L >> depth)) - lo)
+        pads = range(lo + at, lo + len(run))
+        if not pads:
+            continue
+        if lo >= L:
+            const.update(zip(pads, run[at:, 0]))
         else:
-            const.update(zip(run, np.einsum("gp,gq,gpqr->gr", _stacked([const[2 * v] for v in run]),
-                                            _stacked([const[2 * v + 1] for v in run]), core)))
-
-    def inside(v):  # toggleable leaves below node v
-        lo, hi = _subtree_leaf_range(v, L)
-        return bisect.bisect_left(legs, hi) - bisect.bisect_left(legs, lo)
-
-    stacked = tuple(tuple(_group_cores(cores, grp[0]) for grp in level) for level in levels)
-    folds, flips = {}, {}
-    for d, level in enumerate(levels):
-        for i, (grp, _, ups, _, left, right, *_) in enumerate(level):
-            if left is None:
-                continue
-            if right is None:
-                folds[d, i] = np.einsum("gpqr,gq->gpr", stacked[d][i],
-                                        _stacked([const[2 * v + 1] for v in grp]))
-            elif any(math.comb(inside(2 * grp[0]), a) > math.comb(inside(2 * grp[0] + 1), c)
-                     for _, merges in ups for a, c in merges):
-                flips[d, i] = np.ascontiguousarray(stacked[d][i].transpose(0, 2, 1, 3))
-    for x in (*(c for level in stacked for c in level), *folds.values(), *flips.values()):
-        x.setflags(write=False)
-    plan = (schedule, stacked, folds, flips)
-    with model._plans_lock:
-        model._plans.pop(request, None)
-        while len(model._plans) >= _tree_schedule.cache_parameters()["maxsize"]:
-            del model._plans[next(iter(model._plans))]
-        model._plans[request] = plan
-    return plan
+            kids = [_stacked([const[2 * v + s] for v in pads]) for s in (0, 1)]
+            const.update(zip(pads, np.einsum("gp,gq,gpqr->gr", *kids, run[at:])))
+    folds = {}
+    for v in const:
+        if v % 2 and v - 1 not in const:  # a right child of pads only with a real sibling
+            fold = np.einsum("gpqr,gq->gpr", views[v // 2 - 1][None], const[v][None])
+            fold.setflags(write=False)
+            folds[v // 2] = fold
+    return views, (starts, runs, flipped, folds)
 
 
-def _group_cores(cores, grp) -> np.ndarray:
-    """The cores of the consecutive nodes ``grp`` (a range) stacked along a
-    leading group axis, as ``_node_core`` gives them; one core is a view."""
-    if len(grp) == 1:
-        return _node_core(cores, grp[0])[None]
-    return np.array(cores[grp.start - 1 : grp.stop - 1])
+def _group_views(layout, grp) -> tuple:
+    """The level group ``grp``'s (cores, flipped) from a model's
+    ``_tree_layout``: views of the run that holds its nodes, with the fold in
+    place of the cores where the group is a folded node, and flipped None on
+    leaves."""
+    starts, runs, flipped, folds = layout
+    j = bisect.bisect_right(starts, grp.start) - 1
+    at = slice(grp.start - starts[j], grp.stop - starts[j])
+    fold, flip = folds.get(grp.start), flipped[j]
+    return (runs[j][at] if fold is None else fold), (None if flip is None else flip[at])
 
 
 def _stacked(arrays) -> np.ndarray:
@@ -890,7 +887,13 @@ def _descend(core, env, left, right, need) -> list:
     core and no right messages. The adjoint goes into the core first, one
     GEMM for both children, and is dropped there, so an ``env`` handed over
     is freed before the children's adjoints are built; at r = 1 (the root)
-    each child's adjoint is one GEMV instead."""
+    each child's adjoint is one GEMV instead. Against the GEMM path at the
+    root too (one pinned core, one BLAS thread, 40 alternations), the GEMVs
+    ran a 48-row k = 1 batch on btree n = 30, r16 in 3.59 ms against 4.64
+    (faster in 36 of 40), the same batch at k = 2 in 18.4 against 19.1 ms
+    (35 of 40), and one k = 1 instance on btree n = 2000, r8 in 14.4
+    against 15.1 ms (26 of 40); one k = 3 instance on btree n = 24, r16
+    tied (1.56 against 1.54 ms, 25 of 40)."""
     if right is None:
         return [env @ core.transpose(0, 2, 1), None]
     g, rows, r = env.shape
@@ -966,8 +969,7 @@ def _toggle_merge(core, flipped, left, right) -> np.ndarray:
     (G, p, q, r) stacked ``core`` into (G, N, a * c, r), left choices major.
     The smaller stack goes through the core GEMM, so the 5-D intermediate
     stays small; a larger left stack reads ``flipped``, the core as
-    (G, q, p, r), which ``_tree_inputs`` builds once per model and request
-    shape."""
+    (G, q, p, r), which a tree model's ``_tree_layout`` holds."""
     g, rows, a, p = left.shape
     c, q = right.shape[2:]
     r = core.shape[3]
@@ -1003,14 +1005,15 @@ def _toggle_close(core, left, right, env) -> np.ndarray:
 
 # bounded: an explicit subset list adds one entry per distinct leg set
 @functools.lru_cache(maxsize=64)
-def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
-    """``tree_probes``' passes over the k-subsets of ``legs`` on a tree over
-    n features with core ``shapes``, at the point sets of
-    ``_tree_plan(n, key)``: (levels, pads, perm).
+def _tree_schedule(legs, topology: TnTopology, k: int, key: bytes) -> tuple:
+    """``tree_probes``' passes over the k-subsets of ``legs`` on a tree of
+    ``topology``, at the point sets of ``_tree_plan(topology.n, key)``:
+    (levels, perm).
 
     ``levels`` lists the tree's levels, leaves first, each as a tuple of
     groups (nodes, keep, ups, closes, left, right, blocks, toggles). A group
-    is a run of nodes with points on one level that share a core shape, a
+    is a run of nodes with points on one level that share a core shape (so
+    it is a slice of one run of the model's ``_tree_layout``), a
     point set, being folded or not, their stacks' (order, choices) and their
     children's, whether k of the legs lie below them, and these entries.
     ``toggles`` is, on a leaf, whether it is one of the legs (it closes at
@@ -1031,13 +1034,11 @@ def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
     A run is cut where the widest temporary per instance of its nodes' steps
     in any pass (``_step_width``), summed over the group, would pass the
     widest of any one node, so a group builds no array wider than one node
-    of the request does; one rule for every order. ``pads`` lists the
-    runs of a level's nodes with no real leaf below them that share a core
-    shape, leaves first. ``perm`` takes the
+    of the request does; one rule for every order. ``perm`` takes the
     closing order (groups in turn, each close pair over the group's nodes)
     to lexicographic order: it sorts the leg-index rows built from the same
     pairs."""
-    L = _tree_leaf_count(n)
+    n, L, shapes = topology.n, topology.leaf_count, topology.core_shapes()
     points, maps, _ = _tree_plan(n, key)
     toggleable = set(legs)
     inside, closes = [0] * (2 * L), [()] * (2 * L)
@@ -1079,16 +1080,13 @@ def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
         width[v] = _step_width(shape(v), points[v].shape[0], maps[v], kids, ups, closes[v],
                                folded, toggles)
     widest = max(width)
-    levels, pads, where = [], [], {}
+    levels, where = [], {}
     for depth in range(L.bit_length() - 1, -1, -1):
         runs = []  # [first node, count, summed width]
         for v in range(1 << depth, 2 << depth):
             if entry[v] is None:
-                if pads and pads[-1].stop == v and shape(v) == shape(pads[-1].start):
-                    pads[-1] = range(pads[-1].start, v + 1)
-                else:
-                    pads.append(range(v, v + 1))
-            elif (runs and runs[-1][0] + runs[-1][1] == v and entry[runs[-1][0]] == entry[v]
+                continue
+            if (runs and runs[-1][0] + runs[-1][1] == v and entry[runs[-1][0]] == entry[v]
                     and runs[-1][2] + width[v] <= widest):
                 runs[-1][1] += 1
                 runs[-1][2] += width[v]
@@ -1112,7 +1110,7 @@ def _tree_schedule(legs, n: int, k: int, shapes, key: bytes) -> tuple:
     perm = np.lexsort(np.concatenate(closed).T[::-1]) if closed else None
     if perm is not None:
         perm.setflags(write=False)
-    return tuple(levels), tuple(pads), perm
+    return tuple(levels), perm
 
 
 def _widths(labels) -> tuple:

@@ -1364,16 +1364,14 @@ class TestTreePoints:
         model, lifts = _random_model("btree", n, 3, seed=n + k + 3)
         x = rng.uniform(-1, 1, n)
         subsets = sorted({tuple(sorted(rng.choice(n, k, replace=False) + 1)) for _ in range(5)})
-        key = (tuple(range(n)), n, k, tuple(c.shape for c in model.cores),
-               tensor_net._plan_key(chebyshev_nodes(n - k + 1)))
-        levels, _, perm = tensor_net._tree_schedule(*key)
+        key = (tuple(range(n)), model.topology, k, tensor_net._plan_key(chebyshev_nodes(n - k + 1)))
+        levels, perm = tensor_net._tree_schedule(*key)
         want = [explain(model, lifts, x, k), explain(model, lifts, x, k, subsets=subsets)]
-        model, lifts = _random_model("btree", n, 3, seed=n + k + 3)  # no plan of the old schedule
         tensor_net._tree_schedule.cache_clear()
         monkeypatch.setattr(tensor_net, "sorted", lambda xs: sorted(xs, reverse=True),
                             raising=False)
         try:
-            got_levels, _, got_perm = tensor_net._tree_schedule(*key)
+            got_levels, got_perm = tensor_net._tree_schedule(*key)
             got = [explain(model, lifts, x, k), explain(model, lifts, x, k, subsets=subsets)]
         finally:
             tensor_net._tree_schedule.cache_clear()
@@ -1427,8 +1425,7 @@ class TestTreePoints:
         xs = rng.uniform(-1, 1, (b, n))
         m = n - k + 1
         nodes, weights = chebyshev_nodes(m), quadrature_weights(m)
-        levels = tensor_net._tree_schedule(tuple(range(n)), n, k,
-                                           tuple(c.shape for c in model.cores),
+        levels = tensor_net._tree_schedule(tuple(range(n)), model.topology, k,
                                            tensor_net._plan_key(nodes))[0]
         assert len(levels[0]) > 1 and len(levels[1]) > 1
         values, _ = attribute._probe_values(model, lifts.lift_rows(xs), nodes, weights, k,
@@ -1460,19 +1457,18 @@ class TestTreePoints:
     def test_order0_passes_call_once_per_group(self, rng, monkeypatch):
         """On btree n = 24, r16, k = 3 (the triples-k3 shape) the order-0 up
         pass makes one contraction per group, the down pass one per group
-        and one map per block. A model's first request stacks each group's
-        cores once, not once per merge or close pair, and its second stacks
-        none."""
+        and one map per block. A request reads each group's cores once, as
+        read-only views of the model's layout, and stacks no core."""
         tensor_net = attribute.tensor_net
         model, lifts = _random_model("btree", 24, 16, seed=1)
         x = rng.uniform(-1, 1, 24)
         want = explain(model, lifts, x, 3).values
-        model, lifts = _random_model("btree", 24, 16, seed=1)  # the same cores, no plan yet
         nodes = chebyshev_nodes(22)
-        levels, pads, _ = tensor_net._tree_schedule(tuple(range(24)), 24, 3,
-                                                    tuple(c.shape for c in model.cores),
-                                                    tensor_net._plan_key(nodes))
-        calls = {"_merge": 0, "_descend": 0, "adjoint": 0, "_group_cores": 0, "restacked": 0}
+        levels, _ = tensor_net._tree_schedule(tuple(range(24)), model.topology, 3,
+                                              tensor_net._plan_key(nodes))
+        calls = {"_merge": 0, "_descend": 0, "adjoint": 0, "_group_views": 0, "foreign": 0,
+                 "restacked": 0}
+        held = TestTreeInputs._layout_arrays(model)
 
         def counted(name, original):
             def wrapper(*args):
@@ -1480,15 +1476,23 @@ class TestTreePoints:
                 return original(*args)
             return wrapper
 
+        def views(layout, grp):
+            got = original_views(layout, grp)
+            calls["_group_views"] += 1
+            calls["foreign"] += not all(x is None or (not x.flags.writeable and any(
+                np.shares_memory(x, h) for h in held)) for x in got)
+            return got
+
         def stacked(arrays):
-            calls["restacked"] += any(arrays[0] is c or arrays[0].base is c for c in model.cores)
+            calls["restacked"] += any(np.shares_memory(arrays[0], h) for h in held)
             return original_stacked(arrays)
 
-        original_stacked = tensor_net._stacked
-        for name in ("_merge", "_descend", "_group_cores"):
+        original_views, original_stacked = tensor_net._group_views, tensor_net._stacked
+        for name in ("_merge", "_descend"):
             monkeypatch.setattr(tensor_net, name, counted(name, getattr(tensor_net, name)))
         monkeypatch.setattr(tensor_net._Interpolation, "adjoint",
                             counted("adjoint", tensor_net._Interpolation.adjoint))
+        monkeypatch.setattr(tensor_net, "_group_views", views)
         monkeypatch.setattr(tensor_net, "_stacked", stacked)
         assert np.array_equal(explain(model, lifts, x, 3).values, want)
         groups = [grp for level in levels for grp in level]
@@ -1502,13 +1506,8 @@ class TestTreePoints:
         assert calls["_merge"] == len(merging) - 1  # the root sends no message
         assert calls["_descend"] == len(descending) < 10
         assert calls["adjoint"] == len(mapped)
-        assert calls["_group_cores"] == len(groups) + len(pads)
-        pairs = sum(len(merges) for grp in groups for _, merges in grp[2]) + sum(
-            len(grp[3]) for grp in groups)
-        assert calls["_group_cores"] < pairs and calls["restacked"] == 0
-        calls["_group_cores"] = 0
-        assert np.array_equal(explain(model, lifts, x, 3).values, want)
-        assert calls["_group_cores"] == calls["restacked"] == 0
+        assert calls["_group_views"] == len(groups)
+        assert calls["foreign"] == calls["restacked"] == 0
 
     def test_order1_passes_call_once_per_group(self, rng, monkeypatch):
         """On btree n = 30, r16, k = 1 (bulk-k1's shape), one instance, the
@@ -1518,9 +1517,8 @@ class TestTreePoints:
         tensor_net = attribute.tensor_net
         model, lifts = _random_model("btree", 30, 16, seed=1)
         x = rng.uniform(-1, 1, 30)
-        levels, _, _ = tensor_net._tree_schedule(tuple(range(30)), 30, 1,
-                                                 tuple(c.shape for c in model.cores),
-                                                 tensor_net._plan_key(chebyshev_nodes(30)))
+        levels, _ = tensor_net._tree_schedule(tuple(range(30)), model.topology, 1,
+                                              tensor_net._plan_key(chebyshev_nodes(30)))
         calls = {"_merge": 0, "_descend": 0}
 
         def counted(name, original):
@@ -1558,10 +1556,8 @@ class TestTreePoints:
         tensor_net._tree_schedule.cache_clear()
         monkeypatch.setattr(tensor_net, "_step_width", alone)
         try:
-            model, lifts = _random_model("btree", n, 8, seed=n)  # no plan yet
             key = tensor_net._plan_key(chebyshev_nodes(n))
-            levels, _, _ = tensor_net._tree_schedule(tuple(range(n)), n, 1,
-                                                     tuple(c.shape for c in model.cores), key)
+            levels, _ = tensor_net._tree_schedule(tuple(range(n)), model.topology, 1, key)
             assert all(len(g[0]) == 1 for level in levels[1:] for g in level)
             single = np.array([r.values for r in explain_batch(model, lifts, xs, 1)])
         finally:  # no later test may read a schedule cut this way
@@ -1598,8 +1594,7 @@ class TestTreePoints:
         tensor_net = attribute.tensor_net
         model, _ = _random_model("btree", n, 8, seed=n)
         key = tensor_net._plan_key(chebyshev_nodes(n - k + 1))
-        levels, _, _ = tensor_net._tree_schedule(tuple(range(n)), n, k,
-                                                 tuple(c.shape for c in model.cores), key)
+        levels, _ = tensor_net._tree_schedule(tuple(range(n)), model.topology, k, key)
         points, maps, _ = tensor_net._tree_plan(n, key)
         L = model.topology.leaf_count
         stacks = {}  # node -> {order: choices}; pads keep order 0 only
@@ -1715,39 +1710,97 @@ class TestTreePoints:
 
 
 class TestTreeInputs:
-    """A tree model keeps what ``tree_probes`` derives from its cores alone
-    (each level group's stacked cores, the pad-only subtrees folded into
-    their parents' cores, the flipped cores) per request shape: its first
-    request builds them, later ones reuse them, and they go with the model.
-    A request lifts each distinct map once and toggles its own rows in
-    place."""
+    """A tree model holds its cores once, by level (``_tree_layout``): each
+    level's runs of same-shape nodes stacked, the internal runs flipped,
+    the pad-only subtrees folded into their parents' cores. It builds them
+    once, with the model; a request reads them as views, keeps nothing of
+    its own, and they go with the model. A request lifts each distinct map
+    once and toggles its own rows in place."""
 
     @staticmethod
-    def _plan_arrays(model):
-        return [a for _, stacked, folds, flips in model._plans.values()
-                for a in (*(c for level in stacked for c in level), *folds.values(),
-                          *flips.values())]
+    def _layout_arrays(model):
+        _, runs, flipped, folds = model._layout
+        return [*runs, *(f for f in flipped if f is not None), *folds.values()]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_second_request_stacks_no_cores(self, rng, monkeypatch, k):
+        """Every request, the first included, reads each group's cores as
+        read-only views of the layout and builds no layout; a second request
+        repeats the first bitwise."""
         tensor_net = attribute.tensor_net
         model, lifts = _random_model("btree", 24, 4, seed=k)
         xs = rng.uniform(-1, 1, (3, 24))
         subsets = [tuple(range(1, k + 1)), tuple(range(25 - k, 25))]
+        held, read = self._layout_arrays(model), []
 
         def requests():
             return [r.values for r in (*explain_batch(model, lifts, xs, k),
                                        *explain_batch(model, lifts, xs, k, subsets=subsets))]
 
+        def refuse(*args):
+            raise AssertionError("a request built a layout")
+
+        def views(*args):
+            got = original(*args)
+            read.extend(x for x in got if x is not None)
+            return got
+
+        original = tensor_net._group_views
+        monkeypatch.setattr(tensor_net, "_group_views", views)
+        monkeypatch.setattr(tensor_net, "_tree_layout", refuse)
         first = requests()
-        calls = []
-        original = tensor_net._group_cores
-        monkeypatch.setattr(tensor_net, "_group_cores", lambda *a: calls.append(a) or original(*a))
         again = requests()
-        assert calls == []
+        assert read and all(not x.flags.writeable and any(np.shares_memory(x, h) for h in held)
+                            for x in read)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
-    def test_models_of_one_topology_keep_their_own_plans(self, rng):
+    @pytest.mark.parametrize("name", ["btree-1", "btree-2", "btree-5", "btree-24", "mixed-33",
+                                      "uneven-8"])
+    def test_cores_are_views_of_level_runs(self, name):
+        """Each core is a read-only view of the run that stacks its level's
+        consecutive same-shape nodes; every level group of a request is a
+        slice of one run, equal to its nodes' cores stacked. Two models of
+        one topology share no array."""
+        tensor_net = attribute.tensor_net
+        kind, n = name.split("-")
+        n = int(n)
+
+        def build(seed):
+            if kind == "btree":
+                return _random_model("btree", n, 3, seed=seed)
+            return TestTreePoints._uneven_model(name)
+
+        model, _ = build(1)
+        starts, runs, flipped, folds = model._layout
+        L = model.topology.leaf_count
+        assert starts == sorted(starts) and starts[0] == 1
+        for lo, run, flip in zip(starts, runs, flipped):
+            nodes = range(lo, lo + len(run))
+            assert len({v.bit_length() for v in nodes}) == 1  # one level
+            for v in nodes:
+                core = model.cores[v - 1]
+                assert not core.flags.writeable and np.shares_memory(core, run)
+                assert np.array_equal(tensor_net._node_core(model.cores, v), run[v - lo])
+            assert (flip is None) == (lo >= L)
+            if flip is not None:
+                assert np.array_equal(flip, run.transpose(0, 2, 1, 3))
+        assert sum(len(run) for run in runs) == len(model.cores)
+        for k in range(1, min(n, 3) + 1):
+            levels, _ = tensor_net._tree_schedule(tuple(range(n)), model.topology, k,
+                                                  tensor_net._plan_key(chebyshev_nodes(n - k + 1)))
+            for grp, *_ in (g for level in levels for g in level):
+                core, _ = tensor_net._group_views(model._layout, grp)
+                if grp.start in folds:
+                    assert core is folds[grp.start] and len(grp) == 1
+                else:
+                    assert np.array_equal(
+                        core, np.array([tensor_net._node_core(model.cores, v) for v in grp]))
+        other, _ = _random_model("btree", n, 3, seed=2) if kind == "btree" else build(1)
+        assert other.topology == model.topology
+        assert not any(np.shares_memory(a, b) for a in self._layout_arrays(model)
+                       for b in self._layout_arrays(other))
+
+    def test_models_of_one_topology_keep_their_own_layouts(self, rng):
         one, lifts = _random_model("btree", 11, 3, seed=1)
         two, _ = _random_model("btree", 11, 3, seed=2)
         assert one.topology == two.topology
@@ -1757,39 +1810,57 @@ class TestTreeInputs:
         for model in (one, two, one, two):
             _assert_close(explain(model, lifts, x, 2).values,
                           _flat_indices(model, lifts, x, subsets, nodes, weights))
-        assert not any(np.shares_memory(a, b) for a in self._plan_arrays(one)
-                       for b in self._plan_arrays(two))
+        assert not any(np.shares_memory(a, b) for a in self._layout_arrays(one)
+                       for b in self._layout_arrays(two))
 
-    def test_plan_goes_with_its_model(self, rng):
+    def test_layout_goes_with_its_model(self, rng):
         import gc
         import weakref
 
         model, lifts = _random_model("btree", 24, 4, seed=3)
         explain(model, lifts, rng.uniform(-1, 1, 24), 2)
-        assert model._plans
+        assert self._layout_arrays(model)
         ref = weakref.ref(model)
         del model
         gc.collect()
         assert ref() is None
 
-    def test_plan_arrays_read_only(self, rng):
-        """btree n = 24, k = 3 has folded groups (node 3's right child holds
-        pads only) and flipped ones (the root's left stacks outgrow its
-        right ones)."""
-        model, lifts = _random_model("btree", 24, 4, seed=4)
-        explain(model, lifts, rng.uniform(-1, 1, 24), 3)
-        ((_, _, folds, flips),) = model._plans.values()
-        assert folds and flips
-        assert not any(a.flags.writeable for a in self._plan_arrays(model))
+    def test_layout_arrays_read_only(self):
+        """btree n = 24 has a folded node (node 3's right child holds pads
+        only) and flipped internal runs."""
+        model, _ = _random_model("btree", 24, 4, seed=4)
+        _, _, flipped, folds = model._layout
+        assert list(folds) == [3] and any(f is not None for f in flipped)
+        assert not any(a.flags.writeable for a in self._layout_arrays(model))
 
-    def test_plans_bounded_like_the_schedule_cache(self, rng):
-        model, lifts = _random_model("btree", 9, 2, seed=5)
-        x = rng.uniform(-1, 1, 9)
-        bound = attribute.tensor_net._tree_schedule.cache_parameters()["maxsize"]
-        # each list toggles its own three legs: one request shape apiece
-        for features in itertools.islice(itertools.combinations(range(1, 10), 3), bound + 6):
-            explain(model, lifts, x, 1, subsets=[(i,) for i in features])
-        assert len(model._plans) == bound
+    def test_one_leg_lists_leave_little_memory(self, rng):
+        """btree n = 2000, r8, k = 1: after one all-subsets request, 64
+        one-leg lists, each a request shape of its own, leave under 10 MB
+        traced: no request keeps a copy of the cores (2.6 MB here). Their
+        schedules are built first, untraced (one takes about 70 ms, and
+        ten times that under tracing); each request finds its own, cached
+        under the model's topology."""
+        import tracemalloc
+
+        tensor_net = attribute.tensor_net
+        n = 2000
+        model, lifts = _random_model("btree", n, 8, seed=3)
+        x = rng.uniform(-1, 1, n)
+        explain(model, lifts, x, 1)
+        features = range(31, 31 * 65, 31)
+        key = tensor_net._plan_key(chebyshev_nodes(n))
+        for i in features:
+            tensor_net._tree_schedule((i - 1,), model.topology, 1, key)
+        hits = tensor_net._tree_schedule.cache_info().hits
+        tracemalloc.start()
+        try:
+            for i in features:
+                explain(model, lifts, x, 1, subsets=[(i,)])
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert tensor_net._tree_schedule.cache_info().hits == hits + 64
+        assert traced < 10 * 2**20
 
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     def test_requests_call_no_signed_toggle(self, rng, monkeypatch, kind):
