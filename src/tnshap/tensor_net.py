@@ -22,7 +22,8 @@ of a train at all m quadrature nodes; ``tree_probes`` runs a node with s
 real leaves below it at only s + 1 points (its section comment gives the
 cost), and runs each of its passes over the same-shape nodes of a tree level
 in one batched call, on views of the cores that a tree model stacks by
-level when it is built (``_tree_layout``); ``probe_entries`` counts the
+level when it is built (``_tree_layout``), and merges two children's
+messages at every order with one primitive; ``probe_entries`` counts the
 float64 state one instance adds to either sweep. The integers of a
 topology, a lift, an order and a fit config pass one rule, ``as_int``.
 """
@@ -229,9 +230,9 @@ class TensorNetworkModel:
 
     The cores are kept read-only. A tree model holds them once, by level
     (``_tree_layout``): each level's runs of same-shape nodes are stacked,
-    its ``cores`` are views of those stacks, and it keeps with them what
-    ``tree_probes`` derives from the cores alone, so no request stacks,
-    folds or flips a core.
+    its ``cores`` are views of those stacks, and it keeps with them the
+    folded cores of the nodes above pad-only subtrees, so no request
+    stacks or folds a core.
     """
 
     def __init__(self, topology: TnTopology, cores) -> None:
@@ -487,13 +488,14 @@ def _stack(blocks, axis=1):
 # temporaries would outgrow the widest one node builds; the node that
 # straddles the pads, a folded node and the root run alone). A group is a
 # slice of one of the runs of same-shape level nodes that a tree model
-# stacks once, when it is built (``_tree_layout``), so its cores are a view,
-# and its messages, adjoints and stacks carry a leading group axis, so each
-# step, merge, close and interpolation is one batched call for all its
-# nodes, at every order. A node costs its point count times chi^3 per
-# stacked row, about sum_v (s_v + 1) chi^3 per instance at k = 1, plus the
-# maps: one GEMM each up to ``BLOCK_ENTRIES`` entries, else two real FFTs per
-# column.
+# stacks once, when it is built (``_tree_layout``), so its cores are a view
+# of the cores as the model holds them, and its messages, adjoints and
+# stacks carry a leading group axis, so each step, merge, close and
+# interpolation is one batched call for all its nodes, at every order; one
+# merge (``_toggle_merge``) serves the order-0 messages and the stacks. A
+# node costs its point count times chi^3 per stacked row, about
+# sum_v (s_v + 1) chi^3 per instance at k = 1, plus the maps: one GEMM each
+# up to ``BLOCK_ENTRIES`` entries, else two real FFTs per column.
 
 
 def chebyshev_nodes(m: int) -> np.ndarray:
@@ -694,12 +696,13 @@ def tree_probes(model, toggled, nodes, weights, k: int, legs) -> np.ndarray:
 
     Every pass runs once per level group of ``_tree_schedule`` (same-shape
     nodes of a level). The group's cores, stacked as a (G, p, q, r) array
-    that its up step, down step, merges and closes all read, and their
-    flipped copy are views of the model's ``_tree_layout`` (``_group_views``),
-    so a request stacks no core. Messages are point-major: a group's order-0
-    up messages and adjoints are (G, points * B, bond) arrays, its order-o
-    stacks (G, points * B, C(toggleable leaves under a node, o), bond)
-    arrays, so one GEMM takes a block of them to another point set. Which
+    that its up step, down step, merges and closes all read, are a view of
+    the model's ``_tree_layout`` (``_group_views``), so a request stacks no
+    core; one merge, ``_toggle_merge``, runs every up step at every order.
+    Messages are point-major: a group's order-0 up messages and adjoints
+    are (G, points * B, bond) arrays, its order-o stacks
+    (G, points * B, C(toggleable leaves under a node, o), bond) arrays, so
+    one GEMM takes a block of them to another point set. Which
     orders a group keeps, merges and closes, where the adjoint descends,
     and the permutation to lexicographic order, come from the schedule;
     this pass only runs it. A subtree of pads only sends a constant (bond,)
@@ -712,25 +715,26 @@ def tree_probes(model, toggled, nodes, weights, k: int, legs) -> np.ndarray:
     key = _plan_key(nodes)
     points = _tree_plan(model.n, key)[0]
     levels, perm = _tree_schedule(legs, model.topology, k, key)
-    # each group's (cores, flipped cores), views of the model's layout
+    # each group's cores, views of the model's layout
     views = [[_group_views(model._layout, grp[0]) for grp in level] for level in levels]
     # each leaf group's toggled leaf messages, (G, B, bond)
     ons = [_stacked([toggled[v - L] for v in grp[0]]) @ core
-           for grp, (core, _) in zip(levels[0], views[0])]
+           for grp, core in zip(levels[0], views[0])]
     # up[d][j]: block j of level d's order-0 up messages at the parents'
     # points, (G, points * B, bond); the root sends none
     up = []
     for d, level in enumerate(levels[:-1]):
         blocks = []
         for i, (grp, _, _, _, left, right, bounds, _) in enumerate(level):
-            core, t = views[d][i][0], points[grp[0]]
+            core, t = views[d][i], points[grp[0]]
             if left is None:
                 msg = core[:, -1, None, None] + t * ons[i][:, None]
                 msg = msg.reshape(len(grp), -1, core.shape[2])
             elif right is None:
                 msg = _take(up[d - 1], left) @ core
             else:
-                msg = _merge(core, _take(up[d - 1], left), _take(up[d - 1], right))
+                msg = _toggle_merge(core, _take(up[d - 1], left)[:, :, None],
+                                    _take(up[d - 1], right)[:, :, None])[:, :, 0]
             blocks += _at_parents(msg, t.shape[0], bounds)
             del msg  # freed before the next group's arrays are built
         up.append(blocks)
@@ -748,7 +752,7 @@ def tree_probes(model, toggled, nodes, weights, k: int, legs) -> np.ndarray:
         for i, (grp, _, _, closes, left, right, _, toggles) in enumerate(levels[d]):
             if i not in down[d] or not any(toggles):
                 continue
-            adjs = _descend(views[d][i][0], down[d][i] if closes else down[d].pop(i),
+            adjs = _descend(views[d][i], down[d][i] if closes else down[d].pop(i),
                             _take(below, left), None if right is None else _take(below, right),
                             toggles)
             for src, x in zip((left, right), adjs):
@@ -769,7 +773,7 @@ def tree_probes(model, toggled, nodes, weights, k: int, legs) -> np.ndarray:
         """One group's stacked messages by order, as one dict per block (a
         run of the group with one map) at the parents' points; its closed
         blocks go to ``closed``."""
-        (core, flipped), g, p = views[d][i], len(grp), points[grp[0]].shape[0]
+        core, g, p = views[d][i], len(grp), points[grp[0]].shape[0]
         if left is None:
             msg = {}
             if toggles:
@@ -783,7 +787,7 @@ def tree_probes(model, toggled, nodes, weights, k: int, legs) -> np.ndarray:
             if pairs:
                 env = down[d][i].reshape(g, p, b, -1)
                 closed.extend(_toggle_close(core, lchild[a], rchild[c], env) for a, c in pairs)
-            msg = {o: _stack([_toggle_merge(core, flipped, lchild[a], rchild[c])
+            msg = {o: _stack([_toggle_merge(core, lchild[a], rchild[c])
                               for a, c in merges], axis=2)
                    for o, merges in ups}
         msg = {o: _at_parents(x, p, bounds) for o, x in msg.items()}
@@ -809,26 +813,22 @@ def _tree_layout(topology: TnTopology, cores) -> tuple:
     """A tree model's ``cores`` held once, by level: (views, layout). Each
     level's runs of consecutive nodes with one core shape, as ``_node_core``
     gives it, are stacked into one read-only (G, ...) array, and ``views``
-    are the cores as views of them. ``layout`` is (starts, runs, flipped,
-    folds): each run's first node, in node order; the runs; an internal
-    run's cores as (G, q, p, r), which ``_toggle_merge`` reads when the left
-    stack is larger (None on a leaf run); and, by node, the (1, p, r) cores
-    of a node whose right subtree holds pads only, with that subtree's
-    constant message contracted (one node per level at most, as pads are
-    the last leaf slots). ``_group_views`` reads a level group from it."""
+    are the cores as views of them. ``layout`` is (starts, runs, folds):
+    each run's first node, in node order; the runs; and, by node, the
+    (1, p, r) cores of a node whose right subtree holds pads only, with that
+    subtree's constant message contracted (one node per level at most, as
+    pads are the last leaf slots). ``_group_views`` reads a level group from
+    it."""
     L, n = topology.leaf_count, topology.n
     # a run starts at each level's first node and wherever the shape changes
     starts = [v for v in range(1, 2 * L)
               if v & (v - 1) == 0 or cores[v - 1].shape != cores[v - 2].shape]
-    runs, flipped, views = [], [], []
+    runs, views = [], []
     for lo, hi in zip(starts, [*starts[1:], 2 * L]):
         run = np.array([_node_core(cores, 1)] if lo == 1 else cores[lo - 1 : hi - 1])
         run.setflags(write=False)
         runs.append(run)
         views += [run[0, ..., 0]] if lo == 1 else list(run)
-        flipped.append(None if lo >= L else np.ascontiguousarray(run.transpose(0, 2, 1, 3)))
-        if lo < L:
-            flipped[-1].setflags(write=False)
     # node v of a subtree of pads only -> the constant (bond,) vector it sends up
     const = {}
     for lo, run in zip(starts[::-1], runs[::-1]):
@@ -849,34 +849,22 @@ def _tree_layout(topology: TnTopology, cores) -> tuple:
             fold = np.einsum("gpqr,gq->gpr", views[v // 2 - 1][None], const[v][None])
             fold.setflags(write=False)
             folds[v // 2] = fold
-    return views, (starts, runs, flipped, folds)
+    return views, (starts, runs, folds)
 
 
-def _group_views(layout, grp) -> tuple:
-    """The level group ``grp``'s (cores, flipped) from a model's
-    ``_tree_layout``: views of the run that holds its nodes, with the fold in
-    place of the cores where the group is a folded node, and flipped None on
-    leaves."""
-    starts, runs, flipped, folds = layout
+def _group_views(layout, grp) -> np.ndarray:
+    """The level group ``grp``'s stacked cores from a model's
+    ``_tree_layout``: a view of the run that holds its nodes, or the fold
+    where the group is a folded node."""
+    starts, runs, folds = layout
     j = bisect.bisect_right(starts, grp.start) - 1
-    at = slice(grp.start - starts[j], grp.stop - starts[j])
-    fold, flip = folds.get(grp.start), flipped[j]
-    return (runs[j][at] if fold is None else fold), (None if flip is None else flip[at])
+    fold = folds.get(grp.start)
+    return runs[j][grp.start - starts[j] : grp.stop - starts[j]] if fold is None else fold
 
 
 def _stacked(arrays) -> np.ndarray:
     """Same-shape arrays along a new leading group axis; one array is a view."""
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
-def _merge(core, left, right) -> np.ndarray:
-    """Contract row-aligned (G, N, p) and (G, N, q) messages through the
-    (G, p, q, r) stacked ``core`` into (G, N, r): the order-0 up step,
-    ``_toggle_merge`` with one choice on each side less its 5-D reshapes."""
-    g, rows, p = left.shape
-    q, r = core.shape[2:]
-    tmp = (left @ core.reshape(g, p, q * r)).reshape(g, rows, q, r)
-    return (right[:, :, None] @ tmp)[:, :, 0]
 
 
 def _descend(core, env, left, right, need) -> list:
@@ -964,22 +952,21 @@ def _at_children(staged, bounds) -> np.ndarray:
                    .reshape(hi - lo, -1, staged[j].shape[2]) for lo, hi, j, to in bounds], axis=0)
 
 
-def _toggle_merge(core, flipped, left, right) -> np.ndarray:
+def _toggle_merge(core, left, right) -> np.ndarray:
     """Contract row-aligned stacks (G, N, a, p) and (G, N, c, q) through the
     (G, p, q, r) stacked ``core`` into (G, N, a * c, r), left choices major.
-    The smaller stack goes through the core GEMM, so the 5-D intermediate
-    stays small; a larger left stack reads ``flipped``, the core as
-    (G, q, p, r), which a tree model's ``_tree_layout`` holds."""
+    The smaller stack goes through the core first, so the 5-D intermediate
+    stays small: the left one in one GEMM, the right one broadcast over p,
+    which leaves a (G, N, p, c * r) view the left stack reads in place. At
+    a = c = 1 this is the order-0 up step."""
     g, rows, a, p = left.shape
     c, q = right.shape[2:]
     r = core.shape[3]
     if a <= c:
         tmp = (left.reshape(g, rows * a, p) @ core.reshape(g, p, q * r)).reshape(g, rows, a, q, r)
-        out = tmp.transpose(0, 1, 2, 4, 3).reshape(g, rows, a * r, q) @ right.transpose(0, 1, 3, 2)
-        return out.reshape(g, rows, a, r, c).transpose(0, 1, 2, 4, 3).reshape(g, rows, a * c, r)
-    tmp = (right.reshape(g, rows * c, q) @ flipped.reshape(g, q, p * r)).reshape(g, rows, c, p, r)
-    tmp = tmp.transpose(0, 1, 3, 2, 4).reshape(g, rows, p, c * r)
-    return (left @ tmp).reshape(g, rows, a * c, r)
+        return (right[:, :, None] @ tmp).reshape(g, rows, a * c, r)
+    tmp = (right.reshape(g, 1, rows * c, q) @ core).reshape(g, p, rows, c * r)
+    return (left @ tmp.transpose(0, 2, 1, 3)).reshape(g, rows, a * c, r)
 
 
 def _toggle_close(core, left, right, env) -> np.ndarray:
@@ -1207,12 +1194,13 @@ def materialize_full(model: TensorNetworkModel, limit: int = DEFAULT_MATERIALIZE
 
 def _tree_materialize(topo: TnTopology, cores, v: int) -> np.ndarray:
     """Dense (prod real dims under v, bond) matrix for node ``v``'s subtree;
-    the root's bond is 1. Children merge as one-row stacks."""
+    the root's bond is 1. Children merge as one-row stacks; the root closes
+    them against a unit adjoint, as in ``tree_probes``."""
     if v >= topo.leaf_count:
         return _node_core(cores, v)
-    ml = _tree_materialize(topo, cores, 2 * v)
-    mr = _tree_materialize(topo, cores, 2 * v + 1)
-    core = _node_core(cores, v)
-    merged = _toggle_merge(core[None], core.transpose(1, 0, 2)[None], ml[None, None],
-                           mr[None, None])
-    return merged.reshape(ml.shape[0] * mr.shape[0], -1)
+    ml = _tree_materialize(topo, cores, 2 * v)[None, None]
+    mr = _tree_materialize(topo, cores, 2 * v + 1)[None, None]
+    core = _node_core(cores, v)[None]
+    if v == 1:
+        return _toggle_close(core, ml, mr, np.ones((1, 1, 1, 1))).reshape(-1, 1)
+    return _toggle_merge(core, ml, mr).reshape(ml.shape[2] * mr.shape[2], -1)

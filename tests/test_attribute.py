@@ -1456,9 +1456,10 @@ class TestTreePoints:
 
     def test_order0_passes_call_once_per_group(self, rng, monkeypatch):
         """On btree n = 24, r16, k = 3 (the triples-k3 shape) the order-0 up
-        pass makes one contraction per group, the down pass one per group
-        and one map per block. A request reads each group's cores once, as
-        read-only views of the model's layout, and stacks no core."""
+        pass (the ``_toggle_merge`` calls before the first ``_descend``)
+        makes one contraction per group, the down pass one per group and one
+        map per block. A request reads each group's cores once, as read-only
+        views of the model's layout, and stacks no core."""
         tensor_net = attribute.tensor_net
         model, lifts = _random_model("btree", 24, 16, seed=1)
         x = rng.uniform(-1, 1, 24)
@@ -1466,21 +1467,22 @@ class TestTreePoints:
         nodes = chebyshev_nodes(22)
         levels, _ = tensor_net._tree_schedule(tuple(range(24)), model.topology, 3,
                                               tensor_net._plan_key(nodes))
-        calls = {"_merge": 0, "_descend": 0, "adjoint": 0, "_group_views": 0, "foreign": 0,
-                 "restacked": 0}
+        calls = {"_toggle_merge": 0, "_descend": 0, "adjoint": 0, "_group_views": 0,
+                 "foreign": 0, "restacked": 0}
         held = TestTreeInputs._layout_arrays(model)
 
         def counted(name, original):
             def wrapper(*args):
-                calls[name] += 1
+                # merges after the first descend belong to the stacked pass
+                calls[name] += name != "_toggle_merge" or not calls["_descend"]
                 return original(*args)
             return wrapper
 
         def views(layout, grp):
             got = original_views(layout, grp)
             calls["_group_views"] += 1
-            calls["foreign"] += not all(x is None or (not x.flags.writeable and any(
-                np.shares_memory(x, h) for h in held)) for x in got)
+            calls["foreign"] += got.flags.writeable or not any(
+                np.shares_memory(got, h) for h in held)
             return got
 
         def stacked(arrays):
@@ -1488,7 +1490,7 @@ class TestTreePoints:
             return original_stacked(arrays)
 
         original_views, original_stacked = tensor_net._group_views, tensor_net._stacked
-        for name in ("_merge", "_descend"):
+        for name in ("_toggle_merge", "_descend"):
             monkeypatch.setattr(tensor_net, name, counted(name, getattr(tensor_net, name)))
         monkeypatch.setattr(tensor_net._Interpolation, "adjoint",
                             counted("adjoint", tensor_net._Interpolation.adjoint))
@@ -1503,7 +1505,7 @@ class TestTreePoints:
                   for grp in level for _, _, j, to in grp[6] if to is not None
                   and any(need and j in {i for i, _ in src} for g in above if g[4]
                           for src, need in zip(g[4:6], g[7]))}
-        assert calls["_merge"] == len(merging) - 1  # the root sends no message
+        assert calls["_toggle_merge"] == len(merging) - 1  # the root sends no message
         assert calls["_descend"] == len(descending) < 10
         assert calls["adjoint"] == len(mapped)
         assert calls["_group_views"] == len(groups)
@@ -1511,15 +1513,15 @@ class TestTreePoints:
 
     def test_order1_passes_call_once_per_group(self, rng, monkeypatch):
         """On btree n = 30, r16, k = 1 (bulk-k1's shape), one instance, the
-        up pass makes one ``_merge`` per merging group below the root and the
-        down pass one ``_descend`` per internal group, and internal levels
-        group: fewer calls than internal nodes."""
+        up pass makes one ``_toggle_merge`` per merging group below the root
+        and the down pass one ``_descend`` per internal group, and internal
+        levels group: fewer calls than internal nodes."""
         tensor_net = attribute.tensor_net
         model, lifts = _random_model("btree", 30, 16, seed=1)
         x = rng.uniform(-1, 1, 30)
         levels, _ = tensor_net._tree_schedule(tuple(range(30)), model.topology, 1,
                                               tensor_net._plan_key(chebyshev_nodes(30)))
-        calls = {"_merge": 0, "_descend": 0}
+        calls = {"_toggle_merge": 0, "_descend": 0}
 
         def counted(name, original):
             def wrapper(*args):
@@ -1532,10 +1534,10 @@ class TestTreePoints:
         explain(model, lifts, x, 1)
         internal = [g for level in levels for g in level if g[4] is not None]
         merging = [g for g in internal if g[5] is not None]
-        assert calls["_merge"] == len(merging) - 1  # the root sends no message
+        assert calls["_toggle_merge"] == len(merging) - 1  # the root sends no message
         assert calls["_descend"] == len(internal)
         nodes = sum(len(g[0]) for g in merging)
-        assert calls["_merge"] < nodes - 1 and calls["_descend"] < nodes
+        assert calls["_toggle_merge"] < nodes - 1 and calls["_descend"] < nodes
 
     @pytest.mark.parametrize("b", [1, 17])
     @pytest.mark.parametrize("n", [5, 7, 16, 30, 33, 50, 100])
@@ -1623,7 +1625,9 @@ class TestTreePoints:
     def test_stacked_pass_calls_once_per_group(self, rng, monkeypatch):
         """On btree n = 24, r16, k = 3 (the triples-k3 shape) the stacked pass
         merges and closes once per level group and pair: 26 by the schedule,
-        where one call per node made 86 merges and 22 closes."""
+        where one call per node made 86 merges and 22 closes. Its merges are
+        the ``_toggle_merge`` calls after the down pass's ``_descend``s; the
+        order-0 up pass makes the ones before."""
         tensor_net = attribute.tensor_net
         model, lifts = _random_model("btree", 24, 16, seed=1)
         x = rng.uniform(-1, 1, 24)
@@ -1643,11 +1647,12 @@ class TestTreePoints:
                     depth[0] -= 1
             return wrapper
 
-        for name in ("_toggle_merge", "_toggle_close"):
+        for name in ("_toggle_merge", "_toggle_close", "_descend"):
             monkeypatch.setattr(tensor_net, name, counted(name))
         got = explain(model, lifts, x, 3).values
         assert np.array_equal(got, want)
-        assert 0 < len(calls) <= 32
+        stacked = calls[len(calls) - calls[::-1].index("_descend"):]
+        assert 0 < len(stacked) <= 32
 
     @pytest.mark.parametrize("kind", ["tt", "btree"])
     @pytest.mark.parametrize("n", [5, 7, 24, 33])
@@ -1711,16 +1716,16 @@ class TestTreePoints:
 
 class TestTreeInputs:
     """A tree model holds its cores once, by level (``_tree_layout``): each
-    level's runs of same-shape nodes stacked, the internal runs flipped,
-    the pad-only subtrees folded into their parents' cores. It builds them
-    once, with the model; a request reads them as views, keeps nothing of
-    its own, and they go with the model. A request lifts each distinct map
-    once and toggles its own rows in place."""
+    level's runs of same-shape nodes stacked, the pad-only subtrees folded
+    into their parents' cores. It builds them once, with the model; a
+    request reads them as views, keeps nothing of its own, and they go with
+    the model. A request lifts each distinct map once and toggles its own
+    rows in place."""
 
     @staticmethod
     def _layout_arrays(model):
-        _, runs, flipped, folds = model._layout
-        return [*runs, *(f for f in flipped if f is not None), *folds.values()]
+        _, runs, folds = model._layout
+        return [*runs, *folds.values()]
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_second_request_stacks_no_cores(self, rng, monkeypatch, k):
@@ -1742,7 +1747,7 @@ class TestTreeInputs:
 
         def views(*args):
             got = original(*args)
-            read.extend(x for x in got if x is not None)
+            read.append(got)
             return got
 
         original = tensor_net._group_views
@@ -1758,9 +1763,10 @@ class TestTreeInputs:
                                       "uneven-8"])
     def test_cores_are_views_of_level_runs(self, name):
         """Each core is a read-only view of the run that stacks its level's
-        consecutive same-shape nodes; every level group of a request is a
-        slice of one run, equal to its nodes' cores stacked. Two models of
-        one topology share no array."""
+        consecutive same-shape nodes, and the layout holds nothing but its
+        runs, with the cores' bytes, and its folds; every level group of a
+        request is a slice of one run, equal to its nodes' cores stacked.
+        Two models of one topology share no array."""
         tensor_net = attribute.tensor_net
         kind, n = name.split("-")
         n = int(n)
@@ -1771,25 +1777,26 @@ class TestTreeInputs:
             return TestTreePoints._uneven_model(name)
 
         model, _ = build(1)
-        starts, runs, flipped, folds = model._layout
-        L = model.topology.leaf_count
+        starts, runs, folds = model._layout
         assert starts == sorted(starts) and starts[0] == 1
-        for lo, run, flip in zip(starts, runs, flipped):
+        for lo, run in zip(starts, runs):
             nodes = range(lo, lo + len(run))
             assert len({v.bit_length() for v in nodes}) == 1  # one level
             for v in nodes:
                 core = model.cores[v - 1]
                 assert not core.flags.writeable and np.shares_memory(core, run)
                 assert np.array_equal(tensor_net._node_core(model.cores, v), run[v - lo])
-            assert (flip is None) == (lo >= L)
-            if flip is not None:
-                assert np.array_equal(flip, run.transpose(0, 2, 1, 3))
         assert sum(len(run) for run in runs) == len(model.cores)
+        assert sum(run.nbytes for run in runs) == sum(core.nbytes for core in model.cores)
+        assert [type(x) for x in model._layout] == [list, list, dict]
+        assert all(type(v) is int for v in starts)
+        assert all(v < model.topology.leaf_count and fold.shape[0] == 1
+                   for v, fold in folds.items())
         for k in range(1, min(n, 3) + 1):
             levels, _ = tensor_net._tree_schedule(tuple(range(n)), model.topology, k,
                                                   tensor_net._plan_key(chebyshev_nodes(n - k + 1)))
             for grp, *_ in (g for level in levels for g in level):
-                core, _ = tensor_net._group_views(model._layout, grp)
+                core = tensor_net._group_views(model._layout, grp)
                 if grp.start in folds:
                     assert core is folds[grp.start] and len(grp) == 1
                 else:
@@ -1827,10 +1834,10 @@ class TestTreeInputs:
 
     def test_layout_arrays_read_only(self):
         """btree n = 24 has a folded node (node 3's right child holds pads
-        only) and flipped internal runs."""
+        only)."""
         model, _ = _random_model("btree", 24, 4, seed=4)
-        _, _, flipped, folds = model._layout
-        assert list(folds) == [3] and any(f is not None for f in flipped)
+        _, runs, folds = model._layout
+        assert list(folds) == [3] and len(runs) > 1
         assert not any(a.flags.writeable for a in self._layout_arrays(model))
 
     def test_one_leg_lists_leave_little_memory(self, rng):

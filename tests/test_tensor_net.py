@@ -30,6 +30,7 @@ from tnshap import (
     save_model,
 )
 from tnshap.tensor_net import (
+    _toggle_merge,
     chebyshev_interpolation,
     chebyshev_nodes,
     tree_up_messages,
@@ -245,6 +246,47 @@ class TestMaterialize:
         model, _ = product_model()
         with pytest.raises(ValueError, match="4 entries"):
             materialize_full(model, limit=3)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_tree_matches_basis_forwards(self, n):
+        """A tree's dense tensor, merged node by node and closed at the
+        root, holds the forward pass of every unit-basis configuration."""
+        model, _ = gen_tree_teacher(n, 3, n, None)
+        dense = materialize_full(model)
+        idx = np.array(list(product(*(range(d) for d in model.phys_dims))))
+        legs = [np.eye(d)[idx[:, i]] for i, d in enumerate(model.phys_dims)]
+        want = model.forward_batch(legs).reshape(model.phys_dims)
+        assert np.max(np.abs(dense - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestToggleMerge:
+    """``_toggle_merge``, every tree up step's merge, on the cores as a tree
+    model holds them: read-only slices of its layout's level runs."""
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("g", [1, 3])
+    @pytest.mark.parametrize("a,c", [(1, 1), (1, 8), (3, 3), (8, 1), (28, 1)])
+    def test_matches_einsum(self, rng, a, c, g, strided):
+        """Both branches (a <= c and a > c) against the einsum of the
+        contraction, to 1e-13 relative; ``strided`` takes the children's
+        stacks as the step-2 slices of one block that ``_take`` hands a
+        group whose children share a block."""
+        model, _ = gen_tree_teacher(16, 8, 1, None)
+        starts, runs, _ = model._layout
+        core = runs[starts.index(4)][1 : 1 + g]  # (G, 4, 4, 8), read-only
+        assert not core.flags.writeable
+        p, q = core.shape[1:3]
+        rows = 5
+        if strided:
+            block = rng.standard_normal((2 * g, rows, max(a, c), max(p, q)))
+            left, right = block[0::2, :, :a, :p], block[1::2, :, :c, :q]
+        else:
+            left = rng.standard_normal((g, rows, a, p))
+            right = rng.standard_normal((g, rows, c, q))
+        got = _toggle_merge(core, left, right)
+        want = np.einsum("gnap,gncq,gpqr->gnacr", left, right, core)
+        assert got.shape == (g, rows, a * c, core.shape[3])
+        assert np.max(np.abs(got - want.reshape(got.shape))) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestTopology:
